@@ -100,16 +100,41 @@ def _write_manifest(out_dir: Path, command: str, config: dict, files: list[Path]
     return path
 
 
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_config_value(command: str, key: str, value, default) -> None:
+    """Reject a config-file value whose type differs from that of its built-in default."""
+    if isinstance(default, bool):
+        ok, expected = isinstance(value, bool), "a boolean"
+    elif isinstance(default, int):
+        ok, expected = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif isinstance(default, float):
+        ok, expected = _number(value), "a number"
+    elif isinstance(default, list):
+        ok = isinstance(value, list) and all(_number(v) for v in value)
+        expected = "a list of numbers"
+    else:
+        ok, expected = isinstance(value, str), "a string"
+    if not ok:
+        raise ValueError(f"config key {command}.{key}: expected {expected}, got {value!r}")
+
+
 def _resolve(args: argparse.Namespace, command: str, defaults: dict) -> dict:
     """Merge built-in defaults, optional config file section, and explicit flags."""
     resolved = dict(defaults)
     config_path = getattr(args, "config", None)
     if config_path:
         loaded = json.loads(Path(config_path).read_text())
-        section = loaded.get(command, loaded)
+        section = loaded.get(command, loaded) if isinstance(loaded, dict) else loaded
+        if not isinstance(section, dict):
+            raise ValueError(f"config for {command} must be a JSON object of keys")
         unknown = set(section) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config keys for {command}: {sorted(unknown)}")
+        for key, value in section.items():
+            _check_config_value(command, key, value, defaults[key])
         resolved.update(section)
     for key in defaults:
         value = getattr(args, key, None)
@@ -118,13 +143,27 @@ def _resolve(args: argparse.Namespace, command: str, defaults: dict) -> dict:
     return resolved
 
 
+def _thread_count(text: str) -> int:
+    """A worker count: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _threads(args: argparse.Namespace) -> int:
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
+    if args.threads is not None:
+        return args.threads
     env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        return max(1, int(env))
-    return 1
+    if not env:
+        return 1
+    try:
+        return _thread_count(env)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"{THREADS_ENV_VAR} {exc}") from exc
 
 
 def cmd_fig1(args: argparse.Namespace) -> int:
@@ -285,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig1.add_argument("--seed", type=int)
     fig1.add_argument("--out-dir", dest="out_dir")
     fig1.add_argument("--keep-raw", dest="keep_raw", action="store_true", default=None)
-    fig1.add_argument("--threads", type=int)
+    fig1.add_argument("--threads", type=_thread_count)
     fig1.add_argument("--config", help="JSON config file (section 'fig1')")
     fig1.set_defaults(func=cmd_fig1)
 
@@ -299,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig2.add_argument("--seed", type=int)
     fig2.add_argument("--out-dir", dest="out_dir")
     fig2.add_argument("--keep-raw", dest="keep_raw", action="store_true", default=None)
-    fig2.add_argument("--threads", type=int)
+    fig2.add_argument("--threads", type=_thread_count)
     fig2.add_argument("--config", help="JSON config file (section 'fig2')")
     fig2.set_defaults(func=cmd_fig2)
 

@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
 
 from .dimer_oracle import uniform_leg_occupation
 from .ensemble import (
@@ -254,6 +253,8 @@ def oracle_check(
 
 def welch_greater(sample_hi, sample_lo) -> float:
     """One-sided Welch test p-value for mean(sample_hi) > mean(sample_lo)."""
+    from scipy import stats as sps  # imported here: it is most of the CLI's start-up time
+
     result = sps.ttest_ind(
         np.asarray(sample_hi), np.asarray(sample_lo), equal_var=False, alternative="greater"
     )

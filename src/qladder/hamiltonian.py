@@ -21,6 +21,7 @@ __all__ = [
     "Leg",
     "Branch",
     "BasisMismatchError",
+    "GuardError",
     "HermitianOperator",
     "StateVector",
     "flat_index",
@@ -28,11 +29,16 @@ __all__ = [
     "bell_minus_state",
     "build_physical",
     "build_effective",
+    "build_effective_stack",
+    "raise_first_failure",
     "to_plus_minus",
     "to_physical",
 ]
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
+
+_ASYMMETRIC = "entries must be exactly symmetric"
+_NONFINITE = "entries contain non-finite values"
 
 
 class Basis(enum.Enum):
@@ -58,6 +64,33 @@ class BasisMismatchError(ValueError):
     """A state or operator carries a different basis tag than required."""
 
 
+class GuardError(ArithmeticError):
+    """A check failed on one member of a stack; ``row`` is its position in the stack."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
+def raise_first_failure(failed: np.ndarray, describe) -> None:
+    """Raise :class:`GuardError` for the first row of ``failed`` holding a True entry.
+
+    ``failed`` carries the stack on its first axis; ``describe(row)`` gives
+    the message.
+    """
+    rows = np.flatnonzero(failed.reshape(failed.shape[0], -1).any(axis=1))
+    if rows.size:
+        row = int(rows[0])
+        raise GuardError(row, describe(row))
+
+
+def _entry_checks(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(exactly symmetric, all finite) for one matrix or for each matrix of a stack."""
+    symmetric = np.all(entries == np.swapaxes(entries, -1, -2), axis=(-2, -1))
+    finite = np.all(np.isfinite(entries), axis=(-2, -1))
+    return symmetric, finite
+
+
 def flat_index(cell: int, slot: int, n_sites: int) -> int:
     """Flat index of (cell, slot) with 1-based cells and slot in {0, 1}."""
     if not 1 <= cell <= n_sites:
@@ -80,10 +113,11 @@ class HermitianOperator:
             raise ValueError(f"entries must be square, got shape {entries.shape}")
         if entries.shape[0] % 2 or entries.shape[0] < 2:
             raise ValueError(f"dimension must be even and >= 2, got {entries.shape[0]}")
-        if not np.array_equal(entries, entries.T):
-            raise ValueError("entries must be exactly symmetric")
-        if not np.all(np.isfinite(entries)):
-            raise ValueError("entries contain non-finite values")
+        symmetric, finite = _entry_checks(entries)
+        if not symmetric:
+            raise ValueError(_ASYMMETRIC)
+        if not finite:
+            raise ValueError(_NONFINITE)
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
@@ -140,19 +174,23 @@ def bell_minus_state(n_sites: int, cell: int = 1) -> StateVector:
 
 
 def _assemble_ladder(diag0, diag1, rung, hopping) -> np.ndarray:
-    """Dense 2N x 2N ladder matrix from per-cell diagonals, rung and hoppings."""
-    n = diag0.size
-    h = np.zeros((2 * n, 2 * n))
+    """Dense 2N x 2N ladder matrix from per-cell diagonals, rung and hoppings.
+
+    Leading axes of the inputs are stack axes: (R, N) diagonals give an
+    (R, 2N, 2N) stack of matrices.
+    """
+    n = diag0.shape[-1]
+    h = np.zeros(diag0.shape[:-1] + (2 * n, 2 * n))
     slots0 = 2 * np.arange(n)
     slots1 = slots0 + 1
-    h[slots0, slots0] = diag0
-    h[slots1, slots1] = diag1
-    h[slots0, slots1] = rung
-    h[slots1, slots0] = rung
+    h[..., slots0, slots0] = diag0
+    h[..., slots1, slots1] = diag1
+    h[..., slots0, slots1] = rung
+    h[..., slots1, slots0] = rung
     cells = 2 * np.arange(n - 1)
     for off in (0, 1):
-        h[cells + off, cells + 2 + off] = hopping
-        h[cells + 2 + off, cells + off] = hopping
+        h[..., cells + off, cells + 2 + off] = hopping
+        h[..., cells + 2 + off, cells + off] = hopping
     return h
 
 
@@ -174,11 +212,26 @@ def build_effective(realization: DisorderRealization) -> HermitianOperator:
     (eps1 + eps2)/2 +- gamma and the branches couple through
     (eps1 - eps2)/2 on each cell.
     """
-    eps_plus, eps_minus, gamma_tilde = effective_parameters(
-        realization.eps_leg1, realization.eps_leg2, realization.gamma_n
+    return HermitianOperator(build_effective_stack([realization])[0], Basis.PLUS_MINUS)
+
+
+def build_effective_stack(realizations) -> np.ndarray:
+    """The :func:`build_effective` entries of equally sized realizations, as one
+    (R, 2N, 2N) array.
+
+    Every matrix passes the exact-symmetry and finiteness checks of
+    :class:`HermitianOperator`; the first that fails raises :class:`GuardError`.
+    """
+    eps1, eps2, gamma, couplings = (
+        np.stack([getattr(r, name) for r in realizations])
+        for name in ("eps_leg1", "eps_leg2", "gamma_n", "couplings")
     )
-    h = _assemble_ladder(eps_plus, eps_minus, gamma_tilde, realization.couplings)
-    return HermitianOperator(h, Basis.PLUS_MINUS)
+    h = _assemble_ladder(*effective_parameters(eps1, eps2, gamma), couplings)
+    symmetric, finite = _entry_checks(h)
+    raise_first_failure(
+        ~(symmetric & finite), lambda r: _NONFINITE if symmetric[r] else _ASYMMETRIC
+    )
+    return h
 
 
 def _mix_cells(amplitudes: np.ndarray) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 Evolution goes through the full eigendecomposition: the matrices here are
 small (2N <= a few hundred) and many evaluation times are needed per
-realization, so U(t) = V exp(-i L t) V^T is both exact and fastest.
+realization, so U(t) = V exp(-i L t) V^T is both exact and fastest. One
+kernel, :func:`propagate`, evolves a stack of eigensystems over a grid of
+times at once; :func:`evolve` and :func:`evolve_series` are stacks of one.
 """
 
 from __future__ import annotations
@@ -11,11 +13,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import Basis, BasisMismatchError, HermitianOperator, StateVector
+from .hamiltonian import (
+    Basis,
+    BasisMismatchError,
+    HermitianOperator,
+    StateVector,
+    raise_first_failure,
+)
 
 __all__ = [
     "EigenSystem",
+    "diagonalize",
     "eigendecompose",
+    "propagate",
+    "squared_norms",
     "evolve",
     "evolve_series",
     "expectation",
@@ -45,10 +56,52 @@ class EigenSystem:
         return self.eigenvalues.size
 
 
+def diagonalize(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and orthonormal eigenvector columns of one real
+    symmetric matrix, or of each matrix of an (R, D, D) stack."""
+    return np.linalg.eigh(entries)
+
+
 def eigendecompose(operator: HermitianOperator) -> EigenSystem:
     """Full symmetric eigendecomposition, eigenvalues sorted ascending."""
-    eigenvalues, eigenvectors = np.linalg.eigh(operator.entries)
+    eigenvalues, eigenvectors = diagonalize(operator.entries)
     return EigenSystem(eigenvalues, eigenvectors, operator.basis)
+
+
+def squared_norms(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """sum_d |psi_d|^2 of (R, D, T) real and imaginary parts, as an (R, T) array."""
+    return np.einsum("rdt,rdt->rt", re, re) + np.einsum("rdt,rdt->rt", im, im)
+
+
+def propagate(eigenvalues, eigenvectors, psi0, times) -> tuple[np.ndarray, np.ndarray]:
+    """States exp(-i H_r t) psi0_r for a stack of eigensystems and every time at once.
+
+    ``eigenvalues`` (R, D) and ``eigenvectors`` (R, D, D) are as returned by
+    :func:`diagonalize`, ``psi0`` is (R, D), real or complex, and ``times`` is
+    a 1-d grid. Returns the real and imaginary parts of the states, each
+    (R, D, T), from two real matrix products per eigensystem. Where t == 0
+    the state is psi0 itself, with no rounding through the eigenbasis. Every
+    state is norm-checked: a drift above ``NORM_TOL`` raises
+    :class:`GuardError` naming the first failing member.
+    """
+    times = np.asarray(times, dtype=np.float64)
+    projector = np.swapaxes(eigenvectors, -1, -2)
+    phase = eigenvalues[:, :, None] * times
+    cos, sin = np.cos(phase), np.sin(phase)
+    # eigenbasis coefficients a + ib of psi0; b = 0 for a real start state
+    a = projector @ np.real(psi0)[:, :, None]
+    b = projector @ np.imag(psi0)[:, :, None]
+    re = eigenvectors @ (cos * a + sin * b)
+    im = eigenvectors @ (cos * b - sin * a)
+    at_zero = times == 0.0
+    re[:, :, at_zero] = np.real(psi0)[:, :, None]
+    im[:, :, at_zero] = np.imag(psi0)[:, :, None]
+    drift = np.abs(squared_norms(re, im) - 1.0)
+    raise_first_failure(
+        ~(drift <= NORM_TOL),  # NaN fails too
+        lambda r: f"norm drift {drift[r].max():.3e} exceeds {NORM_TOL}",
+    )
+    return re, im
 
 
 def _validate_input(system: EigenSystem, state: StateVector):
@@ -62,21 +115,18 @@ def _validate_input(system: EigenSystem, state: StateVector):
         raise ValueError(f"initial state is not normalized: |psi|^2 = {state.norm_sq()!r}")
 
 
-def _check_norm(amplitudes: np.ndarray):
-    drift = abs(float(np.sum(np.abs(amplitudes) ** 2)) - 1.0)
-    if drift > NORM_TOL:
-        raise ArithmeticError(f"norm drift {drift:.3e} exceeds {NORM_TOL}")
+def _propagate_one(system: EigenSystem, psi0: StateVector, times) -> np.ndarray:
+    """(D, T) complex amplitudes of one state on a time grid."""
+    _validate_input(system, psi0)
+    re, im = propagate(
+        system.eigenvalues[None], system.eigenvectors[None], psi0.amplitudes[None], times
+    )
+    return re[0] + 1j * im[0]
 
 
 def evolve(system: EigenSystem, psi0: StateVector, t: float) -> StateVector:
     """Apply exp(-i H t) to a normalized state."""
-    _validate_input(system, psi0)
-    if t == 0.0:  # exact identity, no rounding through the eigenbasis
-        return StateVector(psi0.amplitudes, system.basis)
-    coeffs = system.eigenvectors.T @ psi0.amplitudes
-    amps = system.eigenvectors @ (np.exp(-1j * system.eigenvalues * t) * coeffs)
-    _check_norm(amps)
-    return StateVector(amps, system.basis)
+    return StateVector(_propagate_one(system, psi0, [t])[:, 0], system.basis)
 
 
 def evolve_series(system: EigenSystem, psi0: StateVector, times) -> list[StateVector]:
@@ -89,19 +139,8 @@ def evolve_series(system: EigenSystem, psi0: StateVector, times) -> list[StateVe
         raise ValueError("times must be a 1-d sequence")
     if times.size and np.any(np.diff(times) < 0):
         raise ValueError("times must be ascending")
-    _validate_input(system, psi0)
-    coeffs = system.eigenvectors.T @ psi0.amplitudes
-    phases = np.exp(-1j * np.outer(system.eigenvalues, times))
-    block = system.eigenvectors @ (phases * coeffs[:, None])
-    states = []
-    for k in range(times.size):
-        if times[k] == 0.0:
-            states.append(StateVector(psi0.amplitudes, system.basis))
-            continue
-        amps = block[:, k]
-        _check_norm(amps)
-        states.append(StateVector(amps, system.basis))
-    return states
+    block = _propagate_one(system, psi0, times)
+    return [StateVector(block[:, k], system.basis) for k in range(times.size)]
 
 
 def expectation(operator: HermitianOperator, state: StateVector) -> float:

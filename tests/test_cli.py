@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qladder
 import qladder.experiments
 from qladder.cli import THREADS_ENV_VAR, main
 
@@ -112,11 +117,42 @@ def test_fig1_rejects_unknown_config_keys(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "section, key, expected",
+    [({"delta": 0.2}, "fig1.delta", "a list of numbers"),
+     ({"realizations": "3"}, "fig1.realizations", "an integer")],
+)
+def test_fig1_rejects_mistyped_config_values(tmp_path, capsys, section, key, expected):
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps({"fig1": section}))
+    code = main(["fig1", "--config", str(cfg), "--out-dir", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert key in err and expected in err
+    assert not (tmp_path / "x").exists()  # rejected before any work
+
+
 def test_threads_env_var_is_used(tmp_path, monkeypatch):
     monkeypatch.setenv(THREADS_ENV_VAR, "3")
     out = run_fig1(tmp_path, "env")
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["threads"] == 3
+
+
+@pytest.mark.parametrize("value", ["-3", "0", "two"])
+def test_threads_flag_rejects_counts_below_one(tmp_path, capsys, value):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fig1", "--threads", value, "--out-dir", str(tmp_path / "x")])
+    assert excinfo.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["two", "0", "-1"])
+def test_threads_env_var_rejects_counts_below_one(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv(THREADS_ENV_VAR, value)
+    code = main(["fig1", "--out-dir", str(tmp_path / "x")])
+    assert code == 1
+    assert THREADS_ENV_VAR in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +250,20 @@ def test_invalid_flags_exit_two():
     assert excinfo.value.code == 2
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is most of the start-up time; only the tests' Welch helper needs it
+    code = (
+        "import sys, qladder.cli\n"
+        "qladder.cli.build_parser()\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    src = str(Path(qladder.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_runtime_failure_exits_one(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import stats as sps
+from scipy.linalg import expm
 
 import qladder.ensemble as ensemble_mod
 from qladder.ensemble import (
@@ -12,7 +13,9 @@ from qladder.ensemble import (
     derive_stream,
     run_ensemble,
 )
-from qladder.model import LadderParams
+from qladder.experiments import default_trace_grid, leakage_trace
+from qladder.hamiltonian import build_physical
+from qladder.model import LadderParams, sample_realization
 
 
 def make_config(n_sites=10, w=2.0, delta=0.3, n_realizations=6, seed=42, plan=None):
@@ -106,13 +109,14 @@ def test_runs_are_bitwise_deterministic():
 
 def test_thread_count_does_not_change_results():
     times = np.linspace(0.0, 30.0, 25)
-    config = make_config(n_realizations=8, plan=ObservablePlan.both(times))
+    config = make_config(n_realizations=13, plan=ObservablePlan.both(times))
     serial = run_ensemble(config, threads=1, keep_raw=True)
-    threaded = run_ensemble(config, threads=4, keep_raw=True)
-    for label in (LABEL_CONCURRENCE, LABEL_P_MINUS, LABEL_P_PLUS):
-        assert np.array_equal(serial[label].mean, threaded[label].mean)
-        assert np.array_equal(serial[label].std_error, threaded[label].std_error)
-        assert np.array_equal(serial[label].per_realization, threaded[label].per_realization)
+    for threads in (2, 4):
+        threaded = run_ensemble(config, threads=threads, keep_raw=True)
+        for label in (LABEL_CONCURRENCE, LABEL_P_MINUS, LABEL_P_PLUS):
+            assert np.array_equal(serial[label].mean, threaded[label].mean)
+            assert np.array_equal(serial[label].std_error, threaded[label].std_error)
+            assert np.array_equal(serial[label].per_realization, threaded[label].per_realization)
 
 
 def test_raw_values_bracket_the_mean():
@@ -141,6 +145,82 @@ def test_failures_report_the_realization_index(monkeypatch):
     monkeypatch.setattr(ensemble_mod, "sample_realization", flaky)
     with pytest.raises(RuntimeError, match="realization 3"):
         run_ensemble(config)
+
+
+@pytest.mark.parametrize("corruption", ["norm", "energy"])
+def test_guard_failures_name_the_realization_inside_a_chunk(monkeypatch, corruption):
+    # realization 3 of 7 sits mid-way through the first stacked diagonalization
+    config = make_config(n_realizations=7, plan=ObservablePlan.both(np.linspace(0.0, 5.0, 6)))
+    assert ensemble_mod._CHUNK > 3
+    original = ensemble_mod.diagonalize
+
+    def corrupted(entries):
+        eigenvalues, eigenvectors = original(entries)
+        if len(entries) > 3:
+            if corruption == "norm":
+                eigenvectors[3] *= 1.001
+            else:  # mix the two eigenvectors that carry most of psi0: still
+                # orthonormal, so the norm holds, but no longer an eigenbasis
+                v = eigenvectors[3]
+                a, b = np.argsort(np.abs(v[1]))[-2:]
+                v[:, a], v[:, b] = (v[:, a] + v[:, b]) / np.sqrt(2), (v[:, a] - v[:, b]) / np.sqrt(2)
+        return eigenvalues, eigenvectors
+
+    monkeypatch.setattr(ensemble_mod, "diagonalize", corrupted)
+    with pytest.raises(RuntimeError, match=f"realization 3 .*42:3.*{corruption} drift"):
+        run_ensemble(config)
+
+
+def test_chunk_size_does_not_change_values(monkeypatch):
+    plan = ObservablePlan.both(np.linspace(0.0, 30.0, 25))
+    config = make_config(n_realizations=2 * ensemble_mod._CHUNK + 2, plan=plan)
+    default = run_ensemble(config, keep_raw=True)
+    monkeypatch.setattr(ensemble_mod, "_CHUNK", 1)
+    single = run_ensemble(config, keep_raw=True)
+    for label in (LABEL_CONCURRENCE, LABEL_P_MINUS, LABEL_P_PLUS):
+        assert np.array_equal(default[label].per_realization, single[label].per_realization)
+
+
+def test_ensemble_size_does_not_change_shared_values():
+    # one realization alone, a chunk plus a lone remainder, two full chunks
+    plan = ObservablePlan.both(np.linspace(0.0, 30.0, 25))
+    chunk = ensemble_mod._CHUNK
+    runs = [
+        run_ensemble(make_config(n_realizations=n, plan=plan), keep_raw=True)
+        for n in (1, chunk + 1, 2 * chunk)
+    ]
+    for label in (LABEL_CONCURRENCE, LABEL_P_MINUS, LABEL_P_PLUS):
+        alone, remainder, full = (run[label].per_realization for run in runs)
+        assert np.array_equal(alone, remainder[:1])
+        assert np.array_equal(remainder, full[: chunk + 1])
+
+
+def test_leakage_traces_match_site_basis_expm():
+    # independent path: the physical-basis Hamiltonian, the Bell state on the
+    # legs of cell 1, one expm step per grid interval, p_minus = sum |(a-b)/sqrt2|^2
+    n_sites, delta, n_realizations = 30, 0.2, 5
+    times = default_trace_grid(n_sites)
+    dt = times[1]
+    assert np.allclose(np.diff(times), dt, rtol=1e-12, atol=0.0)
+    result = leakage_trace(
+        n_sites=n_sites, delta=delta, w_values=(0.2, 10.0), times=times,
+        n_realizations=n_realizations, keep_raw=True,
+    )
+    worst = 0.0
+    for w in (0.2, 10.0):
+        params = LadderParams(n_sites=n_sites, disorder_w=w, detuning_delta=delta,
+                              allow_large_detuning=True)
+        engine = result.minus[w].per_realization
+        for i in range(n_realizations):
+            h = build_physical(sample_realization(params, derive_stream(42, i))).entries
+            step = expm(-1j * dt * h)
+            psi = np.zeros(2 * n_sites, dtype=complex)
+            psi[0], psi[1] = np.sqrt(0.5), -np.sqrt(0.5)
+            for k in range(times.size):
+                p_minus = np.sum(np.abs((psi[0::2] - psi[1::2]) * np.sqrt(0.5)) ** 2)
+                worst = max(worst, abs(p_minus - engine[i, k]))
+                psi = step @ psi
+    assert worst < 1e-10
 
 
 def test_stats_reduction_matches_numpy():

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,11 +10,13 @@ from qladder.hamiltonian import (
     Basis,
     BasisMismatchError,
     Branch,
+    GuardError,
     HermitianOperator,
     Leg,
     StateVector,
     bell_minus_state,
     build_effective,
+    build_effective_stack,
     build_physical,
     flat_index,
     to_physical,
@@ -111,6 +115,21 @@ def test_operator_rejects_asymmetric_entries():
     bad = np.array([[0.0, 1.0], [0.5, 0.0]])
     with pytest.raises(ValueError):
         HermitianOperator(bad, Basis.PHYSICAL)
+
+
+def test_effective_stack_checks_each_matrix():
+    reals = [random_realization(4, index=k) for k in range(4)]
+    stack = build_effective_stack(reals)
+    assert stack.shape == (4, 8, 8)
+    for k, real in enumerate(reals):
+        assert np.array_equal(stack[k], build_effective(real).entries)
+    # DisorderRealization rejects non-finite values, so bypass it
+    fields = ("eps_leg1", "eps_leg2", "gamma_n", "couplings")
+    raw = [SimpleNamespace(**{f: np.array(getattr(r, f)) for f in fields}) for r in reals]
+    raw[2].eps_leg2[1] = np.inf
+    with pytest.raises(GuardError, match="non-finite") as excinfo:
+        build_effective_stack(raw)
+    assert excinfo.value.row == 2
 
 
 def test_operator_rejects_odd_dimension():
