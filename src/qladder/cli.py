@@ -75,11 +75,23 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_output(path: Path, chunks) -> None:
+    """Write the text ``chunks`` to ``path`` as a new file, replacing any old one.
+
+    The old file is unlinked first rather than truncated or renamed over:
+    ext4 flushes a file's data to disk at close when it was truncated and
+    rewritten, and at rename when it replaces an existing file (its
+    ``auto_da_alloc`` heuristic). On an ext4 disk that cost 40-80 ms per
+    87 KB output either way; writing a new file after an unlink took under
+    0.1 ms.
+    """
+    path.unlink(missing_ok=True)
     with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.writelines(chunks)
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    _write_output(path, (",".join(row) + "\n" for row in [header, *rows]))
 
 
 def _sha256(path: Path) -> str:
@@ -96,7 +108,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict, files: list[Path]
         "outputs": {path.name: _sha256(path) for path in files},
     }
     path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="ascii")
+    _write_output(path, [json.dumps(manifest, indent=2, sort_keys=True) + "\n"])
     return path
 
 
@@ -301,7 +313,7 @@ def cmd_dump_hamiltonian(args: argparse.Namespace) -> int:
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        Path(args.out).write_text(text, encoding="ascii")
+        _write_output(Path(args.out), [text])
         print(f"wrote {args.out} ({len(lines) - 1} entries)")
     return 0
 

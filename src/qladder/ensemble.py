@@ -3,8 +3,9 @@
 Each realization index owns an independent random stream derived from the
 master seed, so ensembles are reproducible bit-for-bit regardless of worker
 count or execution order. Workers carry a chunk of consecutive realizations
-end-to-end as stacked arrays (sample each, build the stack, one batched
-diagonalization, evolve all times at once, measure, check conservation);
+end-to-end as plain stacked arrays (draw each into the chunk's arrays, build
+the stack, one batched diagonalization, evolve all times at once, measure,
+check conservation);
 results are reduced in realization order so floating-point summation is
 fixed.
 """
@@ -20,11 +21,11 @@ from .hamiltonian import (
     _SQRT1_2,
     Branch,
     GuardError,
-    build_effective_stack,
+    assemble_effective,
     flat_index,
     raise_first_failure,
 )
-from .model import LadderParams, sample_realization
+from .model import LadderParams, draw_disorder
 from .observables import transfer_time
 from .spectral import diagonalize, propagate, squared_norms
 
@@ -124,10 +125,13 @@ class EnsembleStats:
     per_realization: np.ndarray | None = None
 
 
-def _measure_stack(config: EnsembleConfig, realizations: list) -> dict:
-    """Observables of a stack of realizations, each with the stack on axis 0."""
+def _measure_stack(config: EnsembleConfig, eps_leg1: np.ndarray, delta_n: np.ndarray) -> dict:
+    """Observables of the stack of (R, N) draws, each with the stack on axis 0."""
     n_sites = config.params.n_sites
-    entries = build_effective_stack(realizations)
+    # gamma_n = eps_leg1 under the correlated channel rule
+    entries = assemble_effective(
+        eps_leg1, eps_leg1 + delta_n, eps_leg1, config.params.couplings()
+    )
     eigenvalues, eigenvectors = diagonalize(entries)
     # the Bell pair on cell 1 is the unit vector |1,->, so psi0 is real
     start = flat_index(1, Branch.MINUS, n_sites)
@@ -164,24 +168,30 @@ def _measure_stack(config: EnsembleConfig, realizations: list) -> dict:
 def _measure_chunk(config: EnsembleConfig, start: int, stop: int) -> dict:
     """Observables of realizations ``start .. stop - 1``, stacked on axis 0.
 
-    A failure is raised as RuntimeError naming the first failing realization
-    with its seed tag and parameters.
+    Each realization's draw goes straight into the chunk's preallocated
+    arrays. A failure is raised as RuntimeError naming the first failing
+    realization with its seed tag and parameters.
     """
     seed, params = config.master_seed, config.params
     where = f"W={params.disorder_w}, delta={params.detuning_delta}, N={params.n_sites}"
-    realizations, failed = [], None
-    for i in range(start, stop):
+    eps_leg1 = np.empty((stop - start, params.n_sites))
+    delta_n = np.empty_like(eps_leg1)
+    drawn, failed = stop - start, None
+    for row in range(drawn):
         try:
-            realizations.append(
-                sample_realization(params, derive_stream(seed, i), seed_tag=f"{seed}:{i}")
-            )
+            eps_leg1[row], delta_n[row] = draw_disorder(params, derive_stream(seed, start + row))
         except Exception as exc:
-            failed = (i, exc)  # evolve those sampled so far: one may fail a guard first
+            drawn, failed = row, (start + row, exc)
             break
+    for name, values in (("eps_leg1", eps_leg1), ("delta_n", delta_n)):
+        bad = np.flatnonzero(~np.isfinite(values[:drawn]).all(axis=1))
+        if bad.size:
+            drawn = int(bad[0])
+            failed = (start + drawn, ValueError(f"{name} contains non-finite values"))
     out = {}
-    if realizations:
+    if drawn:  # evolve those drawn before a failure: one may fail a guard first
         try:
-            out = _measure_stack(config, realizations)
+            out = _measure_stack(config, eps_leg1[:drawn], delta_n[:drawn])
         except GuardError as exc:
             failed = (start + exc.row, exc)
         except Exception as exc:  # not attributable to one member of the stack
@@ -224,8 +234,9 @@ def run_ensemble(
     """
     n = config.n_realizations
     chunks = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(chunks))  # a worker beyond the chunk count has no work
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(lambda chunk: _measure_chunk(config, *chunk), chunks))
     else:
         parts = [_measure_chunk(config, *chunk) for chunk in chunks]

@@ -30,6 +30,7 @@ __all__ = [
     "build_physical",
     "build_effective",
     "build_effective_stack",
+    "assemble_effective",
     "raise_first_failure",
     "to_plus_minus",
     "to_physical",
@@ -217,16 +218,23 @@ def build_effective(realization: DisorderRealization) -> HermitianOperator:
 
 def build_effective_stack(realizations) -> np.ndarray:
     """The :func:`build_effective` entries of equally sized realizations, as one
-    (R, 2N, 2N) array.
+    (R, 2N, 2N) array checked by :func:`assemble_effective`."""
+    return assemble_effective(
+        *(
+            np.stack([getattr(r, name) for r in realizations])
+            for name in ("eps_leg1", "eps_leg2", "gamma_n", "couplings")
+        )
+    )
 
-    Every matrix passes the exact-symmetry and finiteness checks of
+
+def assemble_effective(eps_leg1, eps_leg2, gamma_n, couplings) -> np.ndarray:
+    """Stack of +/- basis Hamiltonians from (R, N) per-cell parameters.
+
+    ``couplings`` is (N-1,), shared by the whole stack, or (R, N-1). Every
+    matrix passes the exact-symmetry and finiteness checks of
     :class:`HermitianOperator`; the first that fails raises :class:`GuardError`.
     """
-    eps1, eps2, gamma, couplings = (
-        np.stack([getattr(r, name) for r in realizations])
-        for name in ("eps_leg1", "eps_leg2", "gamma_n", "couplings")
-    )
-    h = _assemble_ladder(*effective_parameters(eps1, eps2, gamma), couplings)
+    h = _assemble_ladder(*effective_parameters(eps_leg1, eps_leg2, gamma_n), couplings)
     symmetric, finite = _entry_checks(h)
     raise_first_failure(
         ~(symmetric & finite), lambda r: _NONFINITE if symmetric[r] else _ASYMMETRIC

@@ -18,6 +18,7 @@ __all__ = [
     "LadderParams",
     "DisorderRealization",
     "build_pst_couplings",
+    "draw_disorder",
     "sample_realization",
     "effective_parameters",
     "uniform_ladder",
@@ -168,23 +169,30 @@ class DisorderRealization:
         return self.eps_leg1.size
 
 
+def draw_disorder(
+    params: LadderParams, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the disordered parameters of one realization as ``(eps_leg1, delta_n)``.
+
+    This is the correlated channel rule: leg-1 energies are i.i.d.
+    Uniform[-W, W] (N draws, consumed first), the per-cell detunings i.i.d.
+    Uniform[-Delta, Delta] (N draws, consumed second). Leg-2 energies are
+    ``eps_leg1 + delta_n`` and the rung couplings are locked to
+    ``gamma_n = eps_leg1``, so the antisymmetric branch sees fluctuations
+    weighted only by Delta. The generator's half-open uniform convention is
+    kept as-is; endpoint inclusion is measure-zero.
+    """
+    n = params.n_sites
+    eps_leg1 = rng.uniform(-params.disorder_w, params.disorder_w, size=n)
+    delta_n = rng.uniform(-params.detuning_delta, params.detuning_delta, size=n)
+    return eps_leg1, delta_n
+
+
 def sample_realization(
     params: LadderParams, rng: np.random.Generator, seed_tag: str = ""
 ) -> DisorderRealization:
-    """Draw one disorder realization under the correlated channel rule.
-
-    Leg-1 energies are i.i.d. Uniform[-W, W] (N draws, consumed first), the
-    per-cell detunings i.i.d. Uniform[-Delta, Delta] (N draws, consumed
-    second). Leg-2 energies are ``eps_leg1 + delta_n`` and the rung couplings
-    are locked to ``gamma_n = eps_leg1``, so the antisymmetric branch sees
-    fluctuations weighted only by Delta. The generator's half-open uniform
-    convention is kept as-is; endpoint inclusion is measure-zero.
-    """
-    n = params.n_sites
-    w = params.disorder_w
-    delta = params.detuning_delta
-    eps_leg1 = rng.uniform(-w, w, size=n)
-    delta_n = rng.uniform(-delta, delta, size=n)
+    """One checked :class:`DisorderRealization` drawn by :func:`draw_disorder`."""
+    eps_leg1, delta_n = draw_disorder(params, rng)
     return DisorderRealization(
         eps_leg1=eps_leg1,
         eps_leg2=eps_leg1 + delta_n,

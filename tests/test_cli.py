@@ -193,6 +193,22 @@ def test_fig2_reruns_are_byte_identical_across_threads(tmp_path):
     assert read(serial / "fig2.csv") == read(threaded / "fig2.csv")
 
 
+def test_reruns_fully_replace_longer_stale_outputs(tmp_path):
+    fresh = run_fig2(tmp_path, "fresh", extra=("--keep-raw",))
+    names = ("fig2.csv", "fig2_raw.csv", "manifest.json")
+    stale = tmp_path / "stale"
+    stale.mkdir()
+    for name in names:  # longer than the new output, so a leftover tail would show
+        (stale / name).write_bytes(b"9" * (len(read(fresh / name)) + 4096))
+    run_fig2(tmp_path, "stale", extra=("--keep-raw",))
+    for name in names[:2]:
+        assert read(stale / name) == read(fresh / name)
+    digests = [json.loads((out / "manifest.json").read_text())["outputs"] for out in (fresh, stale)]
+    assert digests[0] == digests[1]
+    for name in names[:2]:
+        assert digests[1][name] == hashlib.sha256(read(stale / name)).hexdigest()
+
+
 # ---------------------------------------------------------------------------
 # oracle / baseline
 # ---------------------------------------------------------------------------
@@ -244,6 +260,15 @@ def test_dump_hamiltonian_triplets(tmp_path):
     assert (0, 1) in entries  # rung coupling
 
 
+def test_dump_hamiltonian_replaces_a_longer_file(tmp_path):
+    argv = ["dump-hamiltonian", "--n-sites", "3", "--seed", "1", "--basis", "effective", "--out"]
+    fresh, stale = tmp_path / "fresh.csv", tmp_path / "stale.csv"
+    assert main([*argv, str(fresh)]) == 0
+    stale.write_bytes(b"9" * (len(read(fresh)) + 4096))
+    assert main([*argv, str(stale)]) == 0
+    assert read(stale) == read(fresh)
+
+
 def test_invalid_flags_exit_two():
     with pytest.raises(SystemExit) as excinfo:
         main(["fig1", "--bogus"])
@@ -264,6 +289,25 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, timeout=60, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_fig1_and_fig2_leave_scipy_linalg_unloaded(tmp_path):
+    # importing scipy.linalg adds about 28 MB of peak memory and 0.14 s to a run
+    code = (
+        "import sys\n"
+        "from qladder.cli import main\n"
+        "out = sys.argv[1]\n"
+        "assert main(['fig1', '--n-sites', '4', '--w-points', '2', '--realizations', '2',\n"
+        "             '--out-dir', out]) == 0\n"
+        "assert main(['fig2', '--n-sites', '4', '--w', '1', '--t-points', '3',\n"
+        "             '--realizations', '2', '--out-dir', out]) == 0\n"
+        "print('scipy.linalg' in sys.modules)\n"
+    )
+    src = str(Path(qladder.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                            capture_output=True, text=True, timeout=60, check=True)
+    assert result.stdout.strip().splitlines()[-1] == "False"
 
 
 def test_runtime_failure_exits_one(tmp_path, capsys):

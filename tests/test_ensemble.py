@@ -14,7 +14,7 @@ from qladder.ensemble import (
     run_ensemble,
 )
 from qladder.experiments import default_trace_grid, leakage_trace
-from qladder.hamiltonian import build_physical
+from qladder.hamiltonian import build_effective, build_physical
 from qladder.model import LadderParams, sample_realization
 
 
@@ -133,18 +133,78 @@ def test_raw_values_dropped_by_default():
     assert stats.per_realization is None
 
 
+def _stream_index(rng) -> int:
+    (index,) = rng.bit_generator.seed_seq.spawn_key
+    return index
+
+
 def test_failures_report_the_realization_index(monkeypatch):
     config = make_config(n_realizations=5)
-    original = ensemble_mod.sample_realization
+    original = ensemble_mod.draw_disorder
 
-    def flaky(params, rng, seed_tag=""):
-        if seed_tag.endswith(":3"):
+    def flaky(params, rng):
+        if _stream_index(rng) == 3:
             raise MemoryError("synthetic exhaustion")
-        return original(params, rng, seed_tag)
+        return original(params, rng)
 
-    monkeypatch.setattr(ensemble_mod, "sample_realization", flaky)
+    monkeypatch.setattr(ensemble_mod, "draw_disorder", flaky)
     with pytest.raises(RuntimeError, match="realization 3"):
         run_ensemble(config)
+
+
+@pytest.mark.parametrize("name", ["eps_leg1", "delta_n"])
+def test_non_finite_draws_name_the_realization(monkeypatch, name):
+    config = make_config(n_realizations=7)
+    original = ensemble_mod.draw_disorder
+
+    def poisoned(params, rng):
+        eps_leg1, delta_n = original(params, rng)
+        if _stream_index(rng) == 3:
+            (eps_leg1 if name == "eps_leg1" else delta_n)[2] = np.nan
+        return eps_leg1, delta_n
+
+    monkeypatch.setattr(ensemble_mod, "draw_disorder", poisoned)
+    with pytest.raises(RuntimeError, match=f"realization 3 .*42:3.*{name} contains non-finite"):
+        run_ensemble(config)
+
+
+def test_engine_matrices_match_the_public_path(monkeypatch):
+    # realizations 0-6 span two chunks; each matrix the engine diagonalizes
+    # must be the checked single-realization Hamiltonian, bit for bit
+    config = make_config(n_realizations=7)
+    assert ensemble_mod._CHUNK < 7
+    seen = []
+    original = ensemble_mod.diagonalize
+
+    def recording(entries):
+        seen.extend(entries.copy())
+        return original(entries)
+
+    monkeypatch.setattr(ensemble_mod, "diagonalize", recording)
+    run_ensemble(config)
+    assert len(seen) == 7
+    for i, entries in enumerate(seen):
+        public = build_effective(sample_realization(config.params, derive_stream(42, i)))
+        assert np.array_equal(entries, public.entries)
+
+
+def test_worker_count_is_capped_at_the_chunk_count(monkeypatch):
+    requested = []
+
+    class Recording(ensemble_mod.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            requested.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(ensemble_mod, "ThreadPoolExecutor", Recording)
+    assert -(-7 // ensemble_mod._CHUNK) == 2 and ensemble_mod._CHUNK >= 3
+    capped = run_ensemble(make_config(n_realizations=7), threads=8, keep_raw=True)
+    assert requested == [2]
+    run_ensemble(make_config(n_realizations=3), threads=8)  # one chunk: no pool
+    assert requested == [2]
+    serial = run_ensemble(make_config(n_realizations=7), keep_raw=True)
+    assert np.array_equal(capped[LABEL_CONCURRENCE].per_realization,
+                          serial[LABEL_CONCURRENCE].per_realization)
 
 
 @pytest.mark.parametrize("corruption", ["norm", "energy"])

@@ -9,6 +9,7 @@ from qladder.model import (
     DisorderRealization,
     LadderParams,
     build_pst_couplings,
+    draw_disorder,
     effective_parameters,
     sample_realization,
     uniform_ladder,
@@ -123,6 +124,18 @@ def test_sample_is_bitwise_reproducible():
     b = sample_realization(params, derive_stream(99, 7))
     for name in ("eps_leg1", "eps_leg2", "delta_n", "gamma_n", "couplings"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_draw_consumes_leg1_then_detuning():
+    # stream contract: N leg-1 draws first, then N detuning draws
+    params = LadderParams(n_sites=7, disorder_w=2.0, detuning_delta=0.3)
+    eps_leg1, delta_n = draw_disorder(params, derive_stream(99, 7))
+    replay = derive_stream(99, 7)
+    assert np.array_equal(eps_leg1, replay.uniform(-2.0, 2.0, size=7))
+    assert np.array_equal(delta_n, replay.uniform(-0.3, 0.3, size=7))
+    real = sample_realization(params, derive_stream(99, 7))
+    assert np.array_equal(real.eps_leg1, eps_leg1)
+    assert np.array_equal(real.delta_n, delta_n)
 
 
 def test_realization_rejects_inconsistent_leg2():

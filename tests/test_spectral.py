@@ -14,7 +14,14 @@ from qladder.hamiltonian import (
     unit_state,
 )
 from qladder.model import LadderParams, sample_realization, uniform_ladder
-from qladder.spectral import eigendecompose, evolve, evolve_series, expectation
+from qladder.spectral import (
+    diagonalize,
+    eigendecompose,
+    evolve,
+    evolve_series,
+    expectation,
+    propagate,
+)
 
 
 def ladder_system(n_sites=8, disorder_w=3.0, detuning_delta=0.4, index=0):
@@ -184,6 +191,21 @@ def test_series_matches_individual_evolutions():
     for t, state in zip(times, series):
         single = evolve(sys, psi0, t)
         assert np.max(np.abs(state.amplitudes - single.amplitudes)) < 1e-12
+
+
+def test_real_start_state_takes_the_complex_path_values():
+    # a real psi0 skips the products with its zero imaginary part; the
+    # states must equal those of the same psi0 passed as complex128
+    stack = np.stack([ladder_system(index=i)[0].entries for i in range(3)])
+    eigenvalues, eigenvectors = diagonalize(stack)
+    psi0 = np.random.default_rng(5).normal(size=stack.shape[:2])
+    psi0 /= np.linalg.norm(psi0, axis=1, keepdims=True)
+    times = np.linspace(0.0, 40.0, 30)
+    re, im = propagate(eigenvalues, eigenvectors, psi0, times)
+    re_c, im_c = propagate(eigenvalues, eigenvectors, psi0.astype(np.complex128), times)
+    assert np.array_equal(re, re_c)
+    assert np.array_equal(im, im_c)
+    assert np.any(im != 0.0)
 
 
 def test_series_rejects_unsorted_times():
