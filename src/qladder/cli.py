@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import os
+import stat
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -76,16 +77,27 @@ def _fmt(value) -> str:
 
 
 def _write_output(path: Path, chunks) -> None:
-    """Write the text ``chunks`` to ``path`` as a new file, replacing any old one.
+    """Write the text ``chunks`` to ``path``, replacing any old contents.
 
-    The old file is unlinked first rather than truncated or renamed over:
-    ext4 flushes a file's data to disk at close when it was truncated and
-    rewritten, and at rename when it replaces an existing file (its
+    An old regular file is unlinked first rather than truncated or renamed
+    over: ext4 flushes a file's data to disk at close when it was truncated
+    and rewritten, and at rename when it replaces an existing file (its
     ``auto_da_alloc`` heuristic). On an ext4 disk that cost 40-80 ms per
     87 KB output either way; writing a new file after an unlink took under
-    0.1 ms.
+    0.1 ms. Any other target (a symlink, a device such as ``/dev/null``, a
+    FIFO), and a regular file that cannot be unlinked, is opened and written
+    in place.
+
+    The cost of skipping that flush: a replaced output is not on disk until
+    the kernel writes it back. A crash in between can leave it empty or
+    missing, with the old data already gone, and its digest then no longer
+    matches ``manifest.json``.
     """
-    path.unlink(missing_ok=True)
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
+    except OSError:  # absent, or not ours to unlink: open() reports or truncates
+        pass
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.writelines(chunks)
 

@@ -25,7 +25,7 @@ from .hamiltonian import (
     flat_index,
     raise_first_failure,
 )
-from .model import LadderParams, draw_disorder
+from .model import LadderParams, correlated_channel, draw_disorder
 from .observables import transfer_time
 from .spectral import diagonalize, propagate, squared_norms
 
@@ -128,9 +128,8 @@ class EnsembleStats:
 def _measure_stack(config: EnsembleConfig, eps_leg1: np.ndarray, delta_n: np.ndarray) -> dict:
     """Observables of the stack of (R, N) draws, each with the stack on axis 0."""
     n_sites = config.params.n_sites
-    # gamma_n = eps_leg1 under the correlated channel rule
     entries = assemble_effective(
-        eps_leg1, eps_leg1 + delta_n, eps_leg1, config.params.couplings()
+        eps_leg1, *correlated_channel(eps_leg1, delta_n), config.params.couplings()
     )
     eigenvalues, eigenvectors = diagonalize(entries)
     # the Bell pair on cell 1 is the unit vector |1,->, so psi0 is real

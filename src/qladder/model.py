@@ -19,6 +19,7 @@ __all__ = [
     "DisorderRealization",
     "build_pst_couplings",
     "draw_disorder",
+    "correlated_channel",
     "sample_realization",
     "effective_parameters",
     "uniform_ladder",
@@ -174,13 +175,11 @@ def draw_disorder(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw the disordered parameters of one realization as ``(eps_leg1, delta_n)``.
 
-    This is the correlated channel rule: leg-1 energies are i.i.d.
-    Uniform[-W, W] (N draws, consumed first), the per-cell detunings i.i.d.
-    Uniform[-Delta, Delta] (N draws, consumed second). Leg-2 energies are
-    ``eps_leg1 + delta_n`` and the rung couplings are locked to
-    ``gamma_n = eps_leg1``, so the antisymmetric branch sees fluctuations
-    weighted only by Delta. The generator's half-open uniform convention is
-    kept as-is; endpoint inclusion is measure-zero.
+    Leg-1 energies are i.i.d. Uniform[-W, W] (N draws, consumed first), the
+    per-cell detunings i.i.d. Uniform[-Delta, Delta] (N draws, consumed
+    second); :func:`correlated_channel` derives the rest of the realization.
+    The generator's half-open uniform convention is kept as-is; endpoint
+    inclusion is measure-zero.
     """
     n = params.n_sites
     eps_leg1 = rng.uniform(-params.disorder_w, params.disorder_w, size=n)
@@ -188,16 +187,29 @@ def draw_disorder(
     return eps_leg1, delta_n
 
 
+def correlated_channel(eps_leg1, delta_n) -> tuple[np.ndarray, np.ndarray]:
+    """``(eps_leg2, gamma_n)`` of drawn ``eps_leg1`` and ``delta_n`` under the
+    correlated channel rule, for one realization or an (R, N) stack.
+
+    Leg-2 energies are ``eps_leg1 + delta_n`` and the rung couplings are
+    locked to ``gamma_n = eps_leg1``, so the antisymmetric branch sees
+    fluctuations weighted only by Delta.
+    """
+    return eps_leg1 + delta_n, eps_leg1
+
+
 def sample_realization(
     params: LadderParams, rng: np.random.Generator, seed_tag: str = ""
 ) -> DisorderRealization:
-    """One checked :class:`DisorderRealization` drawn by :func:`draw_disorder`."""
+    """One checked :class:`DisorderRealization` drawn by :func:`draw_disorder`
+    under :func:`correlated_channel`."""
     eps_leg1, delta_n = draw_disorder(params, rng)
+    eps_leg2, gamma_n = correlated_channel(eps_leg1, delta_n)
     return DisorderRealization(
         eps_leg1=eps_leg1,
-        eps_leg2=eps_leg1 + delta_n,
+        eps_leg2=eps_leg2,
         delta_n=delta_n,
-        gamma_n=eps_leg1,
+        gamma_n=gamma_n,
         couplings=params.couplings(),
         seed_tag=seed_tag,
     )

@@ -88,15 +88,16 @@ def propagate(eigenvalues, eigenvectors, psi0, times) -> tuple[np.ndarray, np.nd
     projector = np.swapaxes(eigenvectors, -1, -2)
     phase = eigenvalues[:, :, None] * times
     cos, sin = np.cos(phase), np.sin(phase)
-    # eigenbasis coefficients a + ib of psi0
+    # eigenbasis coefficients a + ib of psi0; b = 0 for a real start state
     a = projector @ np.real(psi0)[:, :, None]
+    cr, ci = cos * a, -(sin * a)
     if np.iscomplexobj(psi0):
         b = projector @ np.imag(psi0)[:, :, None]
-        re = eigenvectors @ (cos * a + sin * b)
-        im = eigenvectors @ (cos * b - sin * a)
-    else:  # b = 0: the same values without its two products
-        re = eigenvectors @ (cos * a)
-        im = eigenvectors @ -(sin * a)
+        cr += sin * b
+        ci += cos * b
+    del cos, sin  # two fewer (R, D, T) arrays held through the products below
+    re = eigenvectors @ cr
+    im = eigenvectors @ ci
     at_zero = times == 0.0
     re[:, :, at_zero] = np.real(psi0)[:, :, None]
     im[:, :, at_zero] = np.imag(psi0)[:, :, None]

@@ -1,8 +1,11 @@
+import errno
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -260,12 +263,56 @@ def test_dump_hamiltonian_triplets(tmp_path):
     assert (0, 1) in entries  # rung coupling
 
 
+DUMP_ARGV = ["dump-hamiltonian", "--n-sites", "3", "--seed", "1", "--basis", "effective", "--out"]
+
+
 def test_dump_hamiltonian_replaces_a_longer_file(tmp_path):
-    argv = ["dump-hamiltonian", "--n-sites", "3", "--seed", "1", "--basis", "effective", "--out"]
     fresh, stale = tmp_path / "fresh.csv", tmp_path / "stale.csv"
-    assert main([*argv, str(fresh)]) == 0
+    assert main([*DUMP_ARGV, str(fresh)]) == 0
     stale.write_bytes(b"9" * (len(read(fresh)) + 4096))
-    assert main([*argv, str(stale)]) == 0
+    assert main([*DUMP_ARGV, str(stale)]) == 0
+    assert read(stale) == read(fresh)
+
+
+def test_reruns_write_through_a_symlinked_output(tmp_path):
+    fresh = run_fig2(tmp_path, "fresh")
+    linked = tmp_path / "linked"
+    linked.mkdir()
+    target = tmp_path / "kept.csv"
+    target.write_bytes(b"9" * (len(read(fresh / "fig2.csv")) + 4096))
+    (linked / "fig2.csv").symlink_to(target)
+    run_fig2(tmp_path, "linked")
+    assert (linked / "fig2.csv").is_symlink()
+    assert read(target) == read(fresh / "fig2.csv")
+
+
+def test_dump_hamiltonian_writes_into_a_fifo(tmp_path):
+    fresh, fifo = tmp_path / "fresh.csv", tmp_path / "pipe"
+    assert main([*DUMP_ARGV, str(fresh)]) == 0
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        assert main([*DUMP_ARGV, str(fifo)]) == 0
+    finally:
+        reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert received == [read(fresh)]
+
+
+def test_outputs_are_rewritten_in_place_when_unlink_is_refused(tmp_path, monkeypatch):
+    # a writable file in a directory the user may not write to
+    fresh, stale = tmp_path / "fresh.csv", tmp_path / "stale.csv"
+    assert main([*DUMP_ARGV, str(fresh)]) == 0
+    stale.write_bytes(b"9" * (len(read(fresh)) + 4096))
+
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(errno.EACCES, "Permission denied", str(path))
+
+    monkeypatch.setattr(os, "unlink", refuse)
+    assert main([*DUMP_ARGV, str(stale)]) == 0
     assert read(stale) == read(fresh)
 
 
