@@ -6,10 +6,8 @@ Exits nonzero if any check fails. Useful as a smoke test after changes.
 
 import sys
 
+from qladder.cli import BASELINE_TOL, ORACLE_TOL
 from qladder.experiments import oracle_check, ordered_baseline
-
-TOL_BASELINE = 1e-6
-TOL_ORACLE = 1e-8
 
 
 def run() -> int:
@@ -17,7 +15,7 @@ def run() -> int:
 
     for n_sites in (2, 4, 30):
         report = ordered_baseline(n_sites)
-        ok = report.concurrence_at_tau >= 1.0 - TOL_BASELINE
+        ok = report.concurrence_at_tau >= 1.0 - BASELINE_TOL
         failures += not ok
         print(f"baseline N={n_sites:3d}: C(tau) = {report.concurrence_at_tau:.12f} "
               f"{'ok' if ok else 'FAIL'}")
@@ -26,7 +24,7 @@ def run() -> int:
         for gamma in (0.2, 1.0):
             for n_sites in (1, 5, 10):
                 deviation = oracle_check(delta, gamma, n_sites)
-                ok = deviation < TOL_ORACLE
+                ok = deviation < ORACLE_TOL
                 failures += not ok
                 print(f"dimer delta={delta:3.1f} gamma={gamma:3.1f} N={n_sites:2d}: "
                       f"max deviation {deviation:.3e} {'ok' if ok else 'FAIL'}")

@@ -7,7 +7,7 @@ end-cell concurrence and inter-branch leakage over seeded disorder ensembles.
 
 __version__ = "0.1.0"
 
-from .dimer_oracle import DimerSolution, dimer_eigenpairs, rabi_frequency, uniform_leg_occupation
+from .dimer_oracle import rabi_frequency, uniform_leg_occupation
 from .ensemble import (
     DEFAULT_MASTER_SEED,
     EnsembleConfig,
@@ -37,7 +37,6 @@ from .hamiltonian import (
     unit_state,
 )
 from .model import (
-    CouplingScheme,
     DisorderRealization,
     LadderParams,
     build_pst_couplings,

@@ -30,6 +30,7 @@ from .experiments import (
     DEFAULT_W_MAX,
     DEFAULT_W_MIN,
     DEFAULT_W_POINTS,
+    default_trace_grid,
     default_w_grid,
     leakage_trace,
     oracle_check,
@@ -38,7 +39,6 @@ from .experiments import (
 )
 from .hamiltonian import build_effective, build_physical
 from .model import LadderParams, sample_realization
-from .observables import transfer_time
 
 __all__ = ["main"]
 
@@ -167,8 +167,8 @@ def _resolve(args: argparse.Namespace, command: str, defaults: dict) -> dict:
     return resolved
 
 
-def _thread_count(text: str) -> int:
-    """A worker count: an integer of at least 1."""
+def _count(text: str) -> int:
+    """A count of workers or points: an integer of at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -185,7 +185,7 @@ def _threads(args: argparse.Namespace) -> int:
     if not env:
         return 1
     try:
-        return _thread_count(env)
+        return _count(env)
     except argparse.ArgumentTypeError as exc:
         raise ValueError(f"{THREADS_ENV_VAR} {exc}") from exc
 
@@ -206,22 +206,18 @@ def cmd_fig1(args: argparse.Namespace) -> int:
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    rows = []
+    rows, raw_rows = [], []
     for delta in result.deltas:
-        for iw, w in enumerate(result.w_values):
-            stats = result.series[delta][iw]
+        for w, stats in zip(result.w_values, result.series[delta]):
             rows.append([_fmt(w), _fmt(delta), _fmt(stats.mean), _fmt(stats.std_error), str(stats.n)])
+            if cfg["keep_raw"]:
+                for i, value in enumerate(stats.per_realization):
+                    raw_rows.append([_fmt(w), _fmt(delta), str(i), _fmt(value)])
     data_path = out_dir / "fig1.csv"
     _write_csv(data_path, ["w", "delta", "mean_concurrence", "std_error", "n"], rows)
     files = [data_path]
 
     if cfg["keep_raw"]:
-        raw_rows = []
-        for delta in result.deltas:
-            for iw, w in enumerate(result.w_values):
-                raw = result.series[delta][iw].per_realization
-                for i, value in enumerate(raw):
-                    raw_rows.append([_fmt(w), _fmt(delta), str(i), _fmt(value)])
         raw_path = out_dir / "fig1_raw.csv"
         _write_csv(raw_path, ["w", "delta", "realization", "concurrence"], raw_rows)
         files.append(raw_path)
@@ -234,14 +230,14 @@ def cmd_fig1(args: argparse.Namespace) -> int:
 
 def cmd_fig2(args: argparse.Namespace) -> int:
     cfg = _resolve(args, "fig2", FIG2_DEFAULTS)
+    if cfg["t_points"] < 1:
+        raise ValueError(f"fig2 t_points must be at least 1, got {cfg['t_points']}")
     threads = _threads(args)
-    tau = transfer_time(cfg["n_sites"])
-    times = np.linspace(0.0, cfg["t_max"] * tau, cfg["t_points"])
     result = leakage_trace(
         n_sites=cfg["n_sites"],
         delta=cfg["delta"],
         w_values=cfg["w"],
-        times=times,
+        times=default_trace_grid(cfg["n_sites"], cfg["t_max"], cfg["t_points"]),
         n_realizations=cfg["realizations"],
         master_seed=cfg["seed"],
         threads=threads,
@@ -250,7 +246,8 @@ def cmd_fig2(args: argparse.Namespace) -> int:
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    rows = []
+    tau = result.tau
+    rows, raw_rows = [], []
     for w in result.w_values:
         minus, plus = result.minus[w], result.plus[w]
         for k, t in enumerate(result.times):
@@ -264,6 +261,10 @@ def cmd_fig2(args: argparse.Namespace) -> int:
                     str(minus.n),
                 ]
             )
+        if cfg["keep_raw"]:
+            for i, trace in enumerate(minus.per_realization):
+                for t, value in zip(result.times, trace):
+                    raw_rows.append([_fmt(t / tau), _fmt(w), str(i), _fmt(value)])
     data_path = out_dir / "fig2.csv"
     _write_csv(
         data_path,
@@ -273,12 +274,6 @@ def cmd_fig2(args: argparse.Namespace) -> int:
     files = [data_path]
 
     if cfg["keep_raw"]:
-        raw_rows = []
-        for w in result.w_values:
-            raw = result.minus[w].per_realization
-            for i in range(raw.shape[0]):
-                for k, t in enumerate(result.times):
-                    raw_rows.append([_fmt(t / tau), _fmt(w), str(i), _fmt(raw[i, k])])
         raw_path = out_dir / "fig2_raw.csv"
         _write_csv(raw_path, ["t_over_tau", "w", "realization", "p_minus"], raw_rows)
         files.append(raw_path)
@@ -348,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig1.add_argument("--seed", type=int)
     fig1.add_argument("--out-dir", dest="out_dir")
     fig1.add_argument("--keep-raw", dest="keep_raw", action="store_true", default=None)
-    fig1.add_argument("--threads", type=_thread_count)
+    fig1.add_argument("--threads", type=_count)
     fig1.add_argument("--config", help="JSON config file (section 'fig1')")
     fig1.set_defaults(func=cmd_fig1)
 
@@ -362,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig2.add_argument("--seed", type=int)
     fig2.add_argument("--out-dir", dest="out_dir")
     fig2.add_argument("--keep-raw", dest="keep_raw", action="store_true", default=None)
-    fig2.add_argument("--threads", type=_thread_count)
+    fig2.add_argument("--threads", type=_count)
     fig2.add_argument("--config", help="JSON config file (section 'fig2')")
     fig2.set_defaults(func=cmd_fig2)
 
@@ -371,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--gamma", type=float, default=1.0)
     oracle.add_argument("--n-sites", dest="n_sites", type=int, default=5)
     oracle.add_argument("--t-max", dest="t_max", type=float, default=20.0)
-    oracle.add_argument("--t-points", dest="t_points", type=int, default=201)
+    oracle.add_argument("--t-points", dest="t_points", type=_count, default=201)
     oracle.set_defaults(func=cmd_oracle)
 
     baseline = sub.add_parser("baseline", help="ordered-ladder perfect transfer check")

@@ -12,69 +12,15 @@ the analytic oracle for the numeric evolution engine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "DimerSolution",
-    "rabi_frequency",
-    "dimer_eigenpairs",
-    "uniform_leg_occupation",
-]
+__all__ = ["rabi_frequency", "uniform_leg_occupation"]
 
 
 def rabi_frequency(delta: float, gamma: float) -> float:
     """Effective Rabi frequency sqrt(delta^2 + 4*gamma^2)."""
     return math.hypot(delta, 2.0 * gamma)
-
-
-@dataclass(frozen=True)
-class DimerSolution:
-    """Eigenpairs of one normal-mode dimer [[lambda, gamma], [gamma, lambda + delta]]."""
-
-    rabi_omega: float
-    energy_plus: float
-    energy_minus: float
-    amp_a_plus: float
-    amp_a_minus: float
-    amp_b_plus: float
-    amp_b_minus: float
-
-
-def dimer_eigenpairs(lambda_k1: float, delta: float, gamma: float) -> DimerSolution:
-    """Analytic eigenvectors (A, B) and energies of one dimer.
-
-    A^+- = 2*gamma / sqrt((delta +- Omega)^2 + 4*gamma^2),
-    B^+- = (delta +- Omega) / sqrt((delta +- Omega)^2 + 4*gamma^2),
-    E^+- = lambda_k1 + (delta +- Omega)/2.
-
-    For gamma = 0 the legs decouple; by convention the identity eigenbasis is
-    returned (minus branch = first mode at lambda_k1, plus branch = second
-    mode at lambda_k1 + delta) with Omega = |delta|.
-    """
-    if gamma == 0.0:
-        return DimerSolution(
-            rabi_omega=abs(delta),
-            energy_plus=lambda_k1 + delta,
-            energy_minus=lambda_k1,
-            amp_a_plus=0.0,
-            amp_a_minus=1.0,
-            amp_b_plus=1.0,
-            amp_b_minus=0.0,
-        )
-    omega = rabi_frequency(delta, gamma)
-    norm_plus = math.hypot(delta + omega, 2.0 * gamma)
-    norm_minus = math.hypot(delta - omega, 2.0 * gamma)
-    return DimerSolution(
-        rabi_omega=omega,
-        energy_plus=lambda_k1 + (delta + omega) / 2.0,
-        energy_minus=lambda_k1 + (delta - omega) / 2.0,
-        amp_a_plus=2.0 * gamma / norm_plus,
-        amp_a_minus=2.0 * gamma / norm_minus,
-        amp_b_plus=(delta + omega) / norm_plus,
-        amp_b_minus=(delta - omega) / norm_minus,
-    )
 
 
 def uniform_leg_occupation(delta: float, gamma: float, t):

@@ -81,6 +81,8 @@ class ObservablePlan:
             times = np.asarray(self.trace_times, dtype=np.float64)
             if times.ndim != 1:
                 raise ValueError("trace_times must be a 1-d sequence")
+            if not np.all(np.isfinite(times)):
+                raise ValueError("trace_times must be finite")
             if times.size and (np.any(np.diff(times) < 0) or times[0] < 0):
                 raise ValueError("trace_times must be ascending and nonnegative")
             times.setflags(write=False)
@@ -113,6 +115,8 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.n_realizations < 1:
             raise ValueError("n_realizations must be at least 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
 
 
 @dataclass(frozen=True, eq=False)

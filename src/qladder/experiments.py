@@ -3,7 +3,7 @@ leakage traces, the ordered baseline, and the closed-form dimer validation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,9 +18,9 @@ from .ensemble import (
     ObservablePlan,
     run_ensemble,
 )
-from .hamiltonian import Basis, Leg, bell_minus_state, build_effective, build_physical, to_physical, unit_state
-from .model import DisorderRealization, LadderParams, build_pst_couplings, uniform_ladder
-from .observables import TransferReport, leg_occupation, transfer_time
+from .hamiltonian import Basis, Leg, bell_minus_state, build_effective, build_physical, unit_state
+from .model import LadderParams, uniform_ladder
+from .observables import TransferReport, concurrence, leg_occupation, transfer_time
 from .spectral import eigendecompose, evolve, evolve_series
 
 __all__ = [
@@ -77,7 +77,6 @@ class SweepResult:
     w_values: np.ndarray
     deltas: tuple[float, ...]
     series: dict[float, list[EnsembleStats]]
-    metadata: dict = field(default_factory=dict)
 
 
 @dataclass(eq=False)
@@ -89,7 +88,6 @@ class TraceResult:
     w_values: tuple[float, ...]
     minus: dict[float, EnsembleStats]
     plus: dict[float, EnsembleStats]
-    metadata: dict = field(default_factory=dict)
 
 
 def transfer_sweep(
@@ -131,18 +129,7 @@ def transfer_sweep(
             )
             row.append(run_ensemble(config, threads=threads, keep_raw=keep_raw)[LABEL_CONCURRENCE])
         series[delta] = row
-    metadata = {
-        "driver": "transfer_sweep",
-        "n_sites": n_sites,
-        "deltas": list(deltas),
-        "w_grid": [float(w) for w in w_grid],
-        "n_realizations": n_realizations,
-        "master_seed": master_seed,
-        "coupling_scheme": "pst",
-        "initial_state": "bell_minus_cell1",
-        "evaluation_time": transfer_time(n_sites),
-    }
-    return SweepResult(w_values=w_grid, deltas=deltas, series=series, metadata=metadata)
+    return SweepResult(w_values=w_grid, deltas=deltas, series=series)
 
 
 def leakage_trace(
@@ -179,21 +166,7 @@ def leakage_trace(
         result = run_ensemble(config, threads=threads, keep_raw=keep_raw)
         minus[w] = result[LABEL_P_MINUS]
         plus[w] = result[LABEL_P_PLUS]
-    metadata = {
-        "driver": "leakage_trace",
-        "n_sites": n_sites,
-        "delta": float(delta),
-        "w_values": list(w_values),
-        "times": [float(t) for t in times],
-        "n_realizations": n_realizations,
-        "master_seed": master_seed,
-        "coupling_scheme": "pst",
-        "initial_state": "bell_minus_cell1",
-        "tau": tau,
-    }
-    return TraceResult(
-        times=times, tau=tau, w_values=w_values, minus=minus, plus=plus, metadata=metadata
-    )
+    return TraceResult(times=times, tau=tau, w_values=w_values, minus=minus, plus=plus)
 
 
 def ordered_baseline(n_sites: int, exact_revival: bool = False) -> TransferReport:
@@ -203,25 +176,10 @@ def ordered_baseline(n_sites: int, exact_revival: bool = False) -> TransferRepor
     revival, so C(tau) = 1 up to rounding for even N (odd N needs
     ``exact_revival``).
     """
-    zeros = np.zeros(n_sites)
-    realization = DisorderRealization(
-        eps_leg1=zeros,
-        eps_leg2=zeros,
-        delta_n=zeros,
-        gamma_n=zeros,
-        couplings=build_pst_couplings(n_sites),
-        seed_tag="ordered",
-    )
-    system = eigendecompose(build_effective(realization))
     tau = transfer_time(n_sites, exact_revival=exact_revival)
-    final = to_physical(evolve(system, bell_minus_state(n_sites), tau))
-    amp1, amp2 = final.cell_pair(n_sites)
-    return TransferReport(
-        concurrence_at_tau=2.0 * abs(amp1) * abs(amp2),
-        tau=tau,
-        amp_leg1=amp1,
-        amp_leg2=amp2,
-    )
+    system = eigendecompose(build_effective(uniform_ladder(n_sites, 0.0, 0.0)))
+    final = evolve(system, bell_minus_state(n_sites), tau)
+    return TransferReport(concurrence_at_tau=concurrence(final, n_sites), tau=tau)
 
 
 def oracle_check(
@@ -229,25 +187,25 @@ def oracle_check(
     gamma: float,
     n_sites: int,
     times=None,
-    couplings=None,
 ) -> float:
     """Max deviation between numeric and closed-form one-leg occupation.
 
     Builds the constant-detuning ladder directly, evolves |site 1, leg 1>
     under the site-basis Hamiltonian and compares the leg-1 occupation
-    against the analytic Rabi formula on the whole grid.
+    against the analytic Rabi formula on the whole grid, which must hold at
+    least one time.
     """
     if times is None:
         times = np.linspace(0.0, 20.0, 201)
     times = np.asarray(times, dtype=np.float64)
-    realization = uniform_ladder(n_sites, delta, gamma, couplings=couplings)
+    if times.size == 0:
+        raise ValueError("oracle_check needs at least one time")
+    realization = uniform_ladder(n_sites, delta, gamma)
     system = eigendecompose(build_physical(realization))
     psi0 = unit_state(n_sites, 1, Leg.ONE, Basis.PHYSICAL)
     trajectory = evolve_series(system, psi0, times)
     numeric = np.array([leg_occupation(s, Leg.ONE) for s in trajectory])
     closed = uniform_leg_occupation(delta, gamma, times)
-    if times.size == 0:
-        return 0.0
     return float(np.max(np.abs(numeric - closed)))
 
 

@@ -29,7 +29,6 @@ __all__ = [
     "bell_minus_state",
     "build_physical",
     "build_effective",
-    "build_effective_stack",
     "assemble_effective",
     "raise_first_failure",
     "to_plus_minus",
@@ -213,18 +212,9 @@ def build_effective(realization: DisorderRealization) -> HermitianOperator:
     (eps1 + eps2)/2 +- gamma and the branches couple through
     (eps1 - eps2)/2 on each cell.
     """
-    return HermitianOperator(build_effective_stack([realization])[0], Basis.PLUS_MINUS)
-
-
-def build_effective_stack(realizations) -> np.ndarray:
-    """The :func:`build_effective` entries of equally sized realizations, as one
-    (R, 2N, 2N) array checked by :func:`assemble_effective`."""
-    return assemble_effective(
-        *(
-            np.stack([getattr(r, name) for r in realizations])
-            for name in ("eps_leg1", "eps_leg2", "gamma_n", "couplings")
-        )
-    )
+    cells = (realization.eps_leg1, realization.eps_leg2, realization.gamma_n)
+    stack = assemble_effective(*(c[None] for c in cells), realization.couplings)
+    return HermitianOperator(stack[0], Basis.PLUS_MINUS)
 
 
 def assemble_effective(eps_leg1, eps_leg2, gamma_n, couplings) -> np.ndarray:

@@ -8,13 +8,12 @@ units of that maximum hopping.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "CouplingScheme",
     "LadderParams",
     "DisorderRealization",
     "build_pst_couplings",
@@ -46,59 +45,6 @@ def build_pst_couplings(n_sites: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CouplingScheme:
-    """Intra-leg hopping profile; build one via ``pst``, ``uniform`` or ``explicit``."""
-
-    kind: str
-    value: float = 1.0
-    profile: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in ("pst", "uniform", "explicit"):
-            raise ValueError(f"unknown coupling scheme {self.kind!r}")
-        if self.kind == "uniform" and self.value == 0.0:
-            raise ValueError("uniform coupling must be nonzero")
-        if self.kind == "explicit":
-            if len(self.profile) == 0:
-                raise ValueError("explicit coupling profile is empty")
-            if any(j == 0.0 for j in self.profile):
-                raise ValueError("explicit couplings must all be nonzero")
-
-    @classmethod
-    def pst(cls) -> "CouplingScheme":
-        return cls("pst")
-
-    @classmethod
-    def uniform(cls, value: float = 1.0) -> "CouplingScheme":
-        return cls("uniform", value=float(value))
-
-    @classmethod
-    def explicit(cls, profile: Sequence[float]) -> "CouplingScheme":
-        return cls("explicit", profile=tuple(float(j) for j in profile))
-
-    def build(self, n_sites: int) -> np.ndarray:
-        """Concrete N-1 hopping amplitudes for a ladder with N sites per leg."""
-        if self.kind == "pst":
-            return build_pst_couplings(n_sites)
-        if self.kind == "uniform":
-            return np.full(n_sites - 1, self.value)
-        if len(self.profile) != n_sites - 1:
-            raise ValueError(
-                f"explicit profile has {len(self.profile)} entries, "
-                f"need {n_sites - 1} for N={n_sites}"
-            )
-        return np.asarray(self.profile, dtype=np.float64)
-
-    def describe(self):
-        """JSON-ready description, used in output manifests."""
-        if self.kind == "pst":
-            return "pst"
-        if self.kind == "uniform":
-            return {"uniform": self.value}
-        return {"explicit": list(self.profile)}
-
-
-@dataclass(frozen=True)
 class LadderParams:
     """Static problem definition for a family of disordered two-leg ladders.
 
@@ -111,26 +57,23 @@ class LadderParams:
     n_sites: int
     disorder_w: float
     detuning_delta: float
-    coupling_scheme: CouplingScheme = CouplingScheme.pst()
     allow_large_detuning: bool = False
 
     def __post_init__(self):
         if self.n_sites < 2:
             raise ValueError(f"need at least 2 sites per leg, got {self.n_sites}")
-        if self.disorder_w < 0:
-            raise ValueError("disorder_w must be nonnegative")
-        if self.detuning_delta < 0:
-            raise ValueError("detuning_delta must be nonnegative")
+        for name in ("disorder_w", "detuning_delta"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         if self.detuning_delta > self.disorder_w and not self.allow_large_detuning:
             raise ValueError(
                 "detuning_delta exceeds disorder_w; pass allow_large_detuning=True "
                 "to leave the modeled regime deliberately"
             )
-        if self.coupling_scheme.kind == "explicit":
-            self.coupling_scheme.build(self.n_sites)  # length check
 
     def couplings(self) -> np.ndarray:
-        return self.coupling_scheme.build(self.n_sites)
+        return build_pst_couplings(self.n_sites)
 
 
 @dataclass(frozen=True, eq=False)

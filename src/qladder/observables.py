@@ -20,12 +20,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TransferReport:
-    """Concurrence of the final cell at the evaluation time, with raw amplitudes."""
+    """Concurrence of the final cell at the evaluation time."""
 
     concurrence_at_tau: float
     tau: float
-    amp_leg1: complex
-    amp_leg2: complex
 
 
 def concurrence(state: StateVector, cell: int) -> float:

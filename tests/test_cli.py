@@ -162,12 +162,12 @@ def test_threads_env_var_rejects_counts_below_one(tmp_path, monkeypatch, capsys,
 # fig2
 # ---------------------------------------------------------------------------
 
-def run_fig2(tmp_path, name, t_points="20", extra=()):
+def run_fig2(tmp_path, name, extra=()):
     out = tmp_path / name
     code = main(
         [
             "fig2", "--n-sites", "8", "--delta", "0.2", "--w", "0.5", "--w", "5.0",
-            "--t-max", "2", "--t-points", t_points, "--realizations", "3",
+            "--t-max", "2", "--t-points", "20", "--realizations", "3",
             "--seed", "4", "--out-dir", str(out), *extra,
         ]
     )
@@ -185,9 +185,18 @@ def test_fig2_row_count_and_probability_sum(tmp_path):
         assert abs(float(fields[2]) + float(fields[3]) - 1.0) < 1e-12
 
 
-def test_fig2_empty_grid_writes_header_only(tmp_path):
-    out = run_fig2(tmp_path, "empty", t_points="0")
-    assert (out / "fig2.csv").read_text() == "t_over_tau,w,mean_p_minus,mean_p_plus,std_error,n\n"
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_fig2_rejects_an_empty_time_grid(tmp_path, capsys, source):
+    if source == "flag":
+        argv = ["fig2", "--t-points", "0"]
+    else:
+        cfg = tmp_path / "empty.json"
+        cfg.write_text(json.dumps({"fig2": {"t_points": 0}}))
+        argv = ["fig2", "--config", str(cfg)]
+    code = main([*argv, "--out-dir", str(tmp_path / "x")])
+    assert code == 1
+    assert "t_points" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()  # rejected before any work
 
 
 def test_fig2_reruns_are_byte_identical_across_threads(tmp_path):
@@ -223,6 +232,14 @@ def test_oracle_passes(capsys):
 
 def test_oracle_decoupled_legs():
     assert main(["oracle", "--gamma", "0", "--delta", "1.5", "--n-sites", "4"]) == 0
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_oracle_rejects_an_empty_time_grid(capsys, value):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["oracle", "--t-points", value])
+    assert excinfo.value.code == 2
+    assert "--t-points" in capsys.readouterr().err
 
 
 def test_oracle_flags_corrupted_formula(monkeypatch):
@@ -355,6 +372,23 @@ def test_fig1_and_fig2_leave_scipy_linalg_unloaded(tmp_path):
     result = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
                             capture_output=True, text=True, timeout=60, check=True)
     assert result.stdout.strip().splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [(["fig1", "--w-min", "nan"], "disorder_w"),
+     (["fig2", "--w", "nan"], "disorder_w"),
+     (["fig2", "--delta", "inf"], "detuning_delta"),
+     (["fig2", "--t-max", "nan"], "trace_times"),
+     (["fig1", "--seed", "-1"], "master_seed")],
+    ids=["fig1-w-min-nan", "fig2-w-nan", "fig2-delta-inf", "fig2-t-max-nan", "fig1-seed-negative"],
+)
+def test_bad_numbers_are_blamed_on_their_field(tmp_path, capsys, argv, field):
+    code = main([*argv, "--n-sites", "4", "--realizations", "2", "--out-dir", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert field in err
+    assert "realization" not in err
 
 
 def test_runtime_failure_exits_one(tmp_path, capsys):

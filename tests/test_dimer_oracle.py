@@ -1,76 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from qladder.dimer_oracle import dimer_eigenpairs, rabi_frequency, uniform_leg_occupation
+from qladder.dimer_oracle import rabi_frequency, uniform_leg_occupation
 from qladder.hamiltonian import Basis, Leg, StateVector, build_physical, unit_state
-from qladder.model import CouplingScheme, uniform_ladder
+from qladder.model import uniform_ladder
 from qladder.observables import leg_occupation
 from qladder.spectral import eigendecompose, evolve_series
 
 nonzero_gamma = st.floats(min_value=0.05, max_value=10.0).flatmap(
     lambda g: st.sampled_from([g, -g])
 )
-
-
-# ---------------------------------------------------------------------------
-# eigenpairs
-# ---------------------------------------------------------------------------
-
-def test_resonant_dimer():
-    sol = dimer_eigenpairs(0.3, delta=0.0, gamma=1.0)
-    assert sol.rabi_omega == 2.0
-    inv = 1.0 / np.sqrt(2.0)
-    assert sol.amp_a_plus == pytest.approx(inv, abs=1e-15)
-    assert sol.amp_b_plus == pytest.approx(inv, abs=1e-15)
-    assert sol.amp_a_minus == pytest.approx(inv, abs=1e-15)
-    assert sol.amp_b_minus == pytest.approx(-inv, abs=1e-15)
-    assert sol.energy_plus == pytest.approx(0.3 + 1.0, abs=1e-15)
-    assert sol.energy_minus == pytest.approx(0.3 - 1.0, abs=1e-15)
-
-
-def test_detuned_dimer():
-    sol = dimer_eigenpairs(0.0, delta=2.0, gamma=1.0)
-    assert sol.rabi_omega == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-15)
-    assert sol.energy_plus == pytest.approx(1.0 + np.sqrt(2.0), abs=1e-15)
-    assert sol.energy_minus == pytest.approx(1.0 - np.sqrt(2.0), abs=1e-15)
-
-
-@settings(max_examples=200)
-@given(
-    st.floats(min_value=-5, max_value=5),
-    st.floats(min_value=-8, max_value=8),
-    nonzero_gamma,
-)
-def test_eigenpairs_reconstruct_the_dimer_matrix(lam, delta, gamma):
-    sol = dimer_eigenpairs(lam, delta, gamma)
-    vectors = np.array(
-        [[sol.amp_a_plus, sol.amp_a_minus], [sol.amp_b_plus, sol.amp_b_minus]]
-    )
-    energies = np.diag([sol.energy_plus, sol.energy_minus])
-    rebuilt = vectors @ energies @ vectors.T
-    target = np.array([[lam, gamma], [gamma, lam + delta]])
-    assert np.max(np.abs(rebuilt - target)) < 1e-12 * max(1.0, abs(lam), abs(delta), abs(gamma))
-
-
-@given(st.floats(min_value=-8, max_value=8), nonzero_gamma)
-def test_eigenvectors_are_orthonormal(delta, gamma):
-    sol = dimer_eigenpairs(0.0, delta, gamma)
-    assert sol.amp_a_plus**2 + sol.amp_b_plus**2 == pytest.approx(1.0, abs=1e-12)
-    assert sol.amp_a_minus**2 + sol.amp_b_minus**2 == pytest.approx(1.0, abs=1e-12)
-    dot = sol.amp_a_plus * sol.amp_a_minus + sol.amp_b_plus * sol.amp_b_minus
-    assert dot == pytest.approx(0.0, abs=1e-12)
-    assert sol.rabi_omega == pytest.approx(rabi_frequency(delta, gamma), abs=1e-15)
-
-
-def test_decoupled_dimer_convention():
-    sol = dimer_eigenpairs(1.5, delta=0.0, gamma=0.0)
-    assert sol.rabi_omega == 0.0
-    assert (sol.amp_a_minus, sol.amp_b_minus) == (1.0, 0.0)
-    assert (sol.amp_a_plus, sol.amp_b_plus) == (0.0, 1.0)
-    assert sol.energy_minus == 1.5
-    assert sol.energy_plus == 1.5
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +66,7 @@ def test_oscillation_floor_is_attained():
 def test_leg_occupation_is_chain_length_independent(n_sites):
     delta, gamma = 1.0, 0.3
     ts = np.linspace(0.0, 20.0, 81)
-    couplings = None if n_sites == 1 else CouplingScheme.uniform(0.8).build(n_sites)
+    couplings = None if n_sites == 1 else np.full(n_sites - 1, 0.8)
     real = uniform_ladder(n_sites, delta, gamma, couplings=couplings)
     sys = eigendecompose(build_physical(real))
     psi0 = unit_state(n_sites, 1, Leg.ONE, Basis.PHYSICAL)

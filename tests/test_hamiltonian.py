@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,9 +12,9 @@ from qladder.hamiltonian import (
     HermitianOperator,
     Leg,
     StateVector,
+    assemble_effective,
     bell_minus_state,
     build_effective,
-    build_effective_stack,
     build_physical,
     flat_index,
     to_physical,
@@ -119,16 +117,16 @@ def test_operator_rejects_asymmetric_entries():
 
 def test_effective_stack_checks_each_matrix():
     reals = [random_realization(4, index=k) for k in range(4)]
-    stack = build_effective_stack(reals)
+    fields = ("eps_leg1", "eps_leg2", "gamma_n", "couplings")
+    arrays = [np.stack([getattr(r, f) for r in reals]) for f in fields]
+    stack = assemble_effective(*arrays)
     assert stack.shape == (4, 8, 8)
     for k, real in enumerate(reals):
         assert np.array_equal(stack[k], build_effective(real).entries)
     # DisorderRealization rejects non-finite values, so bypass it
-    fields = ("eps_leg1", "eps_leg2", "gamma_n", "couplings")
-    raw = [SimpleNamespace(**{f: np.array(getattr(r, f)) for f in fields}) for r in reals]
-    raw[2].eps_leg2[1] = np.inf
+    arrays[1][2, 1] = np.inf
     with pytest.raises(GuardError, match="non-finite") as excinfo:
-        build_effective_stack(raw)
+        assemble_effective(*arrays)
     assert excinfo.value.row == 2
 
 

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from qladder.ensemble import derive_stream
 from qladder.model import (
-    CouplingScheme,
     DisorderRealization,
     LadderParams,
     build_pst_couplings,
@@ -56,22 +55,8 @@ def test_pst_couplings_palindromic_with_unit_max(n_sites):
 
 
 # ---------------------------------------------------------------------------
-# coupling schemes and parameter validation
+# parameter validation
 # ---------------------------------------------------------------------------
-
-def test_uniform_scheme_builds_constant_profile():
-    j = CouplingScheme.uniform(0.7).build(5)
-    assert np.array_equal(j, np.full(4, 0.7))
-
-
-def test_explicit_scheme_checks_length_and_zeros():
-    scheme = CouplingScheme.explicit([1.0, 0.5, 1.0])
-    assert np.array_equal(scheme.build(4), [1.0, 0.5, 1.0])
-    with pytest.raises(ValueError):
-        scheme.build(5)
-    with pytest.raises(ValueError):
-        CouplingScheme.explicit([1.0, 0.0])
-
 
 def test_params_reject_detuning_above_disorder():
     with pytest.raises(ValueError):

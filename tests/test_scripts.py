@@ -1,0 +1,29 @@
+"""The kept public surface: the validation script and the README's library snippet."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import qladder
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_run_validation_script_passes():
+    src = str(Path(qladder.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, str(ROOT / "scripts" / "run_validation.py")],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.strip().splitlines()[-1] == "all checks passed"
+
+
+def test_readme_library_snippet_runs_as_written(capsys):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    snippet = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(snippet, "README.md", "exec"), {})
+    mean, std_error = map(float, capsys.readouterr().out.split())
+    assert 0.0 <= mean <= 1.0 and std_error > 0.0
