@@ -53,9 +53,7 @@ PATH_TOL = 1e-10
 
 def expm_concurrence(w: float, master_seed: int, index: int) -> float:
     """C(tau) of one realization by dense site-basis propagation."""
-    params = LadderParams(
-        n_sites=N_SITES, disorder_w=w, detuning_delta=DELTA, allow_large_detuning=True
-    )
+    params = LadderParams(n_sites=N_SITES, disorder_w=w, detuning_delta=DELTA)
     h = build_physical(sample_realization(params, derive_stream(master_seed, index))).entries
     psi0 = np.zeros(2 * N_SITES, dtype=np.complex128)
     psi0[0] = 1.0 / np.sqrt(2.0)

@@ -298,14 +298,8 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 
 
 def cmd_dump_hamiltonian(args: argparse.Namespace) -> int:
-    params = LadderParams(
-        n_sites=args.n_sites,
-        disorder_w=args.w,
-        detuning_delta=args.delta,
-        allow_large_detuning=True,
-    )
-    rng = derive_stream(args.seed, args.index)
-    realization = sample_realization(params, rng, seed_tag=f"{args.seed}:{args.index}")
+    params = LadderParams(n_sites=args.n_sites, disorder_w=args.w, detuning_delta=args.delta)
+    realization = sample_realization(params, derive_stream(args.seed, args.index))
     if args.basis == "physical":
         operator = build_physical(realization)
     else:

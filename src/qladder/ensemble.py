@@ -5,9 +5,14 @@ master seed, so ensembles are reproducible bit-for-bit regardless of worker
 count or execution order. Workers carry a chunk of consecutive realizations
 end-to-end as plain stacked arrays (draw each into the chunk's arrays, build
 the stack, one batched diagonalization, evolve all times at once, measure,
-check conservation);
-results are reduced in realization order so floating-point summation is
-fixed.
+check conservation); results are reduced in realization order so
+floating-point summation is fixed.
+
+A realization gives bitwise the same values in any chunk, so a failure is
+traced to its realization by re-running: when a chunk raises, its
+realizations run again one at a time, in order, and the first that fails
+alone is reported with its seed tag and parameters. A failure that no
+realization reproduces alone is reported for the chunk's range.
 """
 
 from __future__ import annotations
@@ -17,14 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import (
-    _SQRT1_2,
-    Branch,
-    GuardError,
-    assemble_effective,
-    flat_index,
-    raise_first_failure,
-)
+from .hamiltonian import _SQRT1_2, Branch, assemble_effective, flat_index
 from .model import LadderParams, correlated_channel, draw_disorder
 from .observables import transfer_time
 from .spectral import diagonalize, propagate, squared_norms
@@ -63,6 +61,8 @@ def derive_stream(master_seed: int, index: int) -> np.random.Generator:
     spawn_key=(index,))``. Distinct indices give statistically independent
     streams in any order of use.
     """
+    if master_seed < 0:
+        raise ValueError(f"master_seed must be nonnegative, got {master_seed}")
     if index < 0:
         raise ValueError(f"realization index must be nonnegative, got {index}")
     seq = np.random.SeedSequence(master_seed, spawn_key=(index,))
@@ -147,10 +147,8 @@ def _measure_stack(config: EnsembleConfig, eps_leg1: np.ndarray, delta_n: np.nda
         energy = np.einsum("rdt,rdt->rt", re, entries @ re)
         energy += np.einsum("rdt,rdt->rt", im, entries @ im)
         drift = np.abs(energy - energy0[:, None])
-        raise_first_failure(
-            ~(drift <= _ENERGY_DRIFT_TOL),  # NaN fails too
-            lambda r: f"energy drift {drift[r].max():.3e} exceeds {_ENERGY_DRIFT_TOL}",
-        )
+        if not np.all(drift <= _ENERGY_DRIFT_TOL):  # NaN fails too
+            raise ArithmeticError(f"energy drift {drift.max():.3e} exceeds {_ENERGY_DRIFT_TOL}")
         return re, im
 
     out = {}
@@ -172,41 +170,30 @@ def _measure_chunk(config: EnsembleConfig, start: int, stop: int) -> dict:
     """Observables of realizations ``start .. stop - 1``, stacked on axis 0.
 
     Each realization's draw goes straight into the chunk's preallocated
-    arrays. A failure is raised as RuntimeError naming the first failing
-    realization with its seed tag and parameters.
+    arrays. A failure is raised as RuntimeError naming the first realization
+    that fails alone, with its seed tag and parameters, or else the range.
     """
     seed, params = config.master_seed, config.params
-    where = f"W={params.disorder_w}, delta={params.detuning_delta}, N={params.n_sites}"
-    eps_leg1 = np.empty((stop - start, params.n_sites))
-    delta_n = np.empty_like(eps_leg1)
-    drawn, failed = stop - start, None
-    for row in range(drawn):
-        try:
+    try:
+        eps_leg1 = np.empty((stop - start, params.n_sites))
+        delta_n = np.empty_like(eps_leg1)
+        for row in range(stop - start):
             eps_leg1[row], delta_n[row] = draw_disorder(params, derive_stream(seed, start + row))
-        except Exception as exc:
-            drawn, failed = row, (start + row, exc)
-            break
-    for name, values in (("eps_leg1", eps_leg1), ("delta_n", delta_n)):
-        bad = np.flatnonzero(~np.isfinite(values[:drawn]).all(axis=1))
-        if bad.size:
-            drawn = int(bad[0])
-            failed = (start + drawn, ValueError(f"{name} contains non-finite values"))
-    out = {}
-    if drawn:  # evolve those drawn before a failure: one may fail a guard first
-        try:
-            out = _measure_stack(config, eps_leg1[:drawn], delta_n[:drawn])
-        except GuardError as exc:
-            failed = (start + exc.row, exc)
-        except Exception as exc:  # not attributable to one member of the stack
+        for name, values in (("eps_leg1", eps_leg1), ("delta_n", delta_n)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} contains non-finite values")
+        return _measure_stack(config, eps_leg1, delta_n)
+    except Exception as exc:
+        where = f"W={params.disorder_w}, delta={params.detuning_delta}, N={params.n_sites}"
+        if stop - start == 1:
             raise RuntimeError(
-                f"realizations {start}-{stop - 1} (seed {seed}, {where}) failed: {exc}"
+                f"realization {start} (seed tag {seed}:{start}, {where}) failed: {exc}"
             ) from exc
-    if failed is not None:
-        i, exc = failed
+        for i in range(start, stop):
+            _measure_chunk(config, i, i + 1)  # raises if realization i fails alone
         raise RuntimeError(
-            f"realization {i} (seed tag {seed}:{i}, {where}) failed: {exc}"
+            f"realizations {start}-{stop - 1} (seed {seed}, {where}) failed: {exc}"
         ) from exc
-    return out
 
 
 def _reduce(values: np.ndarray, keep_raw: bool) -> EnsembleStats:

@@ -115,12 +115,7 @@ def transfer_sweep(
     for delta in deltas:
         row = []
         for w in w_grid:
-            params = LadderParams(
-                n_sites=n_sites,
-                disorder_w=float(w),
-                detuning_delta=delta,
-                allow_large_detuning=True,
-            )
+            params = LadderParams(n_sites=n_sites, disorder_w=float(w), detuning_delta=delta)
             config = EnsembleConfig(
                 params=params,
                 n_realizations=n_realizations,
@@ -151,12 +146,7 @@ def leakage_trace(
     minus: dict[float, EnsembleStats] = {}
     plus: dict[float, EnsembleStats] = {}
     for w in w_values:
-        params = LadderParams(
-            n_sites=n_sites,
-            disorder_w=w,
-            detuning_delta=float(delta),
-            allow_large_detuning=True,
-        )
+        params = LadderParams(n_sites=n_sites, disorder_w=w, detuning_delta=float(delta))
         config = EnsembleConfig(
             params=params,
             n_realizations=n_realizations,

@@ -21,7 +21,6 @@ __all__ = [
     "Leg",
     "Branch",
     "BasisMismatchError",
-    "GuardError",
     "HermitianOperator",
     "StateVector",
     "flat_index",
@@ -30,15 +29,11 @@ __all__ = [
     "build_physical",
     "build_effective",
     "assemble_effective",
-    "raise_first_failure",
     "to_plus_minus",
     "to_physical",
 ]
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
-
-_ASYMMETRIC = "entries must be exactly symmetric"
-_NONFINITE = "entries contain non-finite values"
 
 
 class Basis(enum.Enum):
@@ -64,31 +59,13 @@ class BasisMismatchError(ValueError):
     """A state or operator carries a different basis tag than required."""
 
 
-class GuardError(ArithmeticError):
-    """A check failed on one member of a stack; ``row`` is its position in the stack."""
-
-    def __init__(self, row: int, message: str):
-        super().__init__(message)
-        self.row = row
-
-
-def raise_first_failure(failed: np.ndarray, describe) -> None:
-    """Raise :class:`GuardError` for the first row of ``failed`` holding a True entry.
-
-    ``failed`` carries the stack on its first axis; ``describe(row)`` gives
-    the message.
-    """
-    rows = np.flatnonzero(failed.reshape(failed.shape[0], -1).any(axis=1))
-    if rows.size:
-        row = int(rows[0])
-        raise GuardError(row, describe(row))
-
-
-def _entry_checks(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(exactly symmetric, all finite) for one matrix or for each matrix of a stack."""
-    symmetric = np.all(entries == np.swapaxes(entries, -1, -2), axis=(-2, -1))
-    finite = np.all(np.isfinite(entries), axis=(-2, -1))
-    return symmetric, finite
+def _check_entries(entries: np.ndarray) -> None:
+    """Raise ValueError unless one matrix, or every matrix of a stack, is
+    exactly symmetric and finite."""
+    if not np.array_equal(entries, np.swapaxes(entries, -1, -2)):  # NaN fails too
+        raise ValueError("entries must be exactly symmetric")
+    if not np.all(np.isfinite(entries)):
+        raise ValueError("entries contain non-finite values")
 
 
 def flat_index(cell: int, slot: int, n_sites: int) -> int:
@@ -113,11 +90,7 @@ class HermitianOperator:
             raise ValueError(f"entries must be square, got shape {entries.shape}")
         if entries.shape[0] % 2 or entries.shape[0] < 2:
             raise ValueError(f"dimension must be even and >= 2, got {entries.shape[0]}")
-        symmetric, finite = _entry_checks(entries)
-        if not symmetric:
-            raise ValueError(_ASYMMETRIC)
-        if not finite:
-            raise ValueError(_NONFINITE)
+        _check_entries(entries)
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
@@ -222,13 +195,10 @@ def assemble_effective(eps_leg1, eps_leg2, gamma_n, couplings) -> np.ndarray:
 
     ``couplings`` is (N-1,), shared by the whole stack, or (R, N-1). Every
     matrix passes the exact-symmetry and finiteness checks of
-    :class:`HermitianOperator`; the first that fails raises :class:`GuardError`.
+    :class:`HermitianOperator`.
     """
     h = _assemble_ladder(*effective_parameters(eps_leg1, eps_leg2, gamma_n), couplings)
-    symmetric, finite = _entry_checks(h)
-    raise_first_failure(
-        ~(symmetric & finite), lambda r: _NONFINITE if symmetric[r] else _ASYMMETRIC
-    )
+    _check_entries(h)
     return h
 
 

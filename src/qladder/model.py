@@ -50,14 +50,11 @@ class LadderParams:
 
     ``disorder_w`` is the half-width W of the uniform on-site distribution,
     ``detuning_delta`` the half-width of the leg-2 detuning distribution.
-    The modeled regime keeps ``detuning_delta <= disorder_w``; pass
-    ``allow_large_detuning=True`` to set the detuning independently.
     """
 
     n_sites: int
     disorder_w: float
     detuning_delta: float
-    allow_large_detuning: bool = False
 
     def __post_init__(self):
         if self.n_sites < 2:
@@ -66,11 +63,6 @@ class LadderParams:
             value = getattr(self, name)
             if not 0 <= value < math.inf:  # NaN fails too
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
-        if self.detuning_delta > self.disorder_w and not self.allow_large_detuning:
-            raise ValueError(
-                "detuning_delta exceeds disorder_w; pass allow_large_detuning=True "
-                "to leave the modeled regime deliberately"
-            )
 
     def couplings(self) -> np.ndarray:
         return build_pst_couplings(self.n_sites)
@@ -89,7 +81,6 @@ class DisorderRealization:
     delta_n: np.ndarray
     gamma_n: np.ndarray
     couplings: np.ndarray
-    seed_tag: str = ""
 
     def __post_init__(self):
         for name in ("eps_leg1", "eps_leg2", "delta_n", "gamma_n", "couplings"):
@@ -141,9 +132,7 @@ def correlated_channel(eps_leg1, delta_n) -> tuple[np.ndarray, np.ndarray]:
     return eps_leg1 + delta_n, eps_leg1
 
 
-def sample_realization(
-    params: LadderParams, rng: np.random.Generator, seed_tag: str = ""
-) -> DisorderRealization:
+def sample_realization(params: LadderParams, rng: np.random.Generator) -> DisorderRealization:
     """One checked :class:`DisorderRealization` drawn by :func:`draw_disorder`
     under :func:`correlated_channel`."""
     eps_leg1, delta_n = draw_disorder(params, rng)
@@ -154,7 +143,6 @@ def sample_realization(
         delta_n=delta_n,
         gamma_n=gamma_n,
         couplings=params.couplings(),
-        seed_tag=seed_tag,
     )
 
 
@@ -178,7 +166,6 @@ def uniform_ladder(
     gamma: float,
     couplings=None,
     eps_leg1=None,
-    seed_tag: str = "uniform",
 ) -> DisorderRealization:
     """Ladder with constant detuning and rung coupling on every cell.
 
@@ -189,6 +176,9 @@ def uniform_ladder(
     """
     if n_sites < 1:
         raise ValueError("n_sites must be positive")
+    for name, value in (("delta", delta), ("gamma", gamma)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if eps_leg1 is None:
         eps_leg1 = np.zeros(n_sites)
     else:
@@ -202,5 +192,4 @@ def uniform_ladder(
         delta_n=delta_n,
         gamma_n=np.full(n_sites, float(gamma)),
         couplings=couplings,
-        seed_tag=seed_tag,
     )

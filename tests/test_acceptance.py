@@ -181,9 +181,7 @@ def test_criterion_5_engine_matches_site_basis_expm():
     psi0[0], psi0[1] = 1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)
     worst = 0.0
     for w, stats in zip((0.2, 10.0), criterion_5_sweep(count)):
-        params = LadderParams(
-            n_sites=n_sites, disorder_w=w, detuning_delta=0.2, allow_large_detuning=True
-        )
+        params = LadderParams(n_sites=n_sites, disorder_w=w, detuning_delta=0.2)
         for index in range(count):
             realization = sample_realization(params, derive_stream(SEED, index))
             psi = expm(-1j * tau * build_physical(realization).entries) @ psi0
@@ -271,9 +269,7 @@ def test_criterion_8_unitarity_and_conservation():
         (build_physical(dimer), unit_state(10, 1, Leg.ONE, Basis.PHYSICAL),
          np.linspace(0.0, 20.0, 201))
     )
-    disordered_params = LadderParams(
-        n_sites=30, disorder_w=10.0, detuning_delta=0.2, allow_large_detuning=True
-    )
+    disordered_params = LadderParams(n_sites=30, disorder_w=10.0, detuning_delta=0.2)
     for index in range(3):
         real = sample_realization(disordered_params, derive_stream(SEED, index))
         cases.append(

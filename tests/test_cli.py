@@ -391,6 +391,19 @@ def test_bad_numbers_are_blamed_on_their_field(tmp_path, capsys, argv, field):
     assert "realization" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [(["oracle", "--t-max", "nan"], "times"),
+     (["oracle", "--delta", "nan"], "delta"),
+     (["oracle", "--gamma", "inf"], "gamma"),
+     (["dump-hamiltonian", "--seed", "-1"], "master_seed")],
+    ids=["oracle-t-max-nan", "oracle-delta-nan", "oracle-gamma-inf", "dump-seed-negative"],
+)
+def test_oracle_and_dump_numbers_are_blamed_on_their_field(capsys, argv, field):
+    assert main(argv) == 1
+    assert f"error: {field} must be" in capsys.readouterr().err
+
+
 def test_runtime_failure_exits_one(tmp_path, capsys):
     code = main(["fig1", "--n-sites", "1", "--out-dir", str(tmp_path / "bad")])
     assert code == 1

@@ -19,8 +19,7 @@ from qladder.model import LadderParams, sample_realization
 
 
 def make_config(n_sites=10, w=2.0, delta=0.3, n_realizations=6, seed=42, plan=None):
-    params = LadderParams(n_sites=n_sites, disorder_w=w, detuning_delta=delta,
-                          allow_large_detuning=True)
+    params = LadderParams(n_sites=n_sites, disorder_w=w, detuning_delta=delta)
     return EnsembleConfig(
         params=params,
         n_realizations=n_realizations,
@@ -207,27 +206,71 @@ def test_worker_count_is_capped_at_the_chunk_count(monkeypatch):
                           serial[LABEL_CONCURRENCE].per_realization)
 
 
+def _corrupt(eigenvectors, corruption):
+    if corruption == "norm":
+        eigenvectors *= 1.001
+    else:  # mix the two eigenvectors that carry most of psi0: still
+        # orthonormal, so the norm holds, but no longer an eigenbasis
+        a, b = np.argsort(np.abs(eigenvectors[1]))[-2:]
+        eigenvectors[:, a], eigenvectors[:, b] = (
+            (eigenvectors[:, a] + eigenvectors[:, b]) / np.sqrt(2),
+            (eigenvectors[:, a] - eigenvectors[:, b]) / np.sqrt(2),
+        )
+
+
+def _matrix_of(config, index):
+    return build_effective(sample_realization(config.params, derive_stream(42, index))).entries
+
+
 @pytest.mark.parametrize("corruption", ["norm", "energy"])
 def test_guard_failures_name_the_realization_inside_a_chunk(monkeypatch, corruption):
-    # realization 3 of 7 sits mid-way through the first stacked diagonalization
+    # realization 3 of 7 sits mid-way through the first stacked diagonalization;
+    # the fault follows its matrix, so it shows up whichever stack holds it
     config = make_config(n_realizations=7, plan=ObservablePlan.both(np.linspace(0.0, 5.0, 6)))
     assert ensemble_mod._CHUNK > 3
+    target = _matrix_of(config, 3)
+    original = ensemble_mod.diagonalize
+
+    def corrupted(entries):
+        eigenvalues, eigenvectors = original(entries)
+        for row, matrix in enumerate(entries):
+            if np.array_equal(matrix, target):
+                _corrupt(eigenvectors[row], corruption)
+        return eigenvalues, eigenvectors
+
+    monkeypatch.setattr(ensemble_mod, "diagonalize", corrupted)
+    with pytest.raises(RuntimeError, match=f"realization 3 .*42:3.*{corruption} drift"):
+        run_ensemble(config)
+
+
+def test_a_fault_only_inside_a_stack_names_the_range(monkeypatch):
+    # position 3 of any stack longer than 3: no realization fails alone
+    config = make_config(n_realizations=7, plan=ObservablePlan.both(np.linspace(0.0, 5.0, 6)))
     original = ensemble_mod.diagonalize
 
     def corrupted(entries):
         eigenvalues, eigenvectors = original(entries)
         if len(entries) > 3:
-            if corruption == "norm":
-                eigenvectors[3] *= 1.001
-            else:  # mix the two eigenvectors that carry most of psi0: still
-                # orthonormal, so the norm holds, but no longer an eigenbasis
-                v = eigenvectors[3]
-                a, b = np.argsort(np.abs(v[1]))[-2:]
-                v[:, a], v[:, b] = (v[:, a] + v[:, b]) / np.sqrt(2), (v[:, a] - v[:, b]) / np.sqrt(2)
+            _corrupt(eigenvectors[3], "norm")
         return eigenvalues, eigenvectors
 
     monkeypatch.setattr(ensemble_mod, "diagonalize", corrupted)
-    with pytest.raises(RuntimeError, match=f"realization 3 .*42:3.*{corruption} drift"):
+    with pytest.raises(RuntimeError, match=r"realizations 0-4 \(seed 42, .*\) failed: norm drift"):
+        run_ensemble(config)
+
+
+def test_other_errors_name_the_realization_inside_a_chunk(monkeypatch):
+    config = make_config(n_realizations=7)
+    target = _matrix_of(config, 3)
+    original = ensemble_mod.diagonalize
+
+    def failing(entries):
+        if any(np.array_equal(matrix, target) for matrix in entries):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return original(entries)
+
+    monkeypatch.setattr(ensemble_mod, "diagonalize", failing)
+    with pytest.raises(RuntimeError, match=r"realization 3 \(seed tag 42:3, .*did not converge"):
         run_ensemble(config)
 
 
@@ -268,8 +311,7 @@ def test_leakage_traces_match_site_basis_expm():
     )
     worst = 0.0
     for w in (0.2, 10.0):
-        params = LadderParams(n_sites=n_sites, disorder_w=w, detuning_delta=delta,
-                              allow_large_detuning=True)
+        params = LadderParams(n_sites=n_sites, disorder_w=w, detuning_delta=delta)
         engine = result.minus[w].per_realization
         for i in range(n_realizations):
             h = build_physical(sample_realization(params, derive_stream(42, i))).entries

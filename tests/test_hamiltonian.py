@@ -8,7 +8,6 @@ from qladder.hamiltonian import (
     Basis,
     BasisMismatchError,
     Branch,
-    GuardError,
     HermitianOperator,
     Leg,
     StateVector,
@@ -125,9 +124,8 @@ def test_effective_stack_checks_each_matrix():
         assert np.array_equal(stack[k], build_effective(real).entries)
     # DisorderRealization rejects non-finite values, so bypass it
     arrays[1][2, 1] = np.inf
-    with pytest.raises(GuardError, match="non-finite") as excinfo:
+    with pytest.raises(ValueError, match="non-finite"):
         assemble_effective(*arrays)
-    assert excinfo.value.row == 2
 
 
 def test_operator_rejects_odd_dimension():

@@ -58,10 +58,9 @@ def test_pst_couplings_palindromic_with_unit_max(n_sites):
 # parameter validation
 # ---------------------------------------------------------------------------
 
-def test_params_reject_detuning_above_disorder():
-    with pytest.raises(ValueError):
-        LadderParams(n_sites=10, disorder_w=0.1, detuning_delta=0.5)
-    params = LadderParams(n_sites=10, disorder_w=0.1, detuning_delta=0.5, allow_large_detuning=True)
+def test_params_accept_detuning_above_disorder():
+    # the detuning amplitude is set independently of the disorder strength
+    params = LadderParams(n_sites=10, disorder_w=0.1, detuning_delta=0.5)
     assert params.detuning_delta == 0.5
 
 
