@@ -137,8 +137,8 @@ def _check_config_value(command: str, key: str, value, default) -> None:
     elif isinstance(default, float):
         ok, expected = _number(value), "a number"
     elif isinstance(default, list):
-        ok = isinstance(value, list) and all(_number(v) for v in value)
-        expected = "a list of numbers"
+        ok = isinstance(value, list) and value and all(_number(v) for v in value)
+        expected = "a list of numbers (at least one)"
     else:
         ok, expected = isinstance(value, str), "a string"
     if not ok:
@@ -190,49 +190,58 @@ def _threads(args: argparse.Namespace) -> int:
         raise ValueError(f"{THREADS_ENV_VAR} {exc}") from exc
 
 
-def cmd_fig1(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, "fig1", FIG1_DEFAULTS)
+def _figure(args: argparse.Namespace, command: str, defaults: dict, run, headers) -> int:
+    """Resolve, run and write one figure command.
+
+    ``run(cfg, threads)`` runs the figure's driver and returns its mean rows
+    and its per-realization rows, which go to ``<command>.csv`` and, with
+    ``keep_raw``, ``<command>_raw.csv`` under the two ``headers``.
+    """
+    cfg = _resolve(args, command, defaults)
     threads = _threads(args)
-    w_grid = default_w_grid(cfg["w_min"], cfg["w_max"], cfg["w_points"])
+    rows, raw_rows = run(cfg, threads)
+    out_dir = Path(cfg["out_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    files = [out_dir / f"{command}.csv"]
+    _write_csv(files[0], headers[0], rows)
+    if cfg["keep_raw"]:
+        files.append(out_dir / f"{command}_raw.csv")
+        _write_csv(files[1], headers[1], raw_rows)
+    cfg["threads"] = threads  # resolved for the record; does not affect the data
+    _write_manifest(out_dir, command, cfg, files)
+    print(f"wrote {files[0]} ({len(rows)} rows)")
+    return 0
+
+
+def _fig1_rows(cfg: dict, threads: int):
     result = transfer_sweep(
         n_sites=cfg["n_sites"],
         deltas=cfg["delta"],
-        w_grid=w_grid,
+        w_grid=default_w_grid(cfg["w_min"], cfg["w_max"], cfg["w_points"]),
         n_realizations=cfg["realizations"],
         master_seed=cfg["seed"],
         threads=threads,
         keep_raw=cfg["keep_raw"],
     )
-    out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     rows, raw_rows = [], []
     for delta in result.deltas:
         for w, stats in zip(result.w_values, result.series[delta]):
-            rows.append([_fmt(w), _fmt(delta), _fmt(stats.mean), _fmt(stats.std_error), str(stats.n)])
+            rows.append([*map(_fmt, (w, delta, stats.mean, stats.std_error)), str(stats.n)])
             if cfg["keep_raw"]:
                 for i, value in enumerate(stats.per_realization):
                     raw_rows.append([_fmt(w), _fmt(delta), str(i), _fmt(value)])
-    data_path = out_dir / "fig1.csv"
-    _write_csv(data_path, ["w", "delta", "mean_concurrence", "std_error", "n"], rows)
-    files = [data_path]
-
-    if cfg["keep_raw"]:
-        raw_path = out_dir / "fig1_raw.csv"
-        _write_csv(raw_path, ["w", "delta", "realization", "concurrence"], raw_rows)
-        files.append(raw_path)
-
-    cfg["threads"] = threads  # resolved for the record; does not affect the data
-    _write_manifest(out_dir, "fig1", cfg, files)
-    print(f"wrote {data_path} ({len(rows)} rows)")
-    return 0
+    return rows, raw_rows
 
 
-def cmd_fig2(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, "fig2", FIG2_DEFAULTS)
+def cmd_fig1(args: argparse.Namespace) -> int:
+    headers = (["w", "delta", "mean_concurrence", "std_error", "n"],
+               ["w", "delta", "realization", "concurrence"])
+    return _figure(args, "fig1", FIG1_DEFAULTS, _fig1_rows, headers)
+
+
+def _fig2_rows(cfg: dict, threads: int):
     if cfg["t_points"] < 1:
         raise ValueError(f"fig2 t_points must be at least 1, got {cfg['t_points']}")
-    threads = _threads(args)
     result = leakage_trace(
         n_sites=cfg["n_sites"],
         delta=cfg["delta"],
@@ -243,45 +252,24 @@ def cmd_fig2(args: argparse.Namespace) -> int:
         threads=threads,
         keep_raw=cfg["keep_raw"],
     )
-    out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     tau = result.tau
     rows, raw_rows = [], []
     for w in result.w_values:
         minus, plus = result.minus[w], result.plus[w]
         for k, t in enumerate(result.times):
-            rows.append(
-                [
-                    _fmt(t / tau),
-                    _fmt(w),
-                    _fmt(minus.mean[k]),
-                    _fmt(plus.mean[k]),
-                    _fmt(minus.std_error[k]),
-                    str(minus.n),
-                ]
-            )
+            means = (t / tau, w, minus.mean[k], plus.mean[k], minus.std_error[k])
+            rows.append([*map(_fmt, means), str(minus.n)])
         if cfg["keep_raw"]:
             for i, trace in enumerate(minus.per_realization):
                 for t, value in zip(result.times, trace):
                     raw_rows.append([_fmt(t / tau), _fmt(w), str(i), _fmt(value)])
-    data_path = out_dir / "fig2.csv"
-    _write_csv(
-        data_path,
-        ["t_over_tau", "w", "mean_p_minus", "mean_p_plus", "std_error", "n"],
-        rows,
-    )
-    files = [data_path]
+    return rows, raw_rows
 
-    if cfg["keep_raw"]:
-        raw_path = out_dir / "fig2_raw.csv"
-        _write_csv(raw_path, ["t_over_tau", "w", "realization", "p_minus"], raw_rows)
-        files.append(raw_path)
 
-    cfg["threads"] = threads
-    _write_manifest(out_dir, "fig2", cfg, files)
-    print(f"wrote {data_path} ({len(rows)} rows)")
-    return 0
+def cmd_fig2(args: argparse.Namespace) -> int:
+    headers = (["t_over_tau", "w", "mean_p_minus", "mean_p_plus", "std_error", "n"],
+               ["t_over_tau", "w", "realization", "p_minus"])
+    return _figure(args, "fig2", FIG2_DEFAULTS, _fig2_rows, headers)
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
@@ -319,6 +307,24 @@ def cmd_dump_hamiltonian(args: argparse.Namespace) -> int:
     return 0
 
 
+def _figure_parser(sub, command: str, summary: str, defaults: dict, func) -> None:
+    """A figure command's parser: one ``--key-with-dashes`` flag per key of
+    ``defaults``, typed by its default as :func:`_check_config_value` types
+    config-file values, then ``--threads`` and ``--config``."""
+    parser = sub.add_parser(command, help=summary, description=summary)
+    for key, default in defaults.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(default, bool):
+            parser.add_argument(flag, dest=key, action="store_true", default=None)
+        elif isinstance(default, list):
+            parser.add_argument(flag, dest=key, action="append", type=float, help="repeatable")
+        else:
+            parser.add_argument(flag, dest=key, type=type(default))
+    parser.add_argument("--threads", type=_count)
+    parser.add_argument("--config", help=f"JSON config file (section '{command}')")
+    parser.set_defaults(func=func)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qladder",
@@ -327,33 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qladder {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    fig1 = sub.add_parser("fig1", help="concurrence vs disorder strength sweep")
-    fig1.add_argument("--n-sites", dest="n_sites", type=int)
-    fig1.add_argument("--delta", action="append", type=float, help="repeatable detuning amplitude")
-    fig1.add_argument("--w-min", dest="w_min", type=float)
-    fig1.add_argument("--w-max", dest="w_max", type=float)
-    fig1.add_argument("--w-points", dest="w_points", type=int)
-    fig1.add_argument("--realizations", type=int)
-    fig1.add_argument("--seed", type=int)
-    fig1.add_argument("--out-dir", dest="out_dir")
-    fig1.add_argument("--keep-raw", dest="keep_raw", action="store_true", default=None)
-    fig1.add_argument("--threads", type=_count)
-    fig1.add_argument("--config", help="JSON config file (section 'fig1')")
-    fig1.set_defaults(func=cmd_fig1)
-
-    fig2 = sub.add_parser("fig2", help="branch occupation traces vs time")
-    fig2.add_argument("--n-sites", dest="n_sites", type=int)
-    fig2.add_argument("--delta", type=float)
-    fig2.add_argument("--w", action="append", type=float, help="repeatable disorder strength")
-    fig2.add_argument("--t-max", dest="t_max", type=float, help="trace span in units of tau")
-    fig2.add_argument("--t-points", dest="t_points", type=int)
-    fig2.add_argument("--realizations", type=int)
-    fig2.add_argument("--seed", type=int)
-    fig2.add_argument("--out-dir", dest="out_dir")
-    fig2.add_argument("--keep-raw", dest="keep_raw", action="store_true", default=None)
-    fig2.add_argument("--threads", type=_count)
-    fig2.add_argument("--config", help="JSON config file (section 'fig2')")
-    fig2.set_defaults(func=cmd_fig2)
+    _figure_parser(sub, "fig1", "concurrence vs disorder strength sweep", FIG1_DEFAULTS, cmd_fig1)
+    fig2_help = "branch occupation traces vs time (--t-max in units of tau)"
+    _figure_parser(sub, "fig2", fig2_help, FIG2_DEFAULTS, cmd_fig2)
 
     oracle = sub.add_parser("oracle", help="validate evolution against the dimer closed form")
     oracle.add_argument("--delta", type=float, default=0.0)

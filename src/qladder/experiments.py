@@ -3,6 +3,7 @@ leakage traces, the ordered baseline, and the closed-form dimer validation."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,14 +52,17 @@ DEFAULT_TRACE_POINTS = 200
 def default_w_grid(
     w_min: float = DEFAULT_W_MIN,
     w_max: float = DEFAULT_W_MAX,
-    n_points: int = DEFAULT_W_POINTS,
+    w_points: int = DEFAULT_W_POINTS,
 ) -> np.ndarray:
     """Log-spaced disorder grid; log spacing resolves the low-W rise."""
-    if n_points < 1:
-        raise ValueError("need at least one grid point")
-    if n_points == 1:
+    if w_points < 1:
+        raise ValueError(f"w_points must be at least 1, got {w_points}")
+    for name, value in (("w_min", w_min), ("w_max", w_max)):
+        if value <= 0 or value == math.inf:  # a NaN is left to LadderParams' disorder_w check
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    if w_points == 1:
         return np.array([float(w_min)])
-    return np.geomspace(w_min, w_max, n_points)
+    return np.geomspace(w_min, w_max, w_points)
 
 
 def default_trace_grid(
@@ -90,6 +94,25 @@ class TraceResult:
     plus: dict[float, EnsembleStats]
 
 
+def _run_grid(points, plan, n_sites, n_realizations, master_seed, threads, keep_raw) -> list:
+    """One :func:`run_ensemble` result per ``(W, delta)`` point, in order.
+
+    Every point's :class:`EnsembleConfig` is built first, which runs every
+    parameter check, so a bad value at a later point fails before any
+    ensemble runs.
+    """
+    configs = [
+        EnsembleConfig(
+            params=LadderParams(n_sites=n_sites, disorder_w=w, detuning_delta=delta),
+            n_realizations=n_realizations,
+            master_seed=master_seed,
+            plan=plan,
+        )
+        for w, delta in points
+    ]
+    return [run_ensemble(config, threads=threads, keep_raw=keep_raw) for config in configs]
+
+
 def transfer_sweep(
     n_sites: int = DEFAULT_N_SITES,
     deltas=DEFAULT_DELTAS,
@@ -111,19 +134,10 @@ def transfer_sweep(
         w_grid = default_w_grid()
     w_grid = np.asarray(w_grid, dtype=np.float64)
     deltas = tuple(float(d) for d in deltas)
-    series: dict[float, list[EnsembleStats]] = {}
-    for delta in deltas:
-        row = []
-        for w in w_grid:
-            params = LadderParams(n_sites=n_sites, disorder_w=float(w), detuning_delta=delta)
-            config = EnsembleConfig(
-                params=params,
-                n_realizations=n_realizations,
-                master_seed=master_seed,
-                plan=ObservablePlan.concurrence_only(),
-            )
-            row.append(run_ensemble(config, threads=threads, keep_raw=keep_raw)[LABEL_CONCURRENCE])
-        series[delta] = row
+    points = [(float(w), delta) for delta in deltas for w in w_grid]
+    plan = ObservablePlan.concurrence_only()
+    results = iter(_run_grid(points, plan, n_sites, n_realizations, master_seed, threads, keep_raw))
+    series = {delta: [next(results)[LABEL_CONCURRENCE] for _ in w_grid] for delta in deltas}
     return SweepResult(w_values=w_grid, deltas=deltas, series=series)
 
 
@@ -143,19 +157,11 @@ def leakage_trace(
         times = default_trace_grid(n_sites)
     times = np.asarray(times, dtype=np.float64)
     w_values = tuple(float(w) for w in w_values)
-    minus: dict[float, EnsembleStats] = {}
-    plus: dict[float, EnsembleStats] = {}
-    for w in w_values:
-        params = LadderParams(n_sites=n_sites, disorder_w=w, detuning_delta=float(delta))
-        config = EnsembleConfig(
-            params=params,
-            n_realizations=n_realizations,
-            master_seed=master_seed,
-            plan=ObservablePlan.branch_trace(times),
-        )
-        result = run_ensemble(config, threads=threads, keep_raw=keep_raw)
-        minus[w] = result[LABEL_P_MINUS]
-        plus[w] = result[LABEL_P_PLUS]
+    points = [(w, float(delta)) for w in w_values]
+    plan = ObservablePlan.branch_trace(times)
+    results = _run_grid(points, plan, n_sites, n_realizations, master_seed, threads, keep_raw)
+    minus = {w: result[LABEL_P_MINUS] for w, result in zip(w_values, results)}
+    plus = {w: result[LABEL_P_PLUS] for w, result in zip(w_values, results)}
     return TraceResult(times=times, tau=tau, w_values=w_values, minus=minus, plus=plus)
 
 

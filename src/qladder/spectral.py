@@ -4,7 +4,8 @@ Evolution goes through the full eigendecomposition: the matrices here are
 small (2N <= a few hundred) and many evaluation times are needed per
 realization, so U(t) = V exp(-i L t) V^T is both exact and fastest. One
 kernel, :func:`propagate`, evolves a stack of eigensystems over a grid of
-times at once; :func:`evolve` and :func:`evolve_series` are stacks of one.
+times at once; :func:`evolve_series` is a stack of one, and :func:`evolve`
+is :func:`evolve_series` at a single time.
 """
 
 from __future__ import annotations
@@ -100,29 +101,9 @@ def propagate(eigenvalues, eigenvectors, psi0, times) -> tuple[np.ndarray, np.nd
     return re, im
 
 
-def _validate_input(system: EigenSystem, state: StateVector):
-    if state.basis is not system.basis:
-        raise BasisMismatchError(
-            f"state basis {state.basis} does not match eigensystem basis {system.basis}"
-        )
-    if state.dim != system.dim:
-        raise ValueError(f"dimension mismatch: state {state.dim}, eigensystem {system.dim}")
-    if abs(state.norm_sq() - 1.0) > NORM_TOL:
-        raise ValueError(f"initial state is not normalized: |psi|^2 = {state.norm_sq()!r}")
-
-
-def _propagate_one(system: EigenSystem, psi0: StateVector, times) -> np.ndarray:
-    """(D, T) complex amplitudes of one state on a time grid."""
-    _validate_input(system, psi0)
-    re, im = propagate(
-        system.eigenvalues[None], system.eigenvectors[None], psi0.amplitudes[None], times
-    )
-    return re[0] + 1j * im[0]
-
-
 def evolve(system: EigenSystem, psi0: StateVector, t: float) -> StateVector:
     """Apply exp(-i H t) to a normalized state."""
-    return StateVector(_propagate_one(system, psi0, [t])[:, 0], system.basis)
+    return evolve_series(system, psi0, [t])[0]
 
 
 def evolve_series(system: EigenSystem, psi0: StateVector, times) -> list[StateVector]:
@@ -137,8 +118,18 @@ def evolve_series(system: EigenSystem, psi0: StateVector, times) -> list[StateVe
         raise ValueError("times must be finite")
     if times.size and np.any(np.diff(times) < 0):
         raise ValueError("times must be ascending")
-    block = _propagate_one(system, psi0, times)
-    return [StateVector(block[:, k], system.basis) for k in range(times.size)]
+    if psi0.basis is not system.basis:
+        raise BasisMismatchError(
+            f"state basis {psi0.basis} does not match eigensystem basis {system.basis}"
+        )
+    if psi0.dim != system.dim:
+        raise ValueError(f"dimension mismatch: state {psi0.dim}, eigensystem {system.dim}")
+    if abs(psi0.norm_sq() - 1.0) > NORM_TOL:
+        raise ValueError(f"initial state is not normalized: |psi|^2 = {psi0.norm_sq()!r}")
+    re, im = propagate(
+        system.eigenvalues[None], system.eigenvectors[None], psi0.amplitudes[None], times
+    )
+    return [StateVector(re[0, :, k] + 1j * im[0, :, k], system.basis) for k in range(times.size)]
 
 
 def expectation(operator: HermitianOperator, state: StateVector) -> float:

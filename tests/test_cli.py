@@ -13,7 +13,7 @@ import pytest
 
 import qladder
 import qladder.experiments
-from qladder.cli import THREADS_ENV_VAR, main
+from qladder.cli import FIG1_DEFAULTS, FIG2_DEFAULTS, THREADS_ENV_VAR, main
 
 
 def read(path):
@@ -135,6 +135,43 @@ def test_fig1_rejects_mistyped_config_values(tmp_path, capsys, section, key, exp
     assert not (tmp_path / "x").exists()  # rejected before any work
 
 
+FIGURE_KEYS = {  # command -> (a non-default value of every key, the flags that set them)
+    "fig1": (
+        {"n_sites": 4, "delta": [0.3, 0.15], "w_min": 0.5, "w_max": 2.0, "w_points": 2,
+         "realizations": 2, "seed": 7, "keep_raw": True},
+        ["--n-sites", "4", "--delta", "0.3", "--delta", "0.15", "--w-min", "0.5",
+         "--w-max", "2", "--w-points", "2", "--realizations", "2", "--seed", "7", "--keep-raw"],
+    ),
+    "fig2": (
+        {"n_sites": 4, "delta": 0.3, "w": [0.7, 3.0], "t_max": 1.5, "t_points": 3,
+         "realizations": 2, "seed": 7, "keep_raw": True},
+        ["--n-sites", "4", "--delta", "0.3", "--w", "0.7", "--w", "3", "--t-max", "1.5",
+         "--t-points", "3", "--realizations", "2", "--seed", "7", "--keep-raw"],
+    ),
+}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["fig1", "fig2"])
+def test_every_figure_key_lands_in_the_manifest(tmp_path, command, source):
+    defaults = {"fig1": FIG1_DEFAULTS, "fig2": FIG2_DEFAULTS}[command]
+    values, flags = FIGURE_KEYS[command]
+    out = tmp_path / "out"
+    values = {**values, "out_dir": str(out)}
+    assert values.keys() == defaults.keys()
+    assert all(values[key] != defaults[key] for key in defaults)
+    if source == "flag":
+        argv = [command, *flags, "--out-dir", str(out)]
+    else:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({command: values}))
+        argv = [command, "--config", str(cfg)]
+    assert main(argv) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert {key: config[key] for key in values} == values
+    assert (out / f"{command}_raw.csv").exists()
+
+
 def test_threads_env_var_is_used(tmp_path, monkeypatch):
     monkeypatch.setenv(THREADS_ENV_VAR, "3")
     out = run_fig1(tmp_path, "env")
@@ -196,6 +233,16 @@ def test_fig2_rejects_an_empty_time_grid(tmp_path, capsys, source):
     code = main([*argv, "--out-dir", str(tmp_path / "x")])
     assert code == 1
     assert "t_points" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()  # rejected before any work
+
+
+@pytest.mark.parametrize("command, key", [("fig1", "delta"), ("fig2", "w")])
+def test_figures_reject_an_empty_list_from_a_config_file(tmp_path, capsys, command, key):
+    cfg = tmp_path / "empty.json"
+    cfg.write_text(json.dumps({command: {key: []}}))
+    code = main([command, "--config", str(cfg), "--out-dir", str(tmp_path / "x")])
+    assert code == 1
+    assert f"{command}.{key}" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()  # rejected before any work
 
 
@@ -380,8 +427,13 @@ def test_fig1_and_fig2_leave_scipy_linalg_unloaded(tmp_path):
      (["fig2", "--w", "nan"], "disorder_w"),
      (["fig2", "--delta", "inf"], "detuning_delta"),
      (["fig2", "--t-max", "nan"], "trace_times"),
-     (["fig1", "--seed", "-1"], "master_seed")],
-    ids=["fig1-w-min-nan", "fig2-w-nan", "fig2-delta-inf", "fig2-t-max-nan", "fig1-seed-negative"],
+     (["fig1", "--seed", "-1"], "master_seed"),
+     (["fig1", "--w-points", "0"], "w_points"),
+     (["fig1", "--w-min", "0"], "w_min"),
+     (["fig1", "--w-min", "-1"], "w_min"),
+     (["fig1", "--w-max", "inf"], "w_max")],
+    ids=["fig1-w-min-nan", "fig2-w-nan", "fig2-delta-inf", "fig2-t-max-nan", "fig1-seed-negative",
+         "fig1-w-points-zero", "fig1-w-min-zero", "fig1-w-min-negative", "fig1-w-max-inf"],
 )
 def test_bad_numbers_are_blamed_on_their_field(tmp_path, capsys, argv, field):
     code = main([*argv, "--n-sites", "4", "--realizations", "2", "--out-dir", str(tmp_path / "x")])
@@ -389,6 +441,31 @@ def test_bad_numbers_are_blamed_on_their_field(tmp_path, capsys, argv, field):
     err = capsys.readouterr().err
     assert field in err
     assert "realization" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [(["fig1", "--w-points", "3", "--delta", "0.05", "--delta", "nan"], "detuning_delta"),
+     (["fig1", "--w-points", "3", "--w-max", "nan"], "disorder_w"),
+     (["fig2", "--w", "1", "--w", "nan"], "disorder_w")],
+    ids=["fig1-second-delta-nan", "fig1-w-max-nan", "fig2-second-w-nan"],
+)
+def test_a_bad_later_grid_point_fails_before_any_ensemble_runs(
+    tmp_path, capsys, monkeypatch, argv, field
+):
+    calls = []
+    genuine = qladder.experiments.run_ensemble
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return genuine(*args, **kwargs)
+
+    monkeypatch.setattr(qladder.experiments, "run_ensemble", counted)
+    code = main([*argv, "--n-sites", "4", "--realizations", "2", "--out-dir", str(tmp_path / "x")])
+    assert code == 1
+    assert field in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize(

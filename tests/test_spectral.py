@@ -169,6 +169,8 @@ def test_evolve_rejects_basis_mismatch_and_unnormalized_input():
     bad = StateVector(np.full(sys.dim, 0.5 + 0j), Basis.PLUS_MINUS)
     with pytest.raises(ValueError):
         evolve(sys, bad, 1.0)
+    with pytest.raises(ValueError, match="times must be finite"):
+        evolve(sys, random_state(sys.dim, 4, Basis.PLUS_MINUS), np.nan)
 
 
 # ---------------------------------------------------------------------------
