@@ -198,6 +198,8 @@ def _figure(args: argparse.Namespace, command: str, defaults: dict, run, headers
     ``keep_raw``, ``<command>_raw.csv`` under the two ``headers``.
     """
     cfg = _resolve(args, command, defaults)
+    if cfg["realizations"] < 1:
+        raise ValueError(f"{command} realizations must be at least 1, got {cfg['realizations']}")
     threads = _threads(args)
     rows, raw_rows = run(cfg, threads)
     out_dir = Path(cfg["out_dir"])

@@ -2,11 +2,18 @@
 
 Each realization index owns an independent random stream derived from the
 master seed, so ensembles are reproducible bit-for-bit regardless of worker
-count or execution order. Workers carry a chunk of consecutive realizations
-end-to-end as plain stacked arrays (draw each into the chunk's arrays, build
-the stack, one batched diagonalization, evolve all times at once, measure,
-check conservation); results are reduced in realization order so
+count or execution order. The 2N unit uniforms of every index are drawn
+once, before any worker starts, and reused by the later grid points of the
+same sweep (same seed, size and ladder length); each point only scales them
+by its W and Delta. Workers carry a chunk of consecutive realizations end-to-end as plain
+stacked arrays (scale the chunk's draws, build the stack, one batched
+diagonalization, certify it, evolve the entries each readout reads at all
+times at once, measure); results are reduced in realization order so
 floating-point summation is fixed.
+
+Conservation is checked once per stacked eigensystem by
+:func:`~qladder.spectral.certify`, whose bounds cover the norm and energy
+drift of every state at every time; no state is checked on its own.
 
 A realization gives bitwise the same values in any chunk, so a failure is
 traced to its realization by re-running: when a chunk raises, its
@@ -19,13 +26,14 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .hamiltonian import _SQRT1_2, Branch, assemble_effective, flat_index
-from .model import LadderParams, correlated_channel, draw_disorder
+from .model import LadderParams, correlated_channel, scale_disorder
 from .observables import transfer_time
-from .spectral import diagonalize, propagate, squared_norms
+from .spectral import certify, diagonalize, propagate, squared_norms
 
 __all__ = [
     "DEFAULT_MASTER_SEED",
@@ -44,9 +52,6 @@ DEFAULT_MASTER_SEED = 42
 LABEL_CONCURRENCE = "concurrence_at_tau"
 LABEL_P_MINUS = "p_minus"
 LABEL_P_PLUS = "p_plus"
-
-# conservation tolerances along every evolved trajectory; fixed, not configurable
-_ENERGY_DRIFT_TOL = 1e-9
 
 # Realizations per stacked diagonalization and per task of the worker pool.
 # Larger chunks add memory (fig2 at chunk 25: +23 MB peak) but no speed.
@@ -67,6 +72,22 @@ def derive_stream(master_seed: int, index: int) -> np.random.Generator:
         raise ValueError(f"realization index must be nonnegative, got {index}")
     seq = np.random.SeedSequence(master_seed, spawn_key=(index,))
     return np.random.Generator(np.random.Philox(seq))
+
+
+@lru_cache(maxsize=1)
+def _unit_draws(master_seed: int, n_realizations: int, n_sites: int) -> np.ndarray:
+    """Read-only (R, 2N) unit uniforms: row i is the 2N draws that
+    :func:`~qladder.model.draw_disorder` takes from ``derive_stream(master_seed, i)``.
+
+    Kept for the last (seed, size, N) asked for, so the grid points of one
+    sweep derive each stream once between them; the sweep's grid runner
+    clears it when the sweep ends.
+    """
+    units = np.empty((n_realizations, 2 * n_sites))
+    for i, row in enumerate(units):
+        derive_stream(master_seed, i).random(out=row)
+    units.setflags(write=False)
+    return units
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,47 +159,36 @@ def _measure_stack(config: EnsembleConfig, eps_leg1: np.ndarray, delta_n: np.nda
     eigenvalues, eigenvectors = diagonalize(entries)
     # the Bell pair on cell 1 is the unit vector |1,->, so psi0 is real
     start = flat_index(1, Branch.MINUS, n_sites)
+    certify(entries, eigenvalues, eigenvectors, start)
     psi0 = np.zeros(entries.shape[:2])
     psi0[:, start] = 1.0
-    energy0 = entries[:, start, start]
-
-    def evolve_checked(times):
-        re, im = propagate(eigenvalues, eigenvectors, psi0, times)
-        energy = np.einsum("rdt,rdt->rt", re, entries @ re)
-        energy += np.einsum("rdt,rdt->rt", im, entries @ im)
-        drift = np.abs(energy - energy0[:, None])
-        if not np.all(drift <= _ENERGY_DRIFT_TOL):  # NaN fails too
-            raise ArithmeticError(f"energy drift {drift.max():.3e} exceeds {_ENERGY_DRIFT_TOL}")
-        return re, im
 
     out = {}
     if config.plan.concurrence_at_tau:
-        re, im = evolve_checked([transfer_time(n_sites)])
-        plus, minus = (re[:, -2:, 0] + 1j * im[:, -2:, 0]).T  # last cell, slots (+, -)
+        last_cell = slice(-2, None)  # slots (+, -) of cell N
+        re, im = propagate(eigenvalues, eigenvectors, psi0, [transfer_time(n_sites)], last_cell)
+        plus, minus = (re[:, :, 0] + 1j * im[:, :, 0]).T
         leg1, leg2 = (plus + minus) * _SQRT1_2, (plus - minus) * _SQRT1_2
         out[LABEL_CONCURRENCE] = 2.0 * np.abs(leg1) * np.abs(leg2)
     if config.plan.trace_times is not None:
-        re, im = evolve_checked(config.plan.trace_times)
-        rows = slice(int(Branch.MINUS), None, 2)  # the minus slot of every cell
-        p_minus = squared_norms(re[:, rows], im[:, rows])
+        minus_slots = slice(int(Branch.MINUS), None, 2)  # the minus slot of every cell
+        re, im = propagate(eigenvalues, eigenvectors, psi0, config.plan.trace_times, minus_slots)
+        p_minus = squared_norms(re, im)
         out[LABEL_P_MINUS] = p_minus
         out[LABEL_P_PLUS] = 1.0 - p_minus
     return out
 
 
-def _measure_chunk(config: EnsembleConfig, start: int, stop: int) -> dict:
+def _measure_chunk(config: EnsembleConfig, units: np.ndarray, start: int, stop: int) -> dict:
     """Observables of realizations ``start .. stop - 1``, stacked on axis 0.
 
-    Each realization's draw goes straight into the chunk's preallocated
-    arrays. A failure is raised as RuntimeError naming the first realization
-    that fails alone, with its seed tag and parameters, or else the range.
+    ``units`` holds every realization's unit draws, from :func:`_unit_draws`.
+    A failure is raised as RuntimeError naming the first realization that
+    fails alone, with its seed tag and parameters, or else the range.
     """
     seed, params = config.master_seed, config.params
     try:
-        eps_leg1 = np.empty((stop - start, params.n_sites))
-        delta_n = np.empty_like(eps_leg1)
-        for row in range(stop - start):
-            eps_leg1[row], delta_n[row] = draw_disorder(params, derive_stream(seed, start + row))
+        eps_leg1, delta_n = scale_disorder(params, units[start:stop])
         for name, values in (("eps_leg1", eps_leg1), ("delta_n", delta_n)):
             if not np.all(np.isfinite(values)):
                 raise ValueError(f"{name} contains non-finite values")
@@ -190,7 +200,7 @@ def _measure_chunk(config: EnsembleConfig, start: int, stop: int) -> dict:
                 f"realization {start} (seed tag {seed}:{start}, {where}) failed: {exc}"
             ) from exc
         for i in range(start, stop):
-            _measure_chunk(config, i, i + 1)  # raises if realization i fails alone
+            _measure_chunk(config, units, i, i + 1)  # raises if realization i fails alone
         raise RuntimeError(
             f"realizations {start}-{stop - 1} (seed {seed}, {where}) failed: {exc}"
         ) from exc
@@ -223,13 +233,14 @@ def run_ensemble(
     ``keep_raw=True``.
     """
     n = config.n_realizations
+    units = _unit_draws(config.master_seed, n, config.params.n_sites)
     chunks = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
     workers = min(threads, len(chunks))  # a worker beyond the chunk count has no work
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda chunk: _measure_chunk(config, *chunk), chunks))
+            parts = list(pool.map(lambda chunk: _measure_chunk(config, units, *chunk), chunks))
     else:
-        parts = [_measure_chunk(config, *chunk) for chunk in chunks]
+        parts = [_measure_chunk(config, units, *chunk) for chunk in chunks]
     return {
         label: _reduce(np.concatenate([part[label] for part in parts]), keep_raw)
         for label in parts[0]

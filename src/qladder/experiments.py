@@ -17,6 +17,7 @@ from .ensemble import (
     LABEL_P_MINUS,
     LABEL_P_PLUS,
     ObservablePlan,
+    _unit_draws,
     run_ensemble,
 )
 from .hamiltonian import Basis, Leg, bell_minus_state, build_effective, build_physical, unit_state
@@ -62,7 +63,12 @@ def default_w_grid(
             raise ValueError(f"{name} must be positive and finite, got {value}")
     if w_points == 1:
         return np.array([float(w_min)])
-    return np.geomspace(w_min, w_max, w_points)
+    grid = np.geomspace(w_min, w_max, w_points)
+    if np.any(grid[1:] == grid[:-1]):  # monotone, so a repeat is adjacent
+        raise ValueError(
+            f"w_min ({w_min}) and w_max ({w_max}) repeat W values over w_points = {w_points}"
+        )
+    return grid
 
 
 def default_trace_grid(
@@ -94,12 +100,22 @@ class TraceResult:
     plus: dict[float, EnsembleStats]
 
 
+def _distinct(key: str, values) -> None:
+    """Refuse a grid that would run a value twice and write its rows twice."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ValueError(f"{key} values must be distinct, got {value} twice")
+        seen.add(value)
+
+
 def _run_grid(points, plan, n_sites, n_realizations, master_seed, threads, keep_raw) -> list:
     """One :func:`run_ensemble` result per ``(W, delta)`` point, in order.
 
     Every point's :class:`EnsembleConfig` is built first, which runs every
     parameter check, so a bad value at a later point fails before any
-    ensemble runs.
+    ensemble runs. The points share each realization's unit draws, derived
+    once per call: a rerun of the sweep derives them again.
     """
     configs = [
         EnsembleConfig(
@@ -110,7 +126,10 @@ def _run_grid(points, plan, n_sites, n_realizations, master_seed, threads, keep_
         )
         for w, delta in points
     ]
-    return [run_ensemble(config, threads=threads, keep_raw=keep_raw) for config in configs]
+    try:
+        return [run_ensemble(config, threads=threads, keep_raw=keep_raw) for config in configs]
+    finally:
+        _unit_draws.cache_clear()
 
 
 def transfer_sweep(
@@ -134,6 +153,8 @@ def transfer_sweep(
         w_grid = default_w_grid()
     w_grid = np.asarray(w_grid, dtype=np.float64)
     deltas = tuple(float(d) for d in deltas)
+    _distinct("delta", deltas)
+    _distinct("w", w_grid.tolist())
     points = [(float(w), delta) for delta in deltas for w in w_grid]
     plan = ObservablePlan.concurrence_only()
     results = iter(_run_grid(points, plan, n_sites, n_realizations, master_seed, threads, keep_raw))
@@ -157,6 +178,7 @@ def leakage_trace(
         times = default_trace_grid(n_sites)
     times = np.asarray(times, dtype=np.float64)
     w_values = tuple(float(w) for w in w_values)
+    _distinct("w", w_values)
     points = [(w, float(delta)) for w in w_values]
     plan = ObservablePlan.branch_trace(times)
     results = _run_grid(points, plan, n_sites, n_realizations, master_seed, threads, keep_raw)

@@ -153,17 +153,20 @@ def _assemble_ladder(diag0, diag1, rung, hopping) -> np.ndarray:
     (R, 2N, 2N) stack of matrices.
     """
     n = diag0.shape[-1]
-    h = np.zeros(diag0.shape[:-1] + (2 * n, 2 * n))
-    slots0 = 2 * np.arange(n)
-    slots1 = slots0 + 1
-    h[..., slots0, slots0] = diag0
-    h[..., slots1, slots1] = diag1
-    h[..., slots0, slots1] = rung
-    h[..., slots1, slots0] = rung
-    cells = 2 * np.arange(n - 1)
-    for off in (0, 1):
-        h[..., cells + off, cells + 2 + off] = hopping
-        h[..., cells + 2 + off, cells + off] = hopping
+    dim = 2 * n
+    h = np.zeros(diag0.shape[:-1] + (dim, dim))
+    # entry (i, j) is flat[i * dim + j], so each band is one strided slice:
+    # (2k, 2k) at 2k (dim + 1), (2k+1, 2k+1) one row and column on, the rung
+    # beside them, and the hopping (j, j + 2) at j (dim + 1) + 2
+    flat = h.reshape(diag0.shape[:-1] + (dim * dim,))
+    cell = 2 * (dim + 1)
+    flat[..., 0::cell] = diag0
+    flat[..., dim + 1 :: cell] = diag1
+    flat[..., 1::cell] = rung
+    flat[..., dim::cell] = rung
+    hop = np.repeat(hopping, 2, axis=-1)
+    flat[..., 2 : (dim - 2) * (dim + 1) : dim + 1] = hop
+    flat[..., 2 * dim : 2 * dim + (dim - 2) * (dim + 1) : dim + 1] = hop
     return h
 
 

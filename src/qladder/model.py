@@ -18,6 +18,7 @@ __all__ = [
     "DisorderRealization",
     "build_pst_couplings",
     "draw_disorder",
+    "scale_disorder",
     "correlated_channel",
     "sample_realization",
     "effective_parameters",
@@ -38,7 +39,7 @@ def build_pst_couplings(n_sites: int) -> np.ndarray:
     1.0 (the energy unit) and the profile is palindromic.
     """
     if n_sites < 2:
-        raise ValueError(f"need at least 2 sites per leg, got {n_sites}")
+        raise ValueError(f"n_sites must be at least 2 (sites per leg), got {n_sites}")
     n = np.arange(1, n_sites, dtype=np.float64)
     couplings = np.sqrt(n * (n_sites - n))
     return couplings / couplings.max()
@@ -58,7 +59,7 @@ class LadderParams:
 
     def __post_init__(self):
         if self.n_sites < 2:
-            raise ValueError(f"need at least 2 sites per leg, got {self.n_sites}")
+            raise ValueError(f"n_sites must be at least 2 (sites per leg), got {self.n_sites}")
         for name in ("disorder_w", "detuning_delta"):
             value = getattr(self, name)
             if not 0 <= value < math.inf:  # NaN fails too
@@ -109,16 +110,33 @@ def draw_disorder(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw the disordered parameters of one realization as ``(eps_leg1, delta_n)``.
 
-    Leg-1 energies are i.i.d. Uniform[-W, W] (N draws, consumed first), the
-    per-cell detunings i.i.d. Uniform[-Delta, Delta] (N draws, consumed
-    second); :func:`correlated_channel` derives the rest of the realization.
-    The generator's half-open uniform convention is kept as-is; endpoint
-    inclusion is measure-zero.
+    Takes ``2N`` unit uniforms from ``rng`` and scales them by
+    :func:`scale_disorder`: leg-1 energies i.i.d. Uniform[-W, W] (the first N
+    draws), per-cell detunings i.i.d. Uniform[-Delta, Delta] (the next N);
+    :func:`correlated_channel` derives the rest of the realization.
+    """
+    return scale_disorder(params, rng.random(2 * params.n_sites))
+
+
+def scale_disorder(params: LadderParams, unit) -> tuple[np.ndarray, np.ndarray]:
+    """``(eps_leg1, delta_n)`` of ``2N`` unit uniforms, one realization's
+    ``(2N,)`` or an ``(R, 2N)`` stack's.
+
+    Each draw is ``low + (high - low) * u``, bitwise what
+    ``Generator.uniform(low, high)`` makes of the same ``u``, including its
+    half-open convention (endpoint inclusion is measure-zero) and its
+    refusal of a range that overflows.
     """
     n = params.n_sites
-    eps_leg1 = rng.uniform(-params.disorder_w, params.disorder_w, size=n)
-    delta_n = rng.uniform(-params.detuning_delta, params.detuning_delta, size=n)
-    return eps_leg1, delta_n
+    eps_leg1 = _uniform(params.disorder_w, unit[..., :n])
+    return eps_leg1, _uniform(params.detuning_delta, unit[..., n:])
+
+
+def _uniform(half_width: float, unit):
+    span = half_width - -half_width
+    if span == math.inf:
+        raise OverflowError("high - low range exceeds valid bounds")
+    return -half_width + span * unit
 
 
 def correlated_channel(eps_leg1, delta_n) -> tuple[np.ndarray, np.ndarray]:

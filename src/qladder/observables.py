@@ -63,7 +63,7 @@ def transfer_time(n_sites: int, exact_revival: bool = False) -> float:
     pi*sqrt(N^2-1)/4 instead, selected by ``exact_revival``.
     """
     if n_sites < 2:
-        raise ValueError(f"need at least 2 sites per leg, got {n_sites}")
+        raise ValueError(f"n_sites must be at least 2 (sites per leg), got {n_sites}")
     if exact_revival and n_sites % 2:
         return math.pi * math.sqrt(n_sites**2 - 1) / 4.0
     return math.pi * n_sites / 4.0

@@ -4,12 +4,19 @@ Evolution goes through the full eigendecomposition: the matrices here are
 small (2N <= a few hundred) and many evaluation times are needed per
 realization, so U(t) = V exp(-i L t) V^T is both exact and fastest. One
 kernel, :func:`propagate`, evolves a stack of eigensystems over a grid of
-times at once; :func:`evolve_series` is a stack of one, and :func:`evolve`
-is :func:`evolve_series` at a single time.
+times at once, for only the state entries a readout reads;
+:func:`evolve_series` is a stack of one, and :func:`evolve` is
+:func:`evolve_series` at a single time.
+
+Conservation is checked once per eigensystem, not per evolved state:
+:func:`certify` turns the eigensystem's orthonormality error and
+eigen-residual into bounds on the norm and energy drift of every state it
+can evolve, at every time, and raises when a bound exceeds its tolerance.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +26,7 @@ from .hamiltonian import Basis, BasisMismatchError, HermitianOperator, StateVect
 __all__ = [
     "EigenSystem",
     "diagonalize",
+    "certify",
     "eigendecompose",
     "propagate",
     "squared_norms",
@@ -26,15 +34,21 @@ __all__ = [
     "evolve_series",
     "expectation",
     "NORM_TOL",
+    "ENERGY_TOL",
 ]
 
-# fixed, asserted in tests, not user-configurable
+# drift tolerances along every evolved trajectory; fixed, asserted in tests,
+# not user-configurable
 NORM_TOL = 1e-10
+ENERGY_TOL = 1e-9
+
+_UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2
 
 
 @dataclass(frozen=True, eq=False)
 class EigenSystem:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of an operator."""
+    """Eigenvalues (ascending) and orthonormal eigenvector columns of an
+    operator, as certified by :func:`eigendecompose`."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -57,9 +71,92 @@ def diagonalize(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(entries)
 
 
+def certify(entries, eigenvalues, eigenvectors, start=None) -> tuple[float, float]:
+    """Bound the norm and energy drift of every state evolved through an eigensystem.
+
+    ``entries`` is one real symmetric matrix H or an (R, D, D) stack, with the
+    ``eigenvalues`` L and ``eigenvectors`` V that :func:`diagonalize` returned
+    for it. Returns the largest ``(norm_bound, energy_bound)`` over the stack
+    and raises ArithmeticError ("norm drift bound ... exceeds ...", "energy
+    drift bound ... exceeds ...") unless every matrix's bounds are within
+    ``NORM_TOL`` and ``ENERGY_TOL``. Each matrix is bounded on its own, so a
+    stack passes exactly when each of its matrices would pass alone.
+
+    The bounds hold at every time t for the states :func:`propagate`
+    computes, rounding included, from the basis state psi0 = |start> of every
+    matrix or, by default, from any unit start state psi0. With e and r the
+    Frobenius norms (at least the spectral norms) of V^T V - I and of
+    R = H V - V L, and a = V^T psi0, c = exp(-i L t) a, psi(t) = V c:
+
+    - V V^T - I has the spectrum of V^T V - I, so |a|^2 and |V c|^2 / |c|^2
+      lie in [1 - e, 1 + e], and |c| = |a|: the norm drifts by at most
+      e (2 + e).
+    - psi^* H psi = c^* V^T H V c with V^T H V = L + (V^T V - I) L + V^T R,
+      where c^* L c = a^* L a at every t, and a^* L a - psi0^T H psi0 =
+      psi0^T (H F - R V^T) psi0 with F = V V^T - I. So the energy drifts by
+      at most sqrt(1 + e) (e |L a| + (2 + e) r) + e |H psi0|. Without
+      ``start``, |L a| <= sqrt(1 + e) max |L| and |H psi0| <= |H| <= h =
+      (sqrt(1 + e) max |L| + r) / sqrt(1 - e), since H = (V L + R) V^-1.
+    - The evolution products round each entry by at most gamma_2D = 2Du /
+      (1 - 2Du) of its absolute sum (u the unit roundoff), so the computed
+      state is within p = 2 gamma_2D sqrt(D) (1 + e) of psi(t), for a real
+      or complex psi0. That adds 2 (1 + e) p + p^2 to the norm bound and,
+      as |H psi(t)| <= sqrt(1 + e) (|L a| + r), 2 p sqrt(1 + e) (|L a| + r)
+      + h p^2 to the energy bound.
+
+    At t = 0 :func:`propagate` returns psi0 itself, with no drift.
+    """
+    dim = entries.shape[-1]
+    stack = entries.reshape(-1, dim, dim)
+    vectors = eigenvectors.reshape(-1, dim, dim)
+    values = eigenvalues.reshape(-1, dim)
+    spreads = np.max(np.abs(values), axis=-1).tolist()
+    if start is None:
+        lam_as = h_psi0s = [None] * len(stack)
+    else:  # a = V^T psi0 is row ``start`` of V, and H psi0 row ``start`` of H
+        lam_as = _row_norms(values * vectors[:, start]).tolist()
+        h_psi0s = _row_norms(stack[:, start]).tolist()
+    gamma = 2 * dim * _UNIT_ROUNDOFF / (1 - 2 * dim * _UNIT_ROUNDOFF)
+    norm_bound = energy_bound = 0.0
+    # one matrix at a time: (D, D) temporaries stay in cache, where (R, D, D)
+    # ones slowed the whole fig1 loop by more than the products cost
+    for matrix, vecs, vals, m, lam_a, h_psi0 in zip(
+        stack, vectors, values, spreads, lam_as, h_psi0s
+    ):
+        gram = vecs.T @ vecs
+        gram.flat[:: dim + 1] -= 1.0
+        e = math.sqrt(np.vdot(gram, gram))
+        p = 2 * gamma * math.sqrt(dim) * (1 + e)
+        bound = e * (2 + e) + p * (2 * (1 + e) + p)
+        if not bound <= NORM_TOL:  # NaN fails too
+            raise ArithmeticError(f"norm drift bound {bound:.3e} exceeds {NORM_TOL}")
+        norm_bound = max(norm_bound, bound)
+        residual = matrix @ vecs - vecs * vals
+        r = math.sqrt(np.vdot(residual, residual))
+        h = (math.sqrt(1 + e) * m + r) / math.sqrt(1 - e)
+        if start is None:
+            lam_a, h_psi0 = math.sqrt(1 + e) * m, h
+        bound = (
+            math.sqrt(1 + e) * (e * lam_a + (2 + e) * r + 2 * p * (lam_a + r))
+            + e * h_psi0
+            + h * p * p
+        )
+        if not bound <= ENERGY_TOL:
+            raise ArithmeticError(f"energy drift bound {bound:.3e} exceeds {ENERGY_TOL}")
+        energy_bound = max(energy_bound, bound)
+    return norm_bound, energy_bound
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norms of real (R, D) rows."""
+    return np.sqrt(np.einsum("rk,rk->r", rows, rows))
+
+
 def eigendecompose(operator: HermitianOperator) -> EigenSystem:
-    """Full symmetric eigendecomposition, eigenvalues sorted ascending."""
+    """Full symmetric eigendecomposition, eigenvalues sorted ascending,
+    certified by :func:`certify`."""
     eigenvalues, eigenvectors = diagonalize(operator.entries)
+    certify(operator.entries, eigenvalues, eigenvectors)
     return EigenSystem(eigenvalues, eigenvectors, operator.basis)
 
 
@@ -68,36 +165,39 @@ def squared_norms(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return np.einsum("rdt,rdt->rt", re, re) + np.einsum("rdt,rdt->rt", im, im)
 
 
-def propagate(eigenvalues, eigenvectors, psi0, times) -> tuple[np.ndarray, np.ndarray]:
-    """States exp(-i H_r t) psi0_r for a stack of eigensystems and every time at once.
+def propagate(
+    eigenvalues, eigenvectors, psi0, times, rows=slice(None)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Entries ``rows`` of the states exp(-i H_r t) psi0_r for a stack of
+    eigensystems and every time at once.
 
     ``eigenvalues`` (R, D) and ``eigenvectors`` (R, D, D) are as returned by
-    :func:`diagonalize`, ``psi0`` is (R, D), real or complex, and ``times`` is
-    a 1-d grid. Returns the real and imaginary parts of the states, each
-    (R, D, T), from two real matrix products per eigensystem. Where t == 0
-    the state is psi0 itself, with no rounding through the eigenbasis. Every
-    state is norm-checked: a drift above ``NORM_TOL`` raises ArithmeticError.
+    :func:`diagonalize`, ``psi0`` is (R, D), real or complex, ``times`` is a
+    1-d grid and ``rows`` indexes the K state entries to compute (all by
+    default). The eigenbasis weights a = V^T psi0 are folded into the
+    eigenvector rows asked for, so each part is one real (K, D) @ (D, T)
+    product per eigensystem: Re psi[rows] = (V[rows] a) @ cos(L t) for a real
+    start. Returns the real and imaginary parts, each (R, K, T). Where
+    t == 0 the entries are psi0's own, with no rounding through the
+    eigenbasis. Nothing is checked here: :func:`certify` bounds the drift of
+    every state an eigensystem can evolve.
     """
     times = np.asarray(times, dtype=np.float64)
-    projector = np.swapaxes(eigenvectors, -1, -2)
     phase = eigenvalues[:, :, None] * times
-    cos, sin = np.cos(phase), np.sin(phase)
-    # eigenbasis coefficients a + ib of psi0; b = 0 for a real start state
-    a = projector @ np.real(psi0)[:, :, None]
-    cr, ci = cos * a, -(sin * a)
+    cos = np.cos(phase)
+    sin = np.sin(phase, out=phase)  # one (R, D, T) buffer fewer
+    basis_rows = eigenvectors[:, rows]
+    # eigenbasis weights a + ib of psi0, as (R, 1, D) rows; b = 0 for a real start
+    weights = basis_rows * (np.real(psi0)[:, None, :] @ eigenvectors)
+    re = weights @ cos
+    im = -weights @ sin
     if np.iscomplexobj(psi0):
-        b = projector @ np.imag(psi0)[:, :, None]
-        cr += sin * b
-        ci += cos * b
-    del cos, sin  # two fewer (R, D, T) arrays held through the products below
-    re = eigenvectors @ cr
-    im = eigenvectors @ ci
+        weights = basis_rows * (np.imag(psi0)[:, None, :] @ eigenvectors)
+        re += weights @ sin
+        im += weights @ cos
     at_zero = times == 0.0
-    re[:, :, at_zero] = np.real(psi0)[:, :, None]
-    im[:, :, at_zero] = np.imag(psi0)[:, :, None]
-    drift = np.abs(squared_norms(re, im) - 1.0)
-    if not np.all(drift <= NORM_TOL):  # NaN fails too
-        raise ArithmeticError(f"norm drift {drift.max():.3e} exceeds {NORM_TOL}")
+    re[:, :, at_zero] = np.real(psi0)[:, rows, None]
+    im[:, :, at_zero] = np.imag(psi0)[:, rows, None]
     return re, im
 
 

@@ -447,8 +447,13 @@ def test_bad_numbers_are_blamed_on_their_field(tmp_path, capsys, argv, field):
     "argv, field",
     [(["fig1", "--w-points", "3", "--delta", "0.05", "--delta", "nan"], "detuning_delta"),
      (["fig1", "--w-points", "3", "--w-max", "nan"], "disorder_w"),
-     (["fig2", "--w", "1", "--w", "nan"], "disorder_w")],
-    ids=["fig1-second-delta-nan", "fig1-w-max-nan", "fig2-second-w-nan"],
+     (["fig2", "--w", "1", "--w", "nan"], "disorder_w"),
+     (["fig1", "--w-points", "3", "--delta", "0.1", "--delta", "0.1"],
+      "delta values must be distinct, got 0.1 twice"),
+     (["fig2", "--w", "1", "--w", "2", "--w", "1"], "w values must be distinct, got 1.0 twice"),
+     (["fig1", "--w-min", "2", "--w-max", "2"], "w_min (2.0) and w_max (2.0) repeat W values")],
+    ids=["fig1-second-delta-nan", "fig1-w-max-nan", "fig2-second-w-nan",
+         "fig1-repeated-delta", "fig2-repeated-w", "fig1-flat-w-grid"],
 )
 def test_a_bad_later_grid_point_fails_before_any_ensemble_runs(
     tmp_path, capsys, monkeypatch, argv, field
@@ -466,6 +471,46 @@ def test_a_bad_later_grid_point_fails_before_any_ensemble_runs(
     assert field in capsys.readouterr().err
     assert calls == []
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["fig1", "fig2"])
+@pytest.mark.parametrize(
+    "flag, value, key, old_text",
+    [("--n-sites", "1", "n_sites", "need at least"),
+     ("--realizations", "0", "realizations", "n_realizations")],
+    ids=["n-sites-one", "realizations-zero"],
+)
+def test_counts_are_blamed_on_their_key(
+    tmp_path, capsys, monkeypatch, command, flag, value, key, old_text
+):
+    calls = []
+    monkeypatch.setattr(qladder.experiments, "run_ensemble", lambda *a, **k: calls.append(a))
+    code = main([command, flag, value, "--out-dir", str(tmp_path / "x")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{key} must be at least" in err
+    assert old_text not in err
+    assert calls == []
+    assert not (tmp_path / "x").exists()
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+
+
+@pytest.mark.parametrize("command", ["fig1", "fig2"])
+def test_default_figures_match_the_stored_reference(tmp_path, command):
+    # the seed-42 production-default CSV against the one stored with the
+    # benchmark: same header, rows and n column, every value within 1e-13
+    assert main([command, "--out-dir", str(tmp_path)]) == 0
+    ours = (tmp_path / f"{command}.csv").read_text().splitlines()
+    stored = (REFERENCE / f"{command}.csv").read_text().splitlines()
+    assert ours[0] == stored[0] and ours[0].endswith(",n")
+    assert len(ours) == len(stored)
+    for line, reference in zip(ours[1:], stored[1:]):
+        *values, n = line.split(",")
+        *expected, n_expected = reference.split(",")
+        assert n == n_expected
+        assert np.max(np.abs(np.array(values, float) - np.array(expected, float))) <= 1e-13
 
 
 @pytest.mark.parametrize(

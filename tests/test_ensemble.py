@@ -13,9 +13,9 @@ from qladder.ensemble import (
     derive_stream,
     run_ensemble,
 )
-from qladder.experiments import default_trace_grid, leakage_trace
+from qladder.experiments import default_trace_grid, default_w_grid, leakage_trace
 from qladder.hamiltonian import build_effective, build_physical
-from qladder.model import LadderParams, sample_realization
+from qladder.model import LadderParams, draw_disorder, sample_realization
 
 
 def make_config(n_sites=10, w=2.0, delta=0.3, n_realizations=6, seed=42, plan=None):
@@ -132,21 +132,22 @@ def test_raw_values_dropped_by_default():
     assert stats.per_realization is None
 
 
-def _stream_index(rng) -> int:
-    (index,) = rng.bit_generator.seed_seq.spawn_key
-    return index
+def _unit_row(config, index):
+    """The 2N unit draws of realization ``index``, as its own stream gives them."""
+    return derive_stream(config.master_seed, index).random(2 * config.params.n_sites)
 
 
 def test_failures_report_the_realization_index(monkeypatch):
     config = make_config(n_realizations=5)
-    original = ensemble_mod.draw_disorder
+    original = ensemble_mod.scale_disorder
+    target = _unit_row(config, 3)
 
-    def flaky(params, rng):
-        if _stream_index(rng) == 3:
+    def flaky(params, unit):
+        if any(np.array_equal(row, target) for row in unit):
             raise MemoryError("synthetic exhaustion")
-        return original(params, rng)
+        return original(params, unit)
 
-    monkeypatch.setattr(ensemble_mod, "draw_disorder", flaky)
+    monkeypatch.setattr(ensemble_mod, "scale_disorder", flaky)
     with pytest.raises(RuntimeError, match="realization 3"):
         run_ensemble(config)
 
@@ -154,17 +155,74 @@ def test_failures_report_the_realization_index(monkeypatch):
 @pytest.mark.parametrize("name", ["eps_leg1", "delta_n"])
 def test_non_finite_draws_name_the_realization(monkeypatch, name):
     config = make_config(n_realizations=7)
-    original = ensemble_mod.draw_disorder
+    original = ensemble_mod.scale_disorder
+    target = _unit_row(config, 3)
 
-    def poisoned(params, rng):
-        eps_leg1, delta_n = original(params, rng)
-        if _stream_index(rng) == 3:
-            (eps_leg1 if name == "eps_leg1" else delta_n)[2] = np.nan
+    def poisoned(params, unit):
+        eps_leg1, delta_n = original(params, unit)
+        for row, draws in enumerate(unit):
+            if np.array_equal(draws, target):
+                (eps_leg1 if name == "eps_leg1" else delta_n)[row, 2] = np.nan
         return eps_leg1, delta_n
 
-    monkeypatch.setattr(ensemble_mod, "draw_disorder", poisoned)
+    monkeypatch.setattr(ensemble_mod, "scale_disorder", poisoned)
     with pytest.raises(RuntimeError, match=f"realization 3 .*42:3.*{name} contains non-finite"):
         run_ensemble(config)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42, 1234])
+def test_grid_draws_keep_the_stream_contract(seed):
+    # the draws every grid point scales are bitwise those of realization i's
+    # own stream, Generator(Philox(SeedSequence(seed, spawn_key=(i,)))), under
+    # draw_disorder and under the two Generator.uniform calls that define it
+    n_sites, n_realizations = 12, 9
+    units = ensemble_mod._unit_draws(seed, n_realizations, n_sites)
+    for w in (0.0, *default_w_grid(w_points=5), 1e5):
+        for delta in (0.0, 0.05, 0.2):
+            params = LadderParams(n_sites=n_sites, disorder_w=w, detuning_delta=delta)
+            eps_leg1, delta_n = ensemble_mod.scale_disorder(params, units)
+            for i in range(n_realizations):
+                def stream():
+                    seq = np.random.SeedSequence(seed, spawn_key=(i,))
+                    return np.random.Generator(np.random.Philox(seq))
+
+                drawn = draw_disorder(params, stream())
+                rng = stream()
+                uniform = rng.uniform(-w, w, n_sites), rng.uniform(-delta, delta, n_sites)
+                for reference in (drawn, uniform):
+                    assert np.array_equal(eps_leg1[i], reference[0])
+                    assert np.array_equal(delta_n[i], reference[1])
+
+
+def test_a_grid_point_gives_the_same_values_alone_and_after_another():
+    times = np.linspace(0.0, 30.0, 25)
+    kwargs = dict(n_sites=10, delta=0.3, times=times, n_realizations=7, keep_raw=True)
+    alone = leakage_trace(w_values=(2.0,), **kwargs)
+    after = leakage_trace(w_values=(0.5, 2.0), **kwargs)
+    assert np.array_equal(alone.minus[2.0].per_realization, after.minus[2.0].per_realization)
+    # draws kept from a direct run of 7 realizations are not reused for 11;
+    # the larger ensemble's first realizations are the smaller one's
+    run_ensemble(make_config(n_realizations=7, seed=42))
+    larger = leakage_trace(w_values=(2.0,), **{**kwargs, "n_realizations": 11})
+    assert np.array_equal(alone.minus[2.0].per_realization,
+                          larger.minus[2.0].per_realization[:7])
+
+
+def test_each_sweep_derives_its_streams_once(monkeypatch):
+    # three grid points, seven realizations: seven streams, and a rerun of
+    # the sweep derives them again rather than reusing the last sweep's
+    calls = []
+    original = ensemble_mod.derive_stream
+
+    def counted(seed, index):
+        calls.append(index)
+        return original(seed, index)
+
+    monkeypatch.setattr(ensemble_mod, "derive_stream", counted)
+    ensemble_mod._unit_draws.cache_clear()  # whatever an earlier direct run kept
+    for _ in range(2):
+        leakage_trace(n_sites=8, w_values=(0.5, 1.0, 2.0), times=[0.0, 1.0], n_realizations=7)
+    assert calls == 2 * list(range(7))
 
 
 def test_engine_matrices_match_the_public_path(monkeypatch):
@@ -240,6 +298,26 @@ def test_guard_failures_name_the_realization_inside_a_chunk(monkeypatch, corrupt
 
     monkeypatch.setattr(ensemble_mod, "diagonalize", corrupted)
     with pytest.raises(RuntimeError, match=f"realization 3 .*42:3.*{corruption} drift"):
+        run_ensemble(config)
+
+
+def test_the_certificate_catches_a_shifted_eigenvalue(monkeypatch):
+    # eigenvectors untouched and orthonormal, one eigenvalue of realization 3
+    # off by 0.1: no state's norm or energy moves, so per-state guards pass
+    # it, but the eigen-residual H V - V L does not
+    config = make_config(n_sites=30, n_realizations=7)
+    target = _matrix_of(config, 3)
+    original = ensemble_mod.diagonalize
+
+    def shifted(entries):
+        eigenvalues, eigenvectors = original(entries)
+        for row, matrix in enumerate(entries):
+            if np.array_equal(matrix, target):
+                eigenvalues[row, 30] += 0.1
+        return eigenvalues, eigenvectors
+
+    monkeypatch.setattr(ensemble_mod, "diagonalize", shifted)
+    with pytest.raises(RuntimeError, match="realization 3 .*42:3.*energy drift bound"):
         run_ensemble(config)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qladder.spectral as spectral_mod
 from qladder.ensemble import derive_stream
 from qladder.hamiltonian import (
     Basis,
@@ -15,6 +16,9 @@ from qladder.hamiltonian import (
 )
 from qladder.model import LadderParams, sample_realization, uniform_ladder
 from qladder.spectral import (
+    ENERGY_TOL,
+    NORM_TOL,
+    certify,
     diagonalize,
     eigendecompose,
     evolve,
@@ -100,6 +104,48 @@ def test_eigendecompose_is_deterministic():
     b = eigendecompose(op)
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
     assert np.array_equal(a.eigenvectors, b.eigenvectors)
+
+
+@pytest.mark.parametrize("disorder_w", [0.2, 10.0, 100.0])
+def test_certified_bounds_hold_along_evolved_trajectories(disorder_w):
+    # the drift of every evolved state, measured directly, stays within the
+    # bounds certify returns, both for the engine's start state and for any
+    n_sites, start = 30, 1
+    stack = np.stack([ladder_system(n_sites, disorder_w, 0.2, i)[0].entries for i in range(4)])
+    eigenvalues, eigenvectors = diagonalize(stack)
+    times = np.linspace(0.0, 10 * np.pi * n_sites / 4, 200)
+    starts = {start: np.eye(stack.shape[-1])[start],
+              None: np.random.default_rng(3).normal(size=stack.shape[-1])}
+    for which, psi0 in starts.items():
+        psi0 = np.broadcast_to(psi0 / np.linalg.norm(psi0), stack.shape[:2])
+        norm_bound, energy_bound = certify(stack, eigenvalues, eigenvectors, which)
+        assert norm_bound <= NORM_TOL and energy_bound <= ENERGY_TOL
+        re, im = propagate(eigenvalues, eigenvectors, psi0, times)
+        norm_drift = np.abs(np.einsum("rdt,rdt->rt", re, re) + np.einsum("rdt,rdt->rt", im, im) - 1)
+        energy = np.einsum("rdt,rdt->rt", re, stack @ re) + np.einsum("rdt,rdt->rt", im, stack @ im)
+        energy0 = np.einsum("rd,rde,re->r", psi0, stack, psi0)
+        assert norm_drift.max() <= norm_bound
+        assert np.abs(energy - energy0[:, None]).max() <= energy_bound
+
+
+@pytest.mark.parametrize("corruption, message", [
+    ("scaled", "norm drift bound"), ("shifted", "energy drift bound"),
+])
+def test_eigendecompose_certifies_its_eigensystem(monkeypatch, corruption, message):
+    op, _ = ladder_system()
+    original = spectral_mod.diagonalize
+
+    def corrupted(entries):
+        eigenvalues, eigenvectors = original(entries)
+        if corruption == "scaled":
+            eigenvectors *= 1.001
+        else:
+            eigenvalues[3] += 1e-6
+        return eigenvalues, eigenvectors
+
+    monkeypatch.setattr(spectral_mod, "diagonalize", corrupted)
+    with pytest.raises(ArithmeticError, match=message):
+        eigendecompose(op)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +254,23 @@ def test_real_start_state_takes_the_complex_path_values():
     assert np.array_equal(re, re_c)
     assert np.array_equal(im, im_c)
     assert np.any(im != 0.0)
+
+
+def test_propagated_rows_match_the_full_state():
+    # evolving only some entries folds a into those eigenvector rows; the
+    # entries must match the full evolution's to rounding, and psi0's own at t = 0
+    stack = np.stack([ladder_system(index=i)[0].entries for i in range(3)])
+    eigenvalues, eigenvectors = diagonalize(stack)
+    psi0 = np.random.default_rng(6).normal(size=stack.shape[:2]) * (1 + 0.5j)
+    psi0 /= np.linalg.norm(psi0, axis=1, keepdims=True)
+    times = np.linspace(0.0, 40.0, 30)
+    re, im = propagate(eigenvalues, eigenvectors, psi0, times)
+    for rows in (slice(1, None, 2), slice(-2, None), np.array([0, 5, 7])):
+        re_k, im_k = propagate(eigenvalues, eigenvectors, psi0, times, rows)
+        assert np.max(np.abs(re_k - re[:, rows])) < 1e-14
+        assert np.max(np.abs(im_k - im[:, rows])) < 1e-14
+        assert np.array_equal(re_k[:, :, 0], psi0.real[:, rows])
+        assert np.array_equal(im_k[:, :, 0], psi0.imag[:, rows])
 
 
 def test_series_rejects_unsorted_times():
