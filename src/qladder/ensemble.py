@@ -2,18 +2,20 @@
 
 Each realization index owns an independent random stream derived from the
 master seed, so ensembles are reproducible bit-for-bit regardless of worker
-count or execution order. The 2N unit uniforms of every index are drawn
-once, before any worker starts, and reused by the later grid points of the
-same sweep (same seed, size and ladder length); each point only scales them
-by its W and Delta. Workers carry a chunk of consecutive realizations end-to-end as plain
-stacked arrays (scale the chunk's draws, build the stack, one batched
+count or execution order. Workers carry a chunk of consecutive
+realizations end-to-end as plain stacked arrays (draw or reuse the chunk's
+unit uniforms, scale them by W and Delta, build the stack, one batched
 diagonalization, certify it, evolve the entries each readout reads at all
 times at once, measure); results are reduced in realization order so
-floating-point summation is fixed.
+floating-point summation is fixed. The unit uniforms of the last chunks
+drawn are kept, so the grid points of a sweep (same seed and ladder length)
+derive each stream once between them.
 
 Conservation is checked once per stacked eigensystem by
 :func:`~qladder.spectral.certify`, whose bounds cover the norm and energy
-drift of every state at every time; no state is checked on its own.
+drift of every state at every time. Only a matrix whose bounds the rounding
+of a large H puts over tolerance has its evolved states measured, as
+:func:`~qladder.spectral.check_drift` does, at the readout times.
 
 A realization gives bitwise the same values in any chunk, so a failure is
 traced to its realization by re-running: when a chunk raises, its
@@ -33,7 +35,7 @@ import numpy as np
 from .hamiltonian import _SQRT1_2, Branch, assemble_effective, flat_index
 from .model import LadderParams, correlated_channel, scale_disorder
 from .observables import transfer_time
-from .spectral import certify, diagonalize, propagate, squared_norms
+from .spectral import certify, check_drift, diagonalize, propagate, squared_norms
 
 __all__ = [
     "DEFAULT_MASTER_SEED",
@@ -57,6 +59,11 @@ LABEL_P_PLUS = "p_plus"
 # Larger chunks add memory (fig2 at chunk 25: +23 MB peak) but no speed.
 _CHUNK = 5
 
+# Chunks of unit draws kept between run_ensemble calls: 1,280 realizations,
+# 0.6 MB at N = 30. A sweep over more realizations derives its streams per
+# grid point, as if nothing were kept.
+_KEPT_CHUNKS = 256
+
 
 def derive_stream(master_seed: int, index: int) -> np.random.Generator:
     """Independent random stream for one realization.
@@ -74,17 +81,13 @@ def derive_stream(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-@lru_cache(maxsize=1)
-def _unit_draws(master_seed: int, n_realizations: int, n_sites: int) -> np.ndarray:
-    """Read-only (R, 2N) unit uniforms: row i is the 2N draws that
-    :func:`~qladder.model.draw_disorder` takes from ``derive_stream(master_seed, i)``.
-
-    Kept for the last (seed, size, N) asked for, so the grid points of one
-    sweep derive each stream once between them; the sweep's grid runner
-    clears it when the sweep ends.
-    """
-    units = np.empty((n_realizations, 2 * n_sites))
-    for i, row in enumerate(units):
+@lru_cache(maxsize=_KEPT_CHUNKS)
+def _chunk_draws(master_seed: int, n_sites: int, start: int, stop: int) -> np.ndarray:
+    """Read-only (stop - start, 2N) unit uniforms: row k is the 2N draws that
+    :func:`~qladder.model.draw_disorder` takes from
+    ``derive_stream(master_seed, start + k)``."""
+    units = np.empty((stop - start, 2 * n_sites))
+    for i, row in enumerate(units, start):
         derive_stream(master_seed, i).random(out=row)
     units.setflags(write=False)
     return units
@@ -159,9 +162,16 @@ def _measure_stack(config: EnsembleConfig, eps_leg1: np.ndarray, delta_n: np.nda
     eigenvalues, eigenvectors = diagonalize(entries)
     # the Bell pair on cell 1 is the unit vector |1,->, so psi0 is real
     start = flat_index(1, Branch.MINUS, n_sites)
-    certify(entries, eigenvalues, eigenvectors, start)
+    certified = certify(entries, eigenvalues, eigenvectors, start)
     psi0 = np.zeros(entries.shape[:2])
     psi0[:, start] = 1.0
+    if not certified.all():  # bounds loose by rounding: measure the whole states
+        times = [transfer_time(n_sites)] if config.plan.concurrence_at_tau else []
+        if config.plan.trace_times is not None:
+            times = np.concatenate([times, config.plan.trace_times])
+        unsure = ~certified
+        re, im = propagate(eigenvalues[unsure], eigenvectors[unsure], psi0[unsure], times)
+        check_drift(re, im, entries[unsure], psi0[unsure])
 
     out = {}
     if config.plan.concurrence_at_tau:
@@ -179,16 +189,16 @@ def _measure_stack(config: EnsembleConfig, eps_leg1: np.ndarray, delta_n: np.nda
     return out
 
 
-def _measure_chunk(config: EnsembleConfig, units: np.ndarray, start: int, stop: int) -> dict:
+def _measure_chunk(config: EnsembleConfig, start: int, stop: int, units: np.ndarray) -> dict:
     """Observables of realizations ``start .. stop - 1``, stacked on axis 0.
 
-    ``units`` holds every realization's unit draws, from :func:`_unit_draws`.
-    A failure is raised as RuntimeError naming the first realization that
-    fails alone, with its seed tag and parameters, or else the range.
+    ``units`` holds their unit draws, from :func:`_chunk_draws`. A failure
+    is raised as RuntimeError naming the first realization that fails
+    alone, with its seed tag and parameters, or else the range.
     """
     seed, params = config.master_seed, config.params
     try:
-        eps_leg1, delta_n = scale_disorder(params, units[start:stop])
+        eps_leg1, delta_n = scale_disorder(params, units)
         for name, values in (("eps_leg1", eps_leg1), ("delta_n", delta_n)):
             if not np.all(np.isfinite(values)):
                 raise ValueError(f"{name} contains non-finite values")
@@ -199,8 +209,8 @@ def _measure_chunk(config: EnsembleConfig, units: np.ndarray, start: int, stop: 
             raise RuntimeError(
                 f"realization {start} (seed tag {seed}:{start}, {where}) failed: {exc}"
             ) from exc
-        for i in range(start, stop):
-            _measure_chunk(config, units, i, i + 1)  # raises if realization i fails alone
+        for i, row in enumerate(units, start):  # raises if realization i fails alone
+            _measure_chunk(config, i, i + 1, row[None])
         raise RuntimeError(
             f"realizations {start}-{stop - 1} (seed {seed}, {where}) failed: {exc}"
         ) from exc
@@ -233,14 +243,18 @@ def run_ensemble(
     ``keep_raw=True``.
     """
     n = config.n_realizations
-    units = _unit_draws(config.master_seed, n, config.params.n_sites)
     chunks = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
+
+    def measure(chunk):
+        units = _chunk_draws(config.master_seed, config.params.n_sites, *chunk)
+        return _measure_chunk(config, *chunk, units)
+
     workers = min(threads, len(chunks))  # a worker beyond the chunk count has no work
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda chunk: _measure_chunk(config, units, *chunk), chunks))
+            parts = list(pool.map(measure, chunks))
     else:
-        parts = [_measure_chunk(config, units, *chunk) for chunk in chunks]
+        parts = [measure(chunk) for chunk in chunks]
     return {
         label: _reduce(np.concatenate([part[label] for part in parts]), keep_raw)
         for label in parts[0]

@@ -17,7 +17,6 @@ from .ensemble import (
     LABEL_P_MINUS,
     LABEL_P_PLUS,
     ObservablePlan,
-    _unit_draws,
     run_ensemble,
 )
 from .hamiltonian import Basis, Leg, bell_minus_state, build_effective, build_physical, unit_state
@@ -63,12 +62,9 @@ def default_w_grid(
             raise ValueError(f"{name} must be positive and finite, got {value}")
     if w_points == 1:
         return np.array([float(w_min)])
-    grid = np.geomspace(w_min, w_max, w_points)
-    if np.any(grid[1:] == grid[:-1]):  # monotone, so a repeat is adjacent
-        raise ValueError(
-            f"w_min ({w_min}) and w_max ({w_max}) repeat W values over w_points = {w_points}"
-        )
-    return grid
+    if w_min == w_max:
+        raise ValueError(f"w_min and w_max must differ for w_points > 1, both are {w_min}")
+    return np.geomspace(w_min, w_max, w_points)
 
 
 def default_trace_grid(
@@ -114,8 +110,7 @@ def _run_grid(points, plan, n_sites, n_realizations, master_seed, threads, keep_
 
     Every point's :class:`EnsembleConfig` is built first, which runs every
     parameter check, so a bad value at a later point fails before any
-    ensemble runs. The points share each realization's unit draws, derived
-    once per call: a rerun of the sweep derives them again.
+    ensemble runs.
     """
     configs = [
         EnsembleConfig(
@@ -126,10 +121,7 @@ def _run_grid(points, plan, n_sites, n_realizations, master_seed, threads, keep_
         )
         for w, delta in points
     ]
-    try:
-        return [run_ensemble(config, threads=threads, keep_raw=keep_raw) for config in configs]
-    finally:
-        _unit_draws.cache_clear()
+    return [run_ensemble(config, threads=threads, keep_raw=keep_raw) for config in configs]
 
 
 def transfer_sweep(

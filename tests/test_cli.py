@@ -451,7 +451,7 @@ def test_bad_numbers_are_blamed_on_their_field(tmp_path, capsys, argv, field):
      (["fig1", "--w-points", "3", "--delta", "0.1", "--delta", "0.1"],
       "delta values must be distinct, got 0.1 twice"),
      (["fig2", "--w", "1", "--w", "2", "--w", "1"], "w values must be distinct, got 1.0 twice"),
-     (["fig1", "--w-min", "2", "--w-max", "2"], "w_min (2.0) and w_max (2.0) repeat W values")],
+     (["fig1", "--w-min", "2", "--w-max", "2"], "w_min and w_max must differ for w_points > 1, both are 2.0")],
     ids=["fig1-second-delta-nan", "fig1-w-max-nan", "fig2-second-w-nan",
          "fig1-repeated-delta", "fig2-repeated-w", "fig1-flat-w-grid"],
 )
@@ -524,6 +524,30 @@ def test_default_figures_match_the_stored_reference(tmp_path, command):
 def test_oracle_and_dump_numbers_are_blamed_on_their_field(capsys, argv, field):
     assert main(argv) == 1
     assert f"error: {field} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fig1", "--w-min", "1e5", "--w-points", "1"],
+     ["fig2", "--w", "1e5"],
+     ["fig1", "--w-min", "1e6", "--w-points", "1", "--realizations", "10"],
+     ["fig2", "--w", "1e6", "--realizations", "10"],
+     ["oracle", "--delta", "1e100"],
+     ["oracle", "--gamma", "3e6"]],
+    ids=["fig1-w-1e5", "fig2-w-1e5", "fig1-w-1e6", "fig2-w-1e6", "oracle-delta", "oracle-gamma"],
+)
+def test_large_scales_run_where_the_drift_is_measured_within_tolerance(tmp_path, argv):
+    # each of these puts a drift bound over its tolerance by the rounding of
+    # a large H alone; the drift measured along the evolved states is within
+    out = ["--out-dir", str(tmp_path)] if argv[0] != "oracle" else []
+    assert main([*argv, *out]) == 0
+
+
+def test_a_measured_drift_over_tolerance_fails(tmp_path, capsys):
+    code = main(["fig2", "--w", "1e7", "--realizations", "5", "--out-dir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "energy drift 3.246e-09 exceeds 1e-09" in err and "realization 0 " in err
 
 
 def test_runtime_failure_exits_one(tmp_path, capsys):

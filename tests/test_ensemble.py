@@ -176,7 +176,8 @@ def test_grid_draws_keep_the_stream_contract(seed):
     # own stream, Generator(Philox(SeedSequence(seed, spawn_key=(i,)))), under
     # draw_disorder and under the two Generator.uniform calls that define it
     n_sites, n_realizations = 12, 9
-    units = ensemble_mod._unit_draws(seed, n_realizations, n_sites)
+    units = np.concatenate([ensemble_mod._chunk_draws(seed, n_sites, 0, 4),
+                            ensemble_mod._chunk_draws(seed, n_sites, 4, n_realizations)])
     for w in (0.0, *default_w_grid(w_points=5), 1e5):
         for delta in (0.0, 0.05, 0.2):
             params = LadderParams(n_sites=n_sites, disorder_w=w, detuning_delta=delta)
@@ -209,8 +210,7 @@ def test_a_grid_point_gives_the_same_values_alone_and_after_another():
 
 
 def test_each_sweep_derives_its_streams_once(monkeypatch):
-    # three grid points, seven realizations: seven streams, and a rerun of
-    # the sweep derives them again rather than reusing the last sweep's
+    # three grid points, seven realizations: seven streams
     calls = []
     original = ensemble_mod.derive_stream
 
@@ -219,10 +219,30 @@ def test_each_sweep_derives_its_streams_once(monkeypatch):
         return original(seed, index)
 
     monkeypatch.setattr(ensemble_mod, "derive_stream", counted)
-    ensemble_mod._unit_draws.cache_clear()  # whatever an earlier direct run kept
-    for _ in range(2):
-        leakage_trace(n_sites=8, w_values=(0.5, 1.0, 2.0), times=[0.0, 1.0], n_realizations=7)
-    assert calls == 2 * list(range(7))
+    ensemble_mod._chunk_draws.cache_clear()  # whatever an earlier run kept
+    leakage_trace(n_sites=8, w_values=(0.5, 1.0, 2.0), times=[0.0, 1.0], n_realizations=7)
+    assert calls == list(range(7))
+
+
+def test_the_draws_kept_after_a_run_are_bounded(monkeypatch):
+    # draws are made one chunk at a time, and a run over more realizations
+    # than are kept holds only the last chunks' draws afterwards
+    monkeypatch.setattr(ensemble_mod, "_CHUNK", 2)
+    ensemble_mod._chunk_draws.cache_clear()
+    n_realizations = 2 * ensemble_mod._KEPT_CHUNKS + 6
+    shapes = []
+    original = ensemble_mod._measure_chunk
+
+    def recording(config, start, stop, units):
+        shapes.append(units.shape)
+        return original(config, start, stop, units)
+
+    monkeypatch.setattr(ensemble_mod, "_measure_chunk", recording)
+    run_ensemble(make_config(n_sites=2, n_realizations=n_realizations))
+    assert set(shapes) == {(2, 4)}
+    info = ensemble_mod._chunk_draws.cache_info()
+    assert info.currsize == info.maxsize == ensemble_mod._KEPT_CHUNKS
+    ensemble_mod._chunk_draws.cache_clear()
 
 
 def test_engine_matrices_match_the_public_path(monkeypatch):

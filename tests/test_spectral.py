@@ -19,6 +19,7 @@ from qladder.spectral import (
     ENERGY_TOL,
     NORM_TOL,
     certify,
+    check_drift,
     diagonalize,
     eigendecompose,
     evolve,
@@ -118,14 +119,18 @@ def test_certified_bounds_hold_along_evolved_trajectories(disorder_w):
               None: np.random.default_rng(3).normal(size=stack.shape[-1])}
     for which, psi0 in starts.items():
         psi0 = np.broadcast_to(psi0 / np.linalg.norm(psi0), stack.shape[:2])
-        norm_bound, energy_bound = certify(stack, eigenvalues, eigenvectors, which)
-        assert norm_bound <= NORM_TOL and energy_bound <= ENERGY_TOL
+        assert certify(stack, eigenvalues, eigenvectors, which).all()
+        norm_bound, energy_bound, stable = spectral_mod._drift_bounds(
+            stack, eigenvalues, eigenvectors, which
+        )
+        assert stable.all()
+        norm_bound, energy_bound = norm_bound[:, None], energy_bound[:, None]
         re, im = propagate(eigenvalues, eigenvectors, psi0, times)
         norm_drift = np.abs(np.einsum("rdt,rdt->rt", re, re) + np.einsum("rdt,rdt->rt", im, im) - 1)
         energy = np.einsum("rdt,rdt->rt", re, stack @ re) + np.einsum("rdt,rdt->rt", im, stack @ im)
         energy0 = np.einsum("rd,rde,re->r", psi0, stack, psi0)
-        assert norm_drift.max() <= norm_bound
-        assert np.abs(energy - energy0[:, None]).max() <= energy_bound
+        assert np.all(norm_drift <= norm_bound)
+        assert np.all(np.abs(energy - energy0[:, None]) <= energy_bound)
 
 
 @pytest.mark.parametrize("corruption, message", [
@@ -146,6 +151,34 @@ def test_eigendecompose_certifies_its_eigensystem(monkeypatch, corruption, messa
     monkeypatch.setattr(spectral_mod, "diagonalize", corrupted)
     with pytest.raises(ArithmeticError, match=message):
         eigendecompose(op)
+
+
+def test_rounding_of_a_large_matrix_is_measured_not_refused(monkeypatch):
+    # at W = 1e5 the residual of eigh, ~1e-15 |H|, puts the energy bound over
+    # its tolerance; the eigensystem is accurate to rounding, so certify
+    # leaves it to a measurement, which passes, while an eigenvalue shifted
+    # by far more than rounding is still refused
+    op, system = ladder_system(n_sites=30, disorder_w=1e5)
+    eigenvalues, eigenvectors = diagonalize(op.entries)
+    assert not certify(op.entries, eigenvalues, eigenvectors)[0]
+    assert not system.certified
+    psi0 = random_state(system.dim, 5, op.basis)
+    for state in evolve_series(system, psi0, np.linspace(0.0, 100.0, 7)):
+        assert abs(state.norm_sq() - 1.0) <= NORM_TOL
+    eigenvalues[30] += 1e-3
+    with pytest.raises(ArithmeticError, match="energy drift bound"):
+        certify(op.entries, eigenvalues, eigenvectors)
+
+
+def test_measured_drift_fails_above_the_tolerances():
+    entries = np.diag([1.0, -1.0])[None]
+    psi0 = np.array([[1.0, 0.0]])
+    re = np.array([[[1.0, 0.6], [0.0, 0.8]]])  # unit norm, energy 1 -> -0.28
+    check_drift(re, np.zeros_like(re))
+    with pytest.raises(ArithmeticError, match=r"energy drift 1.280e\+00 exceeds"):
+        check_drift(re, np.zeros_like(re), entries, psi0)
+    with pytest.raises(ArithmeticError, match="norm drift 4.400e-01 exceeds"):
+        check_drift(1.2 * re, np.zeros_like(re), entries, psi0)
 
 
 # ---------------------------------------------------------------------------
