@@ -70,6 +70,9 @@ FIG2_DEFAULTS = {
     "keep_raw": False,
 }
 
+# the commands that read a section of a --config file
+CONFIG_SECTIONS = ("fig1", "fig2")
+
 
 def _fmt(value) -> str:
     """Fixed 17-significant-digit decimal formatting ('.' separator)."""
@@ -146,12 +149,20 @@ def _check_config_value(command: str, key: str, value, default) -> None:
 
 
 def _resolve(args: argparse.Namespace, command: str, defaults: dict) -> dict:
-    """Merge built-in defaults, optional config file section, and explicit flags."""
+    """Merge built-in defaults, the command's section of an optional config
+    file, and explicit flags. A file without that section sets no keys."""
     resolved = dict(defaults)
     config_path = getattr(args, "config", None)
     if config_path:
         loaded = json.loads(Path(config_path).read_text())
-        section = loaded.get(command, loaded) if isinstance(loaded, dict) else loaded
+        if not isinstance(loaded, dict):
+            raise ValueError("config file must be a JSON object of command sections")
+        unknown = set(loaded) - set(CONFIG_SECTIONS)
+        if unknown:
+            raise ValueError(
+                f"unknown config sections: {sorted(unknown)} (expected {', '.join(CONFIG_SECTIONS)})"
+            )
+        section = loaded.get(command, {})
         if not isinstance(section, dict):
             raise ValueError(f"config for {command} must be a JSON object of keys")
         unknown = set(section) - set(defaults)

@@ -12,9 +12,10 @@ drawn are kept, so the grid points of a sweep (same seed and ladder length)
 derive each stream once between them.
 
 Conservation is checked once per stacked eigensystem by
-:func:`~qladder.spectral.certify`, whose bounds cover the norm and energy
-drift of every state at every time. Only a matrix whose bounds the rounding
-of a large H puts over tolerance has its evolved states measured, as
+:func:`~qladder.spectral.certify`, for the Bell start state every
+realization evolves: its bounds cover the norm and energy drift of that
+state at every time. Only a matrix whose bounds the rounding of a large H
+puts over tolerance has its evolved states measured, as
 :func:`~qladder.spectral.check_drift` does, at the readout times.
 
 A realization gives bitwise the same values in any chunk, so a failure is
@@ -84,7 +85,7 @@ def derive_stream(master_seed: int, index: int) -> np.random.Generator:
 @lru_cache(maxsize=_KEPT_CHUNKS)
 def _chunk_draws(master_seed: int, n_sites: int, start: int, stop: int) -> np.ndarray:
     """Read-only (stop - start, 2N) unit uniforms: row k is the 2N draws that
-    :func:`~qladder.model.draw_disorder` takes from
+    :func:`~qladder.model.sample_realization` takes from
     ``derive_stream(master_seed, start + k)``."""
     units = np.empty((stop - start, 2 * n_sites))
     for i, row in enumerate(units, start):
@@ -161,10 +162,9 @@ def _measure_stack(config: EnsembleConfig, eps_leg1: np.ndarray, delta_n: np.nda
     )
     eigenvalues, eigenvectors = diagonalize(entries)
     # the Bell pair on cell 1 is the unit vector |1,->, so psi0 is real
-    start = flat_index(1, Branch.MINUS, n_sites)
-    certified = certify(entries, eigenvalues, eigenvectors, start)
     psi0 = np.zeros(entries.shape[:2])
-    psi0[:, start] = 1.0
+    psi0[:, flat_index(1, Branch.MINUS, n_sites)] = 1.0
+    certified = certify(entries, eigenvalues, eigenvectors, psi0)
     if not certified.all():  # bounds loose by rounding: measure the whole states
         times = [transfer_time(n_sites)] if config.plan.concurrence_at_tau else []
         if config.plan.trace_times is not None:

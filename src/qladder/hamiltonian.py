@@ -98,10 +98,6 @@ class HermitianOperator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    @property
-    def n_sites(self) -> int:
-        return self.dim // 2
-
 
 @dataclass(frozen=True, eq=False)
 class StateVector:

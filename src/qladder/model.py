@@ -17,7 +17,6 @@ __all__ = [
     "LadderParams",
     "DisorderRealization",
     "build_pst_couplings",
-    "draw_disorder",
     "scale_disorder",
     "correlated_channel",
     "sample_realization",
@@ -105,19 +104,6 @@ class DisorderRealization:
         return self.eps_leg1.size
 
 
-def draw_disorder(
-    params: LadderParams, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw the disordered parameters of one realization as ``(eps_leg1, delta_n)``.
-
-    Takes ``2N`` unit uniforms from ``rng`` and scales them by
-    :func:`scale_disorder`: leg-1 energies i.i.d. Uniform[-W, W] (the first N
-    draws), per-cell detunings i.i.d. Uniform[-Delta, Delta] (the next N);
-    :func:`correlated_channel` derives the rest of the realization.
-    """
-    return scale_disorder(params, rng.random(2 * params.n_sites))
-
-
 def scale_disorder(params: LadderParams, unit) -> tuple[np.ndarray, np.ndarray]:
     """``(eps_leg1, delta_n)`` of ``2N`` unit uniforms, one realization's
     ``(2N,)`` or an ``(R, 2N)`` stack's.
@@ -151,9 +137,11 @@ def correlated_channel(eps_leg1, delta_n) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sample_realization(params: LadderParams, rng: np.random.Generator) -> DisorderRealization:
-    """One checked :class:`DisorderRealization` drawn by :func:`draw_disorder`
-    under :func:`correlated_channel`."""
-    eps_leg1, delta_n = draw_disorder(params, rng)
+    """One checked :class:`DisorderRealization`: ``2N`` unit uniforms from
+    ``rng`` scaled by :func:`scale_disorder`, leg-1 energies i.i.d.
+    Uniform[-W, W] (the first N draws) and per-cell detunings i.i.d.
+    Uniform[-Delta, Delta] (the next N), under :func:`correlated_channel`."""
+    eps_leg1, delta_n = scale_disorder(params, rng.random(2 * params.n_sites))
     eps_leg2, gamma_n = correlated_channel(eps_leg1, delta_n)
     return DisorderRealization(
         eps_leg1=eps_leg1,

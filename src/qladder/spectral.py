@@ -8,14 +8,15 @@ times at once, for only the state entries a readout reads;
 :func:`evolve_series` is a stack of one, and :func:`evolve` is
 :func:`evolve_series` at a single time.
 
-Conservation is checked once per eigensystem, not per evolved state:
-:func:`certify` turns the eigensystem's orthonormality error and
-eigen-residual into bounds on the norm and energy drift of every state it
-can evolve, at every time, and raises when a bound exceeds its tolerance
-and the eigensystem is not accurate to rounding. Where only the rounding
-of a large matrix (a large norm of H or a large dimension) puts a bound
-over its tolerance, the states evolved through that eigensystem are
-measured instead, by :func:`check_drift`.
+Conservation is checked once per eigensystem and start state, not per
+evolved state: :func:`certify` turns the eigensystem's orthonormality error
+and eigen-residual into bounds on the norm and energy drift of the state
+evolved from that start, at every time, and raises when a bound exceeds its
+tolerance and the eigensystem is not accurate to rounding. Where only the
+rounding of a large matrix (a large norm of H or a large dimension) puts a
+bound over its tolerance, the evolved states are measured instead, by
+:func:`check_drift`. The ensemble engine and :func:`evolve_series` both
+judge the start state they evolve this way.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import Basis, BasisMismatchError, HermitianOperator, StateVector
+from .hamiltonian import BasisMismatchError, HermitianOperator, StateVector
 
 __all__ = [
     "EigenSystem",
@@ -52,16 +53,13 @@ _UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2
 
 @dataclass(frozen=True, eq=False)
 class EigenSystem:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of an
-    operator, as judged by :func:`certify` in :func:`eigendecompose`:
-    ``certified`` is False when the drift of its states is not bounded for
-    every time, and :func:`evolve_series` then checks the norm of every
-    state it returns."""
+    """Eigenvalues (ascending) and orthonormal eigenvector columns of
+    ``operator``, which :func:`evolve_series` certifies for the state it
+    evolves."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    basis: Basis
-    certified: bool
+    operator: HermitianOperator
 
     def __post_init__(self):
         for name in ("eigenvalues", "eigenvectors"):
@@ -80,38 +78,38 @@ def diagonalize(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(entries)
 
 
-def certify(entries, eigenvalues, eigenvectors, start=None) -> np.ndarray:
-    """Bound the norm and energy drift of every state evolved through an eigensystem.
+def certify(entries, eigenvalues, eigenvectors, psi0) -> np.ndarray:
+    """Bound the norm and energy drift of the states evolved from ``psi0``.
 
-    ``entries`` is one real symmetric matrix H or an (R, D, D) stack, with the
+    ``entries`` is an (R, D, D) stack of real symmetric matrices H, with the
     ``eigenvalues`` L and ``eigenvectors`` V that :func:`diagonalize` returned
-    for it. Returns a boolean array over the stack: True where both drift
+    for it, and ``psi0`` the (R, D) stack of unit start states, real or
+    complex. Returns a boolean array over the stack: True where both drift
     bounds are within ``NORM_TOL`` and ``ENERGY_TOL``, so no evolved state
     needs checking. False marks a matrix whose bound is over its tolerance
     although its eigensystem is accurate to rounding (backward stable: e <=
-    D^2 u and r <= D^2 u h, the order of the worst-case backward error of a
-    Householder-based symmetric eigensolver). Its bound is then loose by the
-    rounding of a large H or D, and the caller measures the drift of the
-    states it evolves with :func:`check_drift`. Any other matrix raises
-    ArithmeticError ("norm drift bound ... exceeds ...", "energy drift bound
-    ... exceeds ..."). Each matrix is judged on its own, so a stack gives
-    what each of its matrices would give alone.
+    max(D, 16) D u and r <= max(D, 16) D u h, the order of the worst-case
+    backward error of a Householder-based symmetric eigensolver, with a floor
+    for D < 16, where ``eigh``'s own e exceeds D^2 u at D <= 4). Its bound is then
+    loose by the rounding of a large H or D, and the caller measures the
+    drift of the states it evolves with :func:`check_drift`. Any other
+    matrix raises ArithmeticError ("norm drift bound ... exceeds ...",
+    "energy drift bound ... exceeds ..."). Each matrix is judged on its own,
+    so a stack gives what each of its matrices would give alone.
 
     The bounds hold at every time t for the states :func:`propagate`
-    computes, rounding included, from the basis state psi0 = |start> of every
-    matrix or, by default, from any unit start state psi0. With e and r the
-    Frobenius norms (at least the spectral norms) of V^T V - I and of
-    R = H V - V L, and a = V^T psi0, c = exp(-i L t) a, psi(t) = V c:
+    computes, rounding included. With e and r the Frobenius norms (at least
+    the spectral norms) of V^T V - I and of R = H V - V L, and a = V^T psi0,
+    c = exp(-i L t) a, psi(t) = V c:
 
     - V V^T - I has the spectrum of V^T V - I, so |a|^2 and |V c|^2 / |c|^2
       lie in [1 - e, 1 + e], and |c| = |a|: the norm drifts by at most
       e (2 + e).
     - psi^* H psi = c^* V^T H V c with V^T H V = L + (V^T V - I) L + V^T R,
-      where c^* L c = a^* L a at every t, and a^* L a - psi0^T H psi0 =
-      psi0^T (H F - R V^T) psi0 with F = V V^T - I. So the energy drifts by
-      at most sqrt(1 + e) (e |L a| + (2 + e) r) + e |H psi0|. Without
-      ``start``, |L a| <= sqrt(1 + e) max |L| and |H psi0| <= |H| <= h =
-      (sqrt(1 + e) max |L| + r) / sqrt(1 - e), since H = (V L + R) V^-1.
+      where c^* L c = a^* L a at every t, and a^* L a - psi0^* H psi0 =
+      psi0^* (H F - R V^T) psi0 with F = V V^T - I. So the energy drifts by
+      at most sqrt(1 + e) (e |L a| + (2 + e) r) + e |H psi0|, where |H| <=
+      h = (sqrt(1 + e) max |L| + r) / sqrt(1 - e), since H = (V L + R) V^-1.
     - The evolution products round each entry by at most gamma_2D = 2Du /
       (1 - 2Du) of its absolute sum (u the unit roundoff), so the computed
       state is within p = 2 gamma_2D sqrt(D) (1 + e) of psi(t), for a real
@@ -121,7 +119,7 @@ def certify(entries, eigenvalues, eigenvectors, start=None) -> np.ndarray:
 
     At t = 0 :func:`propagate` returns psi0 itself, with no drift.
     """
-    norm_bounds, energy_bounds, stable = _drift_bounds(entries, eigenvalues, eigenvectors, start)
+    norm_bounds, energy_bounds, stable = _drift_bounds(entries, eigenvalues, eigenvectors, psi0)
     bounded = (norm_bounds <= NORM_TOL) & (energy_bounds <= ENERGY_TOL)  # NaN fails too
     failed = np.flatnonzero(~bounded & ~stable)
     if failed.size:
@@ -132,26 +130,20 @@ def certify(entries, eigenvalues, eigenvectors, start=None) -> np.ndarray:
     return bounded
 
 
-def _drift_bounds(entries, eigenvalues, eigenvectors, start=None):
+def _drift_bounds(entries, eigenvalues, eigenvectors, psi0):
     """Per matrix of the stack: the norm and energy drift bounds of
     :func:`certify`, and whether the eigensystem is backward stable."""
     dim = entries.shape[-1]
-    stack = entries.reshape(-1, dim, dim)
-    vectors = eigenvectors.reshape(-1, dim, dim)
-    values = eigenvalues.reshape(-1, dim)
-    spreads = np.max(np.abs(values), axis=-1).tolist()
-    if start is None:
-        lam_as = h_psi0s = [None] * len(stack)
-    else:  # a = V^T psi0 is row ``start`` of V, and H psi0 row ``start`` of H
-        lam_as = _row_norms(values * vectors[:, start]).tolist()
-        h_psi0s = _row_norms(stack[:, start]).tolist()
+    lam_as = np.linalg.norm(eigenvalues * (psi0[:, None, :] @ eigenvectors)[:, 0], axis=-1)
+    h_psi0s = np.linalg.norm((entries @ psi0[..., None])[..., 0], axis=-1)
+    spreads = np.max(np.abs(eigenvalues), axis=-1)
     gamma = 2 * dim * _UNIT_ROUNDOFF / (1 - 2 * dim * _UNIT_ROUNDOFF)
-    stable_tol = dim * dim * _UNIT_ROUNDOFF
+    stable_tol = max(dim, 16) * dim * _UNIT_ROUNDOFF
     bounds = []
     # one matrix at a time: (D, D) temporaries stay in cache, where (R, D, D)
     # ones slowed the whole fig1 loop by more than the products cost
     for matrix, vecs, vals, m, lam_a, h_psi0 in zip(
-        stack, vectors, values, spreads, lam_as, h_psi0s
+        entries, eigenvectors, eigenvalues, spreads.tolist(), lam_as.tolist(), h_psi0s.tolist()
     ):
         gram = vecs.T @ vecs
         gram.flat[:: dim + 1] -= 1.0
@@ -160,8 +152,6 @@ def _drift_bounds(entries, eigenvalues, eigenvectors, start=None):
         r = math.sqrt(np.vdot(residual, residual))
         p = 2 * gamma * math.sqrt(dim) * (1 + e)
         h = (math.sqrt(1 + e) * m + r) / math.sqrt(1 - e)
-        if start is None:
-            lam_a, h_psi0 = math.sqrt(1 + e) * m, h
         bounds.append((
             e * (2 + e) + p * (2 * (1 + e) + p),
             math.sqrt(1 + e) * (e * lam_a + (2 + e) * r + 2 * p * (lam_a + r))
@@ -171,11 +161,6 @@ def _drift_bounds(entries, eigenvalues, eigenvectors, start=None):
         ))
     norm_bounds, energy_bounds, stable = zip(*bounds)
     return np.array(norm_bounds), np.array(energy_bounds), np.array(stable)
-
-
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norms of real (R, D) rows."""
-    return np.sqrt(np.einsum("rk,rk->r", rows, rows))
 
 
 def check_drift(re, im, entries=None, psi0=None) -> None:
@@ -202,11 +187,8 @@ def check_drift(re, im, entries=None, psi0=None) -> None:
 
 
 def eigendecompose(operator: HermitianOperator) -> EigenSystem:
-    """Full symmetric eigendecomposition, eigenvalues sorted ascending,
-    judged by :func:`certify` for any start state."""
-    eigenvalues, eigenvectors = diagonalize(operator.entries)
-    (certified,) = certify(operator.entries, eigenvalues, eigenvectors)
-    return EigenSystem(eigenvalues, eigenvectors, operator.basis, bool(certified))
+    """Full symmetric eigendecomposition, eigenvalues sorted ascending."""
+    return EigenSystem(*diagonalize(operator.entries), operator)
 
 
 def squared_norms(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -259,6 +241,8 @@ def evolve_series(system: EigenSystem, psi0: StateVector, times) -> list[StateVe
     """States exp(-i H t)|psi0> on an ascending time grid.
 
     The projection onto the eigenbasis is done once and shared by all times.
+    The drift of the states is certified for ``psi0`` by :func:`certify`,
+    or else their norm is measured.
     """
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1:
@@ -267,20 +251,22 @@ def evolve_series(system: EigenSystem, psi0: StateVector, times) -> list[StateVe
         raise ValueError("times must be finite")
     if times.size and np.any(np.diff(times) < 0):
         raise ValueError("times must be ascending")
-    if psi0.basis is not system.basis:
+    basis = system.operator.basis
+    if psi0.basis is not basis:
         raise BasisMismatchError(
-            f"state basis {psi0.basis} does not match eigensystem basis {system.basis}"
+            f"state basis {psi0.basis} does not match eigensystem basis {basis}"
         )
     if psi0.dim != system.dim:
         raise ValueError(f"dimension mismatch: state {psi0.dim}, eigensystem {system.dim}")
     if abs(psi0.norm_sq() - 1.0) > NORM_TOL:
         raise ValueError(f"initial state is not normalized: |psi|^2 = {psi0.norm_sq()!r}")
-    re, im = propagate(
-        system.eigenvalues[None], system.eigenvectors[None], psi0.amplitudes[None], times
-    )
-    if not system.certified:
+    entries, start = system.operator.entries[None], psi0.amplitudes[None]
+    eigenvalues, eigenvectors = system.eigenvalues[None], system.eigenvectors[None]
+    (certified,) = certify(entries, eigenvalues, eigenvectors, start)
+    re, im = propagate(eigenvalues, eigenvectors, start, times)
+    if not certified:
         check_drift(re, im)
-    return [StateVector(re[0, :, k] + 1j * im[0, :, k], system.basis) for k in range(times.size)]
+    return [StateVector(re[0, :, k] + 1j * im[0, :, k], basis) for k in range(times.size)]
 
 
 def expectation(operator: HermitianOperator, state: StateVector) -> float:

@@ -120,6 +120,27 @@ def test_fig1_rejects_unknown_config_keys(tmp_path):
     assert code == 1
 
 
+def test_a_config_file_shared_between_commands_sets_only_its_own_section(tmp_path):
+    # a file with only a fig1 section leaves fig2 at its defaults
+    cfg = tmp_path / "shared.json"
+    cfg.write_text(json.dumps({"fig1": {"w_points": 2}}))
+    out = tmp_path / "fig2"
+    argv = ["fig2", "--config", str(cfg), "--realizations", "2", "--t-points", "3"]
+    assert main([*argv, "--out-dir", str(out)]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    untouched = FIG2_DEFAULTS.keys() - {"realizations", "t_points", "out_dir"}
+    assert all(config[key] == FIG2_DEFAULTS[key] for key in untouched)
+
+
+def test_a_config_key_outside_any_command_section_fails(tmp_path, capsys):
+    cfg = tmp_path / "flat.json"
+    cfg.write_text(json.dumps({"w_points": 2}))
+    code = main(["fig1", "--config", str(cfg), "--out-dir", str(tmp_path / "x")])
+    assert code == 1
+    assert "unknown config sections: ['w_points']" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()  # rejected before any work
+
+
 @pytest.mark.parametrize(
     "section, key, expected",
     [({"delta": 0.2}, "fig1.delta", "a list of numbers"),
@@ -533,8 +554,10 @@ def test_oracle_and_dump_numbers_are_blamed_on_their_field(capsys, argv, field):
      ["fig1", "--w-min", "1e6", "--w-points", "1", "--realizations", "10"],
      ["fig2", "--w", "1e6", "--realizations", "10"],
      ["oracle", "--delta", "1e100"],
-     ["oracle", "--gamma", "3e6"]],
-    ids=["fig1-w-1e5", "fig2-w-1e5", "fig1-w-1e6", "fig2-w-1e6", "oracle-delta", "oracle-gamma"],
+     ["oracle", "--gamma", "3e6"],
+     ["oracle", "--n-sites", "1", "--delta", "0.7", "--gamma", "464159"]],
+    ids=["fig1-w-1e5", "fig2-w-1e5", "fig1-w-1e6", "fig2-w-1e6", "oracle-delta", "oracle-gamma",
+         "oracle-dimer"],
 )
 def test_large_scales_run_where_the_drift_is_measured_within_tolerance(tmp_path, argv):
     # each of these puts a drift bound over its tolerance by the rounding of

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 from scipy.linalg import expm
 
@@ -15,7 +17,8 @@ from qladder.ensemble import (
 )
 from qladder.experiments import default_trace_grid, default_w_grid, leakage_trace
 from qladder.hamiltonian import build_effective, build_physical
-from qladder.model import LadderParams, draw_disorder, sample_realization
+from qladder.model import LadderParams, sample_realization
+from qladder.spectral import NORM_TOL
 
 
 def make_config(n_sites=10, w=2.0, delta=0.3, n_realizations=6, seed=42, plan=None):
@@ -87,10 +90,23 @@ def test_single_clean_realization_transfers_perfectly():
     assert float(stats.std_error) == 0.0
 
 
-def test_zero_detuning_keeps_minus_branch_full():
+@settings(max_examples=15, deadline=None)
+@given(n_sites=st.integers(2, 30), w=st.floats(0.0, 1e3), delta=st.floats(0.0, 1e3))
+def test_concurrence_stays_in_the_unit_interval(n_sites, w, delta):
+    # C = 2 |a| |b| <= |a|^2 + |b|^2 <= |psi|^2, whose drift is within
+    # NORM_TOL; C is not clipped, so rounding may take it just past 1
+    config = make_config(n_sites=n_sites, w=w, delta=delta, n_realizations=3)
+    values = run_ensemble(config, keep_raw=True)[LABEL_CONCURRENCE].per_realization
+    assert np.all((values >= 0.0) & (values <= 1.0 + NORM_TOL))
+
+
+@settings(max_examples=15, deadline=None)
+@given(n_sites=st.integers(2, 16), w=st.floats(0.0, 100.0))
+@example(n_sites=8, w=6.0)
+def test_zero_detuning_keeps_minus_branch_full(n_sites, w):
     times = np.linspace(0.0, 60.0, 40)
     config = make_config(
-        n_sites=8, w=6.0, delta=0.0, n_realizations=4,
+        n_sites=n_sites, w=w, delta=0.0, n_realizations=4,
         plan=ObservablePlan.branch_trace(times),
     )
     result = run_ensemble(config)
@@ -174,7 +190,7 @@ def test_non_finite_draws_name_the_realization(monkeypatch, name):
 def test_grid_draws_keep_the_stream_contract(seed):
     # the draws every grid point scales are bitwise those of realization i's
     # own stream, Generator(Philox(SeedSequence(seed, spawn_key=(i,)))), under
-    # draw_disorder and under the two Generator.uniform calls that define it
+    # sample_realization and under the two Generator.uniform calls that define it
     n_sites, n_realizations = 12, 9
     units = np.concatenate([ensemble_mod._chunk_draws(seed, n_sites, 0, 4),
                             ensemble_mod._chunk_draws(seed, n_sites, 4, n_realizations)])
@@ -187,7 +203,8 @@ def test_grid_draws_keep_the_stream_contract(seed):
                     seq = np.random.SeedSequence(seed, spawn_key=(i,))
                     return np.random.Generator(np.random.Philox(seq))
 
-                drawn = draw_disorder(params, stream())
+                real = sample_realization(params, stream())
+                drawn = real.eps_leg1, real.delta_n
                 rng = stream()
                 uniform = rng.uniform(-w, w, n_sites), rng.uniform(-delta, delta, n_sites)
                 for reference in (drawn, uniform):

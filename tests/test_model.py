@@ -8,7 +8,6 @@ from qladder.model import (
     DisorderRealization,
     LadderParams,
     build_pst_couplings,
-    draw_disorder,
     effective_parameters,
     sample_realization,
     uniform_ladder,
@@ -113,7 +112,8 @@ def test_sample_is_bitwise_reproducible():
 def test_draw_consumes_leg1_then_detuning():
     # stream contract: N leg-1 draws first, then N detuning draws
     params = LadderParams(n_sites=7, disorder_w=2.0, detuning_delta=0.3)
-    eps_leg1, delta_n = draw_disorder(params, derive_stream(99, 7))
+    drawn = sample_realization(params, derive_stream(99, 7))
+    eps_leg1, delta_n = drawn.eps_leg1, drawn.delta_n
     replay = derive_stream(99, 7)
     assert np.array_equal(eps_leg1, replay.uniform(-2.0, 2.0, size=7))
     assert np.array_equal(delta_n, replay.uniform(-0.3, 0.3, size=7))

@@ -110,18 +110,18 @@ def test_eigendecompose_is_deterministic():
 @pytest.mark.parametrize("disorder_w", [0.2, 10.0, 100.0])
 def test_certified_bounds_hold_along_evolved_trajectories(disorder_w):
     # the drift of every evolved state, measured directly, stays within the
-    # bounds certify returns, both for the engine's start state and for any
+    # bounds certify returns, both for the engine's start state and for a
+    # random one
     n_sites, start = 30, 1
     stack = np.stack([ladder_system(n_sites, disorder_w, 0.2, i)[0].entries for i in range(4)])
     eigenvalues, eigenvectors = diagonalize(stack)
     times = np.linspace(0.0, 10 * np.pi * n_sites / 4, 200)
-    starts = {start: np.eye(stack.shape[-1])[start],
-              None: np.random.default_rng(3).normal(size=stack.shape[-1])}
-    for which, psi0 in starts.items():
+    starts = [np.eye(stack.shape[-1])[start], np.random.default_rng(3).normal(size=stack.shape[-1])]
+    for psi0 in starts:
         psi0 = np.broadcast_to(psi0 / np.linalg.norm(psi0), stack.shape[:2])
-        assert certify(stack, eigenvalues, eigenvectors, which).all()
+        assert certify(stack, eigenvalues, eigenvectors, psi0).all()
         norm_bound, energy_bound, stable = spectral_mod._drift_bounds(
-            stack, eigenvalues, eigenvectors, which
+            stack, eigenvalues, eigenvectors, psi0
         )
         assert stable.all()
         norm_bound, energy_bound = norm_bound[:, None], energy_bound[:, None]
@@ -137,6 +137,7 @@ def test_certified_bounds_hold_along_evolved_trajectories(disorder_w):
     ("scaled", "norm drift bound"), ("shifted", "energy drift bound"),
 ])
 def test_eigendecompose_certifies_its_eigensystem(monkeypatch, corruption, message):
+    # the eigensystem is judged where a state is evolved through it
     op, _ = ladder_system()
     original = spectral_mod.diagonalize
 
@@ -149,8 +150,9 @@ def test_eigendecompose_certifies_its_eigensystem(monkeypatch, corruption, messa
         return eigenvalues, eigenvectors
 
     monkeypatch.setattr(spectral_mod, "diagonalize", corrupted)
+    system = eigendecompose(op)
     with pytest.raises(ArithmeticError, match=message):
-        eigendecompose(op)
+        evolve_series(system, bell_minus_state(op.dim // 2), [0.0, 1.0])
 
 
 def test_rounding_of_a_large_matrix_is_measured_not_refused(monkeypatch):
@@ -159,15 +161,60 @@ def test_rounding_of_a_large_matrix_is_measured_not_refused(monkeypatch):
     # leaves it to a measurement, which passes, while an eigenvalue shifted
     # by far more than rounding is still refused
     op, system = ladder_system(n_sites=30, disorder_w=1e5)
-    eigenvalues, eigenvectors = diagonalize(op.entries)
-    assert not certify(op.entries, eigenvalues, eigenvectors)[0]
-    assert not system.certified
     psi0 = random_state(system.dim, 5, op.basis)
+    entries, start = op.entries[None], psi0.amplitudes[None]
+    eigenvalues, eigenvectors = diagonalize(entries)
+    assert not certify(entries, eigenvalues, eigenvectors, start)[0]
+    measured = []
+
+    def measuring(re, im):
+        measured.append(re.shape)
+        check_drift(re, im)
+
+    monkeypatch.setattr(spectral_mod, "check_drift", measuring)
     for state in evolve_series(system, psi0, np.linspace(0.0, 100.0, 7)):
         assert abs(state.norm_sq() - 1.0) <= NORM_TOL
-    eigenvalues[30] += 1e-3
+    assert measured
+    eigenvalues[0, 30] += 1e-3
     with pytest.raises(ArithmeticError, match="energy drift bound"):
-        certify(op.entries, eigenvalues, eigenvectors)
+        certify(entries, eigenvalues, eigenvectors, start)
+
+
+def test_evolve_series_certifies_the_state_it_evolves(monkeypatch):
+    # the engine certifies this W = 1e4 matrix for the Bell start; evolving
+    # the same start through evolve_series must not fall back to measurement,
+    # as a bound for any start state (about 8.5e-9 in energy) would
+    params = LadderParams(n_sites=30, disorder_w=1e4, detuning_delta=0.2)
+    op = build_effective(sample_realization(params, derive_stream(42, 0)))
+    psi0 = bell_minus_state(30)
+    entries, start = op.entries[None], psi0.amplitudes.real[None]
+    assert certify(entries, *diagonalize(entries), start).all()
+
+    def unexpected(*args):
+        raise AssertionError("a certified evolution was measured")
+
+    monkeypatch.setattr(spectral_mod, "check_drift", unexpected)
+    states = evolve_series(eigendecompose(op), psi0, np.linspace(0.0, 100.0, 7))
+    assert all(abs(state.norm_sq() - 1.0) <= NORM_TOL for state in states)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6, 10])
+def test_certify_accepts_eigh_output_at_small_dimensions(dim):
+    # eigh is backward stable at every dimension, yet at D <= 4 its
+    # orthonormality error can exceed D^2 u; scale random and oracle matrices until
+    # their bounds exceed the tolerances and leave the verdict to the
+    # stability gate, which must pass them on to measurement, never raise
+    rng = np.random.default_rng(dim)
+    scales = 10.0 ** rng.uniform(0.0, 9.0, size=300)
+    noise = rng.normal(size=(300, dim, dim))
+    matrices = [scale * (a + a.T) for scale, a in zip(scales, noise)]
+    for delta, gamma in 10.0 ** rng.uniform(-1.0, 6.0, size=(50, 2)):
+        matrices.append(build_physical(uniform_ladder(dim // 2, delta, gamma)).entries)
+    entries = np.stack(matrices)
+    psi0 = rng.normal(size=entries.shape[:2]) + 1j * rng.normal(size=entries.shape[:2])
+    psi0 /= np.linalg.norm(psi0, axis=1, keepdims=True)
+    certified = certify(entries, *diagonalize(entries), psi0)
+    assert not certified.all()  # the gate is reached
 
 
 def test_measured_drift_fails_above_the_tolerances():
@@ -223,7 +270,7 @@ def test_evolve_matches_rk4_integrator():
 
 def test_evolution_conserves_norm_and_energy():
     op, sys = ladder_system(disorder_w=8.0, index=7)
-    psi0 = bell_minus_state(op.n_sites)
+    psi0 = bell_minus_state(op.dim // 2)
     e0 = expectation(op, psi0)
     for state in evolve_series(sys, psi0, np.linspace(0.0, 200.0, 60)):
         assert abs(state.norm_sq() - 1.0) <= 1e-10
