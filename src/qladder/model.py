@@ -50,6 +50,8 @@ class LadderParams:
 
     ``disorder_w`` is the half-width W of the uniform on-site distribution,
     ``detuning_delta`` the half-width of the leg-2 detuning distribution.
+    Like ``Generator.uniform``, a half-width whose range ``W - -W``
+    overflows is refused.
     """
 
     n_sites: int
@@ -61,8 +63,8 @@ class LadderParams:
             raise ValueError(f"n_sites must be at least 2 (sites per leg), got {self.n_sites}")
         for name in ("disorder_w", "detuning_delta"):
             value = getattr(self, name)
-            if not 0 <= value < math.inf:  # NaN fails too
-                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+            if not 0 <= value - -value < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be nonnegative with 2*{name} finite, got {value}")
 
     def couplings(self) -> np.ndarray:
         return build_pst_couplings(self.n_sites)
@@ -110,8 +112,7 @@ def scale_disorder(params: LadderParams, unit) -> tuple[np.ndarray, np.ndarray]:
 
     Each draw is ``low + (high - low) * u``, bitwise what
     ``Generator.uniform(low, high)`` makes of the same ``u``, including its
-    half-open convention (endpoint inclusion is measure-zero) and its
-    refusal of a range that overflows.
+    half-open convention (endpoint inclusion is measure-zero).
     """
     n = params.n_sites
     eps_leg1 = _uniform(params.disorder_w, unit[..., :n])
@@ -119,10 +120,7 @@ def scale_disorder(params: LadderParams, unit) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _uniform(half_width: float, unit):
-    span = half_width - -half_width
-    if span == math.inf:
-        raise OverflowError("high - low range exceeds valid bounds")
-    return -half_width + span * unit
+    return -half_width + (half_width - -half_width) * unit
 
 
 def correlated_channel(eps_leg1, delta_n) -> tuple[np.ndarray, np.ndarray]:

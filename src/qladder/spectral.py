@@ -109,7 +109,8 @@ def certify(entries, eigenvalues, eigenvectors, psi0) -> np.ndarray:
       where c^* L c = a^* L a at every t, and a^* L a - psi0^* H psi0 =
       psi0^* (H F - R V^T) psi0 with F = V V^T - I. So the energy drifts by
       at most sqrt(1 + e) (e |L a| + (2 + e) r) + e |H psi0|, where |H| <=
-      h = (sqrt(1 + e) max |L| + r) / sqrt(1 - e), since H = (V L + R) V^-1.
+      h = (sqrt(1 + e) max |L| + r) / sqrt(1 - e), since H = (V L + R) V^-1
+      (h = inf for e >= 1, where the norm bound e (2 + e) >= 3 fails anyway).
     - The evolution products round each entry by at most gamma_2D = 2Du /
       (1 - 2Du) of its absolute sum (u the unit roundoff), so the computed
       state is within p = 2 gamma_2D sqrt(D) (1 + e) of psi(t), for a real
@@ -151,7 +152,7 @@ def _drift_bounds(entries, eigenvalues, eigenvectors, psi0):
         residual = matrix @ vecs - vecs * vals
         r = math.sqrt(np.vdot(residual, residual))
         p = 2 * gamma * math.sqrt(dim) * (1 + e)
-        h = (math.sqrt(1 + e) * m + r) / math.sqrt(1 - e)
+        h = (math.sqrt(1 + e) * m + r) / math.sqrt(1 - e) if e < 1 else math.inf
         bounds.append((
             e * (2 + e) + p * (2 * (1 + e) + p),
             math.sqrt(1 + e) * (e * lam_a + (2 + e) * r + 2 * p * (lam_a + r))

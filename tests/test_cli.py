@@ -452,9 +452,12 @@ def test_fig1_and_fig2_leave_scipy_linalg_unloaded(tmp_path):
      (["fig1", "--w-points", "0"], "w_points"),
      (["fig1", "--w-min", "0"], "w_min"),
      (["fig1", "--w-min", "-1"], "w_min"),
-     (["fig1", "--w-max", "inf"], "w_max")],
+     (["fig1", "--w-max", "inf"], "w_max"),
+     (["fig1", "--delta", "1e308"], "detuning_delta"),
+     (["fig2", "--w", "1e308"], "disorder_w")],
     ids=["fig1-w-min-nan", "fig2-w-nan", "fig2-delta-inf", "fig2-t-max-nan", "fig1-seed-negative",
-         "fig1-w-points-zero", "fig1-w-min-zero", "fig1-w-min-negative", "fig1-w-max-inf"],
+         "fig1-w-points-zero", "fig1-w-min-zero", "fig1-w-min-negative", "fig1-w-max-inf",
+         "fig1-delta-overflowing-range", "fig2-w-overflowing-range"],
 )
 def test_bad_numbers_are_blamed_on_their_field(tmp_path, capsys, argv, field):
     code = main([*argv, "--n-sites", "4", "--realizations", "2", "--out-dir", str(tmp_path / "x")])
@@ -539,8 +542,10 @@ def test_default_figures_match_the_stored_reference(tmp_path, command):
     [(["oracle", "--t-max", "nan"], "times"),
      (["oracle", "--delta", "nan"], "delta"),
      (["oracle", "--gamma", "inf"], "gamma"),
-     (["dump-hamiltonian", "--seed", "-1"], "master_seed")],
-    ids=["oracle-t-max-nan", "oracle-delta-nan", "oracle-gamma-inf", "dump-seed-negative"],
+     (["dump-hamiltonian", "--seed", "-1"], "master_seed"),
+     (["dump-hamiltonian", "--w", "1e308"], "disorder_w")],
+    ids=["oracle-t-max-nan", "oracle-delta-nan", "oracle-gamma-inf", "dump-seed-negative",
+         "dump-w-overflowing-range"],
 )
 def test_oracle_and_dump_numbers_are_blamed_on_their_field(capsys, argv, field):
     assert main(argv) == 1

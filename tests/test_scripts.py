@@ -1,4 +1,5 @@
-"""The kept public surface: the validation script and the README's library snippet."""
+"""The kept public surface: the validation script, the README's library snippet
+and the package namespace, which holds only its version."""
 
 import os
 import re
@@ -18,6 +19,16 @@ def test_run_validation_script_passes():
                             env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stdout + result.stderr
     assert result.stdout.strip().splitlines()[-1] == "all checks passed"
+
+
+def test_package_import_leaves_numpy_unloaded():
+    # each name has one import path, its module; the package re-exports none
+    code = "import sys, qladder\nprint('numpy' in sys.modules)\n"
+    src = str(Path(qladder.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_readme_library_snippet_runs_as_written(capsys):

@@ -135,9 +135,11 @@ def test_certified_bounds_hold_along_evolved_trajectories(disorder_w):
 
 @pytest.mark.parametrize("corruption, message", [
     ("scaled", "norm drift bound"), ("shifted", "energy drift bound"),
+    ("grossly scaled", "norm drift bound"),
 ])
 def test_eigendecompose_certifies_its_eigensystem(monkeypatch, corruption, message):
-    # the eigensystem is judged where a state is evolved through it
+    # the eigensystem is judged where a state is evolved through it; scaled by
+    # 1.5, |V^T V - I| exceeds 1 and |H| has no finite bound
     op, _ = ladder_system()
     original = spectral_mod.diagonalize
 
@@ -145,6 +147,8 @@ def test_eigendecompose_certifies_its_eigensystem(monkeypatch, corruption, messa
         eigenvalues, eigenvectors = original(entries)
         if corruption == "scaled":
             eigenvectors *= 1.001
+        elif corruption == "grossly scaled":
+            eigenvectors *= 1.5
         else:
             eigenvalues[3] += 1e-6
         return eigenvalues, eigenvectors
