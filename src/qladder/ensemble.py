@@ -15,8 +15,8 @@ Conservation is checked once per stacked eigensystem by
 :func:`~qladder.spectral.certify`, for the Bell start state every
 realization evolves: its bounds cover the norm and energy drift of that
 state at every time. Only a matrix whose bounds the rounding of a large H
-puts over tolerance has its evolved states measured, as
-:func:`~qladder.spectral.check_drift` does, at the readout times.
+puts over tolerance has its evolved states measured, by the same call, at
+the readout times.
 
 A realization gives bitwise the same values in any chunk, so a failure is
 traced to its realization by re-running: when a chunk raises, its
@@ -36,7 +36,7 @@ import numpy as np
 from .hamiltonian import _SQRT1_2, Branch, assemble_effective, flat_index
 from .model import LadderParams, correlated_channel, scale_disorder
 from .observables import transfer_time
-from .spectral import certify, check_drift, diagonalize, propagate, squared_norms
+from .spectral import certify, diagonalize, propagate, squared_norms
 
 __all__ = [
     "DEFAULT_MASTER_SEED",
@@ -164,14 +164,10 @@ def _measure_stack(config: EnsembleConfig, eps_leg1: np.ndarray, delta_n: np.nda
     # the Bell pair on cell 1 is the unit vector |1,->, so psi0 is real
     psi0 = np.zeros(entries.shape[:2])
     psi0[:, flat_index(1, Branch.MINUS, n_sites)] = 1.0
-    certified = certify(entries, eigenvalues, eigenvectors, psi0)
-    if not certified.all():  # bounds loose by rounding: measure the whole states
-        times = [transfer_time(n_sites)] if config.plan.concurrence_at_tau else []
-        if config.plan.trace_times is not None:
-            times = np.concatenate([times, config.plan.trace_times])
-        unsure = ~certified
-        re, im = propagate(eigenvalues[unsure], eigenvectors[unsure], psi0[unsure], times)
-        check_drift(re, im, entries[unsure], psi0[unsure])
+    times = [transfer_time(n_sites)] if config.plan.concurrence_at_tau else []
+    if config.plan.trace_times is not None:
+        times = np.concatenate([times, config.plan.trace_times])
+    certify(entries, eigenvalues, eigenvectors, psi0, times)
 
     out = {}
     if config.plan.concurrence_at_tau:

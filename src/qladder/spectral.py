@@ -14,9 +14,10 @@ and eigen-residual into bounds on the norm and energy drift of the state
 evolved from that start, at every time, and raises when a bound exceeds its
 tolerance and the eigensystem is not accurate to rounding. Where only the
 rounding of a large matrix (a large norm of H or a large dimension) puts a
-bound over its tolerance, the evolved states are measured instead, by
-:func:`check_drift`. The ensemble engine and :func:`evolve_series` both
-judge the start state they evolve this way.
+bound over its tolerance, it measures the norm and energy of the whole
+states at the readout times instead. The ensemble engine and
+:func:`evolve_series` both judge the evolution they read out by one call to
+:func:`certify`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "EigenSystem",
     "diagonalize",
     "certify",
-    "check_drift",
     "eigendecompose",
     "propagate",
     "squared_norms",
@@ -78,24 +78,27 @@ def diagonalize(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(entries)
 
 
-def certify(entries, eigenvalues, eigenvectors, psi0) -> np.ndarray:
-    """Bound the norm and energy drift of the states evolved from ``psi0``.
+def certify(entries, eigenvalues, eigenvectors, psi0, times) -> np.ndarray:
+    """Judge the norm and energy drift of the states evolved from ``psi0``.
 
     ``entries`` is an (R, D, D) stack of real symmetric matrices H, with the
     ``eigenvalues`` L and ``eigenvectors`` V that :func:`diagonalize` returned
-    for it, and ``psi0`` the (R, D) stack of unit start states, real or
-    complex. Returns a boolean array over the stack: True where both drift
-    bounds are within ``NORM_TOL`` and ``ENERGY_TOL``, so no evolved state
-    needs checking. False marks a matrix whose bound is over its tolerance
-    although its eigensystem is accurate to rounding (backward stable: e <=
-    max(D, 16) D u and r <= max(D, 16) D u h, the order of the worst-case
-    backward error of a Householder-based symmetric eigensolver, with a floor
-    for D < 16, where ``eigh``'s own e exceeds D^2 u at D <= 4). Its bound is then
-    loose by the rounding of a large H or D, and the caller measures the
-    drift of the states it evolves with :func:`check_drift`. Any other
-    matrix raises ArithmeticError ("norm drift bound ... exceeds ...",
-    "energy drift bound ... exceeds ..."). Each matrix is judged on its own,
-    so a stack gives what each of its matrices would give alone.
+    for it, ``psi0`` the (R, D) stack of unit start states, real or complex,
+    and ``times`` the 1-d grid the caller reads out. Returns a boolean array
+    over the stack: True where both drift bounds are within ``NORM_TOL`` and
+    ``ENERGY_TOL``, so no evolved state needs checking. False marks a matrix
+    whose bound is over its tolerance although its eigensystem is accurate
+    to rounding (backward stable: e <= max(D, 16) D u and r <= max(D, 16) D
+    u h, the order of the worst-case backward error of a Householder-based
+    symmetric eigensolver, with a floor for D < 16, where ``eigh``'s own e
+    exceeds D^2 u at D <= 4). Its bound is then loose by the rounding of a
+    large H or D, so its whole states at ``times`` are propagated and
+    measured, raising ArithmeticError ("norm drift ... exceeds ...",
+    "energy drift ... exceeds ...") when one drifts from psi0 by more than
+    a tolerance. Any other matrix raises ArithmeticError ("norm drift bound
+    ... exceeds ...", "energy drift bound ... exceeds ..."). Each matrix is
+    judged on its own, so a stack gives what each of its matrices would give
+    alone.
 
     The bounds hold at every time t for the states :func:`propagate`
     computes, rounding included. With e and r the Frobenius norms (at least
@@ -128,6 +131,10 @@ def certify(entries, eigenvalues, eigenvectors, psi0) -> np.ndarray:
         if not norm_bound <= NORM_TOL:
             raise ArithmeticError(f"norm drift bound {norm_bound:.3e} exceeds {NORM_TOL}")
         raise ArithmeticError(f"energy drift bound {energy_bound:.3e} exceeds {ENERGY_TOL}")
+    if not bounded.all():
+        unsure = ~bounded
+        states = propagate(eigenvalues[unsure], eigenvectors[unsure], psi0[unsure], times)
+        _measure_drift(entries[unsure], psi0[unsure], *states)
     return bounded
 
 
@@ -164,27 +171,23 @@ def _drift_bounds(entries, eigenvalues, eigenvectors, psi0):
     return np.array(norm_bounds), np.array(energy_bounds), np.array(stable)
 
 
-def check_drift(re, im, entries=None, psi0=None) -> None:
-    """Measure the drift of evolved states, for eigensystems :func:`certify`
-    could not bound.
-
-    ``re`` and ``im`` are the (R, D, T) parts of whole states evolved from
-    unit start states. Raises ArithmeticError ("norm drift ... exceeds
-    ...") when a state's squared norm is off 1 by more than ``NORM_TOL``
-    and, given the (R, D, D) ``entries`` and (R, D) ``psi0``, ("energy drift
-    ... exceeds ...") when its energy is off psi0's by more than
-    ``ENERGY_TOL``; ``psi0`` is real.
-    """
+def _measure_drift(entries, psi0, re, im) -> None:
+    """Raise ArithmeticError when a state, with (R, D, T) parts ``re`` and
+    ``im`` evolved from the (R, D) unit ``psi0`` under ``entries``, is off
+    unit norm by more than ``NORM_TOL`` or off psi0's energy by more than
+    ``ENERGY_TOL``."""
     drift = np.abs(squared_norms(re, im) - 1.0)
     if not np.all(drift <= NORM_TOL):  # NaN fails too
         raise ArithmeticError(f"norm drift {drift.max():.3e} exceeds {NORM_TOL}")
-    if entries is None:
-        return
-    energy0 = np.einsum("rd,rde,re->r", psi0, entries, psi0)
-    energy = np.einsum("rdt,rdt->rt", re, entries @ re) + np.einsum("rdt,rdt->rt", im, entries @ im)
-    drift = np.abs(energy - energy0[:, None])
+    energy0 = _energies(entries, np.real(psi0)[..., None], np.imag(psi0)[..., None])
+    drift = np.abs(_energies(entries, re, im) - energy0)
     if not np.all(drift <= ENERGY_TOL):
         raise ArithmeticError(f"energy drift {drift.max():.3e} exceeds {ENERGY_TOL}")
+
+
+def _energies(entries, re, im) -> np.ndarray:
+    """psi^* H psi = re^T H re + im^T H im of (R, D, T) parts, as an (R, T) array."""
+    return np.einsum("rdt,rdt->rt", re, entries @ re) + np.einsum("rdt,rdt->rt", im, entries @ im)
 
 
 def eigendecompose(operator: HermitianOperator) -> EigenSystem:
@@ -242,8 +245,7 @@ def evolve_series(system: EigenSystem, psi0: StateVector, times) -> list[StateVe
     """States exp(-i H t)|psi0> on an ascending time grid.
 
     The projection onto the eigenbasis is done once and shared by all times.
-    The drift of the states is certified for ``psi0`` by :func:`certify`,
-    or else their norm is measured.
+    The drift of the states is judged for ``psi0`` by :func:`certify`.
     """
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1:
@@ -263,10 +265,8 @@ def evolve_series(system: EigenSystem, psi0: StateVector, times) -> list[StateVe
         raise ValueError(f"initial state is not normalized: |psi|^2 = {psi0.norm_sq()!r}")
     entries, start = system.operator.entries[None], psi0.amplitudes[None]
     eigenvalues, eigenvectors = system.eigenvalues[None], system.eigenvectors[None]
-    (certified,) = certify(entries, eigenvalues, eigenvectors, start)
+    certify(entries, eigenvalues, eigenvectors, start, times)
     re, im = propagate(eigenvalues, eigenvectors, start, times)
-    if not certified:
-        check_drift(re, im)
     return [StateVector(re[0, :, k] + 1j * im[0, :, k], basis) for k in range(times.size)]
 
 

@@ -6,6 +6,7 @@ from scipy import stats as sps
 from scipy.linalg import expm
 
 import qladder.ensemble as ensemble_mod
+import qladder.spectral as spectral_mod
 from qladder.ensemble import (
     LABEL_CONCURRENCE,
     LABEL_P_MINUS,
@@ -356,6 +357,23 @@ def test_the_certificate_catches_a_shifted_eigenvalue(monkeypatch):
     monkeypatch.setattr(ensemble_mod, "diagonalize", shifted)
     with pytest.raises(RuntimeError, match="realization 3 .*42:3.*energy drift bound"):
         run_ensemble(config)
+
+
+@pytest.mark.parametrize("w", [0.2, 10.0])
+@pytest.mark.parametrize("plan", ["fig1", "fig2"])
+def test_production_scales_are_certified_without_measurement(monkeypatch, w, plan):
+    # the certificate bounds every realization of the figure drivers'
+    # ensembles, so no chunk propagates and measures its whole states
+    def unexpected(*args):
+        raise AssertionError("a production-scale evolution was measured")
+
+    monkeypatch.setattr(spectral_mod, "_measure_drift", unexpected)
+    n_sites = 30
+    plans = {"fig1": ObservablePlan.concurrence_only(),
+             "fig2": ObservablePlan.branch_trace(default_trace_grid(n_sites))}
+    config = make_config(n_sites=n_sites, w=w, delta=0.2, n_realizations=100, plan=plans[plan])
+    stats = run_ensemble(config)
+    assert all(result.n == 100 for result in stats.values())
 
 
 def test_a_fault_only_inside_a_stack_names_the_range(monkeypatch):

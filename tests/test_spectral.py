@@ -19,7 +19,6 @@ from qladder.spectral import (
     ENERGY_TOL,
     NORM_TOL,
     certify,
-    check_drift,
     diagonalize,
     eigendecompose,
     evolve,
@@ -119,7 +118,7 @@ def test_certified_bounds_hold_along_evolved_trajectories(disorder_w):
     starts = [np.eye(stack.shape[-1])[start], np.random.default_rng(3).normal(size=stack.shape[-1])]
     for psi0 in starts:
         psi0 = np.broadcast_to(psi0 / np.linalg.norm(psi0), stack.shape[:2])
-        assert certify(stack, eigenvalues, eigenvectors, psi0).all()
+        assert certify(stack, eigenvalues, eigenvectors, psi0, times).all()
         norm_bound, energy_bound, stable = spectral_mod._drift_bounds(
             stack, eigenvalues, eigenvectors, psi0
         )
@@ -168,20 +167,22 @@ def test_rounding_of_a_large_matrix_is_measured_not_refused(monkeypatch):
     psi0 = random_state(system.dim, 5, op.basis)
     entries, start = op.entries[None], psi0.amplitudes[None]
     eigenvalues, eigenvectors = diagonalize(entries)
-    assert not certify(entries, eigenvalues, eigenvectors, start)[0]
+    times = np.linspace(0.0, 100.0, 7)
+    assert not certify(entries, eigenvalues, eigenvectors, start, times)[0]
     measured = []
+    original = spectral_mod._measure_drift
 
-    def measuring(re, im):
+    def measuring(entries, psi0, re, im):
         measured.append(re.shape)
-        check_drift(re, im)
+        original(entries, psi0, re, im)
 
-    monkeypatch.setattr(spectral_mod, "check_drift", measuring)
-    for state in evolve_series(system, psi0, np.linspace(0.0, 100.0, 7)):
+    monkeypatch.setattr(spectral_mod, "_measure_drift", measuring)
+    for state in evolve_series(system, psi0, times):
         assert abs(state.norm_sq() - 1.0) <= NORM_TOL
-    assert measured
+    assert measured == [(1, system.dim, times.size)]
     eigenvalues[0, 30] += 1e-3
     with pytest.raises(ArithmeticError, match="energy drift bound"):
-        certify(entries, eigenvalues, eigenvectors, start)
+        certify(entries, eigenvalues, eigenvectors, start, times)
 
 
 def test_evolve_series_certifies_the_state_it_evolves(monkeypatch):
@@ -192,13 +193,14 @@ def test_evolve_series_certifies_the_state_it_evolves(monkeypatch):
     op = build_effective(sample_realization(params, derive_stream(42, 0)))
     psi0 = bell_minus_state(30)
     entries, start = op.entries[None], psi0.amplitudes.real[None]
-    assert certify(entries, *diagonalize(entries), start).all()
+    times = np.linspace(0.0, 100.0, 7)
+    assert certify(entries, *diagonalize(entries), start, times).all()
 
     def unexpected(*args):
         raise AssertionError("a certified evolution was measured")
 
-    monkeypatch.setattr(spectral_mod, "check_drift", unexpected)
-    states = evolve_series(eigendecompose(op), psi0, np.linspace(0.0, 100.0, 7))
+    monkeypatch.setattr(spectral_mod, "_measure_drift", unexpected)
+    states = evolve_series(eigendecompose(op), psi0, times)
     assert all(abs(state.norm_sq() - 1.0) <= NORM_TOL for state in states)
 
 
@@ -207,7 +209,8 @@ def test_certify_accepts_eigh_output_at_small_dimensions(dim):
     # eigh is backward stable at every dimension, yet at D <= 4 its
     # orthonormality error can exceed D^2 u; scale random and oracle matrices until
     # their bounds exceed the tolerances and leave the verdict to the
-    # stability gate, which must pass them on to measurement, never raise
+    # stability gate, which must pass them on to measurement (here at no
+    # readout time), never raise
     rng = np.random.default_rng(dim)
     scales = 10.0 ** rng.uniform(0.0, 9.0, size=300)
     noise = rng.normal(size=(300, dim, dim))
@@ -217,7 +220,7 @@ def test_certify_accepts_eigh_output_at_small_dimensions(dim):
     entries = np.stack(matrices)
     psi0 = rng.normal(size=entries.shape[:2]) + 1j * rng.normal(size=entries.shape[:2])
     psi0 /= np.linalg.norm(psi0, axis=1, keepdims=True)
-    certified = certify(entries, *diagonalize(entries), psi0)
+    certified = certify(entries, *diagonalize(entries), psi0, times=())
     assert not certified.all()  # the gate is reached
 
 
@@ -225,11 +228,17 @@ def test_measured_drift_fails_above_the_tolerances():
     entries = np.diag([1.0, -1.0])[None]
     psi0 = np.array([[1.0, 0.0]])
     re = np.array([[[1.0, 0.6], [0.0, 0.8]]])  # unit norm, energy 1 -> -0.28
-    check_drift(re, np.zeros_like(re))
+    measure = spectral_mod._measure_drift
+    measure(entries, psi0, re[:, :, :1], np.zeros((1, 2, 1)))
     with pytest.raises(ArithmeticError, match=r"energy drift 1.280e\+00 exceeds"):
-        check_drift(re, np.zeros_like(re), entries, psi0)
+        measure(entries, psi0, re, np.zeros_like(re))
     with pytest.raises(ArithmeticError, match="norm drift 4.400e-01 exceeds"):
-        check_drift(1.2 * re, np.zeros_like(re), entries, psi0)
+        measure(entries, psi0, 1.2 * re, np.zeros_like(re))
+    # the complex start i e0 has energy psi0^* H psi0 = +1, where the
+    # bilinear psi0^T H psi0 gives -1
+    measure(entries, 1j * psi0, np.zeros((1, 2, 1)), re[:, :, :1])
+    with pytest.raises(ArithmeticError, match=r"energy drift 1.280e\+00 exceeds"):
+        measure(entries, 1j * psi0, np.zeros_like(re), re)
 
 
 # ---------------------------------------------------------------------------
