@@ -6,8 +6,12 @@ Exits nonzero if any check fails. Useful as a smoke test after changes.
 
 import sys
 
+import numpy as np
+
 from qladder.cli import BASELINE_TOL, ORACLE_TOL
 from qladder.experiments import oracle_check, ordered_baseline
+
+TIMES = np.linspace(0.0, 20.0, 201)  # the dimer comparison grid of acceptance criterion 4
 
 
 def run() -> int:
@@ -23,7 +27,7 @@ def run() -> int:
     for delta in (0.0, 0.5, 2.0):
         for gamma in (0.2, 1.0):
             for n_sites in (1, 5, 10):
-                deviation = oracle_check(delta, gamma, n_sites)
+                deviation = oracle_check(delta, gamma, n_sites, TIMES)
                 ok = deviation < ORACLE_TOL
                 failures += not ok
                 print(f"dimer delta={delta:3.1f} gamma={gamma:3.1f} N={n_sites:2d}: "

@@ -17,28 +17,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .ensemble import DEFAULT_MASTER_SEED, derive_stream
-from .experiments import (
-    DEFAULT_DELTAS,
-    DEFAULT_FIG2_W,
-    DEFAULT_N_SITES,
-    DEFAULT_TRACE_POINTS,
-    DEFAULT_TRACE_SPAN,
-    DEFAULT_W_MAX,
-    DEFAULT_W_MIN,
-    DEFAULT_W_POINTS,
-    default_trace_grid,
-    default_w_grid,
-    leakage_trace,
-    oracle_check,
-    ordered_baseline,
-    transfer_sweep,
-)
-from .hamiltonian import build_effective, build_physical
-from .model import LadderParams, sample_realization
 
 __all__ = ["main"]
 
@@ -46,26 +25,29 @@ THREADS_ENV_VAR = "QLADDER_THREADS"
 ORACLE_TOL = 1e-8
 BASELINE_TOL = 1e-6
 
+# The production defaults, each defined once, here. The drivers take every
+# grid and seed argument explicitly, and this module imports neither numpy nor
+# the compute modules until a command runs.
 FIG1_DEFAULTS = {
-    "n_sites": DEFAULT_N_SITES,
-    "delta": list(DEFAULT_DELTAS),
-    "w_min": DEFAULT_W_MIN,
-    "w_max": DEFAULT_W_MAX,
-    "w_points": DEFAULT_W_POINTS,
+    "n_sites": 30,
+    "delta": [0.05, 0.1, 0.2],
+    "w_min": 0.2,
+    "w_max": 10.0,
+    "w_points": 25,
     "realizations": 100,
-    "seed": DEFAULT_MASTER_SEED,
+    "seed": 42,
     "out_dir": ".",
     "keep_raw": False,
 }
 
 FIG2_DEFAULTS = {
-    "n_sites": DEFAULT_N_SITES,
+    "n_sites": FIG1_DEFAULTS["n_sites"],
     "delta": 0.2,
-    "w": list(DEFAULT_FIG2_W),
-    "t_max": DEFAULT_TRACE_SPAN,
-    "t_points": DEFAULT_TRACE_POINTS,
-    "realizations": 100,
-    "seed": DEFAULT_MASTER_SEED,
+    "w": [0.2, 1.0, 2.0, 5.0, 10.0],
+    "t_max": 10.0,  # in units of the transfer time
+    "t_points": 200,
+    "realizations": FIG1_DEFAULTS["realizations"],
+    "seed": FIG1_DEFAULTS["seed"],
     "out_dir": ".",
     "keep_raw": False,
 }
@@ -227,6 +209,8 @@ def _figure(args: argparse.Namespace, command: str, defaults: dict, run, headers
 
 
 def _fig1_rows(cfg: dict, threads: int):
+    from .experiments import default_w_grid, transfer_sweep
+
     result = transfer_sweep(
         n_sites=cfg["n_sites"],
         deltas=cfg["delta"],
@@ -253,6 +237,8 @@ def cmd_fig1(args: argparse.Namespace) -> int:
 
 
 def _fig2_rows(cfg: dict, threads: int):
+    from .experiments import default_trace_grid, leakage_trace
+
     if cfg["t_points"] < 1:
         raise ValueError(f"fig2 t_points must be at least 1, got {cfg['t_points']}")
     result = leakage_trace(
@@ -286,6 +272,10 @@ def cmd_fig2(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .experiments import oracle_check
+
     times = np.linspace(0.0, args.t_max, args.t_points)
     deviation = oracle_check(args.delta, args.gamma, args.n_sites, times=times)
     print(f"max deviation {_fmt(deviation)}")
@@ -293,12 +283,18 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
+    from .experiments import ordered_baseline
+
     report = ordered_baseline(args.n_sites, exact_revival=args.exact_revival)
     print(f"C(tau) = {_fmt(report.concurrence_at_tau)} at tau = {_fmt(report.tau)}")
     return 0 if report.concurrence_at_tau >= 1.0 - BASELINE_TOL else 1
 
 
 def cmd_dump_hamiltonian(args: argparse.Namespace) -> int:
+    from .ensemble import derive_stream
+    from .hamiltonian import build_effective, build_physical
+    from .model import LadderParams, sample_realization
+
     params = LadderParams(n_sites=args.n_sites, disorder_w=args.w, detuning_delta=args.delta)
     realization = sample_realization(params, derive_stream(args.seed, args.index))
     if args.basis == "physical":
@@ -359,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.set_defaults(func=cmd_oracle)
 
     baseline = sub.add_parser("baseline", help="ordered-ladder perfect transfer check")
-    baseline.add_argument("--n-sites", dest="n_sites", type=int, default=DEFAULT_N_SITES)
+    baseline.add_argument("--n-sites", dest="n_sites", type=int, default=FIG1_DEFAULTS["n_sites"])
     baseline.add_argument("--exact-revival", dest="exact_revival", action="store_true")
     baseline.set_defaults(func=cmd_baseline)
 
@@ -367,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     dump.add_argument("--n-sites", dest="n_sites", type=int, default=4)
     dump.add_argument("--w", type=float, default=1.0)
     dump.add_argument("--delta", type=float, default=0.2)
-    dump.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED)
+    dump.add_argument("--seed", type=int, default=FIG1_DEFAULTS["seed"])
     dump.add_argument("--index", type=int, default=0)
     dump.add_argument("--basis", choices=("physical", "effective"), default="physical")
     dump.add_argument("--out", default="-", help="output path, '-' for stdout")

@@ -39,7 +39,6 @@ from .observables import transfer_time
 from .spectral import certify, diagonalize, propagate, squared_norms
 
 __all__ = [
-    "DEFAULT_MASTER_SEED",
     "ObservablePlan",
     "EnsembleConfig",
     "EnsembleStats",
@@ -49,8 +48,6 @@ __all__ = [
     "LABEL_P_MINUS",
     "LABEL_P_PLUS",
 ]
-
-DEFAULT_MASTER_SEED = 42
 
 LABEL_CONCURRENCE = "concurrence_at_tau"
 LABEL_P_MINUS = "p_minus"
@@ -133,8 +130,8 @@ class EnsembleConfig:
     """Physics and sampling definition of one ensemble run."""
 
     params: LadderParams
-    n_realizations: int = 100
-    master_seed: int = DEFAULT_MASTER_SEED
+    n_realizations: int
+    master_seed: int
     plan: ObservablePlan = ObservablePlan()
 
     def __post_init__(self):
@@ -238,6 +235,8 @@ def run_ensemble(
     ``threads``. Per-realization raw values are retained when
     ``keep_raw=True``.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     n = config.n_realizations
     chunks = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
 

@@ -10,7 +10,6 @@ import numpy as np
 
 from .dimer_oracle import uniform_leg_occupation
 from .ensemble import (
-    DEFAULT_MASTER_SEED,
     EnsembleConfig,
     EnsembleStats,
     LABEL_CONCURRENCE,
@@ -25,9 +24,6 @@ from .observables import TransferReport, concurrence, leg_occupation, transfer_t
 from .spectral import eigendecompose, evolve, evolve_series
 
 __all__ = [
-    "DEFAULT_N_SITES",
-    "DEFAULT_DELTAS",
-    "DEFAULT_FIG2_W",
     "SweepResult",
     "TraceResult",
     "default_w_grid",
@@ -39,21 +35,7 @@ __all__ = [
     "welch_greater",
 ]
 
-DEFAULT_N_SITES = 30
-DEFAULT_DELTAS = (0.05, 0.1, 0.2)
-DEFAULT_W_MIN = 0.2
-DEFAULT_W_MAX = 10.0
-DEFAULT_W_POINTS = 25
-DEFAULT_FIG2_W = (0.2, 1.0, 2.0, 5.0, 10.0)
-DEFAULT_TRACE_SPAN = 10.0  # in units of the transfer time
-DEFAULT_TRACE_POINTS = 200
-
-
-def default_w_grid(
-    w_min: float = DEFAULT_W_MIN,
-    w_max: float = DEFAULT_W_MAX,
-    w_points: int = DEFAULT_W_POINTS,
-) -> np.ndarray:
+def default_w_grid(w_min: float, w_max: float, w_points: int) -> np.ndarray:
     """Log-spaced disorder grid; log spacing resolves the low-W rise."""
     if w_points < 1:
         raise ValueError(f"w_points must be at least 1, got {w_points}")
@@ -67,11 +49,7 @@ def default_w_grid(
     return np.geomspace(w_min, w_max, w_points)
 
 
-def default_trace_grid(
-    n_sites: int,
-    span_in_tau: float = DEFAULT_TRACE_SPAN,
-    n_points: int = DEFAULT_TRACE_POINTS,
-) -> np.ndarray:
+def default_trace_grid(n_sites: int, span_in_tau: float, n_points: int) -> np.ndarray:
     """Uniform time grid over [0, span_in_tau * tau]."""
     return np.linspace(0.0, span_in_tau * transfer_time(n_sites), n_points)
 
@@ -125,11 +103,11 @@ def _run_grid(points, plan, n_sites, n_realizations, master_seed, threads, keep_
 
 
 def transfer_sweep(
-    n_sites: int = DEFAULT_N_SITES,
-    deltas=DEFAULT_DELTAS,
-    w_grid=None,
-    n_realizations: int = 100,
-    master_seed: int = DEFAULT_MASTER_SEED,
+    n_sites: int,
+    deltas,
+    w_grid,
+    n_realizations: int,
+    master_seed: int,
     threads: int = 1,
     keep_raw: bool = False,
 ) -> SweepResult:
@@ -141,8 +119,6 @@ def transfer_sweep(
     master seed and indices), which suppresses seed noise in cross-point
     comparisons.
     """
-    if w_grid is None:
-        w_grid = default_w_grid()
     w_grid = np.asarray(w_grid, dtype=np.float64)
     deltas = tuple(float(d) for d in deltas)
     _distinct("delta", deltas)
@@ -155,19 +131,17 @@ def transfer_sweep(
 
 
 def leakage_trace(
-    n_sites: int = DEFAULT_N_SITES,
-    delta: float = 0.2,
-    w_values=DEFAULT_FIG2_W,
-    times=None,
-    n_realizations: int = 100,
-    master_seed: int = DEFAULT_MASTER_SEED,
+    n_sites: int,
+    delta: float,
+    w_values,
+    times,
+    n_realizations: int,
+    master_seed: int,
     threads: int = 1,
     keep_raw: bool = False,
 ) -> TraceResult:
     """Disorder-averaged occupation of the +/- branches over time, per W."""
     tau = transfer_time(n_sites)
-    if times is None:
-        times = default_trace_grid(n_sites)
     times = np.asarray(times, dtype=np.float64)
     w_values = tuple(float(w) for w in w_values)
     _distinct("w", w_values)
@@ -192,12 +166,7 @@ def ordered_baseline(n_sites: int, exact_revival: bool = False) -> TransferRepor
     return TransferReport(concurrence_at_tau=concurrence(final, n_sites), tau=tau)
 
 
-def oracle_check(
-    delta: float,
-    gamma: float,
-    n_sites: int,
-    times=None,
-) -> float:
+def oracle_check(delta: float, gamma: float, n_sites: int, times) -> float:
     """Max deviation between numeric and closed-form one-leg occupation.
 
     Builds the constant-detuning ladder directly, evolves |site 1, leg 1>
@@ -205,8 +174,6 @@ def oracle_check(
     against the analytic Rabi formula on the whole grid, which must hold at
     least one time.
     """
-    if times is None:
-        times = np.linspace(0.0, 20.0, 201)
     times = np.asarray(times, dtype=np.float64)
     if times.size == 0:
         raise ValueError("oracle_check needs at least one time")
@@ -221,7 +188,7 @@ def oracle_check(
 
 def welch_greater(sample_hi, sample_lo) -> float:
     """One-sided Welch test p-value for mean(sample_hi) > mean(sample_lo)."""
-    from scipy import stats as sps  # imported here: it is most of the CLI's start-up time
+    from scipy import stats as sps  # imported here: only the tests' Welch helper needs it
 
     result = sps.ttest_ind(
         np.asarray(sample_hi), np.asarray(sample_lo), equal_var=False, alternative="greater"

@@ -409,18 +409,33 @@ def test_invalid_flags_exit_two():
         main([])
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is most of the start-up time; only the tests' Welch helper needs it
+def test_cli_starts_without_numpy_scipy_or_the_compute_modules(tmp_path):
+    # import, parsing and config resolution use only the stdlib and __version__;
+    # numpy and the compute modules load inside the command that computes
     code = (
-        "import sys, qladder.cli\n"
-        "qladder.cli.build_parser()\n"
-        "print('scipy.stats' in sys.modules)\n"
+        "import json, sys\n"
+        "from qladder.cli import build_parser, main\n"
+        "build_parser()\n"
+        "argv = json.loads(sys.argv[1])\n"
+        "try:\n"
+        "    status = main(argv) if argv else 0\n"
+        "except SystemExit as exc:\n"
+        "    status = exc.code\n"
+        "loaded = [name for name in sys.modules if name.split('.')[0] in ('numpy', 'scipy')\n"
+        "          or name.startswith('qladder.') and name != 'qladder.cli']\n"
+        "print(json.dumps([status, sorted(loaded)]))\n"
     )
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"fig1": {"bogus": 1}}))
+    starts = [([], 0), (["--version"], 0), (["fig1", "--bogus"], 2),
+              (["fig1", "--config", str(config)], 1)]
     src = str(Path(qladder.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, timeout=60, check=True)
-    assert result.stdout.strip() == "False"
+    for argv, expected in starts:
+        result = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], env=env,
+                                capture_output=True, text=True, timeout=60, check=True)
+        status, loaded = json.loads(result.stdout.strip().splitlines()[-1])
+        assert (status, loaded) == (expected, []), argv
 
 
 def test_fig1_and_fig2_leave_scipy_linalg_unloaded(tmp_path):

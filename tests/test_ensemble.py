@@ -7,6 +7,7 @@ from scipy.linalg import expm
 
 import qladder.ensemble as ensemble_mod
 import qladder.spectral as spectral_mod
+from qladder.cli import FIG2_DEFAULTS
 from qladder.ensemble import (
     LABEL_CONCURRENCE,
     LABEL_P_MINUS,
@@ -20,6 +21,12 @@ from qladder.experiments import default_trace_grid, default_w_grid, leakage_trac
 from qladder.hamiltonian import build_effective, build_physical
 from qladder.model import LadderParams, sample_realization
 from qladder.spectral import NORM_TOL
+
+
+# fig2's time grid at its production defaults
+PRODUCTION_TRACE_GRID = default_trace_grid(
+    FIG2_DEFAULTS["n_sites"], FIG2_DEFAULTS["t_max"], FIG2_DEFAULTS["t_points"]
+)
 
 
 def make_config(n_sites=10, w=2.0, delta=0.3, n_realizations=6, seed=42, plan=None):
@@ -195,7 +202,7 @@ def test_grid_draws_keep_the_stream_contract(seed):
     n_sites, n_realizations = 12, 9
     units = np.concatenate([ensemble_mod._chunk_draws(seed, n_sites, 0, 4),
                             ensemble_mod._chunk_draws(seed, n_sites, 4, n_realizations)])
-    for w in (0.0, *default_w_grid(w_points=5), 1e5):
+    for w in (0.0, *default_w_grid(0.2, 10.0, 5), 1e5):
         for delta in (0.0, 0.05, 0.2):
             params = LadderParams(n_sites=n_sites, disorder_w=w, detuning_delta=delta)
             eps_leg1, delta_n = ensemble_mod.scale_disorder(params, units)
@@ -215,7 +222,8 @@ def test_grid_draws_keep_the_stream_contract(seed):
 
 def test_a_grid_point_gives_the_same_values_alone_and_after_another():
     times = np.linspace(0.0, 30.0, 25)
-    kwargs = dict(n_sites=10, delta=0.3, times=times, n_realizations=7, keep_raw=True)
+    kwargs = dict(n_sites=10, delta=0.3, times=times, n_realizations=7, master_seed=42,
+                  keep_raw=True)
     alone = leakage_trace(w_values=(2.0,), **kwargs)
     after = leakage_trace(w_values=(0.5, 2.0), **kwargs)
     assert np.array_equal(alone.minus[2.0].per_realization, after.minus[2.0].per_realization)
@@ -238,7 +246,8 @@ def test_each_sweep_derives_its_streams_once(monkeypatch):
 
     monkeypatch.setattr(ensemble_mod, "derive_stream", counted)
     ensemble_mod._chunk_draws.cache_clear()  # whatever an earlier run kept
-    leakage_trace(n_sites=8, w_values=(0.5, 1.0, 2.0), times=[0.0, 1.0], n_realizations=7)
+    leakage_trace(n_sites=8, delta=0.2, w_values=(0.5, 1.0, 2.0), times=[0.0, 1.0],
+                  n_realizations=7, master_seed=42)
     assert calls == list(range(7))
 
 
@@ -281,6 +290,12 @@ def test_engine_matrices_match_the_public_path(monkeypatch):
     for i, entries in enumerate(seen):
         public = build_effective(sample_realization(config.params, derive_stream(42, i)))
         assert np.array_equal(entries, public.entries)
+
+
+@pytest.mark.parametrize("threads", [0, -5])
+def test_a_thread_count_below_one_is_refused(threads):
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        run_ensemble(make_config(), threads=threads)
 
 
 def test_worker_count_is_capped_at_the_chunk_count(monkeypatch):
@@ -370,7 +385,7 @@ def test_production_scales_are_certified_without_measurement(monkeypatch, w, pla
     monkeypatch.setattr(spectral_mod, "_measure_drift", unexpected)
     n_sites = 30
     plans = {"fig1": ObservablePlan.concurrence_only(),
-             "fig2": ObservablePlan.branch_trace(default_trace_grid(n_sites))}
+             "fig2": ObservablePlan.branch_trace(PRODUCTION_TRACE_GRID)}
     config = make_config(n_sites=n_sites, w=w, delta=0.2, n_realizations=100, plan=plans[plan])
     stats = run_ensemble(config)
     assert all(result.n == 100 for result in stats.values())
@@ -435,12 +450,12 @@ def test_leakage_traces_match_site_basis_expm():
     # independent path: the physical-basis Hamiltonian, the Bell state on the
     # legs of cell 1, one expm step per grid interval, p_minus = sum |(a-b)/sqrt2|^2
     n_sites, delta, n_realizations = 30, 0.2, 5
-    times = default_trace_grid(n_sites)
+    times = PRODUCTION_TRACE_GRID
     dt = times[1]
     assert np.allclose(np.diff(times), dt, rtol=1e-12, atol=0.0)
     result = leakage_trace(
         n_sites=n_sites, delta=delta, w_values=(0.2, 10.0), times=times,
-        n_realizations=n_realizations, keep_raw=True,
+        n_realizations=n_realizations, master_seed=42, keep_raw=True,
     )
     worst = 0.0
     for w in (0.2, 10.0):

@@ -12,13 +12,15 @@ from qladder.experiments import (
 )
 from qladder.observables import transfer_time
 
+ORACLE_TIMES = np.linspace(0.0, 20.0, 201)
+
 
 # ---------------------------------------------------------------------------
 # sweep driver
 # ---------------------------------------------------------------------------
 
 def test_default_w_grid_shape():
-    grid = default_w_grid()
+    grid = default_w_grid(0.2, 10.0, 25)
     assert grid.size == 25
     assert grid[0] == pytest.approx(0.2)
     assert grid[-1] == pytest.approx(10.0)
@@ -110,11 +112,11 @@ def test_ordered_baseline_odd_chain_needs_exact_revival():
     [(0.0, 1.0, 5), (3.0, 0.2, 10), (0.5, 1.0, 1), (2.0, 0.2, 5)],
 )
 def test_oracle_check_is_tight(delta, gamma, n_sites):
-    assert oracle_check(delta, gamma, n_sites) < 1e-8
+    assert oracle_check(delta, gamma, n_sites, times=ORACLE_TIMES) < 1e-8
 
 
 def test_oracle_check_decoupled_legs():
-    assert oracle_check(1.0, 0.0, 4) < 1e-12
+    assert oracle_check(1.0, 0.0, 4, times=ORACLE_TIMES) < 1e-12
 
 
 def test_oracle_check_rejects_an_empty_grid():
