@@ -2,14 +2,22 @@
 
 Each realization index owns an independent random stream derived from the
 master seed, so ensembles are reproducible bit-for-bit regardless of worker
-count or execution order. Workers carry a chunk of consecutive
-realizations end-to-end as plain stacked arrays (draw or reuse the chunk's
-unit uniforms, scale them by W and Delta, build the stack, one batched
+count or execution order. A chunk of consecutive realizations is carried
+end-to-end as plain stacked arrays (draw or reuse the chunk's unit
+uniforms, scale them by W and Delta, build the stack, one batched
 diagonalization, certify it, evolve the entries each readout reads at all
 times at once, measure); results are reduced in realization order so
 floating-point summation is fixed. The unit uniforms of the last chunks
 drawn are kept, so the grid points of a sweep (same seed and ladder length)
 derive each stream once between them.
+
+Every call runs its chunks on one long-lived thread pool, also at one
+thread: each of ``min(threads, chunks)`` workers runs one contiguous block
+of chunks in order. A worker's heap is not trimmed back to the operating
+system between chunks, as the main thread's can be, so the chunk arrays
+are not faulted in afresh each time. While more than one worker runs,
+numpy's bundled OpenBLAS is held at one thread (one caller at a time) and
+its old count is restored afterwards; with another BLAS nothing is pinned.
 
 Conservation is checked once per stacked eigensystem by
 :func:`~qladder.spectral.certify`, for the Bell start state every
@@ -27,7 +35,12 @@ realization reproduces alone is reported for the chunk's range.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import ctypes
+import glob
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -53,7 +66,7 @@ LABEL_CONCURRENCE = "concurrence_at_tau"
 LABEL_P_MINUS = "p_minus"
 LABEL_P_PLUS = "p_plus"
 
-# Realizations per stacked diagonalization and per task of the worker pool.
+# Realizations per stacked diagonalization.
 # Larger chunks add memory (fig2 at chunk 25: +23 MB peak) but no speed.
 _CHUNK = 5
 
@@ -61,6 +74,15 @@ _CHUNK = 5
 # 0.6 MB at N = 30. A sweep over more realizations derives its streams per
 # grid point, as if nothing were kept.
 _KEPT_CHUNKS = 256
+
+# The worker pool all calls share, created on first use and replaced by a
+# larger one when a call needs more workers; _POOL_LOCK guards the swap and
+# the submissions to it. _BLAS_LOCK admits one caller at a time to the
+# region where OpenBLAS is pinned, so each restores the count it found.
+_pool: ThreadPoolExecutor | None = None
+_pool_size = 0
+_POOL_LOCK = threading.Lock()
+_BLAS_LOCK = threading.Lock()
 
 
 def derive_stream(master_seed: int, index: int) -> np.random.Generator:
@@ -224,6 +246,62 @@ def _reduce(values: np.ndarray, keep_raw: bool) -> EnsembleStats:
     )
 
 
+@lru_cache(maxsize=1)
+def _openblas_threads():
+    """``(get, set)`` thread-count functions of the OpenBLAS numpy bundles, or None."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread(workers: int):
+    """Hold OpenBLAS at one thread while ``workers`` > 1 run, then restore its count."""
+    blas = _openblas_threads() if workers > 1 else None
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    with _BLAS_LOCK:
+        found = get()
+        set_(1)
+        try:
+            yield
+        finally:
+            set_(found)
+
+
+def _submit(run_block, blocks: list) -> list:
+    """Submit one task per block to the shared pool, growing it to ``len(blocks)``."""
+    global _pool, _pool_size
+    with _POOL_LOCK:
+        if _pool_size < len(blocks):
+            if _pool is not None:
+                _pool.shutdown(wait=False)  # its queued tasks still run
+            _pool = ThreadPoolExecutor(len(blocks), thread_name_prefix="qladder-ensemble")
+            _pool_size = len(blocks)
+        return [_pool.submit(run_block, block) for block in blocks]
+
+
+def _forget_pool():
+    """In a forked child, which has none of the parent's worker threads, start afresh."""
+    global _pool, _pool_size, _POOL_LOCK, _BLAS_LOCK
+    _pool, _pool_size = None, 0
+    _POOL_LOCK, _BLAS_LOCK = threading.Lock(), threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
 def run_ensemble(
     config: EnsembleConfig, threads: int = 1, keep_raw: bool = False
 ) -> dict[str, EnsembleStats]:
@@ -233,23 +311,27 @@ def run_ensemble(
     concurrence entry is scalar, the branch-trace entries are per-time-point.
     The result is bitwise identical for a fixed config regardless of
     ``threads``. Per-realization raw values are retained when
-    ``keep_raw=True``.
+    ``keep_raw=True``. The chunks run on ``min(threads, chunks)`` workers
+    of a shared pool, each taking one contiguous block in order, so the
+    first failure in realization order is the one raised.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     n = config.n_realizations
     chunks = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
 
-    def measure(chunk):
-        units = _chunk_draws(config.master_seed, config.params.n_sites, *chunk)
-        return _measure_chunk(config, *chunk, units)
+    def run_block(block):
+        seed, n_sites = config.master_seed, config.params.n_sites
+        return [_measure_chunk(config, *chunk, _chunk_draws(seed, n_sites, *chunk))
+                for chunk in block]
 
     workers = min(threads, len(chunks))  # a worker beyond the chunk count has no work
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(measure, chunks))
-    else:
-        parts = [measure(chunk) for chunk in chunks]
+    blocks = [chunks[k * len(chunks) // workers:(k + 1) * len(chunks) // workers]
+              for k in range(workers)]
+    with _one_blas_thread(workers):
+        futures = _submit(run_block, blocks)
+        wait(futures)  # every worker is done before the BLAS count is restored
+    parts = [part for future in futures for part in future.result()]
     return {
         label: _reduce(np.concatenate([part[label] for part in parts]), keep_raw)
         for label in parts[0]

@@ -457,6 +457,34 @@ def test_fig1_and_fig2_leave_scipy_linalg_unloaded(tmp_path):
     assert result.stdout.strip().splitlines()[-1] == "False"
 
 
+@pytest.mark.parametrize("order", ["cli-first", "every-module-first"])
+def test_a_warm_fig1_run_takes_few_minor_faults(tmp_path, order):
+    # every chunk frees and reallocates its arrays; run on the main thread,
+    # whose heap top glibc can trim after each chunk, depending on what the
+    # imports left above it, they took about 4,400 faults for these 60
+    # chunks, where a pool worker's heap keeps them: about a dozen
+    code = (
+        "import importlib, pkgutil, resource, sys\n"
+        "import qladder\n"
+        "if sys.argv[1] == 'every-module-first':\n"
+        "    names = sorted((m.name for m in pkgutil.iter_modules(qladder.__path__)),\n"
+        "                   key=lambda name: name == 'cli')\n"
+        "    for name in names:\n"
+        "        importlib.import_module('qladder.' + name)\n"
+        "from qladder.cli import main\n"
+        "argv = ['fig1', '--realizations', '100', '--w-points', '1', '--out-dir', sys.argv[2]]\n"
+        "assert main(argv) == 0\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "assert main(argv) == 0\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    src = str(Path(qladder.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-c", code, order, str(tmp_path)], env=env,
+                            capture_output=True, text=True, timeout=60, check=True)
+    assert int(result.stdout.strip().splitlines()[-1]) < 1_000
+
+
 @pytest.mark.parametrize(
     "argv, field",
     [(["fig1", "--w-min", "nan"], "disorder_w"),

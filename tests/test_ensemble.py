@@ -1,3 +1,11 @@
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -299,22 +307,183 @@ def test_a_thread_count_below_one_is_refused(threads):
 
 
 def test_worker_count_is_capped_at_the_chunk_count(monkeypatch):
-    requested = []
+    # a call runs min(threads, chunks) tasks at once on the shared pool, each
+    # worker taking its chunks in order, and a one-chunk call runs there too
+    lock = threading.Lock()
+    running, peak, seen = 0, [], []
+    original = ensemble_mod._measure_chunk
 
-    class Recording(ensemble_mod.ThreadPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            requested.append(max_workers)
-            super().__init__(max_workers=max_workers, **kwargs)
+    def recording(config, start, stop, units):
+        nonlocal running
+        with lock:
+            running += 1
+            peak.append(running)
+            seen.append((threading.current_thread(), start))
+        try:
+            time.sleep(0.002)  # long enough for the other workers to overlap it
+            return original(config, start, stop, units)
+        finally:
+            with lock:
+                running -= 1
 
-    monkeypatch.setattr(ensemble_mod, "ThreadPoolExecutor", Recording)
-    assert -(-7 // ensemble_mod._CHUNK) == 2 and ensemble_mod._CHUNK >= 3
-    capped = run_ensemble(make_config(n_realizations=7), threads=8, keep_raw=True)
-    assert requested == [2]
-    run_ensemble(make_config(n_realizations=3), threads=8)  # one chunk: no pool
-    assert requested == [2]
-    serial = run_ensemble(make_config(n_realizations=7), keep_raw=True)
-    assert np.array_equal(capped[LABEL_CONCURRENCE].per_realization,
-                          serial[LABEL_CONCURRENCE].per_realization)
+    monkeypatch.setattr(ensemble_mod, "_measure_chunk", recording)
+    chunk = ensemble_mod._CHUNK
+    run_ensemble(make_config(n_realizations=4 * chunk), threads=4)  # a pool of four workers
+    # (realizations, threads, workers): capped by the chunks, by threads, one chunk
+    for n_realizations, threads, cap in ((2 * chunk + 2, 8, 3), (4 * chunk, 2, 2),
+                                         (chunk - 2, 8, 1)):
+        peak.clear()
+        seen.clear()
+        config = make_config(n_realizations=n_realizations)
+        capped = run_ensemble(config, threads=threads, keep_raw=True)
+        assert 1 <= max(peak) <= cap
+        workers = {thread for thread, _ in seen}
+        assert len(workers) <= cap and threading.main_thread() not in workers
+        for worker in workers:
+            starts = [start for thread, start in seen if thread is worker]
+            assert starts == sorted(starts)
+        assert sorted(start for _, start in seen) == list(range(0, n_realizations, chunk))
+        serial = run_ensemble(config, threads=1, keep_raw=True)
+        assert np.array_equal(capped[LABEL_CONCURRENCE].per_realization,
+                              serial[LABEL_CONCURRENCE].per_realization)
+
+
+@pytest.fixture
+def openblas():
+    """The thread-count getter of numpy's bundled OpenBLAS, set to 3 threads
+    for the test and restored after it."""
+    blas = ensemble_mod._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's OpenBLAS has no scipy_openblas thread-count functions")
+    get, set_ = blas
+    found = get()
+    set_(3)
+    yield get
+    set_(found)
+
+
+def test_workers_run_with_one_openblas_thread_while_more_than_one_runs(monkeypatch, openblas):
+    seen = []
+    original = ensemble_mod._measure_chunk
+
+    def recording(config, start, stop, units):
+        seen.append(openblas())
+        return original(config, start, stop, units)
+
+    monkeypatch.setattr(ensemble_mod, "_measure_chunk", recording)
+    config = make_config(n_realizations=4 * ensemble_mod._CHUNK)
+    run_ensemble(config, threads=2)
+    assert seen == [1] * 4 and openblas() == 3
+    seen.clear()
+    run_ensemble(config, threads=1)  # one worker leaves the count alone
+    assert seen == [3] * 4 and openblas() == 3
+
+
+def test_the_openblas_count_is_restored_when_a_chunk_raises(monkeypatch, openblas):
+    config = make_config(n_realizations=12)
+    original = ensemble_mod.scale_disorder
+    target = _unit_row(config, 8)
+
+    def flaky(params, unit):
+        if any(np.array_equal(row, target) for row in unit):
+            raise MemoryError("synthetic exhaustion")
+        return original(params, unit)
+
+    monkeypatch.setattr(ensemble_mod, "scale_disorder", flaky)
+    with pytest.raises(RuntimeError, match="realization 8"):
+        run_ensemble(config, threads=2)
+    assert openblas() == 3
+
+
+def test_values_do_not_depend_on_openblas_pinning(monkeypatch):
+    config = make_config(n_realizations=13, plan=ObservablePlan.both(np.linspace(0.0, 30.0, 25)))
+    pinned = run_ensemble(config, threads=2, keep_raw=True)
+    monkeypatch.setattr(ensemble_mod, "glob", SimpleNamespace(glob=lambda pattern: []))
+    ensemble_mod._openblas_threads.cache_clear()
+    try:
+        assert ensemble_mod._openblas_threads() is None
+        unpinned = run_ensemble(config, threads=2, keep_raw=True)
+    finally:
+        ensemble_mod._openblas_threads.cache_clear()
+    for label in (LABEL_CONCURRENCE, LABEL_P_MINUS, LABEL_P_PLUS):
+        assert np.array_equal(pinned[label].per_realization, unpinned[label].per_realization)
+
+
+def test_concurrent_callers_get_the_values_of_serial_calls(monkeypatch):
+    # two callers of two workers each on two cores; the pinned regions take
+    # turns, so every chunk runs pinned and each caller restores the count it found
+    plan = ObservablePlan.both(np.linspace(0.0, 30.0, 25))
+    configs = [make_config(n_realizations=4 * ensemble_mod._CHUNK, w=w, plan=plan)
+               for w in (0.5, 2.0)]
+    serial = [run_ensemble(config, keep_raw=True) for config in configs]
+    blas = ensemble_mod._openblas_threads()
+    get = blas[0] if blas else lambda: None
+    found, seen = get(), []
+    original = ensemble_mod._measure_chunk
+
+    def recording(config, start, stop, units):
+        seen.append(get())
+        time.sleep(0.002)  # a pinned region long enough for the other caller to meet it
+        return original(config, start, stop, units)
+
+    monkeypatch.setattr(ensemble_mod, "_measure_chunk", recording)
+    rounds, results = 10, [[], []]
+    barrier = threading.Barrier(2)
+
+    def call(k):
+        barrier.wait(timeout=30)
+        for _ in range(rounds):
+            try:
+                results[k].append(run_ensemble(configs[k], threads=2, keep_raw=True))
+            except Exception as exc:  # reported by the assertions below
+                results[k].append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=call, args=(k,)) for k in range(2)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    for expected, got in zip(serial, results):
+        assert len(got) == rounds
+        for result in got:
+            assert not isinstance(result, Exception), result
+            for label in (LABEL_CONCURRENCE, LABEL_P_MINUS, LABEL_P_PLUS):
+                assert np.array_equal(expected[label].per_realization,
+                                      result[label].per_realization)
+    if blas:
+        assert set(seen) == {1} and get() == found
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_runs_on_a_pool_of_its_own():
+    # the child inherits the parent's pool object but none of its threads
+    code = (
+        "import os, signal\n"
+        "from qladder.ensemble import EnsembleConfig, run_ensemble\n"
+        "from qladder.model import LadderParams\n"
+        "config = EnsembleConfig(LadderParams(n_sites=6, disorder_w=1.0, detuning_delta=0.1),\n"
+        "                        n_realizations=12, master_seed=42)\n"
+        "parent = run_ensemble(config, threads=2, keep_raw=True)\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    signal.alarm(20)\n"
+        "    child = run_ensemble(config, threads=2, keep_raw=True)\n"
+        "    same = (child['concurrence_at_tau'].per_realization\n"
+        "            == parent['concurrence_at_tau'].per_realization).all()\n"
+        "    os._exit(0 if same else 3)\n"
+        "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
+    )
+    src = str(Path(ensemble_mod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60, check=True)
+    assert result.stdout.strip().splitlines()[-1] == "0"
 
 
 def _corrupt(eigenvectors, corruption):
