@@ -9,7 +9,7 @@ checked against a value it did not produce.
 
 Every realization is evaluated on two paths:
 
-  engine  transfer_sweep: +/- basis Hamiltonian, eigh, spectral evolution
+  engine  transfer_sweep: +/- basis Hamiltonian, band eigensolver, spectral evolution
   expm    build_physical + scipy.linalg.expm applied to the site-basis Bell
           state (|1,leg1> - |1,leg2>)/sqrt(2); C = 2|f1 f2| is read straight
           from the last rung, with no basis change

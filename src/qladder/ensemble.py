@@ -4,8 +4,8 @@ Each realization index owns an independent random stream derived from the
 master seed, so ensembles are reproducible bit-for-bit regardless of worker
 count or execution order. A chunk of consecutive realizations is carried
 end-to-end as plain stacked arrays (draw or reuse the chunk's unit
-uniforms, scale them by W and Delta, build the stack, one batched
-diagonalization, certify it, evolve the entries each readout reads at all
+uniforms, scale them by W and Delta, build the stack, diagonalize it in
+one call, certify it, evolve the entries each readout reads at all
 times at once, measure); results are reduced in realization order so
 floating-point summation is fixed. The unit uniforms of the last chunks
 drawn are kept, so the grid points of a sweep (same seed and ladder length)
@@ -36,7 +36,6 @@ realization reproduces alone is reported for the chunk's range.
 from __future__ import annotations
 
 import ctypes
-import glob
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -49,7 +48,7 @@ import numpy as np
 from .hamiltonian import _SQRT1_2, Branch, assemble_effective, flat_index
 from .model import LadderParams, correlated_channel, scale_disorder
 from .observables import transfer_time
-from .spectral import certify, diagonalize, propagate, squared_norms
+from .spectral import _openblas, certify, diagonalize, propagate, squared_norms
 
 __all__ = [
     "ObservablePlan",
@@ -249,17 +248,16 @@ def _reduce(values: np.ndarray, keep_raw: bool) -> EnsembleStats:
 @lru_cache(maxsize=1)
 def _openblas_threads():
     """``(get, set)`` thread-count functions of the OpenBLAS numpy bundles, or None."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
-        try:
-            lib = ctypes.CDLL(path)
-            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
-    return None
+    lib = _openblas()  # the library the eigensolver calls
+    if lib is None:
+        return None
+    try:
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except AttributeError:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
 
 
 @contextmanager

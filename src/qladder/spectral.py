@@ -1,8 +1,11 @@
-"""Dense exact diagonalization and spectral time evolution.
+"""Exact diagonalization of banded matrices and spectral time evolution.
 
 Evolution goes through the full eigendecomposition: the matrices here are
 small (2N <= a few hundred) and many evaluation times are needed per
-realization, so U(t) = V exp(-i L t) V^T is both exact and fastest. One
+realization, so U(t) = V exp(-i L t) V^T is both exact and fastest. The
+ladder couples only neighbouring slots, so :func:`diagonalize` hands each
+matrix to LAPACK's band eigensolver ``dsbevd``, called through ``ctypes``
+in the OpenBLAS that numpy bundles (dense ``np.linalg.eigh`` without it). One
 kernel, :func:`propagate`, evolves a stack of eigensystems over a grid of
 times at once, for only the state entries a readout reads;
 :func:`evolve_series` is a stack of one, and :func:`evolve` is
@@ -22,8 +25,12 @@ states at the readout times instead. The ensemble engine and
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
+import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -72,10 +79,84 @@ class EigenSystem:
         return self.eigenvalues.size
 
 
+@lru_cache(maxsize=1)
+def _openblas():
+    """The OpenBLAS that numpy bundles, as a ctypes library whose LAPACK
+    ``scipy_dsbevd_64_`` is set up for calls, or None where numpy bundles
+    none (or one without that symbol). The one lookup of it: the ensemble
+    engine pins the thread count of the same library."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        try:
+            lib = ctypes.CDLL(path)
+            dsbevd = lib.scipy_dsbevd_64_
+        except (OSError, AttributeError):
+            continue
+        # JOBZ, UPLO, N, KD, AB, LDAB, W, Z, LDZ, WORK, LWORK, IWORK, LIWORK,
+        # INFO, then gfortran's hidden lengths of the two strings
+        dsbevd.argtypes = [ctypes.c_char_p] * 2 + [ctypes.c_void_p] * 12 + [ctypes.c_size_t] * 2
+        dsbevd.restype = None
+        return lib
+    return None
+
+
+def _half_bandwidths(stack: np.ndarray) -> list[int]:
+    """Per matrix of an (R, D, D) stack, the largest i - j of any nonzero
+    entry (i, j) on or below the diagonal: the lower half-bandwidth."""
+    dim = stack.shape[-1]
+    # row i's first nonzero column, the diagonal counted as nonzero
+    first = np.argmax((stack != 0) | np.eye(dim, dtype=bool), axis=-1)
+    return (np.arange(dim) - first).max(axis=-1).tolist()
+
+
 def diagonalize(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and orthonormal eigenvector columns of one real
-    symmetric matrix, or of each matrix of an (R, D, D) stack."""
-    return np.linalg.eigh(entries)
+    symmetric matrix, or of each matrix of an (R, D, D) stack.
+
+    The ladder couples only neighbouring slots, so its matrices are banded:
+    the half-bandwidth kd, the largest |i - j| of any nonzero entry, is 2.
+    Each matrix goes to LAPACK's band solver ``dsbevd`` in numpy's bundled
+    OpenBLAS with its own kd (a dense matrix has kd = D - 1), which reads
+    only its lower kd + 1 diagonals; so a matrix gives bitwise the same
+    eigensystem in any stack. Without that library, ``np.linalg.eigh``
+    diagonalizes the stack instead.
+    """
+    lib = _openblas()
+    if lib is None:
+        return np.linalg.eigh(entries)
+    entries = np.asarray(entries, dtype=np.float64)
+    if entries.ndim < 2 or entries.shape[-1] != entries.shape[-2]:
+        raise np.linalg.LinAlgError(f"expected square matrices, got shape {entries.shape}")
+    stack = entries.reshape((-1,) + entries.shape[-2:])
+    count, dim = stack.shape[:2]
+    kds = _half_bandwidths(stack)
+    width = max(kds, default=0) + 1
+    # lower band storage, Fortran (width, D) per matrix: band[r, j, k] = H[r, j + k, j]
+    band = np.zeros((count, dim, width))
+    for k in range(width):
+        band[:, : dim - k, k] = np.diagonal(stack, -k, 1, 2)
+    eigenvalues = np.empty((count, dim))
+    # Fortran's column-major eigenvector matrix Z is row-major Z^T
+    vectors_t = np.empty((count, dim, dim))
+    # workspaces of this call alone, so concurrent callers share nothing
+    work = np.empty(1 + 5 * dim + 2 * dim * dim)
+    iwork = np.empty(3 + 5 * dim, dtype=np.int64)
+    info = ctypes.c_int64()
+    n, ldab, lwork, liwork = (
+        ctypes.byref(ctypes.c_int64(v)) for v in (dim, width, work.size, iwork.size)
+    )
+    ab, w, z, work_p, iwork_p = (
+        array.ctypes.data for array in (band, eigenvalues, vectors_t, work, iwork)
+    )
+    dsbevd = lib.scipy_dsbevd_64_
+    for r, kd in enumerate(kds):
+        dsbevd(b"V", b"L", n, ctypes.byref(ctypes.c_int64(kd)), ab + r * band.strides[0], ldab,
+               w + r * eigenvalues.strides[0], z + r * vectors_t.strides[0], n, work_p, lwork,
+               iwork_p, liwork, ctypes.byref(info), 1, 1)
+        if info.value:
+            raise np.linalg.LinAlgError(f"dsbevd failed with info {info.value}")
+    eigenvectors = vectors_t.transpose(0, 2, 1)
+    return eigenvalues.reshape(entries.shape[:-1]), eigenvectors.reshape(entries.shape)
 
 
 def certify(entries, eigenvalues, eigenvectors, psi0, times) -> np.ndarray:
@@ -90,12 +171,12 @@ def certify(entries, eigenvalues, eigenvectors, psi0, times) -> np.ndarray:
     whose bound is over its tolerance although its eigensystem is accurate
     to rounding (backward stable: e <= max(D, 16) D u and r <= max(D, 16) D
     u h, the order of the worst-case backward error of a Householder-based
-    symmetric eigensolver, with a floor for D < 16, where ``eigh``'s own e
-    exceeds D^2 u at D <= 4). Its bound is then loose by the rounding of a
-    large H or D, so its whole states at ``times`` are propagated and
-    measured, raising ArithmeticError ("norm drift ... exceeds ...",
-    "energy drift ... exceeds ...") when one drifts from psi0 by more than
-    a tolerance. Any other matrix raises ArithmeticError ("norm drift bound
+    symmetric eigensolver, with a floor for D < 16, where the e of
+    ``dsbevd`` and of ``eigh`` alike exceeds D^2 u at D <= 4). Its bound is
+    then loose by the rounding of a large H or D, so its whole states at
+    ``times`` are propagated and measured, raising ArithmeticError ("norm
+    drift ... exceeds ...", "energy drift ... exceeds ...") when one drifts
+    from psi0 by more than a tolerance. Any other matrix raises ArithmeticError ("norm drift bound
     ... exceeds ...", "energy drift bound ... exceeds ..."). Each matrix is
     judged on its own, so a stack gives what each of its matrices would give
     alone.

@@ -457,14 +457,11 @@ def test_fig1_and_fig2_leave_scipy_linalg_unloaded(tmp_path):
     assert result.stdout.strip().splitlines()[-1] == "False"
 
 
-@pytest.mark.parametrize("order", ["cli-first", "every-module-first"])
-def test_a_warm_fig1_run_takes_few_minor_faults(tmp_path, order):
-    # every chunk frees and reallocates its arrays; run on the main thread,
-    # whose heap top glibc can trim after each chunk, depending on what the
-    # imports left above it, they took about 4,400 faults for these 60
-    # chunks, where a pool worker's heap keeps them: about a dozen
+def _warm_run_faults(tmp_path, order, argv):
+    """Minor page faults of the second of two in-process ``main(argv)`` runs,
+    with the CLI imported first or after every other qladder module."""
     code = (
-        "import importlib, pkgutil, resource, sys\n"
+        "import importlib, json, pkgutil, resource, sys\n"
         "import qladder\n"
         "if sys.argv[1] == 'every-module-first':\n"
         "    names = sorted((m.name for m in pkgutil.iter_modules(qladder.__path__)),\n"
@@ -472,7 +469,7 @@ def test_a_warm_fig1_run_takes_few_minor_faults(tmp_path, order):
         "    for name in names:\n"
         "        importlib.import_module('qladder.' + name)\n"
         "from qladder.cli import main\n"
-        "argv = ['fig1', '--realizations', '100', '--w-points', '1', '--out-dir', sys.argv[2]]\n"
+        "argv = json.loads(sys.argv[2]) + ['--out-dir', sys.argv[3]]\n"
         "assert main(argv) == 0\n"
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
         "assert main(argv) == 0\n"
@@ -480,9 +477,28 @@ def test_a_warm_fig1_run_takes_few_minor_faults(tmp_path, order):
     )
     src = str(Path(qladder.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    result = subprocess.run([sys.executable, "-c", code, order, str(tmp_path)], env=env,
-                            capture_output=True, text=True, timeout=60, check=True)
-    assert int(result.stdout.strip().splitlines()[-1]) < 1_000
+    result = subprocess.run([sys.executable, "-c", code, order, json.dumps(argv), str(tmp_path)],
+                            env=env, capture_output=True, text=True, timeout=60, check=True)
+    return int(result.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("order", ["cli-first", "every-module-first"])
+def test_a_warm_fig1_run_takes_few_minor_faults(tmp_path, order):
+    # every chunk frees and reallocates its arrays; run on the main thread,
+    # whose heap top glibc can trim after each chunk, depending on what the
+    # imports left above it, they took about 4,400 faults for these 60
+    # chunks, where a pool worker's heap keeps them: about a dozen
+    argv = ["fig1", "--realizations", "100", "--w-points", "1"]
+    assert _warm_run_faults(tmp_path, order, argv) < 1_000
+
+
+@pytest.mark.parametrize("order", ["cli-first", "every-module-first"])
+def test_a_warm_fig2_run_takes_few_minor_faults(tmp_path, order):
+    # diagonalize returns the eigenvectors as a transposed view of the buffer
+    # LAPACK wrote; a contiguous copy of that (5, 60, 60) stack took about
+    # 8,100 faults for these 20 chunks, and the view about 20
+    argv = ["fig2", "--realizations", "100", "--w", "10"]
+    assert _warm_run_faults(tmp_path, order, argv) < 1_000
 
 
 @pytest.mark.parametrize(
@@ -602,12 +618,15 @@ def test_oracle_and_dump_numbers_are_blamed_on_their_field(capsys, argv, field):
      ["fig1", "--w-min", "1e6", "--w-points", "1", "--realizations", "10"],
      ["fig2", "--w", "1e6", "--realizations", "10"],
      ["oracle", "--delta", "1e100"],
-     ["oracle", "--n-sites", "1", "--delta", "0.7", "--gamma", "464159"]],
-    ids=["fig1-w-1e5", "fig2-w-1e5", "fig1-w-1e6", "fig2-w-1e6", "oracle-delta", "oracle-dimer"],
+     ["oracle", "--n-sites", "1", "--delta", "0.7", "--gamma", "464159"],
+     ["oracle", "--n-sites", "10", "--delta", "1e100", "--gamma", "2e6"]],
+    ids=["fig1-w-1e5", "fig2-w-1e5", "fig1-w-1e6", "fig2-w-1e6", "oracle-delta", "oracle-dimer",
+         "oracle-delta-1e100-gamma"],
 )
 def test_large_scales_run_where_the_drift_is_measured_within_tolerance(tmp_path, argv):
     # each of these puts a drift bound over its tolerance by the rounding of
     # a large H alone; the drift measured along the evolved states is within
+    # (at delta 1e100 and gamma 2e6 dense eigh's eigenvectors measured 1.401e+55)
     out = ["--out-dir", str(tmp_path)] if argv[0] != "oracle" else []
     assert main([*argv, *out]) == 0
 
@@ -616,10 +635,10 @@ def test_large_scales_run_where_the_drift_is_measured_within_tolerance(tmp_path,
     "argv, message",
     [(["fig2", "--w", "1e7", "--realizations", "5"],
       "realization 0 (seed tag 42:0, W=10000000.0, delta=0.2, N=30) failed: "
-      "energy drift 3.246e-09 exceeds 1e-09"),
-     (["oracle", "--gamma", "3e6"], "error: energy drift 2.359e-09 exceeds 1e-09"),
-     (["oracle", "--n-sites", "10", "--delta", "1e100", "--gamma", "2e6"],
-      "error: energy drift 1.401e+55 exceeds 1e-09")],
+      "energy drift 7.642e-09 exceeds 1e-09"),
+     (["oracle", "--gamma", "3e6"], "error: energy drift 1.210e-09 exceeds 1e-09"),
+     (["oracle", "--n-sites", "10", "--delta", "1e3", "--gamma", "5e6"],
+      "error: energy drift 7.916e-09 exceeds 1e-09")],
     ids=["fig2-w-1e7", "oracle-gamma", "oracle-delta-gamma"],
 )
 def test_a_measured_drift_over_tolerance_fails(tmp_path, capsys, argv, message):

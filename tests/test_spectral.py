@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,85 @@ def test_eigendecompose_is_deterministic():
     assert np.array_equal(a.eigenvectors, b.eigenvectors)
 
 
+def banded_stack(rng, count, dim, kd):
+    """(count, dim, dim) random symmetric matrices whose nonzero entries
+    reach exactly offset kd."""
+    noise = rng.normal(size=(count, dim, dim))
+    stack = noise + np.swapaxes(noise, 1, 2)
+    rows, cols = np.indices((dim, dim))
+    stack[:, np.abs(rows - cols) > kd] = 0.0
+    return stack
+
+
+@pytest.mark.parametrize("kd", [0, 1, 2, 59])
+def test_diagonalize_matches_eigh_at_every_bandwidth(kd):
+    # dim 60 as in fig1 and fig2; a stack mixes norms from 1 to 1e7, and a
+    # diagonal matrix in it keeps its own bandwidth
+    rng = np.random.default_rng(kd)
+    stack = np.concatenate([
+        banded_stack(rng, 4, 60, kd) * np.array([1.0, 10.0, 1e3, 1e7])[:, None, None],
+        banded_stack(rng, 1, 60, 0),
+    ])
+    assert spectral_mod._half_bandwidths(stack) == [kd] * 4 + [0]
+    eigenvalues, eigenvectors = diagonalize(stack)
+    for matrix, vals, vecs in zip(stack, eigenvalues, eigenvectors):
+        scale = max(1.0, np.linalg.norm(matrix, 2))
+        single_vals, single_vecs = diagonalize(matrix)
+        assert np.array_equal(single_vals, vals) and np.array_equal(single_vecs, vecs)
+        assert np.max(np.abs(vals - np.linalg.eigh(matrix)[0])) <= 1e-13 * scale
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(60))) <= 1e-13
+        assert np.max(np.abs(matrix @ vecs - vecs * vals)) <= 1e-13 * scale
+
+
+def test_ladder_stacks_have_half_bandwidth_two_in_both_bases():
+    params = LadderParams(n_sites=30, disorder_w=10.0, detuning_delta=0.2)
+    realizations = [sample_realization(params, derive_stream(42, i)) for i in range(3)]
+    for build in (build_effective, build_physical):
+        stack = np.stack([build(real).entries for real in realizations])
+        assert spectral_mod._half_bandwidths(stack) == [2, 2, 2]
+
+
+@pytest.mark.parametrize("disorder_w", [0.2, 10.0, 1e3, 1e5, 1e7])
+def test_ladder_eigensystems_are_backward_stable(disorder_w):
+    # the stability gate certify leaves measurement to must pass the band
+    # solver's output at every disorder strength
+    stack = np.stack([ladder_system(30, disorder_w, 0.2, i)[0].entries for i in range(10)])
+    eigenvalues, eigenvectors = diagonalize(stack)
+    psi0 = np.broadcast_to(np.eye(60)[1], stack.shape[:2])
+    assert spectral_mod._drift_bounds(stack, eigenvalues, eigenvectors, psi0)[2].all()
+
+
+def test_diagonalize_raises_when_lapack_reports_a_failure(monkeypatch):
+    def failing(*args):
+        args[13]._obj.value = 7  # INFO, passed by reference
+
+    monkeypatch.setattr(spectral_mod, "_openblas", lambda: SimpleNamespace(scipy_dsbevd_64_=failing))
+    with pytest.raises(np.linalg.LinAlgError, match="dsbevd failed with info 7"):
+        diagonalize(np.eye(4))
+
+
+@pytest.mark.parametrize("shape", [(4,), (3, 4), (2, 4, 3)])
+def test_diagonalize_refuses_non_square_input(shape):
+    with pytest.raises(np.linalg.LinAlgError, match="square"):
+        diagonalize(np.ones(shape))
+
+
+def test_diagonalize_falls_back_to_eigh_without_the_library(monkeypatch):
+    from qladder.experiments import transfer_sweep
+
+    def means():
+        sweep = transfer_sweep(30, [0.0, 0.2], [0.2, 10.0], 20, 42)
+        return np.array([[stats.mean for stats in series] for series in sweep.series.values()])
+
+    banded = means()
+    monkeypatch.setattr(spectral_mod, "_openblas", lambda: None)
+    dense = means()
+    assert np.max(np.abs(dense - banded)) <= 1e-13
+    stack = np.stack([ladder_system(index=i)[0].entries for i in range(3)])
+    for ours, eighs in zip(diagonalize(stack), np.linalg.eigh(stack)):
+        assert np.array_equal(ours, eighs)
+
+
 @pytest.mark.parametrize("disorder_w", [0.2, 10.0, 100.0])
 def test_certified_bounds_hold_along_evolved_trajectories(disorder_w):
     # the drift of every evolved state, measured directly, stays within the
@@ -159,7 +240,7 @@ def test_eigendecompose_certifies_its_eigensystem(monkeypatch, corruption, messa
 
 
 def test_rounding_of_a_large_matrix_is_measured_not_refused(monkeypatch):
-    # at W = 1e5 the residual of eigh, ~1e-15 |H|, puts the energy bound over
+    # at W = 1e5 the eigen-residual, ~1e-15 |H|, puts the energy bound over
     # its tolerance; the eigensystem is accurate to rounding, so certify
     # leaves it to a measurement, which passes, while an eigenvalue shifted
     # by far more than rounding is still refused
@@ -206,7 +287,7 @@ def test_evolve_series_certifies_the_state_it_evolves(monkeypatch):
 
 @pytest.mark.parametrize("dim", [2, 4, 6, 10])
 def test_certify_accepts_eigh_output_at_small_dimensions(dim):
-    # eigh is backward stable at every dimension, yet at D <= 4 its
+    # the solver is backward stable at every dimension, yet at D <= 4 its
     # orthonormality error can exceed D^2 u; scale random and oracle matrices until
     # their bounds exceed the tolerances and leave the verdict to the
     # stability gate, which must pass them on to measurement (here at no
