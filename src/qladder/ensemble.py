@@ -15,9 +15,10 @@ Every call runs its chunks on one long-lived thread pool, also at one
 thread: each of ``min(threads, chunks)`` workers runs one contiguous block
 of chunks in order. A worker's heap is not trimmed back to the operating
 system between chunks, as the main thread's can be, so the chunk arrays
-are not faulted in afresh each time. While more than one worker runs,
-numpy's bundled OpenBLAS is held at one thread (one caller at a time) and
-its old count is restored afterwards; with another BLAS nothing is pinned.
+are not faulted in afresh each time. Calls take turns on the pool, under
+one module lock. While more than one worker runs, numpy's bundled OpenBLAS
+is held at one thread and its old count is restored afterwards; with
+another BLAS nothing is pinned.
 
 Conservation is checked once per stacked eigensystem by
 :func:`~qladder.spectral.certify`, for the Bell start state every
@@ -35,11 +36,9 @@ realization reproduces alone is reported for the chunk's range.
 
 from __future__ import annotations
 
-import ctypes
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -75,13 +74,12 @@ _CHUNK = 5
 _KEPT_CHUNKS = 256
 
 # The worker pool all calls share, created on first use and replaced by a
-# larger one when a call needs more workers; _POOL_LOCK guards the swap and
-# the submissions to it. _BLAS_LOCK admits one caller at a time to the
-# region where OpenBLAS is pinned, so each restores the count it found.
+# larger one when a call needs more workers. _LOCK makes calls take turns:
+# it guards the pool and the OpenBLAS pin.
+# Long-lived: a pool per call took 377-390 minor faults per warm fig1, against 6-14.
 _pool: ThreadPoolExecutor | None = None
 _pool_size = 0
-_POOL_LOCK = threading.Lock()
-_BLAS_LOCK = threading.Lock()
+_LOCK = threading.Lock()
 
 
 def derive_stream(master_seed: int, index: int) -> np.random.Generator:
@@ -245,55 +243,37 @@ def _reduce(values: np.ndarray, keep_raw: bool) -> EnsembleStats:
     )
 
 
-@lru_cache(maxsize=1)
-def _openblas_threads():
-    """``(get, set)`` thread-count functions of the OpenBLAS numpy bundles, or None."""
-    lib = _openblas()  # the library the eigensolver calls
-    if lib is None:
-        return None
-    try:
-        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    except AttributeError:
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
-    return get, set_
-
-
-@contextmanager
-def _one_blas_thread(workers: int):
-    """Hold OpenBLAS at one thread while ``workers`` > 1 run, then restore its count."""
-    blas = _openblas_threads() if workers > 1 else None
-    if blas is None:
-        yield
-        return
-    get, set_ = blas
-    with _BLAS_LOCK:
-        found = get()
-        set_(1)
-        try:
-            yield
-        finally:
-            set_(found)
-
-
-def _submit(run_block, blocks: list) -> list:
-    """Submit one task per block to the shared pool, growing it to ``len(blocks)``."""
+def _run_blocks(run_block, blocks: list) -> list:
+    """Run one task per block on the shared pool, grown to ``len(blocks)``
+    workers, and return their futures once all are done. One call at a
+    time: while more than one worker runs, numpy's OpenBLAS is held at one
+    thread and the count found is restored."""
     global _pool, _pool_size
-    with _POOL_LOCK:
+    with _LOCK:
         if _pool_size < len(blocks):
             if _pool is not None:
-                _pool.shutdown(wait=False)  # its queued tasks still run
+                _pool.shutdown()  # idle: no other call is in flight
             _pool = ThreadPoolExecutor(len(blocks), thread_name_prefix="qladder-ensemble")
             _pool_size = len(blocks)
-        return [_pool.submit(run_block, block) for block in blocks]
+        # one worker keeps OpenBLAS's threads: pinned, fig1 --threads 1 took 4.64 s, not 4.06 s
+        lib = _openblas() if len(blocks) > 1 else None
+        if lib is not None:
+            found = lib.scipy_openblas_get_num_threads64_()
+            lib.scipy_openblas_set_num_threads64_(1)
+        try:
+            futures = [_pool.submit(run_block, block) for block in blocks]
+            wait(futures)
+        finally:
+            if lib is not None:
+                lib.scipy_openblas_set_num_threads64_(found)
+    return futures
 
 
 def _forget_pool():
     """In a forked child, which has none of the parent's worker threads, start afresh."""
-    global _pool, _pool_size, _POOL_LOCK, _BLAS_LOCK
+    global _pool, _pool_size, _LOCK
     _pool, _pool_size = None, 0
-    _POOL_LOCK, _BLAS_LOCK = threading.Lock(), threading.Lock()
+    _LOCK = threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -311,7 +291,8 @@ def run_ensemble(
     ``threads``. Per-realization raw values are retained when
     ``keep_raw=True``. The chunks run on ``min(threads, chunks)`` workers
     of a shared pool, each taking one contiguous block in order, so the
-    first failure in realization order is the one raised.
+    first failure in realization order is the one raised. Calls from
+    several threads take turns.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -326,10 +307,7 @@ def run_ensemble(
     workers = min(threads, len(chunks))  # a worker beyond the chunk count has no work
     blocks = [chunks[k * len(chunks) // workers:(k + 1) * len(chunks) // workers]
               for k in range(workers)]
-    with _one_blas_thread(workers):
-        futures = _submit(run_block, blocks)
-        wait(futures)  # every worker is done before the BLAS count is restored
-    parts = [part for future in futures for part in future.result()]
+    parts = [part for future in _run_blocks(run_block, blocks) for part in future.result()]
     return {
         label: _reduce(np.concatenate([part[label] for part in parts]), keep_raw)
         for label in parts[0]

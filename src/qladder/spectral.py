@@ -82,20 +82,25 @@ class EigenSystem:
 @lru_cache(maxsize=1)
 def _openblas():
     """The OpenBLAS that numpy bundles, as a ctypes library whose LAPACK
-    ``scipy_dsbevd_64_`` is set up for calls, or None where numpy bundles
-    none (or one without that symbol). The one lookup of it: the ensemble
-    engine pins the thread count of the same library."""
+    ``scipy_dsbevd_64_`` and thread-count functions
+    ``scipy_openblas_get_num_threads64_``/``scipy_openblas_set_num_threads64_``
+    are set up for calls, or None where numpy bundles none (or one without
+    all three). The one binding of it: the eigensolver calls it and the
+    ensemble engine pins its thread count."""
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
         try:
             lib = ctypes.CDLL(path)
-            dsbevd = lib.scipy_dsbevd_64_
+            dsbevd, get, set_ = (lib.scipy_dsbevd_64_, lib.scipy_openblas_get_num_threads64_,
+                                 lib.scipy_openblas_set_num_threads64_)
         except (OSError, AttributeError):
             continue
         # JOBZ, UPLO, N, KD, AB, LDAB, W, Z, LDZ, WORK, LWORK, IWORK, LIWORK,
         # INFO, then gfortran's hidden lengths of the two strings
         dsbevd.argtypes = [ctypes.c_char_p] * 2 + [ctypes.c_void_p] * 12 + [ctypes.c_size_t] * 2
         dsbevd.restype = None
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
         return lib
     return None
 

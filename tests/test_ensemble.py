@@ -3,6 +3,7 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -347,18 +348,30 @@ def test_worker_count_is_capped_at_the_chunk_count(monkeypatch):
                               serial[LABEL_CONCURRENCE].per_realization)
 
 
+@contextmanager
+def _openblas_count(threads):
+    """The thread-count getter of numpy's bundled OpenBLAS, set to ``threads``
+    inside and restored after; a getter of None without the library."""
+    lib = spectral_mod._openblas()
+    if lib is None:
+        yield lambda: None
+        return
+    found = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(threads)
+    try:
+        yield lib.scipy_openblas_get_num_threads64_
+    finally:
+        lib.scipy_openblas_set_num_threads64_(found)
+
+
 @pytest.fixture
 def openblas():
     """The thread-count getter of numpy's bundled OpenBLAS, set to 3 threads
     for the test and restored after it."""
-    blas = ensemble_mod._openblas_threads()
-    if blas is None:
-        pytest.skip("numpy's OpenBLAS has no scipy_openblas thread-count functions")
-    get, set_ = blas
-    found = get()
-    set_(3)
-    yield get
-    set_(found)
+    if spectral_mod._openblas() is None:
+        pytest.skip("numpy's OpenBLAS has no dsbevd or no thread-count functions")
+    with _openblas_count(3) as get:
+        yield get
 
 
 def test_workers_run_with_one_openblas_thread_while_more_than_one_runs(monkeypatch, openblas):
@@ -398,25 +411,29 @@ def test_values_do_not_depend_on_openblas_pinning(monkeypatch):
     config = make_config(n_realizations=13, plan=ObservablePlan.both(np.linspace(0.0, 30.0, 25)))
     pinned = run_ensemble(config, threads=2, keep_raw=True)
     monkeypatch.setattr(ensemble_mod, "_openblas", lambda: None)  # the solver keeps its library
-    ensemble_mod._openblas_threads.cache_clear()
-    try:
-        assert ensemble_mod._openblas_threads() is None
+    seen = []
+    original = ensemble_mod._measure_chunk
+    with _openblas_count(3) as get:
+        def recording(config, start, stop, units):
+            seen.append(get())
+            return original(config, start, stop, units)
+
+        monkeypatch.setattr(ensemble_mod, "_measure_chunk", recording)
         unpinned = run_ensemble(config, threads=2, keep_raw=True)
-    finally:
-        ensemble_mod._openblas_threads.cache_clear()
+        assert seen == [get()] * 3  # every chunk ran at the unpinned count
     for label in (LABEL_CONCURRENCE, LABEL_P_MINUS, LABEL_P_PLUS):
         assert np.array_equal(pinned[label].per_realization, unpinned[label].per_realization)
 
 
 def test_concurrent_callers_get_the_values_of_serial_calls(monkeypatch):
-    # two callers of two workers each on two cores; the pinned regions take
-    # turns, so every chunk runs pinned and each caller restores the count it found
+    # two callers of two workers each on two cores; the calls take turns,
+    # so every chunk runs pinned and each caller restores the count it found
     plan = ObservablePlan.both(np.linspace(0.0, 30.0, 25))
     configs = [make_config(n_realizations=4 * ensemble_mod._CHUNK, w=w, plan=plan)
                for w in (0.5, 2.0)]
     serial = [run_ensemble(config, keep_raw=True) for config in configs]
-    blas = ensemble_mod._openblas_threads()
-    get = blas[0] if blas else lambda: None
+    lib = spectral_mod._openblas()
+    get = lib.scipy_openblas_get_num_threads64_ if lib else lambda: None
     found, seen = get(), []
     original = ensemble_mod._measure_chunk
 
@@ -455,8 +472,58 @@ def test_concurrent_callers_get_the_values_of_serial_calls(monkeypatch):
             for label in (LABEL_CONCURRENCE, LABEL_P_MINUS, LABEL_P_PLUS):
                 assert np.array_equal(expected[label].per_realization,
                                       result[label].per_realization)
-    if blas:
+    if lib:
         assert set(seen) == {1} and get() == found
+
+
+def test_concurrent_calls_take_turns_on_the_pool(monkeypatch):
+    # a pool grown to two workers could run two one-worker callers at once;
+    # their chunks must never overlap, and each caller gets serial values
+    configs = [make_config(n_realizations=3 * ensemble_mod._CHUNK, w=w) for w in (0.5, 2.0)]
+    serial = [run_ensemble(config, keep_raw=True) for config in configs]
+    run_ensemble(make_config(n_realizations=2 * ensemble_mod._CHUNK), threads=2)
+    assert ensemble_mod._pool_size >= 2
+    lock = threading.Lock()
+    in_flight, overlaps = [0, 0], []
+    original = ensemble_mod._measure_chunk
+
+    def recording(config, start, stop, units):
+        k = configs.index(config)
+        with lock:
+            in_flight[k] += 1
+            overlaps.append(in_flight[1 - k] > 0)
+        try:
+            time.sleep(0.002)  # long enough for the other caller's chunk to meet it
+            return original(config, start, stop, units)
+        finally:
+            with lock:
+                in_flight[k] -= 1
+
+    monkeypatch.setattr(ensemble_mod, "_measure_chunk", recording)
+    rounds, results = 5, [[], []]
+    barrier = threading.Barrier(2)
+
+    def call(k):
+        barrier.wait(timeout=30)
+        for _ in range(rounds):
+            try:
+                results[k].append(run_ensemble(configs[k], threads=1, keep_raw=True))
+            except Exception as exc:  # reported by the assertions below
+                results[k].append(exc)
+
+    callers = [threading.Thread(target=call, args=(k,)) for k in range(2)]
+    for caller in callers:
+        caller.start()
+    for caller in callers:
+        caller.join(timeout=60)
+    assert not any(caller.is_alive() for caller in callers)
+    assert len(overlaps) == 2 * rounds * 3 and not any(overlaps)
+    for expected, got in zip(serial, results):
+        assert len(got) == rounds
+        for result in got:
+            assert not isinstance(result, Exception), result
+            assert np.array_equal(expected[LABEL_CONCURRENCE].per_realization,
+                                  result[LABEL_CONCURRENCE].per_realization)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -477,6 +544,48 @@ def test_a_forked_child_runs_on_a_pool_of_its_own():
         "            == parent['concurrence_at_tau'].per_realization).all()\n"
         "    os._exit(0 if same else 3)\n"
         "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
+    )
+    src = str(Path(ensemble_mod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60, check=True)
+    assert result.stdout.strip().splitlines()[-1] == "0"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_fork_taken_during_a_call_leaves_the_child_a_pool_of_its_own():
+    # one thread is inside a two-worker call, holding the lock, while another
+    # forks; the child inherits the held lock but not the thread that releases it
+    code = (
+        "import os, signal, threading\n"
+        "import qladder.ensemble as ensemble\n"
+        "from qladder.ensemble import EnsembleConfig, run_ensemble\n"
+        "from qladder.model import LadderParams\n"
+        "config = EnsembleConfig(LadderParams(n_sites=6, disorder_w=1.0, detuning_delta=0.1),\n"
+        "                        n_realizations=12, master_seed=42)\n"
+        "parent = run_ensemble(config, threads=2, keep_raw=True)\n"
+        "entered, release = threading.Event(), threading.Event()\n"
+        "original = ensemble._measure_chunk\n"
+        "def held(*args):\n"
+        "    entered.set()\n"
+        "    release.wait()\n"
+        "    return original(*args)\n"
+        "ensemble._measure_chunk = held\n"
+        "caller = threading.Thread(target=run_ensemble, args=(config, 2))\n"
+        "caller.start()\n"
+        "entered.wait()\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    signal.alarm(20)\n"
+        "    ensemble._measure_chunk = original\n"
+        "    child = run_ensemble(config, threads=2, keep_raw=True)\n"
+        "    same = (child['concurrence_at_tau'].per_realization\n"
+        "            == parent['concurrence_at_tau'].per_realization).all()\n"
+        "    os._exit(0 if same else 3)\n"
+        "status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])\n"
+        "release.set()\n"
+        "caller.join()\n"
+        "print(status)\n"
     )
     src = str(Path(ensemble_mod.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
