@@ -29,6 +29,7 @@ __all__ = [
     "build_physical",
     "build_effective",
     "assemble_effective",
+    "effective_band",
     "to_plus_minus",
     "to_physical",
 ]
@@ -199,6 +200,22 @@ def assemble_effective(eps_leg1, eps_leg2, gamma_n, couplings) -> np.ndarray:
     h = _assemble_ladder(*effective_parameters(eps_leg1, eps_leg2, gamma_n), couplings)
     _check_entries(h)
     return h
+
+
+def effective_band(eps_leg1, eps_leg2, gamma_n, couplings) -> list[np.ndarray]:
+    """The +/- basis Hamiltonians of (R, N) per-cell parameters as a band,
+    realizations last: diagonal k of the three is (2N - k, R) and holds
+    H_r[j + k, j] at [j, r], bitwise the entries :func:`assemble_effective`
+    sets. ``couplings`` is (N-1,), shared by the stack as an axis of length
+    1, or (R, N-1)."""
+    eps_plus, eps_minus, gamma_tilde = effective_parameters(eps_leg1, eps_leg2, gamma_n)
+    dim = 2 * eps_plus.shape[-1]
+    diag = np.empty((dim, eps_plus.shape[0]))
+    diag[0::2], diag[1::2] = eps_plus.T, eps_minus.T
+    rung = np.zeros((dim - 1, eps_plus.shape[0]))
+    rung[0::2] = gamma_tilde.T  # cells couple their own two slots only
+    hop = np.repeat(np.atleast_2d(couplings).T, 2, axis=0)
+    return [diag, rung, hop]
 
 
 def _mix_cells(amplitudes: np.ndarray) -> np.ndarray:

@@ -1,15 +1,17 @@
 """Exact diagonalization of banded matrices and spectral time evolution.
 
-Evolution goes through the full eigendecomposition: the matrices here are
-small (2N <= a few hundred) and many evaluation times are needed per
-realization, so U(t) = V exp(-i L t) V^T is both exact and fastest. The
-ladder couples only neighbouring slots, so :func:`diagonalize` hands each
-matrix to LAPACK's band eigensolver ``dsbevd``, called through ``ctypes``
-in the OpenBLAS that numpy bundles (dense ``np.linalg.eigh`` without it). One
+Evolution here goes through the full eigendecomposition: the matrices are
+small (2N <= a few hundred) and a trace reads many times per realization,
+so U(t) = V exp(-i L t) V^T is both exact and fastest. The ladder couples
+only neighbouring slots, so :func:`diagonalize` hands each matrix to
+LAPACK's band eigensolver ``dsbevd``, called through ``ctypes`` in the
+OpenBLAS that numpy bundles (dense ``np.linalg.eigh`` without it). One
 kernel, :func:`propagate`, evolves a stack of eigensystems over a grid of
 times at once, for only the state entries a readout reads;
 :func:`evolve_series` is a stack of one, and :func:`evolve` is
-:func:`evolve_series` at a single time.
+:func:`evolve_series` at a single time. A readout at one time needs no
+eigenvectors: :mod:`qladder.chebyshev` evolves such a state by a Chebyshev
+expansion instead, which :func:`eigen_error_bound` lets this path audit.
 
 Conservation is checked once per eigensystem and start state, not per
 evolved state: :func:`certify` turns the eigensystem's orthonormality error
@@ -40,6 +42,7 @@ __all__ = [
     "EigenSystem",
     "diagonalize",
     "certify",
+    "eigen_error_bound",
     "eigendecompose",
     "propagate",
     "squared_norms",
@@ -56,6 +59,11 @@ NORM_TOL = 1e-10
 ENERGY_TOL = 1e-9
 
 _UNIT_ROUNDOFF = float(np.finfo(np.float64).eps) / 2
+
+
+def _gamma(n: int) -> float:
+    """gamma_n = n u / (1 - n u), the relative rounding of n floating-point operations."""
+    return n * _UNIT_ROUNDOFF / (1 - n * _UNIT_ROUNDOFF)
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,7 +239,7 @@ def _drift_bounds(entries, eigenvalues, eigenvectors, psi0):
     lam_as = np.linalg.norm(eigenvalues * (psi0[:, None, :] @ eigenvectors)[:, 0], axis=-1)
     h_psi0s = np.linalg.norm((entries @ psi0[..., None])[..., 0], axis=-1)
     spreads = np.max(np.abs(eigenvalues), axis=-1)
-    gamma = 2 * dim * _UNIT_ROUNDOFF / (1 - 2 * dim * _UNIT_ROUNDOFF)
+    gamma = _gamma(2 * dim)
     stable_tol = max(dim, 16) * dim * _UNIT_ROUNDOFF
     bounds = []
     # one matrix at a time: (D, D) temporaries stay in cache, where (R, D, D)
@@ -239,11 +247,7 @@ def _drift_bounds(entries, eigenvalues, eigenvectors, psi0):
     for matrix, vecs, vals, m, lam_a, h_psi0 in zip(
         entries, eigenvectors, eigenvalues, spreads.tolist(), lam_as.tolist(), h_psi0s.tolist()
     ):
-        gram = vecs.T @ vecs
-        gram.flat[:: dim + 1] -= 1.0
-        e = math.sqrt(np.vdot(gram, gram))
-        residual = matrix @ vecs - vecs * vals
-        r = math.sqrt(np.vdot(residual, residual))
+        e, r = _eigen_errors(matrix, vals, vecs)
         p = 2 * gamma * math.sqrt(dim) * (1 + e)
         h = (math.sqrt(1 + e) * m + r) / math.sqrt(1 - e) if e < 1 else math.inf
         bounds.append((
@@ -257,16 +261,50 @@ def _drift_bounds(entries, eigenvalues, eigenvectors, psi0):
     return np.array(norm_bounds), np.array(energy_bounds), np.array(stable)
 
 
+def _eigen_errors(matrix, eigenvalues, eigenvectors) -> tuple[float, float]:
+    """Frobenius norms e of V^T V - I and r of H V - V L for one eigensystem."""
+    gram = eigenvectors.T @ eigenvectors
+    gram.flat[:: matrix.shape[-1] + 1] -= 1.0
+    residual = matrix @ eigenvectors - eigenvectors * eigenvalues
+    return math.sqrt(np.vdot(gram, gram)), math.sqrt(np.vdot(residual, residual))
+
+
+def eigen_error_bound(entries, eigenvalues, eigenvectors, t) -> np.ndarray:
+    """Per matrix of an (R, D, D) stack and its eigensystems, a bound on the
+    distance between the state :func:`propagate` computes at time t >= 0
+    from a unit start and the exact exp(-i H t) psi0.
+
+    With e and r as in :func:`certify`, eps(t) = V exp(-i L t) V^T psi0 -
+    exp(-i H t) psi0 starts at |(V V^T - I) psi0| <= e and obeys i eps' =
+    H eps - R exp(-i L t) V^T psi0, so |eps(t)| <= e + t r sqrt(1 + e); the
+    rounding of the products adds p = 2 gamma_2D sqrt(D) (1 + e).
+    """
+    dim = entries.shape[-1]
+    gamma = _gamma(2 * dim)
+    bounds = []
+    for matrix, vals, vecs in zip(entries, eigenvalues, eigenvectors):
+        e, r = _eigen_errors(matrix, vals, vecs)
+        bounds.append(e + t * r * math.sqrt(1 + e) + 2 * gamma * math.sqrt(dim) * (1 + e))
+    return np.array(bounds)
+
+
 def _measure_drift(entries, psi0, re, im) -> None:
     """Raise ArithmeticError when a state, with (R, D, T) parts ``re`` and
     ``im`` evolved from the (R, D) unit ``psi0`` under ``entries``, is off
     unit norm by more than ``NORM_TOL`` or off psi0's energy by more than
     ``ENERGY_TOL``."""
-    drift = np.abs(squared_norms(re, im) - 1.0)
+    energy0 = _energies(entries, np.real(psi0)[..., None], np.imag(psi0)[..., None])
+    _judge_drift(squared_norms(re, im), _energies(entries, re, im), energy0)
+
+
+def _judge_drift(norms, energies, energy0) -> None:
+    """Raise ArithmeticError when a squared norm is off 1 by more than
+    ``NORM_TOL`` or an energy is off its start ``energy0`` by more than
+    ``ENERGY_TOL``."""
+    drift = np.abs(norms - 1.0)
     if not np.all(drift <= NORM_TOL):  # NaN fails too
         raise ArithmeticError(f"norm drift {drift.max():.3e} exceeds {NORM_TOL}")
-    energy0 = _energies(entries, np.real(psi0)[..., None], np.imag(psi0)[..., None])
-    drift = np.abs(_energies(entries, re, im) - energy0)
+    drift = np.abs(energies - energy0)
     if not np.all(drift <= ENERGY_TOL):
         raise ArithmeticError(f"energy drift {drift.max():.3e} exceeds {ENERGY_TOL}")
 

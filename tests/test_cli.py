@@ -649,6 +649,26 @@ def test_a_measured_drift_over_tolerance_fails(tmp_path, capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, path", [
+    (["fig1", "--w-points", "1"], "chebyshev"),  # W = 0.2, the default grid's lowest point
+    (["fig1", "--w-min", "1e5", "--w-points", "1"], "eigen"),
+], ids=["w-0.2", "w-1e5"])
+def test_fig1_takes_the_path_its_switch_rule_chooses(tmp_path, monkeypatch, argv, path):
+    import qladder.ensemble as ensemble
+
+    readouts, matrices = [], []
+    chebyshev, diagonalize = ensemble._chebyshev_concurrence, ensemble.diagonalize
+    monkeypatch.setattr(ensemble, "_chebyshev_concurrence",
+                        lambda *args: readouts.append(args) or chebyshev(*args))
+    monkeypatch.setattr(ensemble, "diagonalize",
+                        lambda entries: matrices.append(entries.shape[0]) or diagonalize(entries))
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+    if path == "chebyshev":  # one stack per grid point and the audit's one eigensystem
+        assert len(readouts) == 3 and matrices == [1] * 3
+    else:
+        assert not readouts and sum(matrices) == 3 * FIG1_DEFAULTS["realizations"]
+
+
 def test_runtime_failure_exits_one(tmp_path, capsys):
     code = main(["fig1", "--n-sites", "1", "--out-dir", str(tmp_path / "bad")])
     assert code == 1

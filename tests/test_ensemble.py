@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 from scipy.linalg import expm
 
+import qladder.chebyshev as chebyshev_mod
 import qladder.ensemble as ensemble_mod
 import qladder.spectral as spectral_mod
-from qladder.cli import FIG2_DEFAULTS
+from qladder.cli import FIG1_DEFAULTS, FIG2_DEFAULTS
 from qladder.ensemble import (
     LABEL_CONCURRENCE,
     LABEL_P_MINUS,
@@ -28,6 +29,7 @@ from qladder.ensemble import (
 from qladder.experiments import default_trace_grid, default_w_grid, leakage_trace
 from qladder.hamiltonian import build_effective, build_physical
 from qladder.model import LadderParams, sample_realization
+from qladder.observables import transfer_time
 from qladder.spectral import NORM_TOL
 
 
@@ -35,6 +37,12 @@ from qladder.spectral import NORM_TOL
 PRODUCTION_TRACE_GRID = default_trace_grid(
     FIG2_DEFAULTS["n_sites"], FIG2_DEFAULTS["t_max"], FIG2_DEFAULTS["t_points"]
 )
+
+# A plan with a branch trace runs in chunks of _CHUNK through diagonalize,
+# certify and propagate: the eigen path. A concurrence-only plan that the
+# Chebyshev kernel reads runs as one stack on one worker instead.
+EIGEN_PLAN = ObservablePlan.branch_trace([1.0])
+CHUNKED_PLAN = ObservablePlan.both([1.0])  # and the concurrence too
 
 
 def make_config(n_sites=10, w=2.0, delta=0.3, n_realizations=6, seed=42, plan=None):
@@ -273,7 +281,7 @@ def test_the_draws_kept_after_a_run_are_bounded(monkeypatch):
         return original(config, start, stop, units)
 
     monkeypatch.setattr(ensemble_mod, "_measure_chunk", recording)
-    run_ensemble(make_config(n_sites=2, n_realizations=n_realizations))
+    run_ensemble(make_config(n_sites=2, n_realizations=n_realizations, plan=EIGEN_PLAN))
     assert set(shapes) == {(2, 4)}
     info = ensemble_mod._chunk_draws.cache_info()
     assert info.currsize == info.maxsize == ensemble_mod._KEPT_CHUNKS
@@ -283,7 +291,7 @@ def test_the_draws_kept_after_a_run_are_bounded(monkeypatch):
 def test_engine_matrices_match_the_public_path(monkeypatch):
     # realizations 0-6 span two chunks; each matrix the engine diagonalizes
     # must be the checked single-realization Hamiltonian, bit for bit
-    config = make_config(n_realizations=7)
+    config = make_config(n_realizations=7, plan=EIGEN_PLAN)
     assert ensemble_mod._CHUNK < 7
     seen = []
     original = ensemble_mod.diagonalize
@@ -328,13 +336,13 @@ def test_worker_count_is_capped_at_the_chunk_count(monkeypatch):
 
     monkeypatch.setattr(ensemble_mod, "_measure_chunk", recording)
     chunk = ensemble_mod._CHUNK
-    run_ensemble(make_config(n_realizations=4 * chunk), threads=4)  # a pool of four workers
+    run_ensemble(make_config(n_realizations=4 * chunk, plan=CHUNKED_PLAN), threads=4)  # four workers
     # (realizations, threads, workers): capped by the chunks, by threads, one chunk
     for n_realizations, threads, cap in ((2 * chunk + 2, 8, 3), (4 * chunk, 2, 2),
                                          (chunk - 2, 8, 1)):
         peak.clear()
         seen.clear()
-        config = make_config(n_realizations=n_realizations)
+        config = make_config(n_realizations=n_realizations, plan=CHUNKED_PLAN)
         capped = run_ensemble(config, threads=threads, keep_raw=True)
         assert 1 <= max(peak) <= cap
         workers = {thread for thread, _ in seen}
@@ -383,7 +391,7 @@ def test_workers_run_with_one_openblas_thread_while_more_than_one_runs(monkeypat
         return original(config, start, stop, units)
 
     monkeypatch.setattr(ensemble_mod, "_measure_chunk", recording)
-    config = make_config(n_realizations=4 * ensemble_mod._CHUNK)
+    config = make_config(n_realizations=4 * ensemble_mod._CHUNK, plan=CHUNKED_PLAN)
     run_ensemble(config, threads=2)
     assert seen == [1] * 4 and openblas() == 3
     seen.clear()
@@ -479,9 +487,10 @@ def test_concurrent_callers_get_the_values_of_serial_calls(monkeypatch):
 def test_concurrent_calls_take_turns_on_the_pool(monkeypatch):
     # a pool grown to two workers could run two one-worker callers at once;
     # their chunks must never overlap, and each caller gets serial values
-    configs = [make_config(n_realizations=3 * ensemble_mod._CHUNK, w=w) for w in (0.5, 2.0)]
+    configs = [make_config(n_realizations=3 * ensemble_mod._CHUNK, w=w, plan=CHUNKED_PLAN)
+               for w in (0.5, 2.0)]
     serial = [run_ensemble(config, keep_raw=True) for config in configs]
-    run_ensemble(make_config(n_realizations=2 * ensemble_mod._CHUNK), threads=2)
+    run_ensemble(make_config(n_realizations=2 * ensemble_mod._CHUNK, plan=CHUNKED_PLAN), threads=2)
     assert ensemble_mod._pool_size >= 2
     lock = threading.Lock()
     in_flight, overlaps = [0, 0], []
@@ -634,8 +643,9 @@ def test_guard_failures_name_the_realization_inside_a_chunk(monkeypatch, corrupt
 def test_the_certificate_catches_a_shifted_eigenvalue(monkeypatch):
     # eigenvectors untouched and orthonormal, one eigenvalue of realization 3
     # off by 0.1: no state's norm or energy moves, so per-state guards pass
-    # it, but the eigen-residual H V - V L does not
-    config = make_config(n_sites=30, n_realizations=7)
+    # it, but the eigen-residual H V - V L does not; the eigen path reads tau
+    config = make_config(n_sites=30, n_realizations=7,
+                         plan=ObservablePlan.branch_trace([transfer_time(30)]))
     target = _matrix_of(config, 3)
     original = ensemble_mod.diagonalize
 
@@ -655,13 +665,15 @@ def test_the_certificate_catches_a_shifted_eigenvalue(monkeypatch):
 @pytest.mark.parametrize("plan", ["fig1", "fig2"])
 def test_production_scales_are_certified_without_measurement(monkeypatch, w, plan):
     # the certificate bounds every realization of the figure drivers'
-    # ensembles, so no chunk propagates and measures its whole states
+    # ensembles, so no chunk propagates and measures its whole states; fig1's
+    # matrices are read at tau on the eigen path, which the Chebyshev kernel
+    # takes over at these scales and audits with
     def unexpected(*args):
         raise AssertionError("a production-scale evolution was measured")
 
     monkeypatch.setattr(spectral_mod, "_measure_drift", unexpected)
     n_sites = 30
-    plans = {"fig1": ObservablePlan.concurrence_only(),
+    plans = {"fig1": ObservablePlan.branch_trace([transfer_time(n_sites)]),
              "fig2": ObservablePlan.branch_trace(PRODUCTION_TRACE_GRID)}
     config = make_config(n_sites=n_sites, w=w, delta=0.2, n_realizations=100, plan=plans[plan])
     stats = run_ensemble(config)
@@ -685,7 +697,7 @@ def test_a_fault_only_inside_a_stack_names_the_range(monkeypatch):
 
 
 def test_other_errors_name_the_realization_inside_a_chunk(monkeypatch):
-    config = make_config(n_realizations=7)
+    config = make_config(n_realizations=7, plan=EIGEN_PLAN)
     target = _matrix_of(config, 3)
     original = ensemble_mod.diagonalize
 
@@ -777,3 +789,119 @@ def test_plans_share_realization_streams():
         combined[LABEL_P_MINUS].per_realization,
         trace_only[LABEL_P_MINUS].per_realization,
     )
+
+
+# ---------------------------------------------------------------------------
+# Chebyshev readout of C(tau)
+# ---------------------------------------------------------------------------
+
+def _chebyshev_config(n_realizations=100, **kwargs):
+    config = make_config(n_sites=30, w=0.5, delta=0.2, n_realizations=n_realizations, **kwargs)
+    assert ensemble_mod._chebyshev_chosen(config.params)
+    return config
+
+
+def test_chebyshev_values_do_not_depend_on_stack_threads_or_chunk(monkeypatch):
+    # the whole ensemble is one stack, so the stack size follows the
+    # ensemble size; the values must not, nor the thread count or chunk size
+    full = run_ensemble(_chebyshev_config(), keep_raw=True)[LABEL_CONCURRENCE].per_realization
+    for n in (1, 7):
+        part = run_ensemble(_chebyshev_config(n), keep_raw=True)[LABEL_CONCURRENCE]
+        assert np.array_equal(part.per_realization, full[:n])
+    threads2 = run_ensemble(_chebyshev_config(), threads=2, keep_raw=True)
+    assert np.array_equal(threads2[LABEL_CONCURRENCE].per_realization, full)
+    monkeypatch.setattr(ensemble_mod, "_CHUNK", 1)
+    single = run_ensemble(_chebyshev_config(), keep_raw=True)
+    assert np.array_equal(single[LABEL_CONCURRENCE].per_realization, full)
+
+
+def test_chebyshev_values_match_the_eigen_path(monkeypatch):
+    config = _chebyshev_config(20)
+    chebyshev = run_ensemble(config, keep_raw=True)[LABEL_CONCURRENCE].per_realization
+    monkeypatch.setattr(ensemble_mod, "_chebyshev_chosen", lambda params: False)
+    eigen = run_ensemble(config, keep_raw=True)[LABEL_CONCURRENCE].per_realization
+    assert np.max(np.abs(chebyshev - eigen)) < 1e-13
+
+
+def test_a_chebyshev_run_is_one_stack_on_one_worker_and_audits_realization_0(monkeypatch):
+    # the kernel's small operations hold the GIL between them, so more
+    # workers would only take turns; one stack spreads each one's cost
+    calls, matrices = [], []
+    original_chunk, original_diagonalize = ensemble_mod._measure_chunk, ensemble_mod.diagonalize
+
+    def recording(config, start, stop, units):
+        calls.append((start, stop, units.shape[0]))
+        return original_chunk(config, start, stop, units)
+
+    def diagonalizing(entries):
+        matrices.append(entries.shape[0])
+        return original_diagonalize(entries)
+
+    monkeypatch.setattr(ensemble_mod, "_measure_chunk", recording)
+    monkeypatch.setattr(ensemble_mod, "diagonalize", diagonalizing)
+    run_ensemble(_chebyshev_config(), threads=2)
+    assert calls == [(0, 100, 100)]
+    assert matrices == [1]  # the audit's realization 0, the only eigensystem
+
+
+def _gershgorin_radii(config):
+    return np.array([np.max(np.sum(np.abs(_matrix_of(config, i)), axis=1))
+                     for i in range(config.n_realizations)])
+
+
+def test_a_half_width_below_the_spectral_radius_names_the_realization(monkeypatch):
+    # a between the radii: the first realization above it fails alone
+    config = _chebyshev_config(40)
+    radii = _gershgorin_radii(config)
+    margin = 1 + 1e-12  # for the order the kernel sums a row in
+    target = next(i for i in range(1, radii.size) if radii[i] > radii[:i].max() * margin)
+    monkeypatch.setattr(ensemble_mod, "_half_width", lambda params: radii[:target].max() * margin)
+    with pytest.raises(RuntimeError, match=rf"realization {target} \(seed tag 42:{target}, "
+                                           r".*Gershgorin radius .* exceeds the half-width"):
+        run_ensemble(config)
+
+
+def _shift_hop_slots(band_of):
+    def shifted(*args):
+        band = band_of(*args)
+        band[2] = np.roll(band[2], 1, axis=0)  # each hopping one slot off its own
+        return band
+    return shifted
+
+
+def _flip_odd_bessel_signs(bessel_j):
+    def flipped(x, count):
+        values = bessel_j(x, count)
+        values[1::2] *= -1  # the conjugate evolution exp(+iHt): same C, other amplitudes
+        return values
+    return flipped
+
+
+@pytest.mark.parametrize("fault", ["hop-slot shift", "flipped Bessel sign"])
+def test_a_broken_kernel_fails_the_audit(monkeypatch, fault):
+    # both faults keep every matrix symmetric and its states' norm and
+    # energy, so only the eigen path's audit of realization 0 sees them
+    if fault == "hop-slot shift":
+        monkeypatch.setattr(ensemble_mod, "effective_band",
+                            _shift_hop_slots(ensemble_mod.effective_band))
+    else:
+        monkeypatch.setattr(chebyshev_mod, "bessel_j", _flip_odd_bessel_signs(chebyshev_mod.bessel_j))
+    chebyshev_mod._chebyshev_series.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match=r"realization 0 \(seed tag 42:0, .*audit: "
+                                               r"Chebyshev amplitudes deviate"):
+            run_ensemble(_chebyshev_config(10))
+    finally:
+        chebyshev_mod._chebyshev_series.cache_clear()
+
+
+def test_the_switch_rule_sends_low_w_to_the_kernel_and_large_w_to_the_eigen_path():
+    n_sites = FIG1_DEFAULTS["n_sites"]
+    grid = default_w_grid(FIG1_DEFAULTS["w_min"], FIG1_DEFAULTS["w_max"], FIG1_DEFAULTS["w_points"])
+    for delta in FIG1_DEFAULTS["delta"]:
+        for w in grid[grid <= 1.0]:
+            params = LadderParams(n_sites=n_sites, disorder_w=float(w), detuning_delta=delta)
+            assert ensemble_mod._chebyshev_chosen(params)
+    for w in (1e3, 1e5, 1e300):
+        params = LadderParams(n_sites=n_sites, disorder_w=w, detuning_delta=0.2)
+        assert not ensemble_mod._chebyshev_chosen(params)

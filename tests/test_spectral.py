@@ -2,9 +2,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qladder.chebyshev as chebyshev_mod
 import qladder.spectral as spectral_mod
-from qladder.ensemble import derive_stream
+from qladder.chebyshev import bessel_j, chebyshev_propagate, chebyshev_terms
+from qladder.ensemble import _half_width, derive_stream
 from qladder.hamiltonian import (
     Basis,
     BasisMismatchError,
@@ -14,14 +18,17 @@ from qladder.hamiltonian import (
     bell_minus_state,
     build_effective,
     build_physical,
+    effective_band,
     unit_state,
 )
 from qladder.model import LadderParams, sample_realization, uniform_ladder
+from qladder.observables import transfer_time
 from qladder.spectral import (
     ENERGY_TOL,
     NORM_TOL,
     certify,
     diagonalize,
+    eigen_error_bound,
     eigendecompose,
     evolve,
     evolve_series,
@@ -458,3 +465,85 @@ def test_expectation_requires_matching_basis():
     op, _ = ladder_system()
     with pytest.raises(BasisMismatchError):
         expectation(op, random_state(op.dim, 8, Basis.PHYSICAL))
+
+
+# ---------------------------------------------------------------------------
+# Chebyshev kernel
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("x", [0.0, 1e-3, 0.5, 7.3, 61.0, 523.0, 1500.0])
+def test_miller_bessel_values_match_scipy(x):
+    from scipy.special import jv  # the reference only; the kernel never loads scipy
+
+    count = chebyshev_terms(x) + 40
+    # scipy's own error grows with x: about 1e-14 at x = 523 against mpmath
+    assert np.max(np.abs(bessel_j(x, count) - jv(np.arange(count), x))) < 1e-13
+
+
+@pytest.mark.parametrize("x", [0.0, 0.5, 61.0, 523.0])
+def test_chebyshev_terms_stop_where_the_tail_falls_below_rounding(x):
+    terms, coefficients, tail = chebyshev_mod._chebyshev_series(x)
+    assert terms == chebyshev_terms(x) and coefficients.size == terms + 1
+    assert tail <= chebyshev_mod._UNIT_ROUNDOFF
+    if terms:  # one term fewer leaves J_K in the tail
+        assert tail + 2 * abs(coefficients[-1]) > chebyshev_mod._UNIT_ROUNDOFF
+    assert terms >= x
+
+
+def _ladder_band(realization):
+    """The +/- basis band of one realization as a stack of one."""
+    cells = (realization.eps_leg1, realization.eps_leg2, realization.gamma_n)
+    return effective_band(*(cell[None] for cell in cells), realization.couplings)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_sites=st.integers(2, 12), w=st.floats(0.0, 20.0), delta=st.floats(0.0, 2.0),
+       index=st.integers(0, 1000), span=st.floats(0.0, 2.0))
+def test_chebyshev_states_match_evolve_series_within_the_derived_bound(
+    n_sites, w, delta, index, span
+):
+    params = LadderParams(n_sites=n_sites, disorder_w=w, detuning_delta=delta)
+    realization = sample_realization(params, derive_stream(11, index))
+    band = _ladder_band(realization)
+    t = span * transfer_time(n_sites)
+    psi0 = bell_minus_state(n_sites)
+    re, im, bound = chebyshev_propagate(band, psi0.amplitudes.real[:, None], t,
+                                        _half_width(params))
+    system = eigendecompose(build_effective(realization))
+    reference = evolve_series(system, psi0, [t])[0].amplitudes
+    entries = system.operator.entries[None]
+    tolerance = bound + eigen_error_bound(entries, system.eigenvalues[None],
+                                          system.eigenvectors[None], t)[0]
+    assert np.linalg.norm(re[:, 0] + 1j * im[:, 0] - reference) <= tolerance
+
+
+def test_the_band_holds_the_dense_matrix_entries():
+    params = LadderParams(n_sites=6, disorder_w=2.0, detuning_delta=0.3)
+    realization = sample_realization(params, derive_stream(5, 0))
+    band, dense = _ladder_band(realization), build_effective(realization).entries
+    for k, diagonal in enumerate(band):
+        assert np.array_equal(np.broadcast_to(diagonal[:, 0], (dense.shape[0] - k,)),
+                              np.diagonal(dense, -k))
+    assert np.count_nonzero(np.triu(dense, 3)) == 0
+
+
+@pytest.mark.parametrize("corruption, message", [
+    ("half-width", "Gershgorin radius"),
+    ("non-finite", "Gershgorin radius"),
+    ("non-unit", "norm drift"),
+])
+def test_the_chebyshev_judge_refuses(corruption, message):
+    params = LadderParams(n_sites=8, disorder_w=3.0, detuning_delta=0.4)
+    realization = sample_realization(params, derive_stream(2, 0))
+    band = _ladder_band(realization)
+    radius = np.max(np.sum(np.abs(build_effective(realization).entries), axis=1))
+    psi0 = bell_minus_state(8).amplitudes.real[:, None]
+    half_width = _half_width(params)
+    if corruption == "half-width":
+        half_width = radius * 0.99
+    elif corruption == "non-finite":
+        band[0][3, 0] = np.nan
+    else:
+        psi0 = psi0 * (1 + 1e-9)
+    with pytest.raises(ArithmeticError, match=message):
+        chebyshev_propagate(band, psi0, transfer_time(8), half_width)
