@@ -9,7 +9,8 @@ checked against a value it did not produce.
 
 Every realization is evaluated on two paths:
 
-  engine  transfer_sweep: +/- basis Hamiltonian, band eigensolver, spectral evolution
+  engine  transfer_sweep: the Chebyshev kernel on the +/- basis band, which
+          the switch rule picks at both W, in stacks of 400 realizations
   expm    build_physical + scipy.linalg.expm applied to the site-basis Bell
           state (|1,leg1> - |1,leg2>)/sqrt(2); C = 2|f1 f2| is read straight
           from the last rung, with no basis change
@@ -18,8 +19,8 @@ Both ensemble means are printed per seed, with the largest per-realization
 deviation between the paths; the script exits 1 if that exceeds 1e-10. The
 gain is the mean of the per-realization differences (W = 0.2 and W = 10 share
 realization streams), pooled over all seeds; its standard error is the sample
-standard deviation of the differences over sqrt(count). Takes about 15 s
-on one core:
+standard deviation of the differences over sqrt(count). Took 36 s on
+one core of a 2-vCPU VM:
 
     python scripts/criterion5_reference.py
 """

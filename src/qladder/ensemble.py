@@ -20,10 +20,10 @@ the branch trace always takes the eigen path. The kernel's half-width a
 comes from W, Delta and the couplings, so K is the same for every
 realization, and the kernel works elementwise over the stack: a
 realization's value is bitwise the same in any stack. A concurrence-only
-plan that the kernel reads runs as one stack of all its chunks' draws, on
-one worker. The stack that holds realization 0 is audited: the eigen path
-recomputes realization 0, and its complex last-cell amplitudes must agree
-with the kernel's within the sum of the two paths' error bounds.
+plan that the kernel reads runs in stacks of 400 on one worker.
+Realization 0 is audited: the eigen path recomputes it, and its complex
+last-cell amplitudes must agree with the kernel's within the sum of the two
+paths' error bounds.
 
 Every call runs its chunks on one long-lived thread pool, also at one
 thread: each of ``min(threads, chunks)`` workers runs one contiguous block
@@ -63,14 +63,7 @@ from .chebyshev import chebyshev_propagate, chebyshev_terms
 from .hamiltonian import _SQRT1_2, Branch, assemble_effective, effective_band, flat_index
 from .model import LadderParams, correlated_channel, scale_disorder
 from .observables import transfer_time
-from .spectral import (
-    _openblas,
-    certify,
-    diagonalize,
-    eigen_error_bound,
-    propagate,
-    squared_norms,
-)
+from .spectral import _openblas, certify, diagonalize, eigen_error_bound, propagate, squared_norms
 
 __all__ = [
     "ObservablePlan",
@@ -90,6 +83,10 @@ LABEL_P_PLUS = "p_plus"
 # Realizations per stacked diagonalization.
 # Larger chunks add memory (fig2 at chunk 25: +23 MB peak) but no speed.
 _CHUNK = 5
+
+# Realizations per Chebyshev stack, a multiple of _CHUNK and of 8: at W = 10, N = 30
+# the kernel took 183-195 us per realization at 400, 208-259 at 100, 238-260 at 1,000.
+_STACK = 400
 
 # Chebyshev terms per slot (of D = 2N) that cost as much as the eigen path.
 # Break-even K / D measured 15-35 from N = 5 to 60 (stacks of 100, W = 0.2 and 2).
@@ -223,30 +220,43 @@ def _end_concurrence(plus, minus) -> np.ndarray:
     return 2.0 * np.abs(leg1) * np.abs(leg2)
 
 
+def _eigen_path(entries, times):
+    """The eigensystems and Bell starts of the stack ``entries``, certified
+    for ``times``, and certify's e and r."""
+    eigenvalues, eigenvectors = diagonalize(entries)
+    # the Bell pair on cell 1 is the unit vector |1,->, so psi0 is real
+    psi0 = np.zeros(entries.shape[:2])
+    psi0[:, flat_index(1, Branch.MINUS, entries.shape[-1] // 2)] = 1.0
+    _, e, r = certify(entries, eigenvalues, eigenvectors, psi0, times)
+    return (eigenvalues, eigenvectors, psi0), e, r
+
+
+def _last_cell(system, tau) -> np.ndarray:
+    """The (2, R) (+, -) amplitudes of cell N at tau by the eigen path."""
+    re, im = propagate(*system, [tau], slice(-2, None))
+    return (re[:, :, 0] + 1j * im[:, :, 0]).T
+
+
 def _chebyshev_concurrence(params: LadderParams, cells, audit: bool) -> np.ndarray:
     """C(tau) of the stack of (R, N) per-cell parameters ``cells`` by the
-    judged Chebyshev kernel. With ``audit``, the eigen path recomputes row 0,
-    and its complex last-cell amplitudes must agree within the sum of the two
+    judged Chebyshev kernel. With ``audit``, row 0's complex last-cell
+    amplitudes must agree with the eigen path's within the sum of the two
     paths' error bounds, or ArithmeticError is raised."""
     n_sites, tau = params.n_sites, transfer_time(params.n_sites)
     band = effective_band(*cells, params.couplings())
     psi0 = np.zeros(band[0].shape)
     psi0[flat_index(1, Branch.MINUS, n_sites)] = 1.0
     re, im, bound = chebyshev_propagate(band, psi0, tau, _half_width(params))
-    plus, minus = re[-2:] + 1j * im[-2:]  # slots (+, -) of cell N
+    ends = re[-2:] + 1j * im[-2:]  # slots (+, -) of cell N
     if audit:
-        entries = assemble_effective(*(cell[:1] for cell in cells), params.couplings())
-        eigenvalues, eigenvectors = diagonalize(entries)
-        certify(entries, eigenvalues, eigenvectors, psi0[:, :1].T, [tau])
-        eigen_re, eigen_im = propagate(eigenvalues, eigenvectors, psi0[:, :1].T, [tau],
-                                       slice(-2, None))
-        deviation = np.max(np.abs(eigen_re[0, :, 0] + 1j * eigen_im[0, :, 0]
-                                  - [plus[0], minus[0]]))
-        tolerance = bound + eigen_error_bound(entries, eigenvalues, eigenvectors, tau)[0]
+        row0 = assemble_effective(*(cell[:1] for cell in cells), params.couplings())
+        system, e, r = _eigen_path(row0, [tau])
+        deviation = np.max(np.abs(_last_cell(system, tau)[:, 0] - ends[:, 0]))
+        tolerance = bound + eigen_error_bound(e, r, 2 * n_sites, tau)[0]
         if not deviation <= tolerance:
             raise ArithmeticError(f"audit: Chebyshev amplitudes deviate from the eigen "
                                   f"path's by {deviation:.3e}, over {tolerance:.3e}")
-    return _end_concurrence(plus, minus)
+    return _end_concurrence(*ends)
 
 
 def _measure_stack(config: EnsembleConfig, eps_leg1: np.ndarray, delta_n: np.ndarray,
@@ -254,32 +264,25 @@ def _measure_stack(config: EnsembleConfig, eps_leg1: np.ndarray, delta_n: np.nda
     """Observables of the stack of (R, N) draws, each with the stack on axis 0.
     ``audit`` asks the Chebyshev kernel, where it reads C(tau), to audit row 0."""
     params, plan = config.params, config.plan
-    n_sites = params.n_sites
+    tau = transfer_time(params.n_sites)
     cells = (eps_leg1, *correlated_channel(eps_leg1, delta_n))
     out = {}
-    chebyshev = plan.concurrence_at_tau and _chebyshev_chosen(params)
-    if chebyshev:
+    if plan.concurrence_at_tau and _chebyshev_chosen(params):
         out[LABEL_CONCURRENCE] = _chebyshev_concurrence(params, cells, audit)
         if plan.trace_times is None:
             return out
-    entries = assemble_effective(*cells, params.couplings())
-    eigenvalues, eigenvectors = diagonalize(entries)
-    # the Bell pair on cell 1 is the unit vector |1,->, so psi0 is real
-    psi0 = np.zeros(entries.shape[:2])
-    psi0[:, flat_index(1, Branch.MINUS, n_sites)] = 1.0
-    eigen_readout = plan.concurrence_at_tau and not chebyshev
-    times = [transfer_time(n_sites)] if eigen_readout else []
+    eigen_readout = plan.concurrence_at_tau and not out
+    times = [tau] if eigen_readout else []
     if plan.trace_times is not None:
         times = np.concatenate([times, plan.trace_times])
-    certify(entries, eigenvalues, eigenvectors, psi0, times)
-
+    # freed before the readouts, a warm fig2 took ~6,000 faults, not ~20
+    entries = assemble_effective(*cells, params.couplings())
+    system = _eigen_path(entries, times)[0]
     if eigen_readout:
-        last_cell = slice(-2, None)  # slots (+, -) of cell N
-        re, im = propagate(eigenvalues, eigenvectors, psi0, [transfer_time(n_sites)], last_cell)
-        out[LABEL_CONCURRENCE] = _end_concurrence(*(re[:, :, 0] + 1j * im[:, :, 0]).T)
+        out[LABEL_CONCURRENCE] = _end_concurrence(*_last_cell(system, tau))
     if plan.trace_times is not None:
         minus_slots = slice(int(Branch.MINUS), None, 2)  # the minus slot of every cell
-        re, im = propagate(eigenvalues, eigenvectors, psi0, config.plan.trace_times, minus_slots)
+        re, im = propagate(*system, plan.trace_times, minus_slots)
         p_minus = squared_norms(re, im)
         out[LABEL_P_MINUS] = p_minus
         out[LABEL_P_PLUS] = 1.0 - p_minus
@@ -320,12 +323,7 @@ def _reduce(values: np.ndarray, keep_raw: bool) -> EnsembleStats:
         std_error = values.std(axis=0, ddof=1) / np.sqrt(n)
     else:
         std_error = np.zeros_like(mean)
-    return EnsembleStats(
-        mean=mean,
-        std_error=std_error,
-        n=n,
-        per_realization=values if keep_raw else None,
-    )
+    return EnsembleStats(mean, std_error, n, values if keep_raw else None)
 
 
 def _run_blocks(run_block, blocks: list) -> list:
@@ -376,9 +374,8 @@ def run_ensemble(
     ``threads``. Per-realization raw values are retained when
     ``keep_raw=True``. The chunks run on ``min(threads, chunks)`` workers
     of a shared pool, each taking one contiguous block in order, so the
-    first failure in realization order is the one raised; a
-    concurrence-only plan that the Chebyshev kernel reads runs as one stack
-    on one worker. Calls from several threads take turns.
+    first failure in realization order is the one raised; the Chebyshev
+    kernel's stacks run on one worker. Calls from several threads take turns.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -386,23 +383,22 @@ def run_ensemble(
     chunks = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
 
     seed, n_sites = config.master_seed, config.params.n_sites
-    # a concurrence-only plan that the kernel reads runs as one stack on one
-    # worker: the kernel's cost per numpy operation is spread over the whole
-    # ensemble, and its small operations hold the GIL between them, so on two
-    # workers the default fig1 took 2.6-3.1 s, where one took 0.9 s
-    one_stack = config.plan.trace_times is None and _chebyshev_chosen(config.params)
+    # the kernel's stacks run on one worker: its small operations hold the GIL
+    # between them, so on two workers the default fig1 took 2.6-3.1 s, not 0.9 s
+    kernel = config.plan.trace_times is None and _chebyshev_chosen(config.params)
+    size = _STACK // _CHUNK if kernel else 1
+    stacks = [chunks[k:k + size] for k in range(0, len(chunks), size)]
 
     def run_block(block):
-        if one_stack:
-            units = np.concatenate([_chunk_draws(seed, n_sites, *chunk) for chunk in block])
-            return [_measure_chunk(config, 0, n, units)]
-        # drawn as each chunk runs: all drawn first, a warm fig2 took 1,400-3,900 faults, not <1,000
-        return [_measure_chunk(config, *chunk, _chunk_draws(seed, n_sites, *chunk))
-                for chunk in block]
+        # drawn as each stack runs: all drawn first, a warm fig2 took 1,400-3,900 faults, not <1,000
+        # a copy of a lone chunk's draws raised fig2's peak RSS by 0.2-0.3 MB
+        return [_measure_chunk(config, stack[0][0], stack[-1][1], np.concatenate(
+                    [_chunk_draws(seed, n_sites, *chunk) for chunk in stack]) if kernel
+                    else _chunk_draws(seed, n_sites, *stack[0])) for stack in block]
 
-    # a worker beyond the chunk count has no work
-    workers = 1 if one_stack else min(threads, len(chunks))
-    blocks = [chunks[k * len(chunks) // workers:(k + 1) * len(chunks) // workers]
+    # a worker beyond the stack count has no work
+    workers = 1 if kernel else min(threads, len(stacks))
+    blocks = [stacks[k * len(stacks) // workers:(k + 1) * len(stacks) // workers]
               for k in range(workers)]
     parts = [part for future in _run_blocks(run_block, blocks) for part in future.result()]
     return {

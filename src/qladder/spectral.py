@@ -172,15 +172,16 @@ def diagonalize(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eigenvalues.reshape(entries.shape[:-1]), eigenvectors.reshape(entries.shape)
 
 
-def certify(entries, eigenvalues, eigenvectors, psi0, times) -> np.ndarray:
+def certify(entries, eigenvalues, eigenvectors, psi0, times) -> tuple:
     """Judge the norm and energy drift of the states evolved from ``psi0``.
 
     ``entries`` is an (R, D, D) stack of real symmetric matrices H, with the
     ``eigenvalues`` L and ``eigenvectors`` V that :func:`diagonalize` returned
     for it, ``psi0`` the (R, D) stack of unit start states, real or complex,
     and ``times`` the 1-d grid the caller reads out. Returns a boolean array
-    over the stack: True where both drift bounds are within ``NORM_TOL`` and
-    ``ENERGY_TOL``, so no evolved state needs checking. False marks a matrix
+    over the stack, True where both drift bounds are within ``NORM_TOL`` and
+    ``ENERGY_TOL``, so no evolved state needs checking, and the arrays of e
+    and r below, which :func:`eigen_error_bound` reads. False marks a matrix
     whose bound is over its tolerance although its eigensystem is accurate
     to rounding (backward stable: e <= max(D, 16) D u and r <= max(D, 16) D
     u h, the order of the worst-case backward error of a Householder-based
@@ -217,7 +218,8 @@ def certify(entries, eigenvalues, eigenvectors, psi0, times) -> np.ndarray:
 
     At t = 0 :func:`propagate` returns psi0 itself, with no drift.
     """
-    norm_bounds, energy_bounds, stable = _drift_bounds(entries, eigenvalues, eigenvectors, psi0)
+    norm_bounds, energy_bounds, stable, e, r = _drift_bounds(entries, eigenvalues, eigenvectors,
+                                                             psi0)
     bounded = (norm_bounds <= NORM_TOL) & (energy_bounds <= ENERGY_TOL)  # NaN fails too
     failed = np.flatnonzero(~bounded & ~stable)
     if failed.size:
@@ -229,12 +231,12 @@ def certify(entries, eigenvalues, eigenvectors, psi0, times) -> np.ndarray:
         unsure = ~bounded
         states = propagate(eigenvalues[unsure], eigenvectors[unsure], psi0[unsure], times)
         _measure_drift(entries[unsure], psi0[unsure], *states)
-    return bounded
+    return bounded, e, r
 
 
 def _drift_bounds(entries, eigenvalues, eigenvectors, psi0):
     """Per matrix of the stack: the norm and energy drift bounds of
-    :func:`certify`, and whether the eigensystem is backward stable."""
+    :func:`certify`, whether the eigensystem is backward stable, e and r."""
     dim = entries.shape[-1]
     lam_as = np.linalg.norm(eigenvalues * (psi0[:, None, :] @ eigenvectors)[:, 0], axis=-1)
     h_psi0s = np.linalg.norm((entries @ psi0[..., None])[..., 0], axis=-1)
@@ -255,10 +257,9 @@ def _drift_bounds(entries, eigenvalues, eigenvectors, psi0):
             math.sqrt(1 + e) * (e * lam_a + (2 + e) * r + 2 * p * (lam_a + r))
             + e * h_psi0
             + h * p * p,
-            e <= stable_tol and r <= stable_tol * h,
+            e <= stable_tol and r <= stable_tol * h, e, r,
         ))
-    norm_bounds, energy_bounds, stable = zip(*bounds)
-    return np.array(norm_bounds), np.array(energy_bounds), np.array(stable)
+    return tuple(np.array(column) for column in zip(*bounds))
 
 
 def _eigen_errors(matrix, eigenvalues, eigenvectors) -> tuple[float, float]:
@@ -269,23 +270,18 @@ def _eigen_errors(matrix, eigenvalues, eigenvectors) -> tuple[float, float]:
     return math.sqrt(np.vdot(gram, gram)), math.sqrt(np.vdot(residual, residual))
 
 
-def eigen_error_bound(entries, eigenvalues, eigenvectors, t) -> np.ndarray:
-    """Per matrix of an (R, D, D) stack and its eigensystems, a bound on the
-    distance between the state :func:`propagate` computes at time t >= 0
-    from a unit start and the exact exp(-i H t) psi0.
+def eigen_error_bound(e, r, dim: int, t) -> np.ndarray:
+    """A bound on the distance between the state :func:`propagate` computes
+    at time t >= 0 from a unit start and the exact exp(-i H t) psi0, per
+    entry of the errors e and r that :func:`certify` returned for (D, D)
+    eigensystems, D = ``dim``.
 
-    With e and r as in :func:`certify`, eps(t) = V exp(-i L t) V^T psi0 -
-    exp(-i H t) psi0 starts at |(V V^T - I) psi0| <= e and obeys i eps' =
-    H eps - R exp(-i L t) V^T psi0, so |eps(t)| <= e + t r sqrt(1 + e); the
-    rounding of the products adds p = 2 gamma_2D sqrt(D) (1 + e).
+    eps(t) = V exp(-i L t) V^T psi0 - exp(-i H t) psi0 starts at |(V V^T -
+    I) psi0| <= e and obeys i eps' = H eps - R exp(-i L t) V^T psi0, so
+    |eps(t)| <= e + t r sqrt(1 + e); the rounding of the products adds p = 2
+    gamma_2D sqrt(D) (1 + e).
     """
-    dim = entries.shape[-1]
-    gamma = _gamma(2 * dim)
-    bounds = []
-    for matrix, vals, vecs in zip(entries, eigenvalues, eigenvectors):
-        e, r = _eigen_errors(matrix, vals, vecs)
-        bounds.append(e + t * r * math.sqrt(1 + e) + 2 * gamma * math.sqrt(dim) * (1 + e))
-    return np.array(bounds)
+    return e + t * r * np.sqrt(1 + e) + 2 * _gamma(2 * dim) * math.sqrt(dim) * (1 + e)
 
 
 def _measure_drift(entries, psi0, re, im) -> None:

@@ -40,7 +40,7 @@ PRODUCTION_TRACE_GRID = default_trace_grid(
 
 # A plan with a branch trace runs in chunks of _CHUNK through diagonalize,
 # certify and propagate: the eigen path. A concurrence-only plan that the
-# Chebyshev kernel reads runs as one stack on one worker instead.
+# Chebyshev kernel reads runs in stacks of _STACK on one worker instead.
 EIGEN_PLAN = ObservablePlan.branch_trace([1.0])
 CHUNKED_PLAN = ObservablePlan.both([1.0])  # and the concurrence too
 
@@ -802,15 +802,24 @@ def _chebyshev_config(n_realizations=100, **kwargs):
 
 
 def test_chebyshev_values_do_not_depend_on_stack_threads_or_chunk(monkeypatch):
-    # the whole ensemble is one stack, so the stack size follows the
-    # ensemble size; the values must not, nor the thread count or chunk size
+    # the values must not follow the stack size, the thread count or the
+    # chunk size: 100 realizations are one stack, 3 stacks and 7 more are four
     full = run_ensemble(_chebyshev_config(), keep_raw=True)[LABEL_CONCURRENCE].per_realization
     for n in (1, 7):
         part = run_ensemble(_chebyshev_config(n), keep_raw=True)[LABEL_CONCURRENCE]
         assert np.array_equal(part.per_realization, full[:n])
     threads2 = run_ensemble(_chebyshev_config(), threads=2, keep_raw=True)
     assert np.array_equal(threads2[LABEL_CONCURRENCE].per_realization, full)
+    width = 2 * ensemble_mod._CHUNK
+    monkeypatch.setattr(ensemble_mod, "_STACK", width)
+    n = 3 * width + 7
+    stacks = run_ensemble(_chebyshev_config(n), threads=2, keep_raw=True)
+    assert np.array_equal(stacks[LABEL_CONCURRENCE].per_realization, full[:n])
     monkeypatch.setattr(ensemble_mod, "_CHUNK", 1)
+    for stack in (1, width):  # stacks of 1, then chunks of 1
+        monkeypatch.setattr(ensemble_mod, "_STACK", stack)
+        single = run_ensemble(_chebyshev_config(n), threads=2, keep_raw=True)
+        assert np.array_equal(single[LABEL_CONCURRENCE].per_realization, full[:n])
     single = run_ensemble(_chebyshev_config(), keep_raw=True)
     assert np.array_equal(single[LABEL_CONCURRENCE].per_realization, full)
 
@@ -823,25 +832,45 @@ def test_chebyshev_values_match_the_eigen_path(monkeypatch):
     assert np.max(np.abs(chebyshev - eigen)) < 1e-13
 
 
-def test_a_chebyshev_run_is_one_stack_on_one_worker_and_audits_realization_0(monkeypatch):
+def test_a_chebyshev_run_runs_in_stacks_on_one_worker_and_audits_realization_0(monkeypatch):
     # the kernel's small operations hold the GIL between them, so more
-    # workers would only take turns; one stack spreads each one's cost
-    calls, matrices = [], []
+    # workers would only take turns; a stack spreads each one's cost, and a
+    # bounded one keeps the kernel's memory and time per realization flat
+    calls, workers, matrices, errors = [], set(), [], []
     original_chunk, original_diagonalize = ensemble_mod._measure_chunk, ensemble_mod.diagonalize
+    original_errors = spectral_mod._eigen_errors
 
     def recording(config, start, stop, units):
         calls.append((start, stop, units.shape[0]))
+        workers.add(threading.get_ident())
         return original_chunk(config, start, stop, units)
 
     def diagonalizing(entries):
         matrices.append(entries.shape[0])
         return original_diagonalize(entries)
 
+    def counting(*args):
+        errors.append(1)
+        return original_errors(*args)
+
     monkeypatch.setattr(ensemble_mod, "_measure_chunk", recording)
     monkeypatch.setattr(ensemble_mod, "diagonalize", diagonalizing)
+    monkeypatch.setattr(spectral_mod, "_eigen_errors", counting)
     run_ensemble(_chebyshev_config(), threads=2)
     assert calls == [(0, 100, 100)]
     assert matrices == [1]  # the audit's realization 0, the only eigensystem
+    assert len(errors) == 1  # its e and r, computed once for certify and the audit
+
+    width = 2 * ensemble_mod._CHUNK
+    monkeypatch.setattr(ensemble_mod, "_STACK", width)
+    for record in (calls, workers, matrices, errors):
+        record.clear()
+    run_ensemble(_chebyshev_config(3 * width + 7), threads=2)
+    assert calls == [(k * width, (k + 1) * width, width) for k in range(3)] + [
+        (3 * width, 3 * width + 7, 7)]
+    assert max(rows for _, _, rows in calls) <= width
+    assert len(workers) == 1
+    assert matrices == [1] and len(errors) == 1  # realization 0, in the first stack only
 
 
 def _gershgorin_radii(config):

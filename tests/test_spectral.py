@@ -206,10 +206,10 @@ def test_certified_bounds_hold_along_evolved_trajectories(disorder_w):
     starts = [np.eye(stack.shape[-1])[start], np.random.default_rng(3).normal(size=stack.shape[-1])]
     for psi0 in starts:
         psi0 = np.broadcast_to(psi0 / np.linalg.norm(psi0), stack.shape[:2])
-        assert certify(stack, eigenvalues, eigenvectors, psi0, times).all()
+        assert certify(stack, eigenvalues, eigenvectors, psi0, times)[0].all()
         norm_bound, energy_bound, stable = spectral_mod._drift_bounds(
             stack, eigenvalues, eigenvectors, psi0
-        )
+        )[:3]
         assert stable.all()
         norm_bound, energy_bound = norm_bound[:, None], energy_bound[:, None]
         re, im = propagate(eigenvalues, eigenvectors, psi0, times)
@@ -256,7 +256,8 @@ def test_rounding_of_a_large_matrix_is_measured_not_refused(monkeypatch):
     entries, start = op.entries[None], psi0.amplitudes[None]
     eigenvalues, eigenvectors = diagonalize(entries)
     times = np.linspace(0.0, 100.0, 7)
-    assert not certify(entries, eigenvalues, eigenvectors, start, times)[0]
+    bounded, _, _ = certify(entries, eigenvalues, eigenvectors, start, times)
+    assert not bounded[0]
     measured = []
     original = spectral_mod._measure_drift
 
@@ -282,7 +283,7 @@ def test_evolve_series_certifies_the_state_it_evolves(monkeypatch):
     psi0 = bell_minus_state(30)
     entries, start = op.entries[None], psi0.amplitudes.real[None]
     times = np.linspace(0.0, 100.0, 7)
-    assert certify(entries, *diagonalize(entries), start, times).all()
+    assert certify(entries, *diagonalize(entries), start, times)[0].all()
 
     def unexpected(*args):
         raise AssertionError("a certified evolution was measured")
@@ -308,7 +309,7 @@ def test_certify_accepts_eigh_output_at_small_dimensions(dim):
     entries = np.stack(matrices)
     psi0 = rng.normal(size=entries.shape[:2]) + 1j * rng.normal(size=entries.shape[:2])
     psi0 /= np.linalg.norm(psi0, axis=1, keepdims=True)
-    certified = certify(entries, *diagonalize(entries), psi0, times=())
+    certified, _, _ = certify(entries, *diagonalize(entries), psi0, times=())
     assert not certified.all()  # the gate is reached
 
 
@@ -512,8 +513,9 @@ def test_chebyshev_states_match_evolve_series_within_the_derived_bound(
     system = eigendecompose(build_effective(realization))
     reference = evolve_series(system, psi0, [t])[0].amplitudes
     entries = system.operator.entries[None]
-    tolerance = bound + eigen_error_bound(entries, system.eigenvalues[None],
-                                          system.eigenvectors[None], t)[0]
+    _, e, r = certify(entries, system.eigenvalues[None], system.eigenvectors[None],
+                      psi0.amplitudes[None], [t])
+    tolerance = bound + eigen_error_bound(e, r, entries.shape[-1], t)[0]
     assert np.linalg.norm(re[:, 0] + 1j * im[:, 0] - reference) <= tolerance
 
 
