@@ -91,24 +91,6 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     _write_output(path, (",".join(row) + "\n" for row in [header, *rows]))
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _write_manifest(out_dir: Path, command: str, config: dict, files: list[Path]) -> Path:
-    manifest = {
-        "artifact": "qladder",
-        "version": __version__,
-        "command": command,
-        "config": config,
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "outputs": {path.name: _sha256(path) for path in files},
-    }
-    path = out_dir / "manifest.json"
-    _write_output(path, [json.dumps(manifest, indent=2, sort_keys=True) + "\n"])
-    return path
-
-
 def _number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
@@ -134,9 +116,8 @@ def _resolve(args: argparse.Namespace, command: str, defaults: dict) -> dict:
     """Merge built-in defaults, the command's section of an optional config
     file, and explicit flags. A file without that section sets no keys."""
     resolved = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        loaded = json.loads(Path(config_path).read_text())
+    if args.config:
+        loaded = json.loads(Path(args.config).read_text())
         if not isinstance(loaded, dict):
             raise ValueError("config file must be a JSON object of command sections")
         unknown = set(loaded) - set(CONFIG_SECTIONS)
@@ -203,7 +184,15 @@ def _figure(args: argparse.Namespace, command: str, defaults: dict, run, headers
         files.append(out_dir / f"{command}_raw.csv")
         _write_csv(files[1], headers[1], raw_rows)
     cfg["threads"] = threads  # resolved for the record; does not affect the data
-    _write_manifest(out_dir, command, cfg, files)
+    manifest = {
+        "artifact": "qladder",
+        "version": __version__,
+        "command": command,
+        "config": cfg,
+        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "outputs": {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in files},
+    }
+    _write_output(out_dir / "manifest.json", [json.dumps(manifest, indent=2, sort_keys=True) + "\n"])
     print(f"wrote {files[0]} ({len(rows)} rows)")
     return 0
 
@@ -236,11 +225,17 @@ def cmd_fig1(args: argparse.Namespace) -> int:
     return _figure(args, "fig1", FIG1_DEFAULTS, _fig1_rows, headers)
 
 
+def _check_times(command: str, t_max: float, t_points: int) -> None:
+    if t_points < 1:
+        raise ValueError(f"{command} t_points must be at least 1, got {t_points}")
+    if not 0 <= t_max < float("inf"):  # NaN fails too
+        raise ValueError(f"{command} t_max must be finite and nonnegative, got {t_max}")
+
+
 def _fig2_rows(cfg: dict, threads: int):
+    _check_times("fig2", cfg["t_max"], cfg["t_points"])
     from .experiments import default_trace_grid, leakage_trace
 
-    if cfg["t_points"] < 1:
-        raise ValueError(f"fig2 t_points must be at least 1, got {cfg['t_points']}")
     result = leakage_trace(
         n_sites=cfg["n_sites"],
         delta=cfg["delta"],
@@ -272,12 +267,13 @@ def cmd_fig2(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    _check_times("oracle", args.t_max, args.t_points)
     import numpy as np
 
     from .experiments import oracle_check
 
     times = np.linspace(0.0, args.t_max, args.t_points)
-    deviation = oracle_check(args.delta, args.gamma, args.n_sites, times=times)
+    deviation = oracle_check(args.delta, args.gamma, args.n_sites, times)
     print(f"max deviation {_fmt(deviation)}")
     return 0 if deviation < ORACLE_TOL else 1
 
@@ -349,18 +345,18 @@ def build_parser() -> argparse.ArgumentParser:
     oracle = sub.add_parser("oracle", help="validate evolution against the dimer closed form")
     oracle.add_argument("--delta", type=float, default=0.0)
     oracle.add_argument("--gamma", type=float, default=1.0)
-    oracle.add_argument("--n-sites", dest="n_sites", type=int, default=5)
-    oracle.add_argument("--t-max", dest="t_max", type=float, default=20.0)
-    oracle.add_argument("--t-points", dest="t_points", type=_count, default=201)
+    oracle.add_argument("--n-sites", type=int, default=5)
+    oracle.add_argument("--t-max", type=float, default=20.0)
+    oracle.add_argument("--t-points", type=_count, default=201)
     oracle.set_defaults(func=cmd_oracle)
 
     baseline = sub.add_parser("baseline", help="ordered-ladder perfect transfer check")
-    baseline.add_argument("--n-sites", dest="n_sites", type=int, default=FIG1_DEFAULTS["n_sites"])
-    baseline.add_argument("--exact-revival", dest="exact_revival", action="store_true")
+    baseline.add_argument("--n-sites", type=int, default=FIG1_DEFAULTS["n_sites"])
+    baseline.add_argument("--exact-revival", action="store_true")
     baseline.set_defaults(func=cmd_baseline)
 
     dump = sub.add_parser("dump-hamiltonian", help="debug dump of one sampled Hamiltonian")
-    dump.add_argument("--n-sites", dest="n_sites", type=int, default=4)
+    dump.add_argument("--n-sites", type=int, default=4)
     dump.add_argument("--w", type=float, default=1.0)
     dump.add_argument("--delta", type=float, default=0.2)
     dump.add_argument("--seed", type=int, default=FIG1_DEFAULTS["seed"])

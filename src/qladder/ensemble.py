@@ -11,19 +11,19 @@ floating-point summation is fixed. The unit uniforms of the last chunks
 drawn are kept, so the grid points of a sweep (same seed and ladder length)
 derive each stream once between them.
 
-C(tau) is read at one time, and one rule of the parameters alone,
-:func:`_chebyshev_chosen`, picks its path: the Chebyshev kernel
+Each run has one readout, chosen once by :func:`run_ensemble`: with
+``trace_times`` the branch occupations p_-/p_+ on that grid, by the eigen
+path; else C(tau), at one time, by the path one rule of the parameters
+alone, :func:`_chebyshev_chosen`, picks: the Chebyshev kernel
 (:func:`~qladder.chebyshev.chebyshev_propagate`) on the band of the +/-
 basis Hamiltonian where its term count K costs less than the eigen path,
-else the eigen path. So a realization's C does not depend on the plan, and
-the branch trace always takes the eigen path. The kernel's half-width a
-comes from W, Delta and the couplings, so K is the same for every
-realization, and the kernel works elementwise over the stack: a
-realization's value is bitwise the same in any stack. A concurrence-only
-plan that the kernel reads runs in stacks of 400 on one worker.
-Realization 0 is audited: the eigen path recomputes it, and its complex
-last-cell amplitudes must agree with the kernel's within the sum of the two
-paths' error bounds.
+else the eigen path. The kernel's half-width a comes from W, Delta and the
+couplings, so K is the same for every realization, and the kernel works
+elementwise over the stack: a realization's value is bitwise the same in
+any stack. The kernel runs in stacks of 400 on one worker. Realization 0
+is audited: the eigen path recomputes it, and its complex last-cell
+amplitudes must agree with the kernel's within the sum of the two paths'
+error bounds.
 
 Every call runs its chunks on one long-lived thread pool, also at one
 thread: each of ``min(threads, chunks)`` workers runs one contiguous block
@@ -66,7 +66,6 @@ from .observables import transfer_time
 from .spectral import _openblas, certify, diagonalize, eigen_error_bound, propagate, squared_norms
 
 __all__ = [
-    "ObservablePlan",
     "EnsembleConfig",
     "EnsembleStats",
     "derive_stream",
@@ -135,13 +134,20 @@ def _chunk_draws(master_seed: int, n_sites: int, start: int, stop: int) -> np.nd
 
 
 @dataclass(frozen=True, eq=False)
-class ObservablePlan:
-    """What to record per realization: C(tau), a branch-occupation trace, or both."""
+class EnsembleConfig:
+    """Physics and sampling definition of one ensemble run, which records
+    C(tau), or with ``trace_times`` the branch occupations on that grid."""
 
-    concurrence_at_tau: bool = True
+    params: LadderParams
+    n_realizations: int
+    master_seed: int
     trace_times: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.n_realizations < 1:
+            raise ValueError("n_realizations must be at least 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
         if self.trace_times is not None:
             times = np.asarray(self.trace_times, dtype=np.float64)
             if times.ndim != 1:
@@ -152,36 +158,6 @@ class ObservablePlan:
                 raise ValueError("trace_times must be ascending and nonnegative")
             times.setflags(write=False)
             object.__setattr__(self, "trace_times", times)
-        elif not self.concurrence_at_tau:
-            raise ValueError("plan records nothing")
-
-    @classmethod
-    def concurrence_only(cls) -> "ObservablePlan":
-        return cls(concurrence_at_tau=True, trace_times=None)
-
-    @classmethod
-    def branch_trace(cls, times) -> "ObservablePlan":
-        return cls(concurrence_at_tau=False, trace_times=times)
-
-    @classmethod
-    def both(cls, times) -> "ObservablePlan":
-        return cls(concurrence_at_tau=True, trace_times=times)
-
-
-@dataclass(frozen=True, eq=False)
-class EnsembleConfig:
-    """Physics and sampling definition of one ensemble run."""
-
-    params: LadderParams
-    n_realizations: int
-    master_seed: int
-    plan: ObservablePlan = ObservablePlan()
-
-    def __post_init__(self):
-        if self.n_realizations < 1:
-            raise ValueError("n_realizations must be at least 1")
-        if self.master_seed < 0:
-            raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,66 +207,57 @@ def _eigen_path(entries, times):
     return (eigenvalues, eigenvectors, psi0), e, r
 
 
-def _last_cell(system, tau) -> np.ndarray:
-    """The (2, R) (+, -) amplitudes of cell N at tau by the eigen path."""
+def _eigen_at_tau(params: LadderParams, cells):
+    """The (2, R) (+, -) amplitudes of cell N at tau of the stack of (R, N)
+    per-cell parameters ``cells`` by the eigen path, and certify's e and r."""
+    tau = transfer_time(params.n_sites)
+    entries = assemble_effective(*cells, params.couplings())
+    system, e, r = _eigen_path(entries, [tau])
     re, im = propagate(*system, [tau], slice(-2, None))
-    return (re[:, :, 0] + 1j * im[:, :, 0]).T
+    return (re[:, :, 0] + 1j * im[:, :, 0]).T, e, r
 
 
-def _chebyshev_concurrence(params: LadderParams, cells, audit: bool) -> np.ndarray:
-    """C(tau) of the stack of (R, N) per-cell parameters ``cells`` by the
-    judged Chebyshev kernel. With ``audit``, row 0's complex last-cell
-    amplitudes must agree with the eigen path's within the sum of the two
-    paths' error bounds, or ArithmeticError is raised."""
+def _eigen_concurrence(config: EnsembleConfig, cells, start: int) -> dict:
+    """C(tau) of the stack ``cells`` by the eigen path."""
+    return {LABEL_CONCURRENCE: _end_concurrence(*_eigen_at_tau(config.params, cells)[0])}
+
+
+def _chebyshev_concurrence(config: EnsembleConfig, cells, start: int) -> dict:
+    """C(tau) of the stack ``cells`` by the judged Chebyshev kernel. A stack
+    that starts at realization 0 audits it: its complex last-cell amplitudes
+    must agree with the eigen path's within the sum of the two paths' error
+    bounds, or ArithmeticError is raised."""
+    params = config.params
     n_sites, tau = params.n_sites, transfer_time(params.n_sites)
     band = effective_band(*cells, params.couplings())
     psi0 = np.zeros(band[0].shape)
     psi0[flat_index(1, Branch.MINUS, n_sites)] = 1.0
     re, im, bound = chebyshev_propagate(band, psi0, tau, _half_width(params))
     ends = re[-2:] + 1j * im[-2:]  # slots (+, -) of cell N
-    if audit:
-        row0 = assemble_effective(*(cell[:1] for cell in cells), params.couplings())
-        system, e, r = _eigen_path(row0, [tau])
-        deviation = np.max(np.abs(_last_cell(system, tau)[:, 0] - ends[:, 0]))
+    if start == 0:
+        eigen, e, r = _eigen_at_tau(params, [cell[:1] for cell in cells])
+        deviation = np.max(np.abs(eigen[:, 0] - ends[:, 0]))
         tolerance = bound + eigen_error_bound(e, r, 2 * n_sites, tau)[0]
         if not deviation <= tolerance:
             raise ArithmeticError(f"audit: Chebyshev amplitudes deviate from the eigen "
                                   f"path's by {deviation:.3e}, over {tolerance:.3e}")
-    return _end_concurrence(*ends)
+    return {LABEL_CONCURRENCE: _end_concurrence(*ends)}
 
 
-def _measure_stack(config: EnsembleConfig, eps_leg1: np.ndarray, delta_n: np.ndarray,
-                   audit: bool) -> dict:
-    """Observables of the stack of (R, N) draws, each with the stack on axis 0.
-    ``audit`` asks the Chebyshev kernel, where it reads C(tau), to audit row 0."""
-    params, plan = config.params, config.plan
-    tau = transfer_time(params.n_sites)
-    cells = (eps_leg1, *correlated_channel(eps_leg1, delta_n))
-    out = {}
-    if plan.concurrence_at_tau and _chebyshev_chosen(params):
-        out[LABEL_CONCURRENCE] = _chebyshev_concurrence(params, cells, audit)
-        if plan.trace_times is None:
-            return out
-    eigen_readout = plan.concurrence_at_tau and not out
-    times = [tau] if eigen_readout else []
-    if plan.trace_times is not None:
-        times = np.concatenate([times, plan.trace_times])
+def _branch_trace(config: EnsembleConfig, cells, start: int) -> dict:
+    """p_- and p_+ of the stack ``cells`` on ``config.trace_times`` by the eigen path."""
+    params, times = config.params, config.trace_times
     # freed before the readouts, a warm fig2 took ~6,000 faults, not ~20
     entries = assemble_effective(*cells, params.couplings())
     system = _eigen_path(entries, times)[0]
-    if eigen_readout:
-        out[LABEL_CONCURRENCE] = _end_concurrence(*_last_cell(system, tau))
-    if plan.trace_times is not None:
-        minus_slots = slice(int(Branch.MINUS), None, 2)  # the minus slot of every cell
-        re, im = propagate(*system, plan.trace_times, minus_slots)
-        p_minus = squared_norms(re, im)
-        out[LABEL_P_MINUS] = p_minus
-        out[LABEL_P_PLUS] = 1.0 - p_minus
-    return out
+    minus_slots = slice(int(Branch.MINUS), None, 2)  # the minus slot of every cell
+    p_minus = squared_norms(*propagate(*system, times, minus_slots))
+    return {LABEL_P_MINUS: p_minus, LABEL_P_PLUS: 1.0 - p_minus}
 
 
-def _measure_chunk(config: EnsembleConfig, start: int, stop: int, units: np.ndarray) -> dict:
-    """Observables of realizations ``start .. stop - 1``, stacked on axis 0.
+def _measure_chunk(config: EnsembleConfig, readout, start: int, stop: int,
+                   units: np.ndarray) -> dict:
+    """``readout`` of realizations ``start .. stop - 1``, stacked on axis 0.
 
     ``units`` holds their unit draws, from :func:`_chunk_draws`. A failure
     is raised as RuntimeError naming the first realization that fails
@@ -302,7 +269,7 @@ def _measure_chunk(config: EnsembleConfig, start: int, stop: int, units: np.ndar
         for name, values in (("eps_leg1", eps_leg1), ("delta_n", delta_n)):
             if not np.all(np.isfinite(values)):
                 raise ValueError(f"{name} contains non-finite values")
-        return _measure_stack(config, eps_leg1, delta_n, audit=start == 0)
+        return readout(config, (eps_leg1, *correlated_channel(eps_leg1, delta_n)), start)
     except Exception as exc:
         where = f"W={params.disorder_w}, delta={params.detuning_delta}, N={params.n_sites}"
         if stop - start == 1:
@@ -310,7 +277,7 @@ def _measure_chunk(config: EnsembleConfig, start: int, stop: int, units: np.ndar
                 f"realization {start} (seed tag {seed}:{start}, {where}) failed: {exc}"
             ) from exc
         for i, row in enumerate(units, start):  # raises if realization i fails alone
-            _measure_chunk(config, i, i + 1, row[None])
+            _measure_chunk(config, readout, i, i + 1, row[None])
         raise RuntimeError(
             f"realizations {start}-{stop - 1} (seed {seed}, {where}) failed: {exc}"
         ) from exc
@@ -368,31 +335,37 @@ def run_ensemble(
 ) -> dict[str, EnsembleStats]:
     """Sample, evolve and measure ``n_realizations`` ladders; aggregate statistics.
 
-    Returns a map from observable label to :class:`EnsembleStats`; the
-    concurrence entry is scalar, the branch-trace entries are per-time-point.
-    The result is bitwise identical for a fixed config regardless of
-    ``threads``. Per-realization raw values are retained when
-    ``keep_raw=True``. The chunks run on ``min(threads, chunks)`` workers
-    of a shared pool, each taking one contiguous block in order, so the
-    first failure in realization order is the one raised; the Chebyshev
-    kernel's stacks run on one worker. Calls from several threads take turns.
+    Returns a map from observable label to :class:`EnsembleStats`: C(tau),
+    scalar, or with ``trace_times`` p_- and p_+, per time point. The result
+    is bitwise identical for a fixed config regardless of ``threads``.
+    Per-realization raw values are retained when ``keep_raw=True``. The
+    chunks run on ``min(threads, chunks)`` workers of a shared pool, each
+    taking one contiguous block in order, so the first failure in
+    realization order is the one raised; the Chebyshev kernel's stacks run
+    on one worker. Calls from several threads take turns.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     n = config.n_realizations
     chunks = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
 
+    if config.trace_times is not None:
+        readout = _branch_trace
+    elif _chebyshev_chosen(config.params):
+        readout = _chebyshev_concurrence
+    else:
+        readout = _eigen_concurrence
     seed, n_sites = config.master_seed, config.params.n_sites
     # the kernel's stacks run on one worker: its small operations hold the GIL
     # between them, so on two workers the default fig1 took 2.6-3.1 s, not 0.9 s
-    kernel = config.plan.trace_times is None and _chebyshev_chosen(config.params)
+    kernel = readout is _chebyshev_concurrence
     size = _STACK // _CHUNK if kernel else 1
     stacks = [chunks[k:k + size] for k in range(0, len(chunks), size)]
 
     def run_block(block):
         # drawn as each stack runs: all drawn first, a warm fig2 took 1,400-3,900 faults, not <1,000
         # a copy of a lone chunk's draws raised fig2's peak RSS by 0.2-0.3 MB
-        return [_measure_chunk(config, stack[0][0], stack[-1][1], np.concatenate(
+        return [_measure_chunk(config, readout, stack[0][0], stack[-1][1], np.concatenate(
                     [_chunk_draws(seed, n_sites, *chunk) for chunk in stack]) if kernel
                     else _chunk_draws(seed, n_sites, *stack[0])) for stack in block]
 

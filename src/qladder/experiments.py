@@ -15,7 +15,6 @@ from .ensemble import (
     LABEL_CONCURRENCE,
     LABEL_P_MINUS,
     LABEL_P_PLUS,
-    ObservablePlan,
     run_ensemble,
 )
 from .hamiltonian import Basis, Leg, bell_minus_state, build_effective, build_physical, unit_state
@@ -83,8 +82,9 @@ def _distinct(key: str, values) -> None:
         seen.add(value)
 
 
-def _run_grid(points, plan, n_sites, n_realizations, master_seed, threads, keep_raw) -> list:
-    """One :func:`run_ensemble` result per ``(W, delta)`` point, in order.
+def _run_grid(points, trace_times, n_sites, n_realizations, master_seed, threads, keep_raw) -> list:
+    """One :func:`run_ensemble` result per ``(W, delta)`` point, in order:
+    C(tau), or with ``trace_times`` the branch occupations on that grid.
 
     Every point's :class:`EnsembleConfig` is built first, which runs every
     parameter check, so a bad value at a later point fails before any
@@ -95,7 +95,7 @@ def _run_grid(points, plan, n_sites, n_realizations, master_seed, threads, keep_
             params=LadderParams(n_sites=n_sites, disorder_w=w, detuning_delta=delta),
             n_realizations=n_realizations,
             master_seed=master_seed,
-            plan=plan,
+            trace_times=trace_times,
         )
         for w, delta in points
     ]
@@ -124,8 +124,7 @@ def transfer_sweep(
     _distinct("delta", deltas)
     _distinct("w", w_grid.tolist())
     points = [(float(w), delta) for delta in deltas for w in w_grid]
-    plan = ObservablePlan.concurrence_only()
-    results = iter(_run_grid(points, plan, n_sites, n_realizations, master_seed, threads, keep_raw))
+    results = iter(_run_grid(points, None, n_sites, n_realizations, master_seed, threads, keep_raw))
     series = {delta: [next(results)[LABEL_CONCURRENCE] for _ in w_grid] for delta in deltas}
     return SweepResult(w_values=w_grid, deltas=deltas, series=series)
 
@@ -146,8 +145,7 @@ def leakage_trace(
     w_values = tuple(float(w) for w in w_values)
     _distinct("w", w_values)
     points = [(w, float(delta)) for w in w_values]
-    plan = ObservablePlan.branch_trace(times)
-    results = _run_grid(points, plan, n_sites, n_realizations, master_seed, threads, keep_raw)
+    results = _run_grid(points, times, n_sites, n_realizations, master_seed, threads, keep_raw)
     minus = {w: result[LABEL_P_MINUS] for w, result in zip(w_values, results)}
     plus = {w: result[LABEL_P_PLUS] for w, result in zip(w_values, results)}
     return TraceResult(times=times, tau=tau, w_values=w_values, minus=minus, plus=plus)

@@ -506,7 +506,7 @@ def test_a_warm_fig2_run_takes_few_minor_faults(tmp_path, order):
     [(["fig1", "--w-min", "nan"], "disorder_w"),
      (["fig2", "--w", "nan"], "disorder_w"),
      (["fig2", "--delta", "inf"], "detuning_delta"),
-     (["fig2", "--t-max", "nan"], "trace_times"),
+     (["fig2", "--t-max", "nan"], "t_max"),
      (["fig1", "--seed", "-1"], "master_seed"),
      (["fig1", "--w-points", "0"], "w_points"),
      (["fig1", "--w-min", "0"], "w_min"),
@@ -598,7 +598,7 @@ def test_default_figures_match_the_stored_reference(tmp_path, command):
 
 @pytest.mark.parametrize(
     "argv, field",
-    [(["oracle", "--t-max", "nan"], "times"),
+    [(["oracle", "--t-max", "nan"], "oracle t_max"),
      (["oracle", "--delta", "nan"], "delta"),
      (["oracle", "--gamma", "inf"], "gamma"),
      (["dump-hamiltonian", "--seed", "-1"], "master_seed"),
@@ -609,6 +609,29 @@ def test_default_figures_match_the_stored_reference(tmp_path, command):
 def test_oracle_and_dump_numbers_are_blamed_on_their_field(capsys, argv, field):
     assert main(argv) == 1
     assert f"error: {field} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fig2", "--t-max", "-1"], ["fig2", "--t-max", "nan"], ["fig2", "--t-max", "inf"],
+     ["fig2", "--t-max", "-1", "--t-points", "1"],
+     ["oracle", "--t-max", "-5"], ["oracle", "--t-max", "nan"], ["oracle", "--t-max", "inf"]],
+    ids=["fig2-negative", "fig2-nan", "fig2-inf", "fig2-negative-one-point", "oracle-negative",
+         "oracle-nan", "oracle-inf"],
+)
+def test_a_bad_t_max_is_blamed_on_its_key(tmp_path, argv):
+    # refused before the time grid is built, so numpy warns of nothing; run
+    # in a fresh interpreter, where a warning is printed, not raised
+    out = ["--out-dir", str(tmp_path / "x")] if argv[0] == "fig2" else []
+    code = "import sys\nfrom qladder.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    src = str(Path(qladder.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-c", code, *argv, *out], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 1
+    message = f"{argv[0]} t_max must be finite and nonnegative, got {float(argv[2])}"
+    assert result.stderr == f"qladder: error: {message}\n"
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -22,7 +23,6 @@ from qladder.ensemble import (
     LABEL_P_MINUS,
     LABEL_P_PLUS,
     EnsembleConfig,
-    ObservablePlan,
     derive_stream,
     run_ensemble,
 )
@@ -38,21 +38,30 @@ PRODUCTION_TRACE_GRID = default_trace_grid(
     FIG2_DEFAULTS["n_sites"], FIG2_DEFAULTS["t_max"], FIG2_DEFAULTS["t_points"]
 )
 
-# A plan with a branch trace runs in chunks of _CHUNK through diagonalize,
-# certify and propagate: the eigen path. A concurrence-only plan that the
-# Chebyshev kernel reads runs in stacks of _STACK on one worker instead.
-EIGEN_PLAN = ObservablePlan.branch_trace([1.0])
-CHUNKED_PLAN = ObservablePlan.both([1.0])  # and the concurrence too
+# A branch trace runs in chunks of _CHUNK through diagonalize, certify and
+# propagate: the eigen path. So does C(tau) past the switch rule, at W = 100
+# for N = 10; below it the Chebyshev kernel reads C(tau) in stacks of _STACK
+# on one worker instead.
+EIGEN_TIMES = [1.0]
+EIGEN_W = 100.0
 
 
-def make_config(n_sites=10, w=2.0, delta=0.3, n_realizations=6, seed=42, plan=None):
+def make_config(n_sites=10, w=2.0, delta=0.3, n_realizations=6, seed=42, trace_times=None):
     params = LadderParams(n_sites=n_sites, disorder_w=w, detuning_delta=delta)
     return EnsembleConfig(
         params=params,
         n_realizations=n_realizations,
         master_seed=seed,
-        plan=plan if plan is not None else ObservablePlan.concurrence_only(),
+        trace_times=trace_times,
     )
+
+
+def eigen_configs(**kwargs):
+    """A C(tau) config past the switch rule and a branch-trace config: both
+    run in chunks on the eigen path."""
+    concurrence = make_config(**{"w": EIGEN_W, **kwargs})
+    assert not ensemble_mod._chebyshev_chosen(concurrence.params)
+    return [concurrence, make_config(trace_times=np.linspace(0.0, 30.0, 25), **kwargs)]
 
 
 # ---------------------------------------------------------------------------
@@ -85,16 +94,19 @@ def test_pooled_streams_look_uniform():
 
 
 # ---------------------------------------------------------------------------
-# plans and configs
+# configs
 # ---------------------------------------------------------------------------
 
 def test_plan_validates_times():
-    with pytest.raises(ValueError):
-        ObservablePlan.branch_trace([3.0, 1.0])
-    with pytest.raises(ValueError):
-        ObservablePlan.branch_trace([-1.0, 1.0])
-    with pytest.raises(ValueError):
-        ObservablePlan(concurrence_at_tau=False, trace_times=None)
+    for times, message in (([3.0, 1.0], "ascending"), ([-1.0, 1.0], "nonnegative"),
+                           ([0.0, np.nan], "finite"), ([0.0, np.inf], "finite"),
+                           ([[0.0, 1.0]], "1-d")):
+        with pytest.raises(ValueError, match=f"trace_times must be .*{message}"):
+            make_config(trace_times=times)
+    times = make_config(trace_times=[0, 1, 2.5]).trace_times
+    assert times.dtype == np.float64 and not times.flags.writeable
+    assert np.array_equal(times, [0.0, 1.0, 2.5])
+    assert make_config().trace_times is None
 
 
 def test_config_requires_realizations():
@@ -131,7 +143,7 @@ def test_zero_detuning_keeps_minus_branch_full(n_sites, w):
     times = np.linspace(0.0, 60.0, 40)
     config = make_config(
         n_sites=n_sites, w=w, delta=0.0, n_realizations=4,
-        plan=ObservablePlan.branch_trace(times),
+        trace_times=times,
     )
     result = run_ensemble(config)
     assert np.max(np.abs(result[LABEL_P_MINUS].mean - 1.0)) < 1e-10
@@ -147,15 +159,17 @@ def test_runs_are_bitwise_deterministic():
 
 
 def test_thread_count_does_not_change_results():
-    times = np.linspace(0.0, 30.0, 25)
-    config = make_config(n_realizations=13, plan=ObservablePlan.both(times))
-    serial = run_ensemble(config, threads=1, keep_raw=True)
-    for threads in (2, 4):
-        threaded = run_ensemble(config, threads=threads, keep_raw=True)
-        for label in (LABEL_CONCURRENCE, LABEL_P_MINUS, LABEL_P_PLUS):
-            assert np.array_equal(serial[label].mean, threaded[label].mean)
-            assert np.array_equal(serial[label].std_error, threaded[label].std_error)
-            assert np.array_equal(serial[label].per_realization, threaded[label].per_realization)
+    # C(tau) by the kernel and by the eigen path, and the branch trace
+    for config in (make_config(n_realizations=13), *eigen_configs(n_realizations=13)):
+        serial = run_ensemble(config, threads=1, keep_raw=True)
+        for threads in (2, 4):
+            threaded = run_ensemble(config, threads=threads, keep_raw=True)
+            assert serial.keys() == threaded.keys()
+            for label in serial:
+                assert np.array_equal(serial[label].mean, threaded[label].mean)
+                assert np.array_equal(serial[label].std_error, threaded[label].std_error)
+                assert np.array_equal(serial[label].per_realization,
+                                      threaded[label].per_realization)
 
 
 def test_raw_values_bracket_the_mean():
@@ -276,12 +290,12 @@ def test_the_draws_kept_after_a_run_are_bounded(monkeypatch):
     shapes = []
     original = ensemble_mod._measure_chunk
 
-    def recording(config, start, stop, units):
+    def recording(config, readout, start, stop, units):
         shapes.append(units.shape)
-        return original(config, start, stop, units)
+        return original(config, readout, start, stop, units)
 
     monkeypatch.setattr(ensemble_mod, "_measure_chunk", recording)
-    run_ensemble(make_config(n_sites=2, n_realizations=n_realizations, plan=EIGEN_PLAN))
+    run_ensemble(make_config(n_sites=2, n_realizations=n_realizations, trace_times=EIGEN_TIMES))
     assert set(shapes) == {(2, 4)}
     info = ensemble_mod._chunk_draws.cache_info()
     assert info.currsize == info.maxsize == ensemble_mod._KEPT_CHUNKS
@@ -291,7 +305,7 @@ def test_the_draws_kept_after_a_run_are_bounded(monkeypatch):
 def test_engine_matrices_match_the_public_path(monkeypatch):
     # realizations 0-6 span two chunks; each matrix the engine diagonalizes
     # must be the checked single-realization Hamiltonian, bit for bit
-    config = make_config(n_realizations=7, plan=EIGEN_PLAN)
+    config = make_config(n_realizations=7, trace_times=EIGEN_TIMES)
     assert ensemble_mod._CHUNK < 7
     seen = []
     original = ensemble_mod.diagonalize
@@ -321,7 +335,7 @@ def test_worker_count_is_capped_at_the_chunk_count(monkeypatch):
     running, peak, seen = 0, [], []
     original = ensemble_mod._measure_chunk
 
-    def recording(config, start, stop, units):
+    def recording(config, readout, start, stop, units):
         nonlocal running
         with lock:
             running += 1
@@ -329,20 +343,20 @@ def test_worker_count_is_capped_at_the_chunk_count(monkeypatch):
             seen.append((threading.current_thread(), start))
         try:
             time.sleep(0.002)  # long enough for the other workers to overlap it
-            return original(config, start, stop, units)
+            return original(config, readout, start, stop, units)
         finally:
             with lock:
                 running -= 1
 
     monkeypatch.setattr(ensemble_mod, "_measure_chunk", recording)
     chunk = ensemble_mod._CHUNK
-    run_ensemble(make_config(n_realizations=4 * chunk, plan=CHUNKED_PLAN), threads=4)  # four workers
+    run_ensemble(make_config(n_realizations=4 * chunk, w=EIGEN_W), threads=4)  # four workers
     # (realizations, threads, workers): capped by the chunks, by threads, one chunk
     for n_realizations, threads, cap in ((2 * chunk + 2, 8, 3), (4 * chunk, 2, 2),
                                          (chunk - 2, 8, 1)):
         peak.clear()
         seen.clear()
-        config = make_config(n_realizations=n_realizations, plan=CHUNKED_PLAN)
+        config = make_config(n_realizations=n_realizations, w=EIGEN_W)
         capped = run_ensemble(config, threads=threads, keep_raw=True)
         assert 1 <= max(peak) <= cap
         workers = {thread for thread, _ in seen}
@@ -386,12 +400,12 @@ def test_workers_run_with_one_openblas_thread_while_more_than_one_runs(monkeypat
     seen = []
     original = ensemble_mod._measure_chunk
 
-    def recording(config, start, stop, units):
+    def recording(config, readout, start, stop, units):
         seen.append(openblas())
-        return original(config, start, stop, units)
+        return original(config, readout, start, stop, units)
 
     monkeypatch.setattr(ensemble_mod, "_measure_chunk", recording)
-    config = make_config(n_realizations=4 * ensemble_mod._CHUNK, plan=CHUNKED_PLAN)
+    config = make_config(n_realizations=4 * ensemble_mod._CHUNK, w=EIGEN_W)
     run_ensemble(config, threads=2)
     assert seen == [1] * 4 and openblas() == 3
     seen.clear()
@@ -416,39 +430,40 @@ def test_the_openblas_count_is_restored_when_a_chunk_raises(monkeypatch, openbla
 
 
 def test_values_do_not_depend_on_openblas_pinning(monkeypatch):
-    config = make_config(n_realizations=13, plan=ObservablePlan.both(np.linspace(0.0, 30.0, 25)))
-    pinned = run_ensemble(config, threads=2, keep_raw=True)
+    configs = eigen_configs(n_realizations=13)
+    pinned = [run_ensemble(config, threads=2, keep_raw=True) for config in configs]
     monkeypatch.setattr(ensemble_mod, "_openblas", lambda: None)  # the solver keeps its library
     seen = []
     original = ensemble_mod._measure_chunk
     with _openblas_count(3) as get:
-        def recording(config, start, stop, units):
+        def recording(config, readout, start, stop, units):
             seen.append(get())
-            return original(config, start, stop, units)
+            return original(config, readout, start, stop, units)
 
         monkeypatch.setattr(ensemble_mod, "_measure_chunk", recording)
-        unpinned = run_ensemble(config, threads=2, keep_raw=True)
-        assert seen == [get()] * 3  # every chunk ran at the unpinned count
-    for label in (LABEL_CONCURRENCE, LABEL_P_MINUS, LABEL_P_PLUS):
-        assert np.array_equal(pinned[label].per_realization, unpinned[label].per_realization)
+        unpinned = [run_ensemble(config, threads=2, keep_raw=True) for config in configs]
+        assert seen == [get()] * 6  # every chunk ran at the unpinned count
+    for expected, got in zip(pinned, unpinned):
+        assert expected.keys() == got.keys()
+        for label in expected:
+            assert np.array_equal(expected[label].per_realization, got[label].per_realization)
 
 
 def test_concurrent_callers_get_the_values_of_serial_calls(monkeypatch):
-    # two callers of two workers each on two cores; the calls take turns,
-    # so every chunk runs pinned and each caller restores the count it found
-    plan = ObservablePlan.both(np.linspace(0.0, 30.0, 25))
-    configs = [make_config(n_realizations=4 * ensemble_mod._CHUNK, w=w, plan=plan)
-               for w in (0.5, 2.0)]
+    # two callers of two workers each on two cores, one reading C(tau) and one
+    # the branch trace; the calls take turns, so every chunk runs pinned and
+    # each caller restores the count it found
+    configs = eigen_configs(n_realizations=4 * ensemble_mod._CHUNK)
     serial = [run_ensemble(config, keep_raw=True) for config in configs]
     lib = spectral_mod._openblas()
     get = lib.scipy_openblas_get_num_threads64_ if lib else lambda: None
     found, seen = get(), []
     original = ensemble_mod._measure_chunk
 
-    def recording(config, start, stop, units):
+    def recording(config, readout, start, stop, units):
         seen.append(get())
         time.sleep(0.002)  # a pinned region long enough for the other caller to meet it
-        return original(config, start, stop, units)
+        return original(config, readout, start, stop, units)
 
     monkeypatch.setattr(ensemble_mod, "_measure_chunk", recording)
     rounds, results = 10, [[], []]
@@ -477,7 +492,8 @@ def test_concurrent_callers_get_the_values_of_serial_calls(monkeypatch):
         assert len(got) == rounds
         for result in got:
             assert not isinstance(result, Exception), result
-            for label in (LABEL_CONCURRENCE, LABEL_P_MINUS, LABEL_P_PLUS):
+            assert expected.keys() == result.keys()
+            for label in expected:
                 assert np.array_equal(expected[label].per_realization,
                                       result[label].per_realization)
     if lib:
@@ -485,25 +501,25 @@ def test_concurrent_callers_get_the_values_of_serial_calls(monkeypatch):
 
 
 def test_concurrent_calls_take_turns_on_the_pool(monkeypatch):
-    # a pool grown to two workers could run two one-worker callers at once;
-    # their chunks must never overlap, and each caller gets serial values
-    configs = [make_config(n_realizations=3 * ensemble_mod._CHUNK, w=w, plan=CHUNKED_PLAN)
-               for w in (0.5, 2.0)]
+    # a pool grown to two workers could run two one-worker callers at once,
+    # here one reading C(tau) and one the branch trace; their chunks must
+    # never overlap, and each caller gets serial values
+    configs = eigen_configs(n_realizations=3 * ensemble_mod._CHUNK)
     serial = [run_ensemble(config, keep_raw=True) for config in configs]
-    run_ensemble(make_config(n_realizations=2 * ensemble_mod._CHUNK, plan=CHUNKED_PLAN), threads=2)
+    run_ensemble(make_config(n_realizations=2 * ensemble_mod._CHUNK, w=EIGEN_W), threads=2)
     assert ensemble_mod._pool_size >= 2
     lock = threading.Lock()
     in_flight, overlaps = [0, 0], []
     original = ensemble_mod._measure_chunk
 
-    def recording(config, start, stop, units):
+    def recording(config, readout, start, stop, units):
         k = configs.index(config)
         with lock:
             in_flight[k] += 1
             overlaps.append(in_flight[1 - k] > 0)
         try:
             time.sleep(0.002)  # long enough for the other caller's chunk to meet it
-            return original(config, start, stop, units)
+            return original(config, readout, start, stop, units)
         finally:
             with lock:
                 in_flight[k] -= 1
@@ -531,8 +547,10 @@ def test_concurrent_calls_take_turns_on_the_pool(monkeypatch):
         assert len(got) == rounds
         for result in got:
             assert not isinstance(result, Exception), result
-            assert np.array_equal(expected[LABEL_CONCURRENCE].per_realization,
-                                  result[LABEL_CONCURRENCE].per_realization)
+            assert expected.keys() == result.keys()
+            for label in expected:
+                assert np.array_equal(expected[label].per_realization,
+                                      result[label].per_realization)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -622,30 +640,30 @@ def _matrix_of(config, index):
 @pytest.mark.parametrize("corruption", ["norm", "energy"])
 def test_guard_failures_name_the_realization_inside_a_chunk(monkeypatch, corruption):
     # realization 3 of 7 sits mid-way through the first stacked diagonalization;
-    # the fault follows its matrix, so it shows up whichever stack holds it
-    config = make_config(n_realizations=7, plan=ObservablePlan.both(np.linspace(0.0, 5.0, 6)))
+    # the fault follows its matrix, so it shows up whichever stack holds it,
+    # whether the eigen path reads C(tau) or the branch trace
     assert ensemble_mod._CHUNK > 3
-    target = _matrix_of(config, 3)
     original = ensemble_mod.diagonalize
+    for config in eigen_configs(n_realizations=7):
+        target = _matrix_of(config, 3)
 
-    def corrupted(entries):
-        eigenvalues, eigenvectors = original(entries)
-        for row, matrix in enumerate(entries):
-            if np.array_equal(matrix, target):
-                _corrupt(eigenvectors[row], corruption)
-        return eigenvalues, eigenvectors
+        def corrupted(entries):
+            eigenvalues, eigenvectors = original(entries)
+            for row, matrix in enumerate(entries):
+                if np.array_equal(matrix, target):
+                    _corrupt(eigenvectors[row], corruption)
+            return eigenvalues, eigenvectors
 
-    monkeypatch.setattr(ensemble_mod, "diagonalize", corrupted)
-    with pytest.raises(RuntimeError, match=f"realization 3 .*42:3.*{corruption} drift"):
-        run_ensemble(config)
+        monkeypatch.setattr(ensemble_mod, "diagonalize", corrupted)
+        with pytest.raises(RuntimeError, match=f"realization 3 .*42:3.*{corruption} drift"):
+            run_ensemble(config)
 
 
 def test_the_certificate_catches_a_shifted_eigenvalue(monkeypatch):
     # eigenvectors untouched and orthonormal, one eigenvalue of realization 3
     # off by 0.1: no state's norm or energy moves, so per-state guards pass
     # it, but the eigen-residual H V - V L does not; the eigen path reads tau
-    config = make_config(n_sites=30, n_realizations=7,
-                         plan=ObservablePlan.branch_trace([transfer_time(30)]))
+    config = make_config(n_sites=30, n_realizations=7, trace_times=[transfer_time(30)])
     target = _matrix_of(config, 3)
     original = ensemble_mod.diagonalize
 
@@ -673,16 +691,15 @@ def test_production_scales_are_certified_without_measurement(monkeypatch, w, pla
 
     monkeypatch.setattr(spectral_mod, "_measure_drift", unexpected)
     n_sites = 30
-    plans = {"fig1": ObservablePlan.branch_trace([transfer_time(n_sites)]),
-             "fig2": ObservablePlan.branch_trace(PRODUCTION_TRACE_GRID)}
-    config = make_config(n_sites=n_sites, w=w, delta=0.2, n_realizations=100, plan=plans[plan])
+    grids = {"fig1": [transfer_time(n_sites)], "fig2": PRODUCTION_TRACE_GRID}
+    config = make_config(n_sites=n_sites, w=w, delta=0.2, n_realizations=100,
+                         trace_times=grids[plan])
     stats = run_ensemble(config)
     assert all(result.n == 100 for result in stats.values())
 
 
 def test_a_fault_only_inside_a_stack_names_the_range(monkeypatch):
     # position 3 of any stack longer than 3: no realization fails alone
-    config = make_config(n_realizations=7, plan=ObservablePlan.both(np.linspace(0.0, 5.0, 6)))
     original = ensemble_mod.diagonalize
 
     def corrupted(entries):
@@ -692,12 +709,14 @@ def test_a_fault_only_inside_a_stack_names_the_range(monkeypatch):
         return eigenvalues, eigenvectors
 
     monkeypatch.setattr(ensemble_mod, "diagonalize", corrupted)
-    with pytest.raises(RuntimeError, match=r"realizations 0-4 \(seed 42, .*\) failed: norm drift"):
-        run_ensemble(config)
+    for config in eigen_configs(n_realizations=7):
+        with pytest.raises(RuntimeError,
+                           match=r"realizations 0-4 \(seed 42, .*\) failed: norm drift"):
+            run_ensemble(config)
 
 
 def test_other_errors_name_the_realization_inside_a_chunk(monkeypatch):
-    config = make_config(n_realizations=7, plan=EIGEN_PLAN)
+    config = make_config(n_realizations=7, trace_times=EIGEN_TIMES)
     target = _matrix_of(config, 3)
     original = ensemble_mod.diagonalize
 
@@ -712,27 +731,27 @@ def test_other_errors_name_the_realization_inside_a_chunk(monkeypatch):
 
 
 def test_chunk_size_does_not_change_values(monkeypatch):
-    plan = ObservablePlan.both(np.linspace(0.0, 30.0, 25))
-    config = make_config(n_realizations=2 * ensemble_mod._CHUNK + 2, plan=plan)
-    default = run_ensemble(config, keep_raw=True)
+    configs = eigen_configs(n_realizations=2 * ensemble_mod._CHUNK + 2)
+    defaults = [run_ensemble(config, keep_raw=True) for config in configs]
     monkeypatch.setattr(ensemble_mod, "_CHUNK", 1)
-    single = run_ensemble(config, keep_raw=True)
-    for label in (LABEL_CONCURRENCE, LABEL_P_MINUS, LABEL_P_PLUS):
-        assert np.array_equal(default[label].per_realization, single[label].per_realization)
+    for config, default in zip(configs, defaults):
+        single = run_ensemble(config, keep_raw=True)
+        assert default.keys() == single.keys()
+        for label in default:
+            assert np.array_equal(default[label].per_realization, single[label].per_realization)
 
 
 def test_ensemble_size_does_not_change_shared_values():
-    # one realization alone, a chunk plus a lone remainder, two full chunks
-    plan = ObservablePlan.both(np.linspace(0.0, 30.0, 25))
+    # one realization alone, a chunk plus a lone remainder, two full chunks,
+    # for C(tau) on the eigen path and for the branch trace
     chunk = ensemble_mod._CHUNK
-    runs = [
-        run_ensemble(make_config(n_realizations=n, plan=plan), keep_raw=True)
-        for n in (1, chunk + 1, 2 * chunk)
-    ]
-    for label in (LABEL_CONCURRENCE, LABEL_P_MINUS, LABEL_P_PLUS):
-        alone, remainder, full = (run[label].per_realization for run in runs)
-        assert np.array_equal(alone, remainder[:1])
-        assert np.array_equal(remainder, full[: chunk + 1])
+    sizes = (1, chunk + 1, 2 * chunk)
+    for runs in zip(*(eigen_configs(n_realizations=n) for n in sizes)):
+        results = [run_ensemble(config, keep_raw=True) for config in runs]
+        for label in results[0]:
+            alone, remainder, full = (result[label].per_realization for result in results)
+            assert np.array_equal(alone, remainder[:1])
+            assert np.array_equal(remainder, full[: chunk + 1])
 
 
 def test_leakage_traces_match_site_basis_expm():
@@ -770,25 +789,27 @@ def test_stats_reduction_matches_numpy():
     assert float(stats.std_error) == pytest.approx(raw.std(ddof=1) / 3.0, rel=1e-12)
 
 
-def test_plans_share_realization_streams():
+def test_plans_share_realization_streams(monkeypatch):
     # same (params, seed, index) -> same realizations, whatever is measured,
-    # so results are consistent per realization across different drivers
-    times = np.linspace(0.0, 20.0, 15)
-    combined = run_ensemble(make_config(plan=ObservablePlan.both(times)), keep_raw=True)
-    conc_only = run_ensemble(
-        make_config(plan=ObservablePlan.concurrence_only()), keep_raw=True
-    )
-    trace_only = run_ensemble(
-        make_config(plan=ObservablePlan.branch_trace(times)), keep_raw=True
-    )
-    assert np.array_equal(
-        combined[LABEL_CONCURRENCE].per_realization,
-        conc_only[LABEL_CONCURRENCE].per_realization,
-    )
-    assert np.array_equal(
-        combined[LABEL_P_MINUS].per_realization,
-        trace_only[LABEL_P_MINUS].per_realization,
-    )
+    # so results are consistent per realization across different drivers:
+    # a C(tau) run and a trace run hand the readouts the same unit draws
+    draws = {}
+    original = ensemble_mod._measure_chunk
+
+    def recording(config, readout, start, stop, units):
+        draws.setdefault(readout.__name__, []).append(units.copy())
+        return original(config, readout, start, stop, units)
+
+    monkeypatch.setattr(ensemble_mod, "_measure_chunk", recording)
+    ensemble_mod._chunk_draws.cache_clear()
+    run_ensemble(make_config(n_realizations=13))
+    ensemble_mod._chunk_draws.cache_clear()  # drawn afresh, not kept from the first run
+    run_ensemble(make_config(n_realizations=13, trace_times=np.linspace(0.0, 20.0, 15)))
+    assert draws.keys() == {"_chebyshev_concurrence", "_branch_trace"}
+    kernel, trace = (np.concatenate(draws[name]) for name in ("_chebyshev_concurrence",
+                                                               "_branch_trace"))
+    assert kernel.shape == trace.shape == (13, 20)
+    assert np.array_equal(kernel, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -840,10 +861,10 @@ def test_a_chebyshev_run_runs_in_stacks_on_one_worker_and_audits_realization_0(m
     original_chunk, original_diagonalize = ensemble_mod._measure_chunk, ensemble_mod.diagonalize
     original_errors = spectral_mod._eigen_errors
 
-    def recording(config, start, stop, units):
+    def recording(config, readout, start, stop, units):
         calls.append((start, stop, units.shape[0]))
         workers.add(threading.get_ident())
-        return original_chunk(config, start, stop, units)
+        return original_chunk(config, readout, start, stop, units)
 
     def diagonalizing(entries):
         matrices.append(entries.shape[0])
@@ -934,3 +955,31 @@ def test_the_switch_rule_sends_low_w_to_the_kernel_and_large_w_to_the_eigen_path
     for w in (1e3, 1e5, 1e300):
         params = LadderParams(n_sites=n_sites, disorder_w=w, detuning_delta=0.2)
         assert not ensemble_mod._chebyshev_chosen(params)
+
+
+def test_the_switch_rule_is_read_once_per_run(monkeypatch):
+    # run_ensemble picks the run's one readout, and with it the stack width
+    # and the worker count; no stack or chunk asks the rule again
+    calls = []
+    original = ensemble_mod._chebyshev_chosen
+
+    def counted(params):
+        calls.append(params.disorder_w)
+        return original(params)
+
+    width = 2 * ensemble_mod._CHUNK
+    monkeypatch.setattr(ensemble_mod, "_STACK", width)
+    kernel, eigen, trace = (_chebyshev_config(3 * width + 7), *eigen_configs(n_realizations=13))
+    monkeypatch.setattr(ensemble_mod, "_chebyshev_chosen", counted)
+    for config, expected in ((kernel, [0.5]), (eigen, [EIGEN_W]), (trace, [])):
+        calls.clear()
+        run_ensemble(config, threads=2)
+        assert calls == expected
+
+
+def test_a_config_records_one_readout():
+    # C(tau), or the branch trace on trace_times: no plan object, no mixed stack
+    for name in ("ObservablePlan", "_measure_stack", "_last_cell"):
+        assert not hasattr(ensemble_mod, name)
+    assert [field.name for field in dataclasses.fields(EnsembleConfig)] == [
+        "params", "n_realizations", "master_seed", "trace_times"]
