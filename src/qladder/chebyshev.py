@@ -5,46 +5,43 @@ expands exp(-i H t) psi0 in Chebyshev polynomials of H (Tal-Ezer & Kosloff,
 J. Chem. Phys. 81, 3967 (1984)) on the band of H, with coefficients from
 Miller's recurrence (:func:`bessel_j`), so it loads no scipy. It judges the
 whole states it returns against the tolerances of
-:func:`~qladder.spectral.certify` and returns a bound on their error.
+:func:`~qladder.spectral.certify` and returns a bound on the error of each.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
-from functools import lru_cache
 
 import numpy as np
 
 from .spectral import _UNIT_ROUNDOFF, _gamma, _judge_drift
 
-__all__ = ["chebyshev_terms", "bessel_j", "chebyshev_propagate"]
+__all__ = ["bessel_j", "chebyshev_propagate"]
 
 
-def chebyshev_terms(x: float) -> int:
-    """Terms K of the Chebyshev expansion of exp(-i x y) for |y| <= 1 and
-    x >= 0: the smallest K whose tail bound 2 sum_{k>K} |J_k(x)| is at most
-    the unit roundoff u. K is at least x, and computing it takes O(x) steps."""
-    return _chebyshev_series(x)[0]
-
-
-@lru_cache(maxsize=8)
 def _chebyshev_series(x: float) -> tuple[int, np.ndarray, float]:
-    """K of :func:`chebyshev_terms`, J_0(x) .. J_K(x) and the tail bound.
+    """The series of exp(-i x y) for |y| <= 1 and x >= 0: its term count K,
+    J_0(x) .. J_K(x) and the tail bound. K is the smallest order whose tail
+    bound 2 sum_{k>K} |J_k(x)| is at most the unit roundoff u; it is at
+    least x, and computing the series takes O(x) steps.
 
     |J_k(x)| <= (x/2)^k / k!, so past the first order L where that bound's
     own tail is below u^2, the Miller values of J_{K+1} .. J_L and that
-    bound make up the tail bound of each K.
+    bound make up the tail bound of each K. From ceil(x) on, that bound
+    falls at least twofold per order, so L is found by doubling a step from
+    ceil(x) and bisecting the last step, in O(log L) evaluations.
     """
-    last = math.ceil(x)
-    while _factorial_tail(x, last) > _UNIT_ROUNDOFF**2:
-        last += 1
+    first, span = math.ceil(x), 1
+    while _factorial_tail(x, first + span) > _UNIT_ROUNDOFF**2:
+        span *= 2
+    last = first + bisect.bisect_left(range(first, first + span + 1), True,
+                                      key=lambda k: _factorial_tail(x, k) <= _UNIT_ROUNDOFF**2)
     bessel = bessel_j(x, last + 1)
     # tails[k] = 2 sum_{k<j<=L} |J_j| plus the bound beyond L, for k = 0 .. L
     tails = np.append(2 * np.cumsum(np.abs(bessel[:0:-1]))[::-1], 0.0) + _factorial_tail(x, last)
     terms = int(np.argmax(tails <= _UNIT_ROUNDOFF))
-    coefficients = bessel[: terms + 1]
-    coefficients.setflags(write=False)
-    return terms, coefficients, float(tails[terms])
+    return terms, bessel[: terms + 1], float(tails[terms])
 
 
 def _factorial_tail(x: float, last: int) -> float:
@@ -105,28 +102,33 @@ def _band_apply(diagonals, state, out, scratch) -> np.ndarray:
     return out
 
 
-def chebyshev_propagate(diagonals, psi0, t: float, half_width: float):
+def chebyshev_propagate(diagonals, psi0, t: float, half_width, series=None):
     """The whole states exp(-i H_r t) psi0_r of a stack of real symmetric
     band matrices by their Chebyshev expansion (Tal-Ezer & Kosloff, J. Chem.
-    Phys. 81, 3967 (1984)), judged, with a bound on their error.
+    Phys. 81, 3967 (1984)), judged, with a bound on their error per state.
 
     ``diagonals[k]`` is the (D - k, R) k-th subdiagonal, H_r[j + k, j] at
     [j, r] (an axis of length 1 is shared by the stack), ``psi0`` the (D, R)
-    real unit start states, ``t`` >= 0 and ``half_width`` a bound a on every
-    H_r's spectral radius. With x = a t and y = H / a, exp(-i x y) = J_0(x)
-    + 2 sum_{k>=1} (-i)^k J_k(x) T_k(y) on [-1, 1], cut after K =
-    :func:`chebyshev_terms` (x) terms. phi_k = T_k(y) psi0 is real, phi_{k+1}
-    = 2 y phi_k - phi_{k-1}, so even terms add to the real part and odd ones
-    to the imaginary part. Every operation is elementwise over the stack, so
-    a realization gives bitwise the same state in any stack. Returns the real
-    and imaginary parts, each (D, R), and the error bound, the same for every
-    realization.
+    real unit start states, ``t`` >= 0 and ``half_width`` a bound a_r on
+    H_r's spectral radius per column, (R,), or one a for all. With x = a t
+    and y = H / a, exp(-i x y) = J_0(x) + 2 sum_{k>=1} (-i)^k J_k(x) T_k(y)
+    on [-1, 1], cut after the K terms of :func:`_chebyshev_series` (x).
+    ``series`` maps each distinct a_r to that series of x = a_r t, as a
+    caller that computed them hands them over; else they are computed
+    here. phi_k = T_k(y) psi0 is real, phi_{k+1} = 2 y phi_k -
+    phi_{k-1}, so even terms add to the real part and odd ones to the
+    imaginary part. The recurrence runs to the largest K of the stack, and
+    a column gets zero weight past its own K: adding the +-0 products leaves
+    its sums bitwise unchanged. Every operation is elementwise over the
+    stack, so a realization gives bitwise the same state in any stack.
+    Returns the real and imaginary parts, each (D, R), and the (R,) error
+    bounds, one per column, the same for columns of the same a.
 
     The judge raises ArithmeticError when a matrix's Gershgorin radius, a
-    bound on its spectral radius, exceeds a ("Gershgorin radius ... exceeds
-    ..."), when the tail bound exceeds u, and, as :func:`certify` measures,
-    when a state's squared norm is off 1 by more than ``NORM_TOL`` or its
-    energy is off psi0's by more than ``ENERGY_TOL``.
+    bound on its spectral radius, exceeds its a ("Gershgorin radius ...
+    exceeds ..."), when a tail bound exceeds u, and, as :func:`certify`
+    measures, when a state's squared norm is off 1 by more than
+    ``NORM_TOL`` or its energy is off psi0's by more than ``ENERGY_TOL``.
 
     The bound on |computed - exact| per state, with c_k the coefficients and
     g = gamma_{m+1} for the m = 2 kd + 1 products of a band row: a step
@@ -138,18 +140,26 @@ def chebyshev_propagate(diagonals, psi0, t: float, half_width: float):
     |c_k|, rounding 2 H / a (H perturbed by at most u a) adds x u, and the
     truncation its tail bound.
     """
-    x = half_width * t
-    terms, bessel, tail = _chebyshev_series(x)
     dim, count = psi0.shape
+    half_width = np.broadcast_to(np.asarray(half_width, dtype=np.float64), (count,))
+    widths, point = np.unique(half_width, return_inverse=True)
+    table = [series[a] if series is not None else _chebyshev_series(a * t) for a in widths]
     radius = _gershgorin_radii(diagonals, psi0.shape)
     if not np.all(radius <= half_width):  # NaN fails too
-        bad = radius[~(radius <= half_width)][0]
-        raise ArithmeticError(f"Gershgorin radius {bad:.3e} exceeds the half-width {half_width:.3e}")
-    if not tail <= _UNIT_ROUNDOFF:
-        raise ArithmeticError(f"Chebyshev tail {tail:.3e} exceeds {_UNIT_ROUNDOFF:.3e}")
-    # real weights of phi_k: 2 J_k (-i)^k is 2 J_k, -2i J_k, -2 J_k, 2i J_k for k = 0, 1, 2, 3 mod 4
-    weights = 2 * bessel * np.array([1.0, -1.0, -1.0, 1.0])[np.arange(terms + 1) % 4]
-    weights[0] = bessel[0]
+        bad = np.flatnonzero(~(radius <= half_width))[0]
+        raise ArithmeticError(f"Gershgorin radius {radius[bad]:.3e} exceeds "
+                              f"the half-width {half_width[bad]:.3e}")
+    for _, _, tail in table:
+        if not tail <= _UNIT_ROUNDOFF:
+            raise ArithmeticError(f"Chebyshev tail {tail:.3e} exceeds {_UNIT_ROUNDOFF:.3e}")
+    terms = max(k for k, _, _ in table)
+    # real weights of phi_k per a, zero past its K: 2 J_k (-i)^k is 2 J_k,
+    # -2i J_k, -2 J_k, 2i J_k for k = 0, 1, 2, 3 mod 4
+    signs = np.array([1.0, -1.0, -1.0, 1.0])[np.arange(terms + 1) % 4]
+    weights = np.zeros((terms + 1, widths.size))
+    for column, (k, bessel, _) in zip(weights.T, table):
+        column[: k + 1] = 2 * bessel * signs[: k + 1]
+        column[0] = bessel[0]
     # The buffers are one block, on which every row starts on a 64-byte cache
     # line (the stack axis padded with zero columns to a multiple of 8): an
     # aligned (60, 100) product took 3 us, a misaligned one 6 us, and malloc
@@ -162,8 +172,14 @@ def chebyshev_propagate(diagonals, psi0, t: float, half_width: float):
     for diagonal, rows in zip(diagonals, scaled):  # the diagonals of 2 y
         np.multiply(diagonal, 2.0 / half_width, out=rows[:, :count])
     re, im, prev, cur, nxt, scratch = block[len(diagonals):]
+    # each step's weight per column, from its a's column of the table; a
+    # padding column takes the first a's, and its zeros stay zero
+    row = np.empty(width)
+    columns = np.zeros(width, dtype=np.intp)
+    columns[:count] = point
     prev[:, :count] = psi0
-    np.multiply(prev, weights[0], out=re)
+    np.take(weights[0], columns, out=row)
+    np.multiply(prev, row, out=re)
     _band_apply(scaled, prev, cur, scratch)
     cur *= 0.5  # phi_1 = y psi0, exactly half of 2 y psi0
     for k in range(1, terms + 1):
@@ -171,25 +187,28 @@ def chebyshev_propagate(diagonals, psi0, t: float, half_width: float):
             _band_apply(scaled, cur, nxt, scratch)
             np.subtract(nxt, prev, out=nxt)
             prev, cur, nxt = cur, nxt, prev
-        np.multiply(cur, weights[k], out=scratch)
+        np.take(weights[k], columns, out=row)
+        np.multiply(cur, row, out=scratch)
         part = im if k % 2 else re
         np.add(part, scratch, out=part)
-    re, im = re[:, :count], im[:, :count]
-    scratch = np.empty_like(psi0)
-    applied = _band_apply(diagonals, re, np.empty_like(psi0), scratch)
+    # the judge works in the recurrence's buffers: two of its own are 0.38 MB at 400 columns
+    re, im, applied, scratch = (part[:, :count] for part in (re, im, nxt, scratch))
+    _band_apply(diagonals, re, applied, scratch)
     energies = np.einsum("dr,dr->r", re, applied)
     energies += np.einsum("dr,dr->r", im, _band_apply(diagonals, im, applied, scratch))
     energy0 = np.einsum("dr,dr->r", psi0, _band_apply(diagonals, psi0, applied, scratch))
     _judge_drift(np.einsum("dr,dr->r", re, re) + np.einsum("dr,dr->r", im, im), energies, energy0)
 
-    magnitudes = np.abs(weights)
-    steps = np.arange(terms + 1.0)
-    recurrence = 3 * _gamma(2 * len(diagonals)) * steps * (steps + 1)  # m + 1 = 2 kd + 2
-    bound = (
-        math.fsum(magnitudes * recurrence)
-        + _gamma(terms + 1) * math.fsum(magnitudes * (1 + recurrence))
-        + (terms + 1) * _UNIT_ROUNDOFF * math.fsum(magnitudes)
-        + x * _UNIT_ROUNDOFF
-        + tail
-    )
-    return re, im, bound
+    bounds = np.empty(widths.size)
+    for p, (a, (k, _, tail)) in enumerate(zip(widths, table)):
+        magnitudes = np.abs(weights[: k + 1, p])
+        steps = np.arange(k + 1.0)
+        recurrence = 3 * _gamma(2 * len(diagonals)) * steps * (steps + 1)  # m + 1 = 2 kd + 2
+        bounds[p] = (
+            math.fsum(magnitudes * recurrence)
+            + _gamma(k + 1) * math.fsum(magnitudes * (1 + recurrence))
+            + (k + 1) * _UNIT_ROUNDOFF * math.fsum(magnitudes)
+            + a * t * _UNIT_ROUNDOFF
+            + tail
+        )
+    return re, im, bounds[point]

@@ -11,28 +11,34 @@ floating-point summation is fixed. The unit uniforms of the last chunks
 drawn are kept, so the grid points of a sweep (same seed and ladder length)
 derive each stream once between them.
 
-Each run has one readout, chosen once by :func:`run_ensemble`: with
+Each config has one readout, chosen once by :func:`run_ensemble`: with
 ``trace_times`` the branch occupations p_-/p_+ on that grid, by the eigen
 path; else C(tau), at one time, by the path one rule of the parameters
 alone, :func:`_chebyshev_chosen`, picks: the Chebyshev kernel
 (:func:`~qladder.chebyshev.chebyshev_propagate`) on the band of the +/-
 basis Hamiltonian where its term count K costs less than the eigen path,
 else the eigen path. The kernel's half-width a comes from W, Delta and the
-couplings, so K is the same for every realization, and the kernel works
-elementwise over the stack: a realization's value is bitwise the same in
-any stack. The kernel runs in stacks of 400 on one worker. Realization 0
-is audited: the eigen path recomputes it, and its complex last-cell
+couplings, so K is the same for every realization of a grid point, and the
+kernel works elementwise over the stack, each column at its own a: a
+realization's value is bitwise the same in any stack. The grid points of
+one call that the kernel reads share its stacks: ordered by N and then by
+K, their chunks are packed into stacks of at most 400 columns
+(``_STACK``), which run on one worker. Each point's series (K, Bessel
+coefficients, tail bound) is computed once, by the switch rule, and handed
+to the kernel. Realization 0 of each grid point is audited: the eigen path
+recomputes those of a stack in one call, and each one's complex last-cell
 amplitudes must agree with the kernel's within the sum of the two paths'
-error bounds.
+error bounds for its own grid point.
 
-Every call runs its chunks on one long-lived thread pool, also at one
-thread: each of ``min(threads, chunks)`` workers runs one contiguous block
-of chunks in order. A worker's heap is not trimmed back to the operating
-system between chunks, as the main thread's can be, so the chunk arrays
-are not faulted in afresh each time. Calls take turns on the pool, under
-one module lock. While more than one worker runs, numpy's bundled OpenBLAS
-is held at one thread and its old count is restored afterwards; with
-another BLAS nothing is pinned.
+Every call runs on one long-lived thread pool, also at one thread: the
+kernel's stacks on one worker, then each other grid point's chunks on
+``min(threads, chunks)`` workers, each running one contiguous block in
+order. A worker's heap is not trimmed back to the operating system between
+chunks, as the main thread's can be, so the chunk arrays are not faulted
+in afresh each time. Calls take turns on the pool, under one module lock.
+While more than one worker runs, numpy's bundled OpenBLAS is held at one
+thread and its old count is restored afterwards; with another BLAS nothing
+is pinned.
 
 Conservation on the eigen path is checked once per stacked eigensystem by
 :func:`~qladder.spectral.certify`, for the Bell start state every
@@ -42,11 +48,13 @@ puts over tolerance has its evolved states measured, by the same call, at
 the readout times. The Chebyshev kernel measures the norm and energy of
 every state it evolves against the same tolerances.
 
-A realization gives bitwise the same values in any chunk, so a failure is
-traced to its realization by re-running: when a chunk raises, its
-realizations run again one at a time, in order, and the first that fails
-alone is reported with its seed tag and parameters. A failure that no
-realization reproduces alone is reported for the chunk's range.
+A realization gives bitwise the same values in any chunk or stack, so a
+failure is traced to its realization by re-running: when a stack of several
+grid points raises, each point's part runs again alone; when one point's
+chunk or part raises, its realizations run again one at a time, in order,
+and the first that fails alone is reported with its seed tag and its own
+grid point's parameters. A failure that no realization reproduces alone is
+reported for the range of each part.
 """
 
 from __future__ import annotations
@@ -56,10 +64,11 @@ import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .chebyshev import chebyshev_propagate, chebyshev_terms
+from .chebyshev import _chebyshev_series, chebyshev_propagate
 from .hamiltonian import _SQRT1_2, Branch, assemble_effective, effective_band, flat_index
 from .model import LadderParams, correlated_channel, scale_disorder
 from .observables import transfer_time
@@ -83,8 +92,9 @@ LABEL_P_PLUS = "p_plus"
 # Larger chunks add memory (fig2 at chunk 25: +23 MB peak) but no speed.
 _CHUNK = 5
 
-# Realizations per Chebyshev stack, a multiple of _CHUNK and of 8: at W = 10, N = 30
-# the kernel took 183-195 us per realization at 400, 208-259 at 100, 238-260 at 1,000.
+# Columns per Chebyshev stack, shared by the kernel's grid points, a multiple of _CHUNK
+# and of 8: at W = 10, N = 30 the kernel took 183-195 us per realization at 400,
+# 208-259 at 100, 238-260 at 1,000.
 _STACK = 400
 
 # Chebyshev terms per slot (of D = 2N) that cost as much as the eigen path.
@@ -149,7 +159,7 @@ class EnsembleConfig:
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be nonnegative, got {self.master_seed}")
         if self.trace_times is not None:
-            times = np.asarray(self.trace_times, dtype=np.float64)
+            times = np.array(self.trace_times, dtype=np.float64)  # copied: the caller's stays writable
             if times.ndim != 1:
                 raise ValueError("trace_times must be a 1-d sequence")
             if not np.all(np.isfinite(times)):
@@ -181,13 +191,38 @@ def _half_width(params: LadderParams) -> float:
     return bound * (1 + 2**-40)
 
 
-def _chebyshev_chosen(params: LadderParams) -> bool:
+def _chebyshev_chosen(params: LadderParams) -> tuple | None:
     """The one switch rule: C(tau) is read by the Chebyshev kernel when its
     term count K is at most ``_TERMS_PER_SLOT`` D, where it costs less than
-    the eigen path. K is at least x = a tau, so a larger x needs no K."""
+    the eigen path. K is at least x = a tau, so a larger x needs no K.
+    Returns the kernel's series of x (K, coefficients, tail bound) where it
+    is chosen, else None."""
     limit = _TERMS_PER_SLOT * 2 * params.n_sites
     x = _half_width(params) * transfer_time(params.n_sites)
-    return x <= limit and chebyshev_terms(x) <= limit
+    if not x <= limit:
+        return None
+    series = _chebyshev_series(x)
+    return series if series[0] <= limit else None
+
+
+class _Segment(NamedTuple):
+    """Realizations ``start .. stop - 1`` of grid point ``point``, whose
+    config is ``config``; ``series`` is its Chebyshev series where the
+    kernel reads it."""
+
+    point: int
+    config: EnsembleConfig
+    series: tuple | None
+    start: int
+    stop: int
+
+
+def _offsets(segments) -> list[int]:
+    """Where each segment's rows start in their stack, and the stack's end."""
+    offsets = [0]
+    for segment in segments:
+        offsets.append(offsets[-1] + segment.stop - segment.start)
+    return offsets
 
 
 def _end_concurrence(plus, minus) -> np.ndarray:
@@ -217,70 +252,140 @@ def _eigen_at_tau(params: LadderParams, cells):
     return (re[:, :, 0] + 1j * im[:, :, 0]).T, e, r
 
 
-def _eigen_concurrence(config: EnsembleConfig, cells, start: int) -> dict:
-    """C(tau) of the stack ``cells`` by the eigen path."""
-    return {LABEL_CONCURRENCE: _end_concurrence(*_eigen_at_tau(config.params, cells)[0])}
+def _draws(segment: _Segment) -> np.ndarray:
+    """The unit draws of ``segment``'s realizations, cut from the kept draws
+    of their chunks; one chunk's are not copied."""
+    # drawn as each stack runs: all drawn first, a warm fig2 took 1,400-3,900 faults, not <1,000
+    # a copy of a lone chunk's draws raised fig2's peak RSS by 0.2-0.3 MB
+    config, start, stop = segment.config, segment.start, segment.stop
+    draws = [_chunk_draws(config.master_seed, config.params.n_sites, lo,
+                          min(lo + _CHUNK, config.n_realizations))[max(start - lo, 0):stop - lo]
+             for lo in range(start - start % _CHUNK, stop, _CHUNK)]
+    return draws[0] if len(draws) == 1 else np.concatenate(draws)
 
 
-def _chebyshev_concurrence(config: EnsembleConfig, cells, start: int) -> dict:
-    """C(tau) of the stack ``cells`` by the judged Chebyshev kernel. A stack
-    that starts at realization 0 audits it: its complex last-cell amplitudes
-    must agree with the eigen path's within the sum of the two paths' error
-    bounds, or ArithmeticError is raised."""
-    params = config.params
+def _cells(segments) -> tuple:
+    """The (R, N) per-cell parameters (eps_leg1, eps_leg2, gamma_n) of the
+    realizations of ``segments``, stacked in order, each segment's draws
+    scaled by its own W and Delta."""
+    scaled = [scale_disorder(segment.config.params, _draws(segment)) for segment in segments]
+    eps_leg1, delta_n = scaled[0] if len(scaled) == 1 else map(np.concatenate, zip(*scaled))
+    for name, values in (("eps_leg1", eps_leg1), ("delta_n", delta_n)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} contains non-finite values")
+    return (eps_leg1, *correlated_channel(eps_leg1, delta_n))
+
+
+# A readout measures the realizations of its segments, stacked on axis 0 in
+# order; it draws them itself, so their arrays go as soon as it is done with them.
+
+def _eigen_concurrence(segments) -> dict:
+    """C(tau) of the one segment ``segments`` by the eigen path."""
+    return {LABEL_CONCURRENCE: _end_concurrence(
+        *_eigen_at_tau(segments[0].config.params, _cells(segments))[0])}
+
+
+def _chebyshev_concurrence(segments) -> dict:
+    """C(tau) of ``segments`` by the judged Chebyshev kernel, each
+    segment's columns at its own grid point's half-width. The segments that
+    start at realization 0 audit it, all in one eigen-path call: each
+    realization 0's complex last-cell amplitudes must agree with the eigen
+    path's within the sum of the two paths' error bounds for its own grid
+    point, or ArithmeticError is raised."""
+    params = segments[0].config.params  # one N per stack: the couplings and tau of all
     n_sites, tau = params.n_sites, transfer_time(params.n_sites)
-    band = effective_band(*cells, params.couplings())
-    psi0 = np.zeros(band[0].shape)
+    band = effective_band(*_cells(segments), params.couplings())
+    psi0 = np.zeros((2 * n_sites, 1))  # every column's: a (D, R) copy is 0.19 MB at 400 columns
     psi0[flat_index(1, Branch.MINUS, n_sites)] = 1.0
-    re, im, bound = chebyshev_propagate(band, psi0, tau, _half_width(params))
+    widths = [_half_width(segment.config.params) for segment in segments]
+    series = {width: segment.series for width, segment in zip(widths, segments)}
+    half_width = np.repeat(widths, [segment.stop - segment.start for segment in segments])
+    re, im, bound = chebyshev_propagate(band, np.broadcast_to(psi0, band[0].shape), tau,
+                                        half_width, series)
     ends = re[-2:] + 1j * im[-2:]  # slots (+, -) of cell N
-    if start == 0:
-        eigen, e, r = _eigen_at_tau(params, [cell[:1] for cell in cells])
-        deviation = np.max(np.abs(eigen[:, 0] - ends[:, 0]))
-        tolerance = bound + eigen_error_bound(e, r, 2 * n_sites, tau)[0]
-        if not deviation <= tolerance:
-            raise ArithmeticError(f"audit: Chebyshev amplitudes deviate from the eigen "
-                                  f"path's by {deviation:.3e}, over {tolerance:.3e}")
+    audited = [segment._replace(stop=1) for segment in segments if segment.start == 0]
+    if audited:
+        eigen, e, r = _eigen_at_tau(params, _cells(audited))
+        rows = [row for row, segment in zip(_offsets(segments), segments) if segment.start == 0]
+        deviation = np.max(np.abs(eigen - ends[:, rows]), axis=0)
+        tolerance = bound[rows] + eigen_error_bound(e, r, 2 * n_sites, tau)
+        if not np.all(deviation <= tolerance):
+            bad = np.flatnonzero(~(deviation <= tolerance))[0]
+            raise ArithmeticError(f"audit: Chebyshev amplitudes deviate from the eigen path's "
+                                  f"by {deviation[bad]:.3e}, over {tolerance[bad]:.3e}")
     return {LABEL_CONCURRENCE: _end_concurrence(*ends)}
 
 
-def _branch_trace(config: EnsembleConfig, cells, start: int) -> dict:
-    """p_- and p_+ of the stack ``cells`` on ``config.trace_times`` by the eigen path."""
+def _branch_trace(segments) -> dict:
+    """p_- and p_+ of the one segment ``segments`` on its ``trace_times``
+    by the eigen path."""
+    config = segments[0].config
     params, times = config.params, config.trace_times
     # freed before the readouts, a warm fig2 took ~6,000 faults, not ~20
-    entries = assemble_effective(*cells, params.couplings())
+    entries = assemble_effective(*_cells(segments), params.couplings())
     system = _eigen_path(entries, times)[0]
     minus_slots = slice(int(Branch.MINUS), None, 2)  # the minus slot of every cell
     p_minus = squared_norms(*propagate(*system, times, minus_slots))
     return {LABEL_P_MINUS: p_minus, LABEL_P_PLUS: 1.0 - p_minus}
 
 
-def _measure_chunk(config: EnsembleConfig, readout, start: int, stop: int,
-                   units: np.ndarray) -> dict:
-    """``readout`` of realizations ``start .. stop - 1``, stacked on axis 0.
+def _where(params: LadderParams) -> str:
+    return f"W={params.disorder_w}, delta={params.detuning_delta}, N={params.n_sites}"
 
-    ``units`` holds their unit draws, from :func:`_chunk_draws`. A failure
-    is raised as RuntimeError naming the first realization that fails
-    alone, with its seed tag and parameters, or else the range.
+
+def _span(segment: _Segment) -> str:
+    seed = segment.config.master_seed
+    return f"{segment.start}-{segment.stop - 1} (seed {seed}, {_where(segment.config.params)})"
+
+
+def _measure_chunk(segments, readout) -> list[dict]:
+    """``readout`` of ``segments``, as one dict per segment.
+
+    A failure is raised as RuntimeError naming the first realization that
+    fails alone, with its seed tag and its own grid point's parameters, or
+    else the range of each segment.
     """
-    seed, params = config.master_seed, config.params
     try:
-        eps_leg1, delta_n = scale_disorder(params, units)
-        for name, values in (("eps_leg1", eps_leg1), ("delta_n", delta_n)):
-            if not np.all(np.isfinite(values)):
-                raise ValueError(f"{name} contains non-finite values")
-        return readout(config, (eps_leg1, *correlated_channel(eps_leg1, delta_n)), start)
+        measured = readout(segments)
+        offsets = _offsets(segments)
+        return [{label: values[lo:hi] for label, values in measured.items()}
+                for lo, hi in zip(offsets, offsets[1:])]
     except Exception as exc:
-        where = f"W={params.disorder_w}, delta={params.detuning_delta}, N={params.n_sites}"
+        if len(segments) > 1:
+            for segment in segments:  # raises if a segment fails alone
+                _measure_chunk([segment], readout)
+            spans = ", ".join(_span(segment) for segment in segments)
+            raise RuntimeError(f"realizations {spans} failed: {exc}") from exc
+        (segment,) = segments
+        start, stop = segment.start, segment.stop
         if stop - start == 1:
+            seed, where = segment.config.master_seed, _where(segment.config.params)
             raise RuntimeError(
                 f"realization {start} (seed tag {seed}:{start}, {where}) failed: {exc}"
             ) from exc
-        for i, row in enumerate(units, start):  # raises if realization i fails alone
-            _measure_chunk(config, readout, i, i + 1, row[None])
-        raise RuntimeError(
-            f"realizations {start}-{stop - 1} (seed {seed}, {where}) failed: {exc}"
-        ) from exc
+        for i in range(start, stop):  # raises if realization i fails alone
+            _measure_chunk([segment._replace(start=i, stop=i + 1)], readout)
+        raise RuntimeError(f"realizations {_span(segment)} failed: {exc}") from exc
+
+
+def _pack(chosen) -> list[list[_Segment]]:
+    """The whole-run segments ``chosen``, in order, cut into segments of
+    whole chunks (and a point's last, short one) and packed into stacks of
+    at most ``_STACK`` columns and one N each."""
+    stacks, room, stack_sites = [], 0, None
+    for whole in chosen:
+        start, n_sites = 0, whole.config.params.n_sites
+        while start < whole.stop:
+            left = whole.stop - start
+            take = left if left <= room else room - room % _CHUNK
+            if not take or stack_sites != n_sites:
+                stacks.append([])
+                # a stack holds at least one chunk
+                room, stack_sites = max(_STACK, _CHUNK), n_sites
+                continue
+            stacks[-1].append(whole._replace(start=start, stop=start + take))
+            start, room = start + take, room - take
+    return stacks
 
 
 def _reduce(values: np.ndarray, keep_raw: bool) -> EnsembleStats:
@@ -331,50 +436,64 @@ if hasattr(os, "register_at_fork"):
 
 
 def run_ensemble(
-    config: EnsembleConfig, threads: int = 1, keep_raw: bool = False
-) -> dict[str, EnsembleStats]:
-    """Sample, evolve and measure ``n_realizations`` ladders; aggregate statistics.
+    configs, threads: int = 1, keep_raw: bool = False
+) -> list[dict[str, EnsembleStats]]:
+    """Sample, evolve and measure the ``n_realizations`` ladders of each
+    config of a grid; aggregate statistics per config.
 
-    Returns a map from observable label to :class:`EnsembleStats`: C(tau),
-    scalar, or with ``trace_times`` p_- and p_+, per time point. The result
-    is bitwise identical for a fixed config regardless of ``threads``.
-    Per-realization raw values are retained when ``keep_raw=True``. The
-    chunks run on ``min(threads, chunks)`` workers of a shared pool, each
-    taking one contiguous block in order, so the first failure in
-    realization order is the one raised; the Chebyshev kernel's stacks run
-    on one worker. Calls from several threads take turns.
+    Returns, per config in order, a map from observable label to
+    :class:`EnsembleStats`: C(tau), scalar, or with ``trace_times`` p_- and
+    p_+, per time point. A single config is a grid of one. Each result is
+    bitwise identical for a fixed config regardless of ``threads`` and of
+    the other configs of the grid. Per-realization raw values are retained
+    when ``keep_raw=True``.
+
+    The configs the Chebyshev kernel reads are ordered by N and then by
+    their term count K, and their chunks are packed into shared stacks of
+    at most ``_STACK`` columns, which run first, in order, on one worker.
+    Then each other config in turn runs its chunks on ``min(threads,
+    chunks)`` workers of a shared pool, each taking one contiguous block,
+    so the first failure in that order is the one raised. Calls from
+    several threads take turns.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    n = config.n_realizations
-    chunks = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
-
-    if config.trace_times is not None:
-        readout = _branch_trace
-    elif _chebyshev_chosen(config.params):
-        readout = _chebyshev_concurrence
-    else:
-        readout = _eigen_concurrence
-    seed, n_sites = config.master_seed, config.params.n_sites
-    # the kernel's stacks run on one worker: its small operations hold the GIL
-    # between them, so on two workers the default fig1 took 2.6-3.1 s, not 0.9 s
-    kernel = readout is _chebyshev_concurrence
-    size = _STACK // _CHUNK if kernel else 1
-    stacks = [chunks[k:k + size] for k in range(0, len(chunks), size)]
+    configs = list(configs)
+    chosen, eigen = [], []
+    for point, config in enumerate(configs):
+        n = config.n_realizations
+        series = config.trace_times is None and _chebyshev_chosen(config.params)
+        if series:
+            chosen.append(_Segment(point, config, series, 0, n))
+            continue
+        readout = _eigen_concurrence if config.trace_times is None else _branch_trace
+        eigen.append([([_Segment(point, config, None, lo, min(lo + _CHUNK, n))], readout)
+                      for lo in range(0, n, _CHUNK)])
+    chosen.sort(key=lambda whole: (whole.config.params.n_sites, whole.series[0]))
 
     def run_block(block):
-        # drawn as each stack runs: all drawn first, a warm fig2 took 1,400-3,900 faults, not <1,000
-        # a copy of a lone chunk's draws raised fig2's peak RSS by 0.2-0.3 MB
-        return [_measure_chunk(config, readout, stack[0][0], stack[-1][1], np.concatenate(
-                    [_chunk_draws(seed, n_sites, *chunk) for chunk in stack]) if kernel
-                    else _chunk_draws(seed, n_sites, *stack[0])) for stack in block]
+        return [_measure_chunk(segments, readout) for segments, readout in block]
 
-    # a worker beyond the stack count has no work
-    workers = 1 if kernel else min(threads, len(stacks))
-    blocks = [stacks[k * len(stacks) // workers:(k + 1) * len(stacks) // workers]
-              for k in range(workers)]
-    parts = [part for future in _run_blocks(run_block, blocks) for part in future.result()]
-    return {
-        label: _reduce(np.concatenate([part[label] for part in parts]), keep_raw)
-        for label in parts[0]
-    }
+    results = [None] * len(configs)
+
+    def run(tasks, workers):
+        """Run ``tasks`` on ``workers`` and reduce each grid point's parts."""
+        blocks = [tasks[k * len(tasks) // workers:(k + 1) * len(tasks) // workers]
+                  for k in range(workers)]
+        parts = {}
+        for block, future in zip(blocks, _run_blocks(run_block, blocks)):
+            for (segments, _), measured in zip(block, future.result()):
+                for segment, part in zip(segments, measured):
+                    parts.setdefault(segment.point, []).append(part)
+        for point, parts_of in parts.items():
+            results[point] = {label: _reduce(np.concatenate([part[label] for part in parts_of]),
+                                             keep_raw) for label in parts_of[0]}
+
+    # the kernel's stacks run on one worker: its small operations hold the GIL
+    # between them, so on two workers the default fig1 took 2.6-3.1 s, not 0.9 s
+    if chosen:
+        run([(stack, _chebyshev_concurrence) for stack in _pack(chosen)], 1)
+    # one grid point per call, reduced at once: fig2's parts all held took +1.5 MB peak RSS
+    for tasks in eigen:
+        run(tasks, min(threads, len(tasks)))  # a worker beyond the task count has no work
+    return results

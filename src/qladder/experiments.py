@@ -83,8 +83,9 @@ def _distinct(key: str, values) -> None:
 
 
 def _run_grid(points, trace_times, n_sites, n_realizations, master_seed, threads, keep_raw) -> list:
-    """One :func:`run_ensemble` result per ``(W, delta)`` point, in order:
-    C(tau), or with ``trace_times`` the branch occupations on that grid.
+    """One :func:`run_ensemble` call for the ``(W, delta)`` points, one
+    result per point, in order: C(tau), or with ``trace_times`` the branch
+    occupations on that grid.
 
     Every point's :class:`EnsembleConfig` is built first, which runs every
     parameter check, so a bad value at a later point fails before any
@@ -99,7 +100,7 @@ def _run_grid(points, trace_times, n_sites, n_realizations, master_seed, threads
         )
         for w, delta in points
     ]
-    return [run_ensemble(config, threads=threads, keep_raw=keep_raw) for config in configs]
+    return run_ensemble(configs, threads=threads, keep_raw=keep_raw)
 
 
 def transfer_sweep(

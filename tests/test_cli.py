@@ -686,8 +686,8 @@ def test_fig1_takes_the_path_its_switch_rule_chooses(tmp_path, monkeypatch, argv
     monkeypatch.setattr(ensemble, "diagonalize",
                         lambda entries: matrices.append(entries.shape[0]) or diagonalize(entries))
     assert main([*argv, "--out-dir", str(tmp_path)]) == 0
-    if path == "chebyshev":  # one stack per grid point and the audit's one eigensystem
-        assert len(readouts) == 3 and matrices == [1] * 3
+    if path == "chebyshev":  # the three points share one stack, audited in one eigen call
+        assert len(readouts) == 1 and matrices == [3]
     else:
         assert not readouts and sum(matrices) == 3 * FIG1_DEFAULTS["realizations"]
 

@@ -26,7 +26,7 @@ from qladder.ensemble import (
     derive_stream,
     run_ensemble,
 )
-from qladder.experiments import default_trace_grid, default_w_grid, leakage_trace
+from qladder.experiments import default_trace_grid, default_w_grid, leakage_trace, transfer_sweep
 from qladder.hamiltonian import build_effective, build_physical
 from qladder.model import LadderParams, sample_realization
 from qladder.observables import transfer_time
@@ -109,6 +109,18 @@ def test_plan_validates_times():
     assert make_config().trace_times is None
 
 
+def test_a_config_freezes_a_copy_of_the_caller_times():
+    # the caller's grid stays writable, and editing it later leaves the config alone
+    t = np.linspace(0.0, 1.0, 3)
+    config = make_config(trace_times=t)
+    trace = leakage_trace(4, 0.2, [1.0], t, 2, 0)
+    t[0] = 5.0
+    assert t.flags.writeable and t[0] == 5.0
+    assert not config.trace_times.flags.writeable
+    assert np.array_equal(config.trace_times, [0.0, 0.5, 1.0])
+    assert trace.minus[1.0].mean.shape == (3,)
+
+
 def test_config_requires_realizations():
     with pytest.raises(ValueError):
         make_config(n_realizations=0)
@@ -120,7 +132,7 @@ def test_config_requires_realizations():
 
 def test_single_clean_realization_transfers_perfectly():
     config = make_config(n_sites=30, w=0.0, delta=0.0, n_realizations=1)
-    stats = run_ensemble(config)[LABEL_CONCURRENCE]
+    stats = run_ensemble([config])[0][LABEL_CONCURRENCE]
     assert stats.n == 1
     assert float(stats.mean) >= 1.0 - 1e-6
     assert float(stats.std_error) == 0.0
@@ -132,7 +144,7 @@ def test_concurrence_stays_in_the_unit_interval(n_sites, w, delta):
     # C = 2 |a| |b| <= |a|^2 + |b|^2 <= |psi|^2, whose drift is within
     # NORM_TOL; C is not clipped, so rounding may take it just past 1
     config = make_config(n_sites=n_sites, w=w, delta=delta, n_realizations=3)
-    values = run_ensemble(config, keep_raw=True)[LABEL_CONCURRENCE].per_realization
+    values = run_ensemble([config], keep_raw=True)[0][LABEL_CONCURRENCE].per_realization
     assert np.all((values >= 0.0) & (values <= 1.0 + NORM_TOL))
 
 
@@ -145,15 +157,15 @@ def test_zero_detuning_keeps_minus_branch_full(n_sites, w):
         n_sites=n_sites, w=w, delta=0.0, n_realizations=4,
         trace_times=times,
     )
-    result = run_ensemble(config)
+    result = run_ensemble([config])[0]
     assert np.max(np.abs(result[LABEL_P_MINUS].mean - 1.0)) < 1e-10
     assert np.max(np.abs(result[LABEL_P_MINUS].mean + result[LABEL_P_PLUS].mean - 1.0)) < 1e-12
 
 
 def test_runs_are_bitwise_deterministic():
     config = make_config(n_realizations=5)
-    a = run_ensemble(config)[LABEL_CONCURRENCE]
-    b = run_ensemble(config)[LABEL_CONCURRENCE]
+    a = run_ensemble([config])[0][LABEL_CONCURRENCE]
+    b = run_ensemble([config])[0][LABEL_CONCURRENCE]
     assert np.array_equal(a.mean, b.mean)
     assert np.array_equal(a.std_error, b.std_error)
 
@@ -161,9 +173,9 @@ def test_runs_are_bitwise_deterministic():
 def test_thread_count_does_not_change_results():
     # C(tau) by the kernel and by the eigen path, and the branch trace
     for config in (make_config(n_realizations=13), *eigen_configs(n_realizations=13)):
-        serial = run_ensemble(config, threads=1, keep_raw=True)
+        serial = run_ensemble([config], threads=1, keep_raw=True)[0]
         for threads in (2, 4):
-            threaded = run_ensemble(config, threads=threads, keep_raw=True)
+            threaded = run_ensemble([config], threads=threads, keep_raw=True)[0]
             assert serial.keys() == threaded.keys()
             for label in serial:
                 assert np.array_equal(serial[label].mean, threaded[label].mean)
@@ -174,7 +186,7 @@ def test_thread_count_does_not_change_results():
 
 def test_raw_values_bracket_the_mean():
     config = make_config(n_realizations=7)
-    stats = run_ensemble(config, keep_raw=True)[LABEL_CONCURRENCE]
+    stats = run_ensemble([config], keep_raw=True)[0][LABEL_CONCURRENCE]
     assert stats.per_realization.shape == (7,)
     assert stats.per_realization.min() <= float(stats.mean) <= stats.per_realization.max()
     assert np.all(stats.mean >= 0.0) and np.all(stats.mean <= 1.0)
@@ -182,7 +194,7 @@ def test_raw_values_bracket_the_mean():
 
 def test_raw_values_dropped_by_default():
     config = make_config(n_realizations=3)
-    stats = run_ensemble(config)[LABEL_CONCURRENCE]
+    stats = run_ensemble([config])[0][LABEL_CONCURRENCE]
     assert stats.per_realization is None
 
 
@@ -203,7 +215,7 @@ def test_failures_report_the_realization_index(monkeypatch):
 
     monkeypatch.setattr(ensemble_mod, "scale_disorder", flaky)
     with pytest.raises(RuntimeError, match="realization 3"):
-        run_ensemble(config)
+        run_ensemble([config])
 
 
 @pytest.mark.parametrize("name", ["eps_leg1", "delta_n"])
@@ -221,7 +233,7 @@ def test_non_finite_draws_name_the_realization(monkeypatch, name):
 
     monkeypatch.setattr(ensemble_mod, "scale_disorder", poisoned)
     with pytest.raises(RuntimeError, match=f"realization 3 .*42:3.*{name} contains non-finite"):
-        run_ensemble(config)
+        run_ensemble([config])
 
 
 @pytest.mark.parametrize("seed", [0, 7, 42, 1234])
@@ -259,7 +271,7 @@ def test_a_grid_point_gives_the_same_values_alone_and_after_another():
     assert np.array_equal(alone.minus[2.0].per_realization, after.minus[2.0].per_realization)
     # draws kept from a direct run of 7 realizations are not reused for 11;
     # the larger ensemble's first realizations are the smaller one's
-    run_ensemble(make_config(n_realizations=7, seed=42))
+    run_ensemble([make_config(n_realizations=7, seed=42)])
     larger = leakage_trace(w_values=(2.0,), **{**kwargs, "n_realizations": 11})
     assert np.array_equal(alone.minus[2.0].per_realization,
                           larger.minus[2.0].per_realization[:7])
@@ -288,14 +300,15 @@ def test_the_draws_kept_after_a_run_are_bounded(monkeypatch):
     ensemble_mod._chunk_draws.cache_clear()
     n_realizations = 2 * ensemble_mod._KEPT_CHUNKS + 6
     shapes = []
-    original = ensemble_mod._measure_chunk
+    original = ensemble_mod._draws
 
-    def recording(config, readout, start, stop, units):
+    def recording(segment):
+        units = original(segment)
         shapes.append(units.shape)
-        return original(config, readout, start, stop, units)
+        return units
 
-    monkeypatch.setattr(ensemble_mod, "_measure_chunk", recording)
-    run_ensemble(make_config(n_sites=2, n_realizations=n_realizations, trace_times=EIGEN_TIMES))
+    monkeypatch.setattr(ensemble_mod, "_draws", recording)
+    run_ensemble([make_config(n_sites=2, n_realizations=n_realizations, trace_times=EIGEN_TIMES)])
     assert set(shapes) == {(2, 4)}
     info = ensemble_mod._chunk_draws.cache_info()
     assert info.currsize == info.maxsize == ensemble_mod._KEPT_CHUNKS
@@ -315,7 +328,7 @@ def test_engine_matrices_match_the_public_path(monkeypatch):
         return original(entries)
 
     monkeypatch.setattr(ensemble_mod, "diagonalize", recording)
-    run_ensemble(config)
+    run_ensemble([config])
     assert len(seen) == 7
     for i, entries in enumerate(seen):
         public = build_effective(sample_realization(config.params, derive_stream(42, i)))
@@ -325,7 +338,7 @@ def test_engine_matrices_match_the_public_path(monkeypatch):
 @pytest.mark.parametrize("threads", [0, -5])
 def test_a_thread_count_below_one_is_refused(threads):
     with pytest.raises(ValueError, match="threads must be at least 1"):
-        run_ensemble(make_config(), threads=threads)
+        run_ensemble([make_config()], threads=threads)
 
 
 def test_worker_count_is_capped_at_the_chunk_count(monkeypatch):
@@ -335,29 +348,29 @@ def test_worker_count_is_capped_at_the_chunk_count(monkeypatch):
     running, peak, seen = 0, [], []
     original = ensemble_mod._measure_chunk
 
-    def recording(config, readout, start, stop, units):
+    def recording(segments, readout):
         nonlocal running
         with lock:
             running += 1
             peak.append(running)
-            seen.append((threading.current_thread(), start))
+            seen.append((threading.current_thread(), segments[0].start))
         try:
             time.sleep(0.002)  # long enough for the other workers to overlap it
-            return original(config, readout, start, stop, units)
+            return original(segments, readout)
         finally:
             with lock:
                 running -= 1
 
     monkeypatch.setattr(ensemble_mod, "_measure_chunk", recording)
     chunk = ensemble_mod._CHUNK
-    run_ensemble(make_config(n_realizations=4 * chunk, w=EIGEN_W), threads=4)  # four workers
+    run_ensemble([make_config(n_realizations=4 * chunk, w=EIGEN_W)], threads=4)  # four workers
     # (realizations, threads, workers): capped by the chunks, by threads, one chunk
     for n_realizations, threads, cap in ((2 * chunk + 2, 8, 3), (4 * chunk, 2, 2),
                                          (chunk - 2, 8, 1)):
         peak.clear()
         seen.clear()
         config = make_config(n_realizations=n_realizations, w=EIGEN_W)
-        capped = run_ensemble(config, threads=threads, keep_raw=True)
+        capped = run_ensemble([config], threads=threads, keep_raw=True)[0]
         assert 1 <= max(peak) <= cap
         workers = {thread for thread, _ in seen}
         assert len(workers) <= cap and threading.main_thread() not in workers
@@ -365,7 +378,7 @@ def test_worker_count_is_capped_at_the_chunk_count(monkeypatch):
             starts = [start for thread, start in seen if thread is worker]
             assert starts == sorted(starts)
         assert sorted(start for _, start in seen) == list(range(0, n_realizations, chunk))
-        serial = run_ensemble(config, threads=1, keep_raw=True)
+        serial = run_ensemble([config], threads=1, keep_raw=True)[0]
         assert np.array_equal(capped[LABEL_CONCURRENCE].per_realization,
                               serial[LABEL_CONCURRENCE].per_realization)
 
@@ -400,16 +413,16 @@ def test_workers_run_with_one_openblas_thread_while_more_than_one_runs(monkeypat
     seen = []
     original = ensemble_mod._measure_chunk
 
-    def recording(config, readout, start, stop, units):
+    def recording(segments, readout):
         seen.append(openblas())
-        return original(config, readout, start, stop, units)
+        return original(segments, readout)
 
     monkeypatch.setattr(ensemble_mod, "_measure_chunk", recording)
     config = make_config(n_realizations=4 * ensemble_mod._CHUNK, w=EIGEN_W)
-    run_ensemble(config, threads=2)
+    run_ensemble([config], threads=2)
     assert seen == [1] * 4 and openblas() == 3
     seen.clear()
-    run_ensemble(config, threads=1)  # one worker leaves the count alone
+    run_ensemble([config], threads=1)  # one worker leaves the count alone
     assert seen == [3] * 4 and openblas() == 3
 
 
@@ -425,23 +438,23 @@ def test_the_openblas_count_is_restored_when_a_chunk_raises(monkeypatch, openbla
 
     monkeypatch.setattr(ensemble_mod, "scale_disorder", flaky)
     with pytest.raises(RuntimeError, match="realization 8"):
-        run_ensemble(config, threads=2)
+        run_ensemble([config], threads=2)
     assert openblas() == 3
 
 
 def test_values_do_not_depend_on_openblas_pinning(monkeypatch):
     configs = eigen_configs(n_realizations=13)
-    pinned = [run_ensemble(config, threads=2, keep_raw=True) for config in configs]
+    pinned = [run_ensemble([config], threads=2, keep_raw=True)[0] for config in configs]
     monkeypatch.setattr(ensemble_mod, "_openblas", lambda: None)  # the solver keeps its library
     seen = []
     original = ensemble_mod._measure_chunk
     with _openblas_count(3) as get:
-        def recording(config, readout, start, stop, units):
+        def recording(segments, readout):
             seen.append(get())
-            return original(config, readout, start, stop, units)
+            return original(segments, readout)
 
         monkeypatch.setattr(ensemble_mod, "_measure_chunk", recording)
-        unpinned = [run_ensemble(config, threads=2, keep_raw=True) for config in configs]
+        unpinned = [run_ensemble([config], threads=2, keep_raw=True)[0] for config in configs]
         assert seen == [get()] * 6  # every chunk ran at the unpinned count
     for expected, got in zip(pinned, unpinned):
         assert expected.keys() == got.keys()
@@ -454,16 +467,16 @@ def test_concurrent_callers_get_the_values_of_serial_calls(monkeypatch):
     # the branch trace; the calls take turns, so every chunk runs pinned and
     # each caller restores the count it found
     configs = eigen_configs(n_realizations=4 * ensemble_mod._CHUNK)
-    serial = [run_ensemble(config, keep_raw=True) for config in configs]
+    serial = [run_ensemble([config], keep_raw=True)[0] for config in configs]
     lib = spectral_mod._openblas()
     get = lib.scipy_openblas_get_num_threads64_ if lib else lambda: None
     found, seen = get(), []
     original = ensemble_mod._measure_chunk
 
-    def recording(config, readout, start, stop, units):
+    def recording(segments, readout):
         seen.append(get())
         time.sleep(0.002)  # a pinned region long enough for the other caller to meet it
-        return original(config, readout, start, stop, units)
+        return original(segments, readout)
 
     monkeypatch.setattr(ensemble_mod, "_measure_chunk", recording)
     rounds, results = 10, [[], []]
@@ -473,7 +486,7 @@ def test_concurrent_callers_get_the_values_of_serial_calls(monkeypatch):
         barrier.wait(timeout=30)
         for _ in range(rounds):
             try:
-                results[k].append(run_ensemble(configs[k], threads=2, keep_raw=True))
+                results[k].append(run_ensemble([configs[k]], threads=2, keep_raw=True)[0])
             except Exception as exc:  # reported by the assertions below
                 results[k].append(exc)
 
@@ -505,21 +518,21 @@ def test_concurrent_calls_take_turns_on_the_pool(monkeypatch):
     # here one reading C(tau) and one the branch trace; their chunks must
     # never overlap, and each caller gets serial values
     configs = eigen_configs(n_realizations=3 * ensemble_mod._CHUNK)
-    serial = [run_ensemble(config, keep_raw=True) for config in configs]
-    run_ensemble(make_config(n_realizations=2 * ensemble_mod._CHUNK, w=EIGEN_W), threads=2)
+    serial = [run_ensemble([config], keep_raw=True)[0] for config in configs]
+    run_ensemble([make_config(n_realizations=2 * ensemble_mod._CHUNK, w=EIGEN_W)], threads=2)
     assert ensemble_mod._pool_size >= 2
     lock = threading.Lock()
     in_flight, overlaps = [0, 0], []
     original = ensemble_mod._measure_chunk
 
-    def recording(config, readout, start, stop, units):
-        k = configs.index(config)
+    def recording(segments, readout):
+        k = configs.index(segments[0].config)
         with lock:
             in_flight[k] += 1
             overlaps.append(in_flight[1 - k] > 0)
         try:
             time.sleep(0.002)  # long enough for the other caller's chunk to meet it
-            return original(config, readout, start, stop, units)
+            return original(segments, readout)
         finally:
             with lock:
                 in_flight[k] -= 1
@@ -532,7 +545,7 @@ def test_concurrent_calls_take_turns_on_the_pool(monkeypatch):
         barrier.wait(timeout=30)
         for _ in range(rounds):
             try:
-                results[k].append(run_ensemble(configs[k], threads=1, keep_raw=True))
+                results[k].append(run_ensemble([configs[k]], threads=1, keep_raw=True)[0])
             except Exception as exc:  # reported by the assertions below
                 results[k].append(exc)
 
@@ -562,11 +575,11 @@ def test_a_forked_child_runs_on_a_pool_of_its_own():
         "from qladder.model import LadderParams\n"
         "config = EnsembleConfig(LadderParams(n_sites=6, disorder_w=1.0, detuning_delta=0.1),\n"
         "                        n_realizations=12, master_seed=42)\n"
-        "parent = run_ensemble(config, threads=2, keep_raw=True)\n"
+        "parent = run_ensemble([config], threads=2, keep_raw=True)[0]\n"
         "pid = os.fork()\n"
         "if pid == 0:\n"
         "    signal.alarm(20)\n"
-        "    child = run_ensemble(config, threads=2, keep_raw=True)\n"
+        "    child = run_ensemble([config], threads=2, keep_raw=True)[0]\n"
         "    same = (child['concurrence_at_tau'].per_realization\n"
         "            == parent['concurrence_at_tau'].per_realization).all()\n"
         "    os._exit(0 if same else 3)\n"
@@ -590,7 +603,7 @@ def test_a_fork_taken_during_a_call_leaves_the_child_a_pool_of_its_own():
         "from qladder.model import LadderParams\n"
         "config = EnsembleConfig(LadderParams(n_sites=6, disorder_w=1.0, detuning_delta=0.1),\n"
         "                        n_realizations=12, master_seed=42)\n"
-        "parent = run_ensemble(config, threads=2, keep_raw=True)\n"
+        "parent = run_ensemble([config], threads=2, keep_raw=True)[0]\n"
         "entered, release = threading.Event(), threading.Event()\n"
         "original = ensemble._measure_chunk\n"
         "def held(*args):\n"
@@ -598,14 +611,14 @@ def test_a_fork_taken_during_a_call_leaves_the_child_a_pool_of_its_own():
         "    release.wait()\n"
         "    return original(*args)\n"
         "ensemble._measure_chunk = held\n"
-        "caller = threading.Thread(target=run_ensemble, args=(config, 2))\n"
+        "caller = threading.Thread(target=run_ensemble, args=([config], 2))\n"
         "caller.start()\n"
         "entered.wait()\n"
         "pid = os.fork()\n"
         "if pid == 0:\n"
         "    signal.alarm(20)\n"
         "    ensemble._measure_chunk = original\n"
-        "    child = run_ensemble(config, threads=2, keep_raw=True)\n"
+        "    child = run_ensemble([config], threads=2, keep_raw=True)[0]\n"
         "    same = (child['concurrence_at_tau'].per_realization\n"
         "            == parent['concurrence_at_tau'].per_realization).all()\n"
         "    os._exit(0 if same else 3)\n"
@@ -656,7 +669,7 @@ def test_guard_failures_name_the_realization_inside_a_chunk(monkeypatch, corrupt
 
         monkeypatch.setattr(ensemble_mod, "diagonalize", corrupted)
         with pytest.raises(RuntimeError, match=f"realization 3 .*42:3.*{corruption} drift"):
-            run_ensemble(config)
+            run_ensemble([config])
 
 
 def test_the_certificate_catches_a_shifted_eigenvalue(monkeypatch):
@@ -676,7 +689,7 @@ def test_the_certificate_catches_a_shifted_eigenvalue(monkeypatch):
 
     monkeypatch.setattr(ensemble_mod, "diagonalize", shifted)
     with pytest.raises(RuntimeError, match="realization 3 .*42:3.*energy drift bound"):
-        run_ensemble(config)
+        run_ensemble([config])
 
 
 @pytest.mark.parametrize("w", [0.2, 10.0])
@@ -694,7 +707,7 @@ def test_production_scales_are_certified_without_measurement(monkeypatch, w, pla
     grids = {"fig1": [transfer_time(n_sites)], "fig2": PRODUCTION_TRACE_GRID}
     config = make_config(n_sites=n_sites, w=w, delta=0.2, n_realizations=100,
                          trace_times=grids[plan])
-    stats = run_ensemble(config)
+    stats = run_ensemble([config])[0]
     assert all(result.n == 100 for result in stats.values())
 
 
@@ -712,7 +725,7 @@ def test_a_fault_only_inside_a_stack_names_the_range(monkeypatch):
     for config in eigen_configs(n_realizations=7):
         with pytest.raises(RuntimeError,
                            match=r"realizations 0-4 \(seed 42, .*\) failed: norm drift"):
-            run_ensemble(config)
+            run_ensemble([config])
 
 
 def test_other_errors_name_the_realization_inside_a_chunk(monkeypatch):
@@ -727,15 +740,15 @@ def test_other_errors_name_the_realization_inside_a_chunk(monkeypatch):
 
     monkeypatch.setattr(ensemble_mod, "diagonalize", failing)
     with pytest.raises(RuntimeError, match=r"realization 3 \(seed tag 42:3, .*did not converge"):
-        run_ensemble(config)
+        run_ensemble([config])
 
 
 def test_chunk_size_does_not_change_values(monkeypatch):
     configs = eigen_configs(n_realizations=2 * ensemble_mod._CHUNK + 2)
-    defaults = [run_ensemble(config, keep_raw=True) for config in configs]
+    defaults = [run_ensemble([config], keep_raw=True)[0] for config in configs]
     monkeypatch.setattr(ensemble_mod, "_CHUNK", 1)
     for config, default in zip(configs, defaults):
-        single = run_ensemble(config, keep_raw=True)
+        single = run_ensemble([config], keep_raw=True)[0]
         assert default.keys() == single.keys()
         for label in default:
             assert np.array_equal(default[label].per_realization, single[label].per_realization)
@@ -747,7 +760,7 @@ def test_ensemble_size_does_not_change_shared_values():
     chunk = ensemble_mod._CHUNK
     sizes = (1, chunk + 1, 2 * chunk)
     for runs in zip(*(eigen_configs(n_realizations=n) for n in sizes)):
-        results = [run_ensemble(config, keep_raw=True) for config in runs]
+        results = [run_ensemble([config], keep_raw=True)[0] for config in runs]
         for label in results[0]:
             alone, remainder, full = (result[label].per_realization for result in results)
             assert np.array_equal(alone, remainder[:1])
@@ -783,7 +796,7 @@ def test_leakage_traces_match_site_basis_expm():
 
 def test_stats_reduction_matches_numpy():
     config = make_config(n_realizations=9)
-    stats = run_ensemble(config, keep_raw=True)[LABEL_CONCURRENCE]
+    stats = run_ensemble([config], keep_raw=True)[0][LABEL_CONCURRENCE]
     raw = stats.per_realization
     assert float(stats.mean) == raw.mean()
     assert float(stats.std_error) == pytest.approx(raw.std(ddof=1) / 3.0, rel=1e-12)
@@ -793,23 +806,32 @@ def test_plans_share_realization_streams(monkeypatch):
     # same (params, seed, index) -> same realizations, whatever is measured,
     # so results are consistent per realization across different drivers:
     # a C(tau) run and a trace run hand the readouts the same unit draws
-    draws = {}
-    original = ensemble_mod._measure_chunk
+    draws, readouts = {}, []
+    original_chunk, original_draws = ensemble_mod._measure_chunk, ensemble_mod._draws
 
-    def recording(config, readout, start, stop, units):
-        draws.setdefault(readout.__name__, []).append(units.copy())
-        return original(config, readout, start, stop, units)
+    def measuring(segments, readout):
+        readouts.append(readout.__name__)
+        return original_chunk(segments, readout)
 
-    monkeypatch.setattr(ensemble_mod, "_measure_chunk", recording)
+    def drawing(segment):
+        units = original_draws(segment)
+        rows = draws.setdefault(readouts[-1], {})
+        for i, row in enumerate(units, segment.start):
+            rows.setdefault(i, []).append(row.copy())
+        return units
+
+    monkeypatch.setattr(ensemble_mod, "_measure_chunk", measuring)
+    monkeypatch.setattr(ensemble_mod, "_draws", drawing)
     ensemble_mod._chunk_draws.cache_clear()
-    run_ensemble(make_config(n_realizations=13))
+    run_ensemble([make_config(n_realizations=13)])
     ensemble_mod._chunk_draws.cache_clear()  # drawn afresh, not kept from the first run
-    run_ensemble(make_config(n_realizations=13, trace_times=np.linspace(0.0, 20.0, 15)))
+    run_ensemble([make_config(n_realizations=13, trace_times=np.linspace(0.0, 20.0, 15))])
     assert draws.keys() == {"_chebyshev_concurrence", "_branch_trace"}
-    kernel, trace = (np.concatenate(draws[name]) for name in ("_chebyshev_concurrence",
-                                                               "_branch_trace"))
-    assert kernel.shape == trace.shape == (13, 20)
-    assert np.array_equal(kernel, trace)
+    kernel, trace = draws["_chebyshev_concurrence"], draws["_branch_trace"]
+    assert sorted(kernel) == sorted(trace) == list(range(13))
+    for i in range(13):  # the kernel draws realization 0 twice: its stack and its audit
+        assert trace[i][0].shape == (20,)
+        assert all(np.array_equal(row, trace[i][0]) for row in kernel[i] + trace[i])
 
 
 # ---------------------------------------------------------------------------
@@ -825,31 +847,31 @@ def _chebyshev_config(n_realizations=100, **kwargs):
 def test_chebyshev_values_do_not_depend_on_stack_threads_or_chunk(monkeypatch):
     # the values must not follow the stack size, the thread count or the
     # chunk size: 100 realizations are one stack, 3 stacks and 7 more are four
-    full = run_ensemble(_chebyshev_config(), keep_raw=True)[LABEL_CONCURRENCE].per_realization
+    full = run_ensemble([_chebyshev_config()], keep_raw=True)[0][LABEL_CONCURRENCE].per_realization
     for n in (1, 7):
-        part = run_ensemble(_chebyshev_config(n), keep_raw=True)[LABEL_CONCURRENCE]
+        part = run_ensemble([_chebyshev_config(n)], keep_raw=True)[0][LABEL_CONCURRENCE]
         assert np.array_equal(part.per_realization, full[:n])
-    threads2 = run_ensemble(_chebyshev_config(), threads=2, keep_raw=True)
+    threads2 = run_ensemble([_chebyshev_config()], threads=2, keep_raw=True)[0]
     assert np.array_equal(threads2[LABEL_CONCURRENCE].per_realization, full)
     width = 2 * ensemble_mod._CHUNK
     monkeypatch.setattr(ensemble_mod, "_STACK", width)
     n = 3 * width + 7
-    stacks = run_ensemble(_chebyshev_config(n), threads=2, keep_raw=True)
+    stacks = run_ensemble([_chebyshev_config(n)], threads=2, keep_raw=True)[0]
     assert np.array_equal(stacks[LABEL_CONCURRENCE].per_realization, full[:n])
     monkeypatch.setattr(ensemble_mod, "_CHUNK", 1)
     for stack in (1, width):  # stacks of 1, then chunks of 1
         monkeypatch.setattr(ensemble_mod, "_STACK", stack)
-        single = run_ensemble(_chebyshev_config(n), threads=2, keep_raw=True)
+        single = run_ensemble([_chebyshev_config(n)], threads=2, keep_raw=True)[0]
         assert np.array_equal(single[LABEL_CONCURRENCE].per_realization, full[:n])
-    single = run_ensemble(_chebyshev_config(), keep_raw=True)
+    single = run_ensemble([_chebyshev_config()], keep_raw=True)[0]
     assert np.array_equal(single[LABEL_CONCURRENCE].per_realization, full)
 
 
 def test_chebyshev_values_match_the_eigen_path(monkeypatch):
     config = _chebyshev_config(20)
-    chebyshev = run_ensemble(config, keep_raw=True)[LABEL_CONCURRENCE].per_realization
+    chebyshev = run_ensemble([config], keep_raw=True)[0][LABEL_CONCURRENCE].per_realization
     monkeypatch.setattr(ensemble_mod, "_chebyshev_chosen", lambda params: False)
-    eigen = run_ensemble(config, keep_raw=True)[LABEL_CONCURRENCE].per_realization
+    eigen = run_ensemble([config], keep_raw=True)[0][LABEL_CONCURRENCE].per_realization
     assert np.max(np.abs(chebyshev - eigen)) < 1e-13
 
 
@@ -861,10 +883,10 @@ def test_a_chebyshev_run_runs_in_stacks_on_one_worker_and_audits_realization_0(m
     original_chunk, original_diagonalize = ensemble_mod._measure_chunk, ensemble_mod.diagonalize
     original_errors = spectral_mod._eigen_errors
 
-    def recording(config, readout, start, stop, units):
-        calls.append((start, stop, units.shape[0]))
+    def recording(segments, readout):
+        calls.append([(segment.start, segment.stop) for segment in segments])
         workers.add(threading.get_ident())
-        return original_chunk(config, readout, start, stop, units)
+        return original_chunk(segments, readout)
 
     def diagonalizing(entries):
         matrices.append(entries.shape[0])
@@ -877,8 +899,8 @@ def test_a_chebyshev_run_runs_in_stacks_on_one_worker_and_audits_realization_0(m
     monkeypatch.setattr(ensemble_mod, "_measure_chunk", recording)
     monkeypatch.setattr(ensemble_mod, "diagonalize", diagonalizing)
     monkeypatch.setattr(spectral_mod, "_eigen_errors", counting)
-    run_ensemble(_chebyshev_config(), threads=2)
-    assert calls == [(0, 100, 100)]
+    run_ensemble([_chebyshev_config()], threads=2)
+    assert calls == [[(0, 100)]]
     assert matrices == [1]  # the audit's realization 0, the only eigensystem
     assert len(errors) == 1  # its e and r, computed once for certify and the audit
 
@@ -886,10 +908,10 @@ def test_a_chebyshev_run_runs_in_stacks_on_one_worker_and_audits_realization_0(m
     monkeypatch.setattr(ensemble_mod, "_STACK", width)
     for record in (calls, workers, matrices, errors):
         record.clear()
-    run_ensemble(_chebyshev_config(3 * width + 7), threads=2)
-    assert calls == [(k * width, (k + 1) * width, width) for k in range(3)] + [
-        (3 * width, 3 * width + 7, 7)]
-    assert max(rows for _, _, rows in calls) <= width
+    run_ensemble([_chebyshev_config(3 * width + 7)], threads=2)
+    assert calls == [[(k * width, (k + 1) * width)] for k in range(3)] + [
+        [(3 * width, 3 * width + 7)]]
+    assert max(stop - start for (start, stop), in calls) <= width
     assert len(workers) == 1
     assert matrices == [1] and len(errors) == 1  # realization 0, in the first stack only
 
@@ -908,7 +930,7 @@ def test_a_half_width_below_the_spectral_radius_names_the_realization(monkeypatc
     monkeypatch.setattr(ensemble_mod, "_half_width", lambda params: radii[:target].max() * margin)
     with pytest.raises(RuntimeError, match=rf"realization {target} \(seed tag 42:{target}, "
                                            r".*Gershgorin radius .* exceeds the half-width"):
-        run_ensemble(config)
+        run_ensemble([config])
 
 
 def _shift_hop_slots(band_of):
@@ -936,13 +958,88 @@ def test_a_broken_kernel_fails_the_audit(monkeypatch, fault):
                             _shift_hop_slots(ensemble_mod.effective_band))
     else:
         monkeypatch.setattr(chebyshev_mod, "bessel_j", _flip_odd_bessel_signs(chebyshev_mod.bessel_j))
-    chebyshev_mod._chebyshev_series.cache_clear()
-    try:
-        with pytest.raises(RuntimeError, match=r"realization 0 \(seed tag 42:0, .*audit: "
-                                               r"Chebyshev amplitudes deviate"):
-            run_ensemble(_chebyshev_config(10))
-    finally:
-        chebyshev_mod._chebyshev_series.cache_clear()
+    with pytest.raises(RuntimeError, match=r"realization 0 \(seed tag 42:0, .*audit: "
+                                           r"Chebyshev amplitudes deviate"):
+        run_ensemble([_chebyshev_config(10)])
+
+
+# a sweep whose kernel points share stacks: 2 x 3 kernel points of 137
+# realizations, which does not divide _STACK, and per delta one point past
+# the switch rule
+PACKED_DELTAS, PACKED_W, PACKED_N = (0.05, 0.2), (0.3, 1.0, 3.0), 137
+
+
+def _packed_configs():
+    configs = [make_config(w=w, delta=delta, n_realizations=PACKED_N)
+               for delta in PACKED_DELTAS for w in (*PACKED_W, EIGEN_W)]
+    chosen = [config for config in configs if ensemble_mod._chebyshev_chosen(config.params)]
+    assert len(chosen) == len(PACKED_DELTAS) * len(PACKED_W)
+    return configs
+
+
+def test_a_grid_point_gives_bitwise_the_same_values_alone_and_in_packed_stacks(monkeypatch):
+    configs = _packed_configs()
+    stacks = []
+    original = ensemble_mod._chebyshev_concurrence
+    monkeypatch.setattr(ensemble_mod, "_chebyshev_concurrence",
+                        lambda segments: stacks.append(segments) or original(segments))
+    swept = {threads: run_ensemble(configs, threads=threads, keep_raw=True)
+             for threads in (1, 2)}
+    # 822 kernel columns make three stacks per call, two points split between them
+    assert [len(stack) for stack in stacks] == [3, 4, 1] * 2
+    for first, second in (stacks[0:2], stacks[1:3]):
+        assert first[-1].point == second[0].point and second[0].start == first[-1].stop
+    assert max(sum(s.stop - s.start for s in stack) for stack in stacks) <= ensemble_mod._STACK
+    for point, config in enumerate(configs):
+        alone = run_ensemble([config], keep_raw=True)[0][LABEL_CONCURRENCE].per_realization
+        assert alone.shape == (PACKED_N,)
+        for result in swept.values():
+            assert np.array_equal(result[point][LABEL_CONCURRENCE].per_realization, alone)
+    # the sweep driver hands its whole grid to one call: the same values again
+    sweep = transfer_sweep(10, PACKED_DELTAS, (*PACKED_W, EIGEN_W), PACKED_N, 42, keep_raw=True)
+    for point, config in enumerate(configs):
+        stats = sweep.series[config.params.detuning_delta][point % (len(PACKED_W) + 1)]
+        assert np.array_equal(stats.per_realization,
+                              swept[1][point][LABEL_CONCURRENCE].per_realization)
+
+
+def test_grid_points_of_different_lengths_never_share_a_stack(monkeypatch):
+    configs = [make_config(n_sites=n_sites, w=w, n_realizations=9)
+               for n_sites in (10, 8) for w in (0.3, 1.0)]
+    stacks = []
+    original = ensemble_mod._chebyshev_concurrence
+    monkeypatch.setattr(ensemble_mod, "_chebyshev_concurrence",
+                        lambda segments: stacks.append(segments) or original(segments))
+    results = run_ensemble(configs, keep_raw=True)
+    assert [{segment.config.params.n_sites for segment in stack} for stack in stacks] == [{8}, {10}]
+    for config, result in zip(configs, results):
+        alone = run_ensemble([config], keep_raw=True)[0]
+        assert np.array_equal(result[LABEL_CONCURRENCE].per_realization,
+                              alone[LABEL_CONCURRENCE].per_realization)
+
+
+@pytest.mark.parametrize("fault", ["raise", "non-finite"])
+def test_a_failure_in_a_packed_stack_names_its_own_grid_point(monkeypatch, fault):
+    # realization 3 of the (W = 1, delta = 0.2) point fails; every point draws
+    # the same rows, so the fault is keyed to that point's own parameters
+    configs = _packed_configs()
+    target = _unit_row(configs[0], 3)
+    original = ensemble_mod.scale_disorder
+
+    def faulty(params, unit):
+        eps_leg1, delta_n = original(params, unit)
+        if (params.disorder_w, params.detuning_delta) == (1.0, 0.2):
+            for row, draws in enumerate(unit):
+                if np.array_equal(draws, target):
+                    if fault == "raise":
+                        raise MemoryError("synthetic exhaustion")
+                    eps_leg1[row, 2] = np.nan
+        return eps_leg1, delta_n
+
+    monkeypatch.setattr(ensemble_mod, "scale_disorder", faulty)
+    with pytest.raises(RuntimeError, match=r"^realization 3 \(seed tag 42:3, "
+                                           r"W=1\.0, delta=0\.2, N=10\) failed"):
+        run_ensemble(configs, threads=2)
 
 
 def test_the_switch_rule_sends_low_w_to_the_kernel_and_large_w_to_the_eigen_path():
@@ -973,7 +1070,7 @@ def test_the_switch_rule_is_read_once_per_run(monkeypatch):
     monkeypatch.setattr(ensemble_mod, "_chebyshev_chosen", counted)
     for config, expected in ((kernel, [0.5]), (eigen, [EIGEN_W]), (trace, [])):
         calls.clear()
-        run_ensemble(config, threads=2)
+        run_ensemble([config], threads=2)
         assert calls == expected
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qladder.experiments
 from qladder.experiments import (
     default_trace_grid,
     default_w_grid,
@@ -25,6 +26,24 @@ def test_default_w_grid_shape():
     assert grid[0] == pytest.approx(0.2)
     assert grid[-1] == pytest.approx(10.0)
     assert np.all(np.diff(grid) > 0)
+
+
+def test_a_sweep_runs_its_whole_grid_through_one_run_ensemble_call(monkeypatch):
+    # the benchmark's speed probe and the CI gate wrap experiments.run_ensemble:
+    # a sweep must reach the engine through that name, once, with every point
+    calls = []
+    genuine = qladder.experiments.run_ensemble
+
+    def counted(configs, *args, **kwargs):
+        calls.append([(config.params.disorder_w, config.params.detuning_delta)
+                      for config in configs])
+        return genuine(configs, *args, **kwargs)
+
+    monkeypatch.setattr(qladder.experiments, "run_ensemble", counted)
+    result = transfer_sweep(n_sites=4, deltas=(0.1, 0.2), w_grid=[0.5, 2.0],
+                            n_realizations=2, master_seed=1)
+    assert calls == [[(0.5, 0.1), (2.0, 0.1), (0.5, 0.2), (2.0, 0.2)]]
+    assert all(stats.n == 2 for series in result.series.values() for stats in series)
 
 
 def test_sweep_zero_detuning_control_row():

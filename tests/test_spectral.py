@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import qladder.chebyshev as chebyshev_mod
 import qladder.spectral as spectral_mod
-from qladder.chebyshev import bessel_j, chebyshev_propagate, chebyshev_terms
+from qladder.chebyshev import bessel_j, chebyshev_propagate
 from qladder.ensemble import _half_width, derive_stream
 from qladder.hamiltonian import (
     Basis,
@@ -476,7 +477,7 @@ def test_expectation_requires_matching_basis():
 def test_miller_bessel_values_match_scipy(x):
     from scipy.special import jv  # the reference only; the kernel never loads scipy
 
-    count = chebyshev_terms(x) + 40
+    count = chebyshev_mod._chebyshev_series(x)[0] + 40
     # scipy's own error grows with x: about 1e-14 at x = 523 against mpmath
     assert np.max(np.abs(bessel_j(x, count) - jv(np.arange(count), x))) < 1e-13
 
@@ -484,11 +485,43 @@ def test_miller_bessel_values_match_scipy(x):
 @pytest.mark.parametrize("x", [0.0, 0.5, 61.0, 523.0])
 def test_chebyshev_terms_stop_where_the_tail_falls_below_rounding(x):
     terms, coefficients, tail = chebyshev_mod._chebyshev_series(x)
-    assert terms == chebyshev_terms(x) and coefficients.size == terms + 1
+    assert coefficients.size == terms + 1
     assert tail <= chebyshev_mod._UNIT_ROUNDOFF
     if terms:  # one term fewer leaves J_K in the tail
         assert tail + 2 * abs(coefficients[-1]) > chebyshev_mod._UNIT_ROUNDOFF
     assert terms >= x
+
+
+def _stepped_series(x):
+    """The series as found by stepping L up one order at a time from ceil(x)."""
+    last = math.ceil(x)
+    while chebyshev_mod._factorial_tail(x, last) > chebyshev_mod._UNIT_ROUNDOFF**2:
+        last += 1
+    bessel = bessel_j(x, last + 1)
+    tails = (np.append(2 * np.cumsum(np.abs(bessel[:0:-1]))[::-1], 0.0)
+             + chebyshev_mod._factorial_tail(x, last))
+    terms = int(np.argmax(tails <= chebyshev_mod._UNIT_ROUNDOFF))
+    return terms, bessel[: terms + 1], float(tails[terms])
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-300, 1e-3, 0.5, 1.0, 2.0, 7.3, 61.0, 101.25, 523.0,
+                               612.0, 1500.0, 2400.0, 5000.0])
+def test_the_series_search_matches_stepping_bitwise(x):
+    # past x ~ 2300 the factorial bound is inf at ceil(x) (the tail factor
+    # (x/2)^(L+1)/(L+1)! overflows), so the doubling starts inside that
+    # stretch; K, the coefficients and the tail must be the stepping's exactly
+    terms, coefficients, tail = chebyshev_mod._chebyshev_series(x)
+    expected = _stepped_series(x)
+    assert terms == expected[0] and tail == expected[2]
+    assert np.array_equal(coefficients, expected[1])
+
+
+def test_the_factorial_bound_is_inf_where_it_is_of_no_use():
+    # last + 2 <= x / 2: the bound's terms still grow, so it is no bound
+    for x, last in ((10.0, 3), (100.0, 48), (5000.0, 100)):
+        assert last + 2 <= x / 2 and chebyshev_mod._factorial_tail(x, last) == math.inf
+    assert math.isinf(chebyshev_mod._factorial_tail(5000.0, 5000))  # too large to be of use
+    assert chebyshev_mod._factorial_tail(0.0, 0) == 0.0
 
 
 def _ladder_band(realization):
