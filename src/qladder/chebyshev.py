@@ -102,27 +102,26 @@ def _band_apply(diagonals, state, out, scratch) -> np.ndarray:
     return out
 
 
-def chebyshev_propagate(diagonals, psi0, t: float, half_width, series=None):
+def chebyshev_propagate(diagonals, psi0, t: float, points, counts):
     """The whole states exp(-i H_r t) psi0_r of a stack of real symmetric
     band matrices by their Chebyshev expansion (Tal-Ezer & Kosloff, J. Chem.
     Phys. 81, 3967 (1984)), judged, with a bound on their error per state.
 
     ``diagonals[k]`` is the (D - k, R) k-th subdiagonal, H_r[j + k, j] at
     [j, r] (an axis of length 1 is shared by the stack), ``psi0`` the (D, R)
-    real unit start states, ``t`` >= 0 and ``half_width`` a bound a_r on
-    H_r's spectral radius per column, (R,), or one a for all. With x = a t
-    and y = H / a, exp(-i x y) = J_0(x) + 2 sum_{k>=1} (-i)^k J_k(x) T_k(y)
-    on [-1, 1], cut after the K terms of :func:`_chebyshev_series` (x).
-    ``series`` maps each distinct a_r to that series of x = a_r t, as a
-    caller that computed them hands them over; else they are computed
-    here. phi_k = T_k(y) psi0 is real, phi_{k+1} = 2 y phi_k -
+    real unit start states and ``t`` >= 0. The columns are the grid points'
+    in turn: ``counts[p]`` columns take ``points[p]`` = (a, series), a
+    bound a on the spectral radius of each of their H_r and the series of
+    x = a t, :func:`_chebyshev_series` (x). With y = H / a, exp(-i x y) =
+    J_0(x) + 2 sum_{k>=1} (-i)^k J_k(x) T_k(y) on [-1, 1], cut after that
+    series' K terms. phi_k = T_k(y) psi0 is real, phi_{k+1} = 2 y phi_k -
     phi_{k-1}, so even terms add to the real part and odd ones to the
     imaginary part. The recurrence runs to the largest K of the stack, and
     a column gets zero weight past its own K: adding the +-0 products leaves
     its sums bitwise unchanged. Every operation is elementwise over the
     stack, so a realization gives bitwise the same state in any stack.
     Returns the real and imaginary parts, each (D, R), and the (R,) error
-    bounds, one per column, the same for columns of the same a.
+    bounds, one per column, the same for the columns of a point.
 
     The judge raises ArithmeticError when a matrix's Gershgorin radius, a
     bound on its spectral radius, exceeds its a ("Gershgorin radius ...
@@ -141,9 +140,9 @@ def chebyshev_propagate(diagonals, psi0, t: float, half_width, series=None):
     truncation its tail bound.
     """
     dim, count = psi0.shape
-    half_width = np.broadcast_to(np.asarray(half_width, dtype=np.float64), (count,))
-    widths, point = np.unique(half_width, return_inverse=True)
-    table = [series[a] if series is not None else _chebyshev_series(a * t) for a in widths]
+    point = np.repeat(np.arange(len(points)), counts)
+    half_width = np.repeat([a for a, _ in points], counts)
+    table = [series for _, series in points]
     radius = _gershgorin_radii(diagonals, psi0.shape)
     if not np.all(radius <= half_width):  # NaN fails too
         bad = np.flatnonzero(~(radius <= half_width))[0]
@@ -153,10 +152,10 @@ def chebyshev_propagate(diagonals, psi0, t: float, half_width, series=None):
         if not tail <= _UNIT_ROUNDOFF:
             raise ArithmeticError(f"Chebyshev tail {tail:.3e} exceeds {_UNIT_ROUNDOFF:.3e}")
     terms = max(k for k, _, _ in table)
-    # real weights of phi_k per a, zero past its K: 2 J_k (-i)^k is 2 J_k,
+    # real weights of phi_k per point, zero past its K: 2 J_k (-i)^k is 2 J_k,
     # -2i J_k, -2 J_k, 2i J_k for k = 0, 1, 2, 3 mod 4
     signs = np.array([1.0, -1.0, -1.0, 1.0])[np.arange(terms + 1) % 4]
-    weights = np.zeros((terms + 1, widths.size))
+    weights = np.zeros((terms + 1, len(points)))
     for column, (k, bessel, _) in zip(weights.T, table):
         column[: k + 1] = 2 * bessel * signs[: k + 1]
         column[0] = bessel[0]
@@ -172,8 +171,8 @@ def chebyshev_propagate(diagonals, psi0, t: float, half_width, series=None):
     for diagonal, rows in zip(diagonals, scaled):  # the diagonals of 2 y
         np.multiply(diagonal, 2.0 / half_width, out=rows[:, :count])
     re, im, prev, cur, nxt, scratch = block[len(diagonals):]
-    # each step's weight per column, from its a's column of the table; a
-    # padding column takes the first a's, and its zeros stay zero
+    # each step's weight per column, from its point's column of the table; a
+    # padding column takes the first point's, and its zeros stay zero
     row = np.empty(width)
     columns = np.zeros(width, dtype=np.intp)
     columns[:count] = point
@@ -199,8 +198,8 @@ def chebyshev_propagate(diagonals, psi0, t: float, half_width, series=None):
     energy0 = np.einsum("dr,dr->r", psi0, _band_apply(diagonals, psi0, applied, scratch))
     _judge_drift(np.einsum("dr,dr->r", re, re) + np.einsum("dr,dr->r", im, im), energies, energy0)
 
-    bounds = np.empty(widths.size)
-    for p, (a, (k, _, tail)) in enumerate(zip(widths, table)):
+    bounds = np.empty(len(points))
+    for p, (a, (k, _, tail)) in enumerate(points):
         magnitudes = np.abs(weights[: k + 1, p])
         steps = np.arange(k + 1.0)
         recurrence = 3 * _gamma(2 * len(diagonals)) * steps * (steps + 1)  # m + 1 = 2 kd + 2

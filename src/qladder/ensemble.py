@@ -18,17 +18,20 @@ alone, :func:`_chebyshev_chosen`, picks: the Chebyshev kernel
 (:func:`~qladder.chebyshev.chebyshev_propagate`) on the band of the +/-
 basis Hamiltonian where its term count K costs less than the eigen path,
 else the eigen path. The kernel's half-width a comes from W, Delta and the
-couplings, so K is the same for every realization of a grid point, and the
-kernel works elementwise over the stack, each column at its own a: a
+couplings, so K is the same for every realization of a grid point. The
+switch rule computes a point's a and series (K, Bessel coefficients, tail
+bound) once, and the kernel takes them with the point's column count; it
+works elementwise over the stack, each column at its own point's a, so a
 realization's value is bitwise the same in any stack. The grid points of
 one call that the kernel reads share its stacks: ordered by N and then by
-K, their chunks are packed into stacks of at most 400 columns
-(``_STACK``), which run on one worker. Each point's series (K, Bessel
-coefficients, tail bound) is computed once, by the switch rule, and handed
-to the kernel. Realization 0 of each grid point is audited: the eigen path
-recomputes those of a stack in one call, and each one's complex last-cell
-amplitudes must agree with the kernel's within the sum of the two paths'
-error bounds for its own grid point.
+K, they are cut into chunks and packed into stacks of at most 400 columns
+(``_STACK``), which run on one worker; the same cutter cuts each eigen-path
+point into its chunks. Every eigen-path readout is one function: it
+assembles, diagonalizes and certifies a stack, and measures the entries it
+propagates while the stack is held. Realization 0 of each grid point is
+audited: the eigen path recomputes those of a stack in one call, and each
+one's complex last-cell amplitudes must agree with the kernel's within the
+sum of the two paths' error bounds for its own grid point.
 
 Every call runs on one long-lived thread pool, also at one thread: the
 kernel's stacks on one worker, then each other grid point's chunks on
@@ -195,24 +198,25 @@ def _chebyshev_chosen(params: LadderParams) -> tuple | None:
     """The one switch rule: C(tau) is read by the Chebyshev kernel when its
     term count K is at most ``_TERMS_PER_SLOT`` D, where it costs less than
     the eigen path. K is at least x = a tau, so a larger x needs no K.
-    Returns the kernel's series of x (K, coefficients, tail bound) where it
-    is chosen, else None."""
+    Returns the kernel's grid point (a, series of x: K, coefficients, tail
+    bound) where it is chosen, else None."""
     limit = _TERMS_PER_SLOT * 2 * params.n_sites
-    x = _half_width(params) * transfer_time(params.n_sites)
+    a = _half_width(params)
+    x = a * transfer_time(params.n_sites)
     if not x <= limit:
         return None
     series = _chebyshev_series(x)
-    return series if series[0] <= limit else None
+    return (a, series) if series[0] <= limit else None
 
 
 class _Segment(NamedTuple):
     """Realizations ``start .. stop - 1`` of grid point ``point``, whose
-    config is ``config``; ``series`` is its Chebyshev series where the
+    config is ``config``; ``kernel`` is its (a, series) where the Chebyshev
     kernel reads it."""
 
     point: int
     config: EnsembleConfig
-    series: tuple | None
+    kernel: tuple | None
     start: int
     stop: int
 
@@ -229,27 +233,6 @@ def _end_concurrence(plus, minus) -> np.ndarray:
     """C = 2 |leg 1| |leg 2| of the (+, -) amplitudes of cell N."""
     leg1, leg2 = (plus + minus) * _SQRT1_2, (plus - minus) * _SQRT1_2
     return 2.0 * np.abs(leg1) * np.abs(leg2)
-
-
-def _eigen_path(entries, times):
-    """The eigensystems and Bell starts of the stack ``entries``, certified
-    for ``times``, and certify's e and r."""
-    eigenvalues, eigenvectors = diagonalize(entries)
-    # the Bell pair on cell 1 is the unit vector |1,->, so psi0 is real
-    psi0 = np.zeros(entries.shape[:2])
-    psi0[:, flat_index(1, Branch.MINUS, entries.shape[-1] // 2)] = 1.0
-    _, e, r = certify(entries, eigenvalues, eigenvectors, psi0, times)
-    return (eigenvalues, eigenvectors, psi0), e, r
-
-
-def _eigen_at_tau(params: LadderParams, cells):
-    """The (2, R) (+, -) amplitudes of cell N at tau of the stack of (R, N)
-    per-cell parameters ``cells`` by the eigen path, and certify's e and r."""
-    tau = transfer_time(params.n_sites)
-    entries = assemble_effective(*cells, params.couplings())
-    system, e, r = _eigen_path(entries, [tau])
-    re, im = propagate(*system, [tau], slice(-2, None))
-    return (re[:, :, 0] + 1j * im[:, :, 0]).T, e, r
 
 
 def _draws(segment: _Segment) -> np.ndarray:
@@ -279,10 +262,33 @@ def _cells(segments) -> tuple:
 # A readout measures the realizations of its segments, stacked on axis 0 in
 # order; it draws them itself, so their arrays go as soon as it is done with them.
 
+def _eigen_readout(segments, times, rows, measure):
+    """``measure(re, im)`` of the realizations of ``segments`` by the eigen
+    path, and certify's e and r: their stack is assembled, diagonalized and
+    certified for the Bell start at ``times``, and ``re`` and ``im`` are the
+    (R, K, T) parts of its entries ``rows`` at ``times``. ``measure`` runs
+    while the stack's arrays are held: with them freed first, a warm fig2
+    took ~6,000 minor faults, not ~20."""
+    params = segments[0].config.params
+    entries = assemble_effective(*_cells(segments), params.couplings())
+    eigenvalues, eigenvectors = diagonalize(entries)
+    # the Bell pair on cell 1 is the unit vector |1,->, so psi0 is real
+    psi0 = np.zeros(entries.shape[:2])
+    psi0[:, flat_index(1, Branch.MINUS, params.n_sites)] = 1.0
+    _, e, r = certify(entries, eigenvalues, eigenvectors, psi0, times)
+    return measure(*propagate(eigenvalues, eigenvectors, psi0, times, rows)), e, r
+
+
+def _ends(re, im) -> np.ndarray:
+    """The (2, R) (+, -) amplitudes of cell N at the one readout time."""
+    return (re[:, :, 0] + 1j * im[:, :, 0]).T
+
+
 def _eigen_concurrence(segments) -> dict:
     """C(tau) of the one segment ``segments`` by the eigen path."""
-    return {LABEL_CONCURRENCE: _end_concurrence(
-        *_eigen_at_tau(segments[0].config.params, _cells(segments))[0])}
+    tau = transfer_time(segments[0].config.params.n_sites)
+    ends = _eigen_readout(segments, [tau], slice(-2, None), _ends)[0]
+    return {LABEL_CONCURRENCE: _end_concurrence(*ends)}
 
 
 def _chebyshev_concurrence(segments) -> dict:
@@ -297,15 +303,13 @@ def _chebyshev_concurrence(segments) -> dict:
     band = effective_band(*_cells(segments), params.couplings())
     psi0 = np.zeros((2 * n_sites, 1))  # every column's: a (D, R) copy is 0.19 MB at 400 columns
     psi0[flat_index(1, Branch.MINUS, n_sites)] = 1.0
-    widths = [_half_width(segment.config.params) for segment in segments]
-    series = {width: segment.series for width, segment in zip(widths, segments)}
-    half_width = np.repeat(widths, [segment.stop - segment.start for segment in segments])
     re, im, bound = chebyshev_propagate(band, np.broadcast_to(psi0, band[0].shape), tau,
-                                        half_width, series)
+                                        [segment.kernel for segment in segments],
+                                        [segment.stop - segment.start for segment in segments])
     ends = re[-2:] + 1j * im[-2:]  # slots (+, -) of cell N
     audited = [segment._replace(stop=1) for segment in segments if segment.start == 0]
     if audited:
-        eigen, e, r = _eigen_at_tau(params, _cells(audited))
+        eigen, e, r = _eigen_readout(audited, [tau], slice(-2, None), _ends)
         rows = [row for row, segment in zip(_offsets(segments), segments) if segment.start == 0]
         deviation = np.max(np.abs(eigen - ends[:, rows]), axis=0)
         tolerance = bound[rows] + eigen_error_bound(e, r, 2 * n_sites, tau)
@@ -316,17 +320,17 @@ def _chebyshev_concurrence(segments) -> dict:
     return {LABEL_CONCURRENCE: _end_concurrence(*ends)}
 
 
+def _occupations(re, im) -> dict:
+    """p_- and p_+ of the (R, N, T) parts of the minus slots of every cell."""
+    p_minus = squared_norms(re, im)
+    return {LABEL_P_MINUS: p_minus, LABEL_P_PLUS: 1.0 - p_minus}
+
+
 def _branch_trace(segments) -> dict:
     """p_- and p_+ of the one segment ``segments`` on its ``trace_times``
     by the eigen path."""
-    config = segments[0].config
-    params, times = config.params, config.trace_times
-    # freed before the readouts, a warm fig2 took ~6,000 faults, not ~20
-    entries = assemble_effective(*_cells(segments), params.couplings())
-    system = _eigen_path(entries, times)[0]
     minus_slots = slice(int(Branch.MINUS), None, 2)  # the minus slot of every cell
-    p_minus = squared_norms(*propagate(*system, times, minus_slots))
-    return {LABEL_P_MINUS: p_minus, LABEL_P_PLUS: 1.0 - p_minus}
+    return _eigen_readout(segments, segments[0].config.trace_times, minus_slots, _occupations)[0]
 
 
 def _where(params: LadderParams) -> str:
@@ -368,12 +372,13 @@ def _measure_chunk(segments, readout) -> list[dict]:
         raise RuntimeError(f"realizations {_span(segment)} failed: {exc}") from exc
 
 
-def _pack(chosen) -> list[list[_Segment]]:
-    """The whole-run segments ``chosen``, in order, cut into segments of
+def _pack(wholes, width: int) -> list[list[_Segment]]:
+    """The whole-run segments ``wholes``, in order, cut into segments of
     whole chunks (and a point's last, short one) and packed into stacks of
-    at most ``_STACK`` columns and one N each."""
+    at most ``width`` columns and one N each: at ``_CHUNK``, each stack is
+    one chunk."""
     stacks, room, stack_sites = [], 0, None
-    for whole in chosen:
+    for whole in wholes:
         start, n_sites = 0, whole.config.params.n_sites
         while start < whole.stop:
             left = whole.stop - start
@@ -381,7 +386,7 @@ def _pack(chosen) -> list[list[_Segment]]:
             if not take or stack_sites != n_sites:
                 stacks.append([])
                 # a stack holds at least one chunk
-                room, stack_sites = max(_STACK, _CHUNK), n_sites
+                room, stack_sites = max(width, _CHUNK), n_sites
                 continue
             stacks[-1].append(whole._replace(start=start, stop=start + take))
             start, room = start + take, room - take
@@ -461,15 +466,14 @@ def run_ensemble(
     configs = list(configs)
     chosen, eigen = [], []
     for point, config in enumerate(configs):
-        n = config.n_realizations
-        series = config.trace_times is None and _chebyshev_chosen(config.params)
-        if series:
-            chosen.append(_Segment(point, config, series, 0, n))
+        kernel = _chebyshev_chosen(config.params) if config.trace_times is None else None
+        whole = _Segment(point, config, kernel, 0, config.n_realizations)
+        if kernel:
+            chosen.append(whole)
             continue
         readout = _eigen_concurrence if config.trace_times is None else _branch_trace
-        eigen.append([([_Segment(point, config, None, lo, min(lo + _CHUNK, n))], readout)
-                      for lo in range(0, n, _CHUNK)])
-    chosen.sort(key=lambda whole: (whole.config.params.n_sites, whole.series[0]))
+        eigen.append([(chunk, readout) for chunk in _pack([whole], _CHUNK)])
+    chosen.sort(key=lambda whole: (whole.config.params.n_sites, whole.kernel[1][0]))
 
     def run_block(block):
         return [_measure_chunk(segments, readout) for segments, readout in block]
@@ -492,7 +496,7 @@ def run_ensemble(
     # the kernel's stacks run on one worker: its small operations hold the GIL
     # between them, so on two workers the default fig1 took 2.6-3.1 s, not 0.9 s
     if chosen:
-        run([(stack, _chebyshev_concurrence) for stack in _pack(chosen)], 1)
+        run([(stack, _chebyshev_concurrence) for stack in _pack(chosen, _STACK)], 1)
     # one grid point per call, reduced at once: fig2's parts all held took +1.5 MB peak RSS
     for tasks in eigen:
         run(tasks, min(threads, len(tasks)))  # a worker beyond the task count has no work

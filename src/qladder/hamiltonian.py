@@ -143,39 +143,41 @@ def bell_minus_state(n_sites: int, cell: int = 1) -> StateVector:
     return unit_state(n_sites, cell, Branch.MINUS, Basis.PLUS_MINUS)
 
 
-def _assemble_ladder(diag0, diag1, rung, hopping) -> np.ndarray:
-    """Dense 2N x 2N ladder matrix from per-cell diagonals, rung and hoppings.
+def _ladder_band(diag0, diag1, rung, hopping) -> list[np.ndarray]:
+    """The band of the 2N x 2N ladder matrices of (R, N) per-cell diagonals
+    and rungs, realizations last: diagonal k of the three is (2N - k, R)
+    and holds H_r[j + k, j] at [j, r]. A cell's two slots take ``diag0``
+    and ``diag1`` and couple through its ``rung`` only; ``hopping`` is
+    (N-1,), shared by the stack as an axis of length 1, or (R, N-1), and
+    couples slot j to j + 2."""
+    dim, count = 2 * diag0.shape[-1], diag0.shape[0]
+    diag = np.empty((dim, count))
+    diag[0::2], diag[1::2] = diag0.T, diag1.T
+    rungs = np.zeros((dim - 1, count))
+    rungs[0::2] = rung.T
+    return [diag, rungs, np.repeat(np.atleast_2d(hopping).T, 2, axis=0)]
 
-    Leading axes of the inputs are stack axes: (R, N) diagonals give an
-    (R, 2N, 2N) stack of matrices.
-    """
-    n = diag0.shape[-1]
-    dim = 2 * n
-    h = np.zeros(diag0.shape[:-1] + (dim, dim))
-    # entry (i, j) is flat[i * dim + j], so each band is one strided slice:
-    # (2k, 2k) at 2k (dim + 1), (2k+1, 2k+1) one row and column on, the rung
-    # beside them, and the hopping (j, j + 2) at j (dim + 1) + 2
-    flat = h.reshape(diag0.shape[:-1] + (dim * dim,))
-    cell = 2 * (dim + 1)
-    flat[..., 0::cell] = diag0
-    flat[..., dim + 1 :: cell] = diag1
-    flat[..., 1::cell] = rung
-    flat[..., dim::cell] = rung
-    hop = np.repeat(hopping, 2, axis=-1)
-    flat[..., 2 : (dim - 2) * (dim + 1) : dim + 1] = hop
-    flat[..., 2 * dim : 2 * dim + (dim - 2) * (dim + 1) : dim + 1] = hop
+
+def _dense(band) -> np.ndarray:
+    """The (R, D, D) stack of symmetric matrices whose band, realizations
+    last, is ``band``."""
+    dim, count = band[0].shape
+    h = np.zeros((count, dim, dim))
+    # entry (i, j) is flat[i * dim + j], so each diagonal is one strided slice:
+    # (j + k, j) from k dim on and (j, j + k) from k, each a step of dim + 1
+    flat = h.reshape(count, dim * dim)
+    for k, diagonal in enumerate(band):
+        span = (dim - k) * (dim + 1)
+        flat[:, k * dim : k * dim + span : dim + 1] = diagonal.T
+        flat[:, k : k + span : dim + 1] = diagonal.T
     return h
 
 
 def build_physical(realization: DisorderRealization) -> HermitianOperator:
     """Site-basis Hamiltonian: on-site energies, intra-leg hoppings, rung couplings."""
-    h = _assemble_ladder(
-        realization.eps_leg1,
-        realization.eps_leg2,
-        realization.gamma_n,
-        realization.couplings,
-    )
-    return HermitianOperator(h, Basis.PHYSICAL)
+    cells = (realization.eps_leg1, realization.eps_leg2, realization.gamma_n)
+    band = _ladder_band(*(c[None] for c in cells), realization.couplings)
+    return HermitianOperator(_dense(band)[0], Basis.PHYSICAL)
 
 
 def build_effective(realization: DisorderRealization) -> HermitianOperator:
@@ -197,25 +199,16 @@ def assemble_effective(eps_leg1, eps_leg2, gamma_n, couplings) -> np.ndarray:
     matrix passes the exact-symmetry and finiteness checks of
     :class:`HermitianOperator`.
     """
-    h = _assemble_ladder(*effective_parameters(eps_leg1, eps_leg2, gamma_n), couplings)
+    h = _dense(effective_band(eps_leg1, eps_leg2, gamma_n, couplings))
     _check_entries(h)
     return h
 
 
 def effective_band(eps_leg1, eps_leg2, gamma_n, couplings) -> list[np.ndarray]:
-    """The +/- basis Hamiltonians of (R, N) per-cell parameters as a band,
-    realizations last: diagonal k of the three is (2N - k, R) and holds
-    H_r[j + k, j] at [j, r], bitwise the entries :func:`assemble_effective`
-    sets. ``couplings`` is (N-1,), shared by the stack as an axis of length
-    1, or (R, N-1)."""
-    eps_plus, eps_minus, gamma_tilde = effective_parameters(eps_leg1, eps_leg2, gamma_n)
-    dim = 2 * eps_plus.shape[-1]
-    diag = np.empty((dim, eps_plus.shape[0]))
-    diag[0::2], diag[1::2] = eps_plus.T, eps_minus.T
-    rung = np.zeros((dim - 1, eps_plus.shape[0]))
-    rung[0::2] = gamma_tilde.T  # cells couple their own two slots only
-    hop = np.repeat(np.atleast_2d(couplings).T, 2, axis=0)
-    return [diag, rung, hop]
+    """The band of the +/- basis Hamiltonians of (R, N) per-cell
+    parameters, as :func:`_ladder_band` lays it out; ``couplings`` is
+    (N-1,) or (R, N-1)."""
+    return _ladder_band(*effective_parameters(eps_leg1, eps_leg2, gamma_n), couplings)
 
 
 def _mix_cells(amplitudes: np.ndarray) -> np.ndarray:

@@ -164,14 +164,9 @@ def effective_parameters(eps1, eps2, gamma):
     return mid + gamma, mid - gamma, (eps1 - eps2) / 2.0
 
 
-def uniform_ladder(
-    n_sites: int,
-    delta: float,
-    gamma: float,
-    couplings=None,
-    eps_leg1=None,
-) -> DisorderRealization:
-    """Ladder with constant detuning and rung coupling on every cell.
+def uniform_ladder(n_sites: int, delta: float, gamma: float) -> DisorderRealization:
+    """Ladder with constant detuning and rung coupling on every cell, zero
+    leg-1 energies and the perfect-state-transfer couplings.
 
     This bypasses the correlated sampling rule (``gamma_n`` is a free
     constant, not tied to the leg-1 energies); it is the configuration with a
@@ -183,17 +178,11 @@ def uniform_ladder(
     for name, value in (("delta", delta), ("gamma", gamma)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    if eps_leg1 is None:
-        eps_leg1 = np.zeros(n_sites)
-    else:
-        eps_leg1 = np.asarray(eps_leg1, dtype=np.float64)
-    if couplings is None:
-        couplings = build_pst_couplings(n_sites) if n_sites >= 2 else np.zeros(0)
-    delta_n = np.full(n_sites, float(delta))
+    eps_leg1, delta_n = np.zeros(n_sites), np.full(n_sites, float(delta))
     return DisorderRealization(
         eps_leg1=eps_leg1,
         eps_leg2=eps_leg1 + delta_n,
         delta_n=delta_n,
         gamma_n=np.full(n_sites, float(gamma)),
-        couplings=couplings,
+        couplings=build_pst_couplings(n_sites) if n_sites >= 2 else np.zeros(0),
     )

@@ -238,8 +238,9 @@ def _drift_bounds(entries, eigenvalues, eigenvectors, psi0):
     """Per matrix of the stack: the norm and energy drift bounds of
     :func:`certify`, whether the eigensystem is backward stable, e and r."""
     dim = entries.shape[-1]
-    lam_as = np.linalg.norm(eigenvalues * (psi0[:, None, :] @ eigenvectors)[:, 0], axis=-1)
-    h_psi0s = np.linalg.norm((entries @ psi0[..., None])[..., 0], axis=-1)
+    with np.errstate(over="ignore"):  # a norm past the float range is inf, and its bound fails
+        lam_as = np.linalg.norm(eigenvalues * (psi0[:, None, :] @ eigenvectors)[:, 0], axis=-1)
+        h_psi0s = np.linalg.norm((entries @ psi0[..., None])[..., 0], axis=-1)
     spreads = np.max(np.abs(eigenvalues), axis=-1)
     gamma = _gamma(2 * dim)
     stable_tol = max(dim, 16) * dim * _UNIT_ROUNDOFF
@@ -334,10 +335,16 @@ def propagate(
     product per eigensystem: Re psi[rows] = (V[rows] a) @ cos(L t) for a real
     start. Returns the real and imaginary parts, each (R, K, T). Where
     t == 0 the entries are psi0's own, with no rounding through the
-    eigenbasis. Nothing is checked here: :func:`certify` bounds the drift of
-    every state an eigensystem can evolve.
+    eigenbasis. :func:`certify` bounds the drift of every state an
+    eigensystem can evolve; checked here is only what no bound covers, a
+    phase L t past the float range ("phase L t overflows ...").
     """
     times = np.asarray(times, dtype=np.float64)
+    # no |L t| exceeds max |L| max |t|, and rounding keeps that order
+    spread = float(np.max(np.abs(eigenvalues)))
+    span = float(np.max(np.abs(times), initial=0.0))
+    if not math.isfinite(spread * span):  # NaN fails too
+        raise ArithmeticError(f"phase L t overflows: |L| {spread:.3e} at t {span:.3e}")
     phase = eigenvalues[:, :, None] * times
     cos = np.cos(phase)
     sin = np.sin(phase, out=phase)  # one (R, D, T) buffer fewer

@@ -611,6 +611,15 @@ def test_oracle_and_dump_numbers_are_blamed_on_their_field(capsys, argv, field):
     assert f"error: {field} must be" in capsys.readouterr().err
 
 
+def _fresh_cli(argv):
+    """``main(argv)`` in a fresh interpreter, where a warning is printed, not raised."""
+    code = "import sys\nfrom qladder.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    src = str(Path(qladder.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
 @pytest.mark.parametrize(
     "argv",
     [["fig2", "--t-max", "-1"], ["fig2", "--t-max", "nan"], ["fig2", "--t-max", "inf"],
@@ -620,18 +629,32 @@ def test_oracle_and_dump_numbers_are_blamed_on_their_field(capsys, argv, field):
          "oracle-nan", "oracle-inf"],
 )
 def test_a_bad_t_max_is_blamed_on_its_key(tmp_path, argv):
-    # refused before the time grid is built, so numpy warns of nothing; run
-    # in a fresh interpreter, where a warning is printed, not raised
+    # refused before the time grid is built, so numpy warns of nothing
     out = ["--out-dir", str(tmp_path / "x")] if argv[0] == "fig2" else []
-    code = "import sys\nfrom qladder.cli import main\nsys.exit(main(sys.argv[1:]))\n"
-    src = str(Path(qladder.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    result = subprocess.run([sys.executable, "-c", code, *argv, *out], env=env,
-                            capture_output=True, text=True, timeout=60)
+    result = _fresh_cli([*argv, *out])
     assert result.returncode == 1
     message = f"{argv[0]} t_max must be finite and nonnegative, got {float(argv[2])}"
     assert result.stderr == f"qladder: error: {message}\n"
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, where",
+    [(["fig1", "--w-min", "1e307", "--w-points", "1", "--realizations", "5"],
+      "realization 0 (seed tag 42:0, W=1e+307, delta=0.05, N=30) failed: "),
+     (["fig2", "--w", "1", "--delta", "8e307", "--realizations", "5", "--t-points", "3"],
+      "realization 0 (seed tag 42:0, W=1.0, delta=8e+307, N=30) failed: "),
+     (["oracle", "--delta", "1e307"], "")],
+    ids=["fig1-w-1e307", "fig2-delta-8e307", "oracle-delta-1e307"],
+)
+def test_an_overflowing_phase_is_one_error_line(tmp_path, argv, where):
+    # L t past the float range is refused by name before cos and sin see
+    # it, and a drift bound past it is inf: numpy warns of nothing
+    out = ["--out-dir", str(tmp_path)] if argv[0] != "oracle" else []
+    result = _fresh_cli([*argv, *out])
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"qladder: error: {where}phase L t overflows: |L| ")
+    assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from qladder.dimer_oracle import rabi_frequency, uniform_leg_occupation
 from qladder.hamiltonian import Basis, Leg, StateVector, build_physical, unit_state
-from qladder.model import uniform_ladder
+from qladder.model import DisorderRealization, build_pst_couplings
 from qladder.observables import leg_occupation
 from qladder.spectral import eigendecompose, evolve_series
 
@@ -62,12 +62,20 @@ def test_oscillation_floor_is_attained():
 # factorization out of the intra-leg dynamics
 # ---------------------------------------------------------------------------
 
+def detuned_ladder(delta, gamma, eps_leg1, couplings):
+    """A ladder of uniform detuning and rung coupling with the leg-1
+    energies ``eps_leg1`` and the intra-leg ``couplings``."""
+    eps_leg1 = np.asarray(eps_leg1, dtype=np.float64)
+    delta_n, gamma_n = np.full_like(eps_leg1, delta), np.full_like(eps_leg1, gamma)
+    return DisorderRealization(eps_leg1=eps_leg1, eps_leg2=eps_leg1 + delta_n, delta_n=delta_n,
+                               gamma_n=gamma_n, couplings=couplings)
+
+
 @pytest.mark.parametrize("n_sites", [1, 2, 5, 10])
 def test_leg_occupation_is_chain_length_independent(n_sites):
     delta, gamma = 1.0, 0.3
     ts = np.linspace(0.0, 20.0, 81)
-    couplings = None if n_sites == 1 else np.full(n_sites - 1, 0.8)
-    real = uniform_ladder(n_sites, delta, gamma, couplings=couplings)
+    real = detuned_ladder(delta, gamma, np.zeros(n_sites), np.full(n_sites - 1, 0.8))
     sys = eigendecompose(build_physical(real))
     psi0 = unit_state(n_sites, 1, Leg.ONE, Basis.PHYSICAL)
     numeric = np.array(
@@ -81,7 +89,7 @@ def test_leg_occupation_matches_for_spread_initial_state():
     # any leg-1-confined state works, not just a single site
     n_sites = 6
     delta, gamma = 0.7, 0.45
-    real = uniform_ladder(n_sites, delta, gamma, eps_leg1=np.linspace(-1, 1, n_sites))
+    real = detuned_ladder(delta, gamma, np.linspace(-1, 1, n_sites), build_pst_couplings(n_sites))
     sys = eigendecompose(build_physical(real))
     rng = np.random.default_rng(17)
     amps = np.zeros(2 * n_sites, dtype=complex)

@@ -978,17 +978,23 @@ def _packed_configs():
 
 
 def test_a_grid_point_gives_bitwise_the_same_values_alone_and_in_packed_stacks(monkeypatch):
-    configs = _packed_configs()
+    # and two points of one half-width, 2W + Delta = 2.5, each its own point of a stack
+    packed = _packed_configs()
+    equal = [make_config(w=w, delta=delta, n_realizations=PACKED_N)
+             for w, delta in ((1.0, 0.5), (0.75, 1.0))]
+    assert len({ensemble_mod._half_width(config.params) for config in equal}) == 1
+    configs = packed + equal
     stacks = []
     original = ensemble_mod._chebyshev_concurrence
     monkeypatch.setattr(ensemble_mod, "_chebyshev_concurrence",
                         lambda segments: stacks.append(segments) or original(segments))
     swept = {threads: run_ensemble(configs, threads=threads, keep_raw=True)
              for threads in (1, 2)}
-    # 822 kernel columns make three stacks per call, two points split between them
-    assert [len(stack) for stack in stacks] == [3, 4, 1] * 2
+    # 1,096 kernel columns make three stacks per call, two points split between them
+    assert [len(stack) for stack in stacks] == [3, 4, 3] * 2
     for first, second in (stacks[0:2], stacks[1:3]):
         assert first[-1].point == second[0].point and second[0].start == first[-1].stop
+    assert [segment.point for segment in stacks[1][-2:]] == [len(packed), len(packed) + 1]
     assert max(sum(s.stop - s.start for s in stack) for stack in stacks) <= ensemble_mod._STACK
     for point, config in enumerate(configs):
         alone = run_ensemble([config], keep_raw=True)[0][LABEL_CONCURRENCE].per_realization
@@ -997,7 +1003,7 @@ def test_a_grid_point_gives_bitwise_the_same_values_alone_and_in_packed_stacks(m
             assert np.array_equal(result[point][LABEL_CONCURRENCE].per_realization, alone)
     # the sweep driver hands its whole grid to one call: the same values again
     sweep = transfer_sweep(10, PACKED_DELTAS, (*PACKED_W, EIGEN_W), PACKED_N, 42, keep_raw=True)
-    for point, config in enumerate(configs):
+    for point, config in enumerate(packed):
         stats = sweep.series[config.params.detuning_delta][point % (len(PACKED_W) + 1)]
         assert np.array_equal(stats.per_realization,
                               swept[1][point][LABEL_CONCURRENCE].per_realization)

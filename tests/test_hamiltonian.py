@@ -19,8 +19,11 @@ from qladder.hamiltonian import (
     to_physical,
     to_plus_minus,
     unit_state,
+    _dense,
+    _ladder_band,
 )
-from qladder.model import LadderParams, sample_realization, uniform_ladder
+from qladder.model import DisorderRealization, LadderParams, sample_realization, uniform_ladder
+from qladder.spectral import _half_bandwidths
 
 SQRT1_2 = 1.0 / np.sqrt(2.0)
 
@@ -30,6 +33,12 @@ def random_realization(n_sites, index, disorder_w=5.0, detuning_delta=0.4):
         n_sites=n_sites, disorder_w=disorder_w, detuning_delta=detuning_delta
     )
     return sample_realization(params, derive_stream(1234, index))
+
+
+def dimer(eps_leg1, delta, gamma):
+    """The one-cell ladder with leg-1 energy ``eps_leg1``."""
+    return DisorderRealization(eps_leg1=[eps_leg1], eps_leg2=[eps_leg1 + delta], delta_n=[delta],
+                               gamma_n=[gamma], couplings=[])
 
 
 def random_state(n_sites, rng, basis=Basis.PHYSICAL):
@@ -42,13 +51,13 @@ def random_state(n_sites, rng, basis=Basis.PHYSICAL):
 # ---------------------------------------------------------------------------
 
 def test_single_cell_dimer_matrix():
-    real = uniform_ladder(1, delta=-0.2, gamma=0.7, eps_leg1=[0.5])
+    real = dimer(0.5, delta=-0.2, gamma=0.7)
     h = build_physical(real)
     assert np.allclose(h.entries, [[0.5, 0.7], [0.7, 0.3]], rtol=0, atol=1e-15)
 
 
 def test_two_cells_decoupled_legs_spectrum():
-    real = uniform_ladder(2, delta=0.0, gamma=0.0, couplings=[1.0])
+    real = uniform_ladder(2, delta=0.0, gamma=0.0)
     h = build_physical(real)
     assert np.allclose(np.linalg.eigvalsh(h.entries), [-1.0, -1.0, 1.0, 1.0], atol=1e-14)
 
@@ -76,8 +85,27 @@ def test_physical_matches_term_by_term_oracle():
     assert np.array_equal(build_physical(real).entries, oracle)
 
 
+@pytest.mark.parametrize("n_sites", [1, 2, 7])
+def test_the_site_basis_band_holds_the_realization_fields(n_sites):
+    # read against the fields themselves: slots (leg 1, leg 2) per cell, the
+    # rung within a cell only, each hopping on both legs
+    rng = np.random.default_rng(n_sites)
+    eps_leg1, delta_n = rng.uniform(-1.0, 1.0, n_sites), rng.uniform(-1.0, 1.0, n_sites)
+    real = DisorderRealization(eps_leg1=eps_leg1, eps_leg2=eps_leg1 + delta_n, delta_n=delta_n,
+                               gamma_n=rng.uniform(0.5, 1.0, n_sites),
+                               couplings=rng.uniform(0.5, 1.0, n_sites - 1))
+    cells = (real.eps_leg1, real.eps_leg2, real.gamma_n)
+    band = _ladder_band(*(cell[None] for cell in cells), real.couplings)
+    diag, rung, hop = (diagonal[:, 0] for diagonal in band)
+    assert np.array_equal(diag, [e for cell in zip(real.eps_leg1, real.eps_leg2) for e in cell])
+    assert np.array_equal(rung, [g for gamma in real.gamma_n for g in (gamma, 0.0)][:-1])
+    assert np.array_equal(hop, [j for coupling in real.couplings for j in (coupling, coupling)])
+    # the dimer's 2 x 2 matrix has half-bandwidth 1, every longer ladder 2
+    assert _half_bandwidths(_dense(band)) == [min(2, 2 * n_sites - 1)]
+
+
 def test_effective_single_cell_example():
-    real = uniform_ladder(1, delta=-0.2, gamma=0.5, eps_leg1=[0.5])
+    real = dimer(0.5, delta=-0.2, gamma=0.5)
     h = build_effective(real)
     assert np.allclose(h.entries, [[0.9, 0.1], [0.1, -0.1]], rtol=0, atol=1e-15)
 

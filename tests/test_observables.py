@@ -13,7 +13,7 @@ from qladder.hamiltonian import (
     to_plus_minus,
     unit_state,
 )
-from qladder.model import LadderParams, build_pst_couplings, sample_realization, uniform_ladder
+from qladder.model import LadderParams, sample_realization, uniform_ladder
 from qladder.observables import branch_occupation, concurrence, leg_occupation, transfer_time
 from qladder.spectral import eigendecompose, evolve, evolve_series
 
@@ -128,7 +128,7 @@ def test_transfer_time_rejects_short_chain():
 
 def test_two_site_chain_fully_transfers_at_tau():
     # single-leg Rabi check: occupation moves end to end at t = pi/2
-    real = uniform_ladder(2, delta=0.0, gamma=0.0, couplings=[1.0])
+    real = uniform_ladder(2, delta=0.0, gamma=0.0)
     sys = eigendecompose(build_physical(real))
     psi0 = unit_state(2, 1, Leg.ONE, Basis.PHYSICAL)
     out = evolve(sys, psi0, transfer_time(2))
@@ -137,7 +137,7 @@ def test_two_site_chain_fully_transfers_at_tau():
 
 @pytest.mark.parametrize("n_sites", [2, 4, 30])
 def test_ordered_even_ladder_reaches_full_concurrence(n_sites):
-    real = uniform_ladder(n_sites, 0.0, 0.0, couplings=build_pst_couplings(n_sites))
+    real = uniform_ladder(n_sites, 0.0, 0.0)
     sys = eigendecompose(build_effective(real))
     out = evolve(sys, bell_minus_state(n_sites), transfer_time(n_sites))
     assert concurrence(out, n_sites) >= 1.0 - 1e-6
@@ -145,7 +145,7 @@ def test_ordered_even_ladder_reaches_full_concurrence(n_sites):
 
 @pytest.mark.parametrize("n_sites", [3, 5, 9])
 def test_exact_revival_time_for_odd_chains(n_sites):
-    real = uniform_ladder(n_sites, 0.0, 0.0, couplings=build_pst_couplings(n_sites))
+    real = uniform_ladder(n_sites, 0.0, 0.0)
     sys = eigendecompose(build_effective(real))
     tau = transfer_time(n_sites, exact_revival=True)
     assert tau == pytest.approx(np.pi * np.sqrt(n_sites**2 - 1) / 4.0, abs=1e-15)

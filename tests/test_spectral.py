@@ -530,6 +530,11 @@ def _ladder_band(realization):
     return effective_band(*(cell[None] for cell in cells), realization.couplings)
 
 
+def _kernel_point(half_width, t):
+    """The kernel's grid point of half-width a at time t: (a, its series)."""
+    return half_width, chebyshev_mod._chebyshev_series(half_width * t)
+
+
 @settings(max_examples=40, deadline=None)
 @given(n_sites=st.integers(2, 12), w=st.floats(0.0, 20.0), delta=st.floats(0.0, 2.0),
        index=st.integers(0, 1000), span=st.floats(0.0, 2.0))
@@ -542,7 +547,7 @@ def test_chebyshev_states_match_evolve_series_within_the_derived_bound(
     t = span * transfer_time(n_sites)
     psi0 = bell_minus_state(n_sites)
     re, im, bound = chebyshev_propagate(band, psi0.amplitudes.real[:, None], t,
-                                        _half_width(params))
+                                        [_kernel_point(_half_width(params), t)], [1])
     system = eigendecompose(build_effective(realization))
     reference = evolve_series(system, psi0, [t])[0].amplitudes
     entries = system.operator.entries[None]
@@ -581,4 +586,5 @@ def test_the_chebyshev_judge_refuses(corruption, message):
     else:
         psi0 = psi0 * (1 + 1e-9)
     with pytest.raises(ArithmeticError, match=message):
-        chebyshev_propagate(band, psi0, transfer_time(8), half_width)
+        chebyshev_propagate(band, psi0, transfer_time(8),
+                            [_kernel_point(half_width, transfer_time(8))], [1])
