@@ -235,7 +235,11 @@ def _check_times(command: str, t_max: float, t_points: int) -> None:
 def _fig2_rows(cfg: dict, threads: int):
     _check_times("fig2", cfg["t_max"], cfg["t_points"])
     from .experiments import default_trace_grid, leakage_trace
+    from .observables import transfer_time
 
+    tau = transfer_time(cfg["n_sites"])
+    if not cfg["t_max"] * tau < float("inf"):  # t_max is in units of tau
+        raise ValueError(f"fig2 t_max * tau must be finite, got {cfg['t_max']} at tau = {tau}")
     result = leakage_trace(
         n_sites=cfg["n_sites"],
         delta=cfg["delta"],
@@ -246,7 +250,6 @@ def _fig2_rows(cfg: dict, threads: int):
         threads=threads,
         keep_raw=cfg["keep_raw"],
     )
-    tau = result.tau
     rows, raw_rows = [], []
     for w in result.w_values:
         minus, plus = result.minus[w], result.plus[w]

@@ -33,15 +33,15 @@ audited: the eigen path recomputes those of a stack in one call, and each
 one's complex last-cell amplitudes must agree with the kernel's within the
 sum of the two paths' error bounds for its own grid point.
 
-Every call runs on one long-lived thread pool, also at one thread: the
-kernel's stacks on one worker, then each other grid point's chunks on
-``min(threads, chunks)`` workers, each running one contiguous block in
-order. A worker's heap is not trimmed back to the operating system between
-chunks, as the main thread's can be, so the chunk arrays are not faulted
-in afresh each time. Calls take turns on the pool, under one module lock.
-While more than one worker runs, numpy's bundled OpenBLAS is held at one
-thread and its old count is restored afterwards; with another BLAS nothing
-is pinned.
+Each call runs on a thread pool of its own, also at one thread, and closes
+it before it returns: the kernel's stacks on one worker, then each other
+grid point's chunks on ``min(threads, chunks)`` workers, each running
+one contiguous block in order. A worker's heap is not trimmed back to the
+operating system between chunks, as the main thread's can be, so the chunk
+arrays are not faulted in afresh each time. Calls take turns, under one
+module lock. A call at more than one thread holds numpy's bundled OpenBLAS
+at one thread for its whole length and restores the old count afterwards,
+also when it raises; with another BLAS nothing is pinned.
 
 Conservation on the eigen path is checked once per stacked eigensystem by
 :func:`~qladder.spectral.certify`, for the Bell start state every
@@ -109,12 +109,7 @@ _TERMS_PER_SLOT = 15
 # grid point, as if nothing were kept.
 _KEPT_CHUNKS = 256
 
-# The worker pool all calls share, created on first use and replaced by a
-# larger one when a call needs more workers. _LOCK makes calls take turns:
-# it guards the pool and the OpenBLAS pin.
-# Long-lived: a pool per call took 377-390 minor faults per warm fig1, against 6-14.
-_pool: ThreadPoolExecutor | None = None
-_pool_size = 0
+# Calls take turns under _LOCK, which guards the OpenBLAS pin.
 _LOCK = threading.Lock()
 
 
@@ -403,41 +398,14 @@ def _reduce(values: np.ndarray, keep_raw: bool) -> EnsembleStats:
     return EnsembleStats(mean, std_error, n, values if keep_raw else None)
 
 
-def _run_blocks(run_block, blocks: list) -> list:
-    """Run one task per block on the shared pool, grown to ``len(blocks)``
-    workers, and return their futures once all are done. One call at a
-    time: while more than one worker runs, numpy's OpenBLAS is held at one
-    thread and the count found is restored."""
-    global _pool, _pool_size
-    with _LOCK:
-        if _pool_size < len(blocks):
-            if _pool is not None:
-                _pool.shutdown()  # idle: no other call is in flight
-            _pool = ThreadPoolExecutor(len(blocks), thread_name_prefix="qladder-ensemble")
-            _pool_size = len(blocks)
-        # one worker keeps OpenBLAS's threads: pinned, fig1 --threads 1 took 4.64 s, not 4.06 s
-        lib = _openblas() if len(blocks) > 1 else None
-        if lib is not None:
-            found = lib.scipy_openblas_get_num_threads64_()
-            lib.scipy_openblas_set_num_threads64_(1)
-        try:
-            futures = [_pool.submit(run_block, block) for block in blocks]
-            wait(futures)
-        finally:
-            if lib is not None:
-                lib.scipy_openblas_set_num_threads64_(found)
-    return futures
-
-
-def _forget_pool():
-    """In a forked child, which has none of the parent's worker threads, start afresh."""
-    global _pool, _pool_size, _LOCK
-    _pool, _pool_size = None, 0
+def _new_lock():
+    """In a forked child, which has none of the parent's threads, take a lock of its own."""
+    global _LOCK
     _LOCK = threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    os.register_at_fork(after_in_child=_new_lock)
 
 
 def run_ensemble(
@@ -457,9 +425,11 @@ def run_ensemble(
     their term count K, and their chunks are packed into shared stacks of
     at most ``_STACK`` columns, which run first, in order, on one worker.
     Then each other config in turn runs its chunks on ``min(threads,
-    chunks)`` workers of a shared pool, each taking one contiguous block,
-    so the first failure in that order is the one raised. Calls from
-    several threads take turns.
+    chunks)`` workers, each taking one contiguous block, so the first
+    failure in that order is the one raised. The workers are the call's
+    own, and none outlives it; at ``threads > 1`` numpy's OpenBLAS is held
+    at one thread for the length of the call. Calls from several threads
+    take turns.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -481,11 +451,14 @@ def run_ensemble(
     results = [None] * len(configs)
 
     def run(tasks, workers):
-        """Run ``tasks`` on ``workers`` and reduce each grid point's parts."""
+        """Run ``tasks`` on ``workers`` of the call's pool, each taking one
+        contiguous block, and reduce each grid point's parts."""
         blocks = [tasks[k * len(tasks) // workers:(k + 1) * len(tasks) // workers]
                   for k in range(workers)]
+        futures = [pool.submit(run_block, block) for block in blocks]
+        wait(futures)
         parts = {}
-        for block, future in zip(blocks, _run_blocks(run_block, blocks)):
+        for block, future in zip(blocks, futures):
             for (segments, _), measured in zip(block, future.result()):
                 for segment, part in zip(segments, measured):
                     parts.setdefault(segment.point, []).append(part)
@@ -493,11 +466,22 @@ def run_ensemble(
             results[point] = {label: _reduce(np.concatenate([part[label] for part in parts_of]),
                                              keep_raw) for label in parts_of[0]}
 
-    # the kernel's stacks run on one worker: its small operations hold the GIL
-    # between them, so on two workers the default fig1 took 2.6-3.1 s, not 0.9 s
-    if chosen:
-        run([(stack, _chebyshev_concurrence) for stack in _pack(chosen, _STACK)], 1)
-    # one grid point per call, reduced at once: fig2's parts all held took +1.5 MB peak RSS
-    for tasks in eigen:
-        run(tasks, min(threads, len(tasks)))  # a worker beyond the task count has no work
+    # one thread leaves OpenBLAS alone: pinned, a warm fig2 took 0.49-0.62 s, not 0.43-0.52 s
+    lib = _openblas() if threads > 1 else None
+    # one pool per call, not per grid point: per point, a warm fig2 took 0.49-0.63 s, not 0.43-0.46 s
+    with _LOCK, ThreadPoolExecutor(threads, thread_name_prefix="qladder-ensemble") as pool:
+        if lib is not None:
+            found = lib.scipy_openblas_get_num_threads64_()
+            lib.scipy_openblas_set_num_threads64_(1)
+        try:
+            # the kernel's stacks run on one worker: its small operations hold the GIL
+            # between them, so on two workers the default fig1 took 2.6-3.1 s, not 0.9 s
+            if chosen:
+                run([(stack, _chebyshev_concurrence) for stack in _pack(chosen, _STACK)], 1)
+            # one grid point at a time, reduced at once: fig2's parts all held took +1.5 MB peak RSS
+            for tasks in eigen:
+                run(tasks, min(threads, len(tasks)))  # a worker beyond the task count has no work
+        finally:
+            if lib is not None:
+                lib.scipy_openblas_set_num_threads64_(found)
     return results

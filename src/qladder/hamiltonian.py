@@ -138,9 +138,9 @@ def unit_state(n_sites: int, cell: int, slot: int, basis: Basis) -> StateVector:
     return StateVector(amps, basis)
 
 
-def bell_minus_state(n_sites: int, cell: int = 1) -> StateVector:
-    """Dual-rail encoded Bell state (|cell,leg1> - |cell,leg2>)/sqrt(2) = |cell,->."""
-    return unit_state(n_sites, cell, Branch.MINUS, Basis.PLUS_MINUS)
+def bell_minus_state(n_sites: int) -> StateVector:
+    """The dual-rail encoded Bell pair on cell 1, (|1,leg1> - |1,leg2>)/sqrt(2) = |1,->."""
+    return unit_state(n_sites, 1, Branch.MINUS, Basis.PLUS_MINUS)
 
 
 def _ladder_band(diag0, diag1, rung, hopping) -> list[np.ndarray]:

@@ -25,8 +25,8 @@ __all__ = [
 ]
 
 
-def _frozen_array(values, dtype=np.float64) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _frozen_array(values) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64)
     arr.setflags(write=False)
     return arr
 
@@ -155,13 +155,16 @@ def effective_parameters(eps1, eps2, gamma):
 
     Returns ``(eps_plus, eps_minus, gamma_tilde)`` with
     eps_plus/minus = (eps1 + eps2)/2 +/- gamma and
-    gamma_tilde = (eps1 - eps2)/2. Accepts scalars or arrays.
+    gamma_tilde = (eps1 - eps2)/2. Accepts scalars or arrays. An entry
+    past the float range is inf, without a warning, for the finiteness
+    check of the matrix to refuse.
     """
     eps1 = np.asarray(eps1, dtype=np.float64)
     eps2 = np.asarray(eps2, dtype=np.float64)
     gamma = np.asarray(gamma, dtype=np.float64)
-    mid = (eps1 + eps2) / 2.0
-    return mid + gamma, mid - gamma, (eps1 - eps2) / 2.0
+    with np.errstate(over="ignore"):
+        mid = (eps1 + eps2) / 2.0
+        return mid + gamma, mid - gamma, (eps1 - eps2) / 2.0
 
 
 def uniform_ladder(n_sites: int, delta: float, gamma: float) -> DisorderRealization:

@@ -14,6 +14,7 @@ import pytest
 import qladder
 import qladder.experiments
 from qladder.cli import FIG1_DEFAULTS, FIG2_DEFAULTS, THREADS_ENV_VAR, main
+from qladder.observables import transfer_time
 
 
 def read(path):
@@ -624,16 +625,23 @@ def _fresh_cli(argv):
     "argv",
     [["fig2", "--t-max", "-1"], ["fig2", "--t-max", "nan"], ["fig2", "--t-max", "inf"],
      ["fig2", "--t-max", "-1", "--t-points", "1"],
+     ["fig2", "--t-max", "8e307"], ["fig2", "--t-max", "1.7e308"],
      ["oracle", "--t-max", "-5"], ["oracle", "--t-max", "nan"], ["oracle", "--t-max", "inf"]],
-    ids=["fig2-negative", "fig2-nan", "fig2-inf", "fig2-negative-one-point", "oracle-negative",
-         "oracle-nan", "oracle-inf"],
+    ids=["fig2-negative", "fig2-nan", "fig2-inf", "fig2-negative-one-point", "fig2-8e307-tau",
+         "fig2-1.7e308-tau", "oracle-negative", "oracle-nan", "oracle-inf"],
 )
 def test_a_bad_t_max_is_blamed_on_its_key(tmp_path, argv):
-    # refused before the time grid is built, so numpy warns of nothing
+    # refused before the time grid is built, so numpy warns of nothing; fig2's
+    # t_max is in units of tau, and a finite one times tau can overflow
     out = ["--out-dir", str(tmp_path / "x")] if argv[0] == "fig2" else []
     result = _fresh_cli([*argv, *out])
     assert result.returncode == 1
-    message = f"{argv[0]} t_max must be finite and nonnegative, got {float(argv[2])}"
+    t_max = float(argv[2])
+    if 0 <= t_max < float("inf"):
+        tau = transfer_time(FIG2_DEFAULTS["n_sites"])
+        message = f"fig2 t_max * tau must be finite, got {t_max} at tau = {tau}"
+    else:
+        message = f"{argv[0]} t_max must be finite and nonnegative, got {t_max}"
     assert result.stderr == f"qladder: error: {message}\n"
     assert not (tmp_path / "x").exists()
 
@@ -655,6 +663,21 @@ def test_an_overflowing_phase_is_one_error_line(tmp_path, argv, where):
     assert result.returncode == 1
     assert result.stderr.startswith(f"qladder: error: {where}phase L t overflows: |L| ")
     assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fig2", "--w", "8e307", "--delta", "8e307", "--realizations", "5", "--t-points", "3"],
+     ["fig1", "--w-min", "8e307", "--w-points", "1", "--delta", "8e307", "--realizations", "5"]],
+    ids=["fig2-w-delta-8e307", "fig1-w-delta-8e307"],
+)
+def test_an_overflowing_entry_is_one_error_line(tmp_path, argv):
+    # 2W + Delta/2 past the float range makes a +/- entry inf, which the
+    # finiteness check refuses: numpy warns of nothing
+    result = _fresh_cli([*argv, "--out-dir", str(tmp_path)])
+    assert result.returncode == 1
+    assert result.stderr == ("qladder: error: realization 0 (seed tag 42:0, W=8e+307, "
+                             "delta=8e+307, N=30) failed: entries contain non-finite values\n")
 
 
 @pytest.mark.parametrize(

@@ -342,7 +342,7 @@ def test_a_thread_count_below_one_is_refused(threads):
 
 
 def test_worker_count_is_capped_at_the_chunk_count(monkeypatch):
-    # a call runs min(threads, chunks) tasks at once on the shared pool, each
+    # a call runs min(threads, chunks) tasks at once on its own pool, each
     # worker taking its chunks in order, and a one-chunk call runs there too
     lock = threading.Lock()
     running, peak, seen = 0, [], []
@@ -442,6 +442,41 @@ def test_the_openblas_count_is_restored_when_a_chunk_raises(monkeypatch, openbla
     assert openblas() == 3
 
 
+def test_a_kernel_call_at_two_threads_runs_its_stacks_pinned(monkeypatch, openblas):
+    # the pin holds for the whole call, also on the one worker the kernel's stacks take
+    seen = []
+    original = ensemble_mod._measure_chunk
+
+    def recording(segments, readout):
+        seen.append(openblas())
+        return original(segments, readout)
+
+    monkeypatch.setattr(ensemble_mod, "_measure_chunk", recording)
+    configs = [make_config(n_realizations=4 * ensemble_mod._CHUNK, w=w) for w in (0.5, 2.0)]
+    assert all(ensemble_mod._chebyshev_chosen(config.params) for config in configs)
+    run_ensemble(configs, threads=2)
+    assert seen == [1] and openblas() == 3
+
+
+def _ensemble_threads():
+    return [thread for thread in threading.enumerate()
+            if thread.name.startswith("qladder-ensemble")]
+
+
+def test_no_worker_outlives_its_call(monkeypatch):
+    for config in eigen_configs(n_realizations=4 * ensemble_mod._CHUNK):
+        run_ensemble([config], threads=2)
+        assert not _ensemble_threads()
+
+    def failing(params, unit):
+        raise MemoryError("synthetic exhaustion")
+
+    monkeypatch.setattr(ensemble_mod, "scale_disorder", failing)
+    with pytest.raises(RuntimeError, match="realization 0"):
+        run_ensemble([make_config(n_realizations=12)], threads=2)
+    assert not _ensemble_threads()
+
+
 def test_values_do_not_depend_on_openblas_pinning(monkeypatch):
     configs = eigen_configs(n_realizations=13)
     pinned = [run_ensemble([config], threads=2, keep_raw=True)[0] for config in configs]
@@ -514,13 +549,11 @@ def test_concurrent_callers_get_the_values_of_serial_calls(monkeypatch):
 
 
 def test_concurrent_calls_take_turns_on_the_pool(monkeypatch):
-    # a pool grown to two workers could run two one-worker callers at once,
-    # here one reading C(tau) and one the branch trace; their chunks must
-    # never overlap, and each caller gets serial values
+    # each call has workers of its own, so two one-worker callers could run
+    # at once, here one reading C(tau) and one the branch trace; their chunks
+    # must never overlap, and each caller gets serial values
     configs = eigen_configs(n_realizations=3 * ensemble_mod._CHUNK)
     serial = [run_ensemble([config], keep_raw=True)[0] for config in configs]
-    run_ensemble([make_config(n_realizations=2 * ensemble_mod._CHUNK, w=EIGEN_W)], threads=2)
-    assert ensemble_mod._pool_size >= 2
     lock = threading.Lock()
     in_flight, overlaps = [0, 0], []
     original = ensemble_mod._measure_chunk
@@ -568,7 +601,7 @@ def test_concurrent_calls_take_turns_on_the_pool(monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_runs_on_a_pool_of_its_own():
-    # the child inherits the parent's pool object but none of its threads
+    # a parent that has run a call forks: the child has none of its threads
     code = (
         "import os, signal\n"
         "from qladder.ensemble import EnsembleConfig, run_ensemble\n"
