@@ -3,14 +3,15 @@
 A readout at one time needs no eigenvectors: :func:`chebyshev_propagate`
 expands exp(-i H t) psi0 in Chebyshev polynomials of H (Tal-Ezer & Kosloff,
 J. Chem. Phys. 81, 3967 (1984)) on the band of H, with coefficients from
-Miller's recurrence (:func:`bessel_j`), so it loads no scipy. It judges the
-whole states it returns against the tolerances of
+Miller's recurrence (:func:`bessel_j`), so it loads no scipy. The series is
+cut where its tail falls below the unit roundoff, and the recurrence's own
+ratios bound that tail past its last order (:func:`_chebyshev_series`). It
+judges the whole states it returns against the tolerances of
 :func:`~qladder.spectral.certify` and returns a bound on the error of each.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 
 import numpy as np
@@ -23,36 +24,31 @@ __all__ = ["bessel_j", "chebyshev_propagate"]
 def _chebyshev_series(x: float) -> tuple[int, np.ndarray, float]:
     """The series of exp(-i x y) for |y| <= 1 and x >= 0: its term count K,
     J_0(x) .. J_K(x) and the tail bound. K is the smallest order whose tail
-    bound 2 sum_{k>K} |J_k(x)| is at most the unit roundoff u; it is at
+    bound, on 2 sum_{k>K} |J_k(x)|, is at most the unit roundoff u; it is at
     least x, and computing the series takes O(x) steps.
 
-    |J_k(x)| <= (x/2)^k / k!, so past the first order L where that bound's
-    own tail is below u^2, the Miller values of J_{K+1} .. J_L and that
-    bound make up the tail bound of each K. From ceil(x) on, that bound
-    falls at least twofold per order, so L is found by doubling a step from
-    ceil(x) and bisecting the last step, in O(log L) evaluations.
+    The Miller values run to L = ceil(x + 15 x^(1/3)) + 20, where
+    :func:`bessel_j` already takes J as negligible, and the tail bound of
+    each K is 2 sum_{K<k<=L} |J_k| plus 2 |J_L| q / (1 - q), q = x / (2 (L +
+    1) - x) < 1, a bound on 2 sum_{k>L} |J_k|. Proof: the ratios r_k = J_k /
+    J_{k-1} of the minimal solution J of the recurrence are the limits, as
+    s grows, of the ratios r_k^(s) run down from r_{s+1}^(s) = 0 by r_k =
+    x / (2k - x r_{k+1}) (Pincherle's theorem; Gautschi, SIAM Rev. 9, 24
+    (1967)). For k >= x > 0, q_k = x / (2k - x) <= 1 falls as k grows, and
+    if 0 <= r_{k+1}^(s) <= q_{k+1} <= 1, then 2k - x r_{k+1}^(s) >= 2k - x >
+    0 and 0 <= r_k^(s) <= q_k; so by induction down from s, and in the
+    limit, 0 <= J_k / J_{k-1} <= q_k for k > L >= x. Then |J_{L+j}| <= |J_L|
+    q^j with q = q_{L+1}, and the tail past L sums to at most |J_L| q / (1 -
+    q); at x = 0 it is 0. The bound is taken at the Miller value of J_L.
     """
-    first, span = math.ceil(x), 1
-    while _factorial_tail(x, first + span) > _UNIT_ROUNDOFF**2:
-        span *= 2
-    last = first + bisect.bisect_left(range(first, first + span + 1), True,
-                                      key=lambda k: _factorial_tail(x, k) <= _UNIT_ROUNDOFF**2)
+    last = math.ceil(x + 15 * x ** (1 / 3)) + 20
     bessel = bessel_j(x, last + 1)
+    ratio = x / (2 * (last + 1) - x)
     # tails[k] = 2 sum_{k<j<=L} |J_j| plus the bound beyond L, for k = 0 .. L
-    tails = np.append(2 * np.cumsum(np.abs(bessel[:0:-1]))[::-1], 0.0) + _factorial_tail(x, last)
+    tails = (np.append(2 * np.cumsum(np.abs(bessel[:0:-1]))[::-1], 0.0)
+             + 2 * abs(bessel[last]) * ratio / (1 - ratio))
     terms = int(np.argmax(tails <= _UNIT_ROUNDOFF))
     return terms, bessel[: terms + 1], float(tails[terms])
-
-
-def _factorial_tail(x: float, last: int) -> float:
-    """2 sum_{k>last} (x/2)^k / k!, a bound on 2 sum_{k>last} |J_k(x)|, for
-    last + 2 > x / 2 (inf where it is too large to be of use)."""
-    if x == 0.0:
-        return 0.0
-    log_first = (last + 1) * math.log(x / 2) - math.lgamma(last + 2)
-    if log_first > 700 or last + 2 <= x / 2:
-        return math.inf
-    return 2 * math.exp(log_first) / (1 - x / (2 * (last + 2)))
 
 
 def bessel_j(x: float, count: int) -> np.ndarray:
@@ -65,13 +61,11 @@ def bessel_j(x: float, count: int) -> np.ndarray:
     from 1 = J_0 + 2 sum_k J_2k.
     """
     start = max(count, math.ceil(x + 15 * x ** (1 / 3))) + 20
-    ratios = [0.0] * (start + 2)
+    ratios = [1.0] + [0.0] * (start + 1)
     for k in range(start, 0, -1):
         ratios[k] = x / (2 * k - x * ratios[k + 1])
-    products = [1.0]
-    for ratio in ratios[1:start + 1]:
-        products.append(products[-1] * ratio)
-    return np.array(products[:count]) / (1.0 + 2 * math.fsum(products[2::2]))
+    products = np.cumprod(ratios[: start + 1])  # 1, r_1, r_1 r_2, ...
+    return products[:count] / (1.0 + 2 * math.fsum(products[2::2]))
 
 
 def _aligned_zeros(*shape) -> np.ndarray:

@@ -52,12 +52,11 @@ the readout times. The Chebyshev kernel measures the norm and energy of
 every state it evolves against the same tolerances.
 
 A realization gives bitwise the same values in any chunk or stack, so a
-failure is traced to its realization by re-running: when a stack of several
-grid points raises, each point's part runs again alone; when one point's
-chunk or part raises, its realizations run again one at a time, in order,
-and the first that fails alone is reported with its seed tag and its own
-grid point's parameters. A failure that no realization reproduces alone is
-reported for the range of each part.
+failure is traced to its realization by re-running: when a chunk or stack
+raises, every realization of each of its grid points' parts runs again
+alone, in order, and the first that fails alone is reported with its seed
+tag and its own grid point's parameters. A failure that no realization
+reproduces alone is reported for the range of each part.
 """
 
 from __future__ import annotations
@@ -259,19 +258,19 @@ def _cells(segments) -> tuple:
 
 def _eigen_readout(segments, times, rows, measure):
     """``measure(re, im)`` of the realizations of ``segments`` by the eigen
-    path, and certify's e and r: their stack is assembled, diagonalized and
-    certified for the Bell start at ``times``, and ``re`` and ``im`` are the
-    (R, K, T) parts of its entries ``rows`` at ``times``. ``measure`` runs
-    while the stack's arrays are held: with them freed first, a warm fig2
-    took ~6,000 minor faults, not ~20."""
+    path, and certify's e, r and max |L|: their stack is assembled,
+    diagonalized and certified for the Bell start at ``times``, and ``re``
+    and ``im`` are the (R, K, T) parts of its entries ``rows`` at ``times``.
+    ``measure`` runs while the stack's arrays are held: with them freed
+    first, a warm fig2 took ~6,000 minor faults, not ~20."""
     params = segments[0].config.params
     entries = assemble_effective(*_cells(segments), params.couplings())
     eigenvalues, eigenvectors = diagonalize(entries)
     # the Bell pair on cell 1 is the unit vector |1,->, so psi0 is real
     psi0 = np.zeros(entries.shape[:2])
     psi0[:, flat_index(1, Branch.MINUS, params.n_sites)] = 1.0
-    _, e, r = certify(entries, eigenvalues, eigenvectors, psi0, times)
-    return measure(*propagate(eigenvalues, eigenvectors, psi0, times, rows)), e, r
+    _, *errors = certify(entries, eigenvalues, eigenvectors, psi0, times)
+    return measure(*propagate(eigenvalues, eigenvectors, psi0, times, rows)), errors
 
 
 def _ends(re, im) -> np.ndarray:
@@ -304,10 +303,10 @@ def _chebyshev_concurrence(segments) -> dict:
     ends = re[-2:] + 1j * im[-2:]  # slots (+, -) of cell N
     audited = [segment._replace(stop=1) for segment in segments if segment.start == 0]
     if audited:
-        eigen, e, r = _eigen_readout(audited, [tau], slice(-2, None), _ends)
+        eigen, errors = _eigen_readout(audited, [tau], slice(-2, None), _ends)
         rows = [row for row, segment in zip(_offsets(segments), segments) if segment.start == 0]
         deviation = np.max(np.abs(eigen - ends[:, rows]), axis=0)
-        tolerance = bound[rows] + eigen_error_bound(e, r, 2 * n_sites, tau)
+        tolerance = bound[rows] + eigen_error_bound(*errors, 2 * n_sites, tau)
         if not np.all(deviation <= tolerance):
             bad = np.flatnonzero(~(deviation <= tolerance))[0]
             raise ArithmeticError(f"audit: Chebyshev amplitudes deviate from the eigen path's "
@@ -350,21 +349,19 @@ def _measure_chunk(segments, readout) -> list[dict]:
         return [{label: values[lo:hi] for label, values in measured.items()}
                 for lo, hi in zip(offsets, offsets[1:])]
     except Exception as exc:
-        if len(segments) > 1:
-            for segment in segments:  # raises if a segment fails alone
-                _measure_chunk([segment], readout)
-            spans = ", ".join(_span(segment) for segment in segments)
-            raise RuntimeError(f"realizations {spans} failed: {exc}") from exc
-        (segment,) = segments
-        start, stop = segment.start, segment.stop
-        if stop - start == 1:
+        alone = [segment._replace(start=i, stop=i + 1)
+                 for segment in segments for i in range(segment.start, segment.stop)]
+        if len(alone) == 1:
+            (segment,) = alone
             seed, where = segment.config.master_seed, _where(segment.config.params)
             raise RuntimeError(
-                f"realization {start} (seed tag {seed}:{start}, {where}) failed: {exc}"
+                f"realization {segment.start} (seed tag {seed}:{segment.start}, {where}) "
+                f"failed: {exc}"
             ) from exc
-        for i in range(start, stop):  # raises if realization i fails alone
-            _measure_chunk([segment._replace(start=i, stop=i + 1)], readout)
-        raise RuntimeError(f"realizations {_span(segment)} failed: {exc}") from exc
+        for single in alone:  # raises if that realization fails alone
+            _measure_chunk([single], readout)
+        spans = ", ".join(_span(segment) for segment in segments)
+        raise RuntimeError(f"realizations {spans} failed: {exc}") from exc
 
 
 def _pack(wholes, width: int) -> list[list[_Segment]]:

@@ -39,8 +39,8 @@ def default_w_grid(w_min: float, w_max: float, w_points: int) -> np.ndarray:
     if w_points < 1:
         raise ValueError(f"w_points must be at least 1, got {w_points}")
     for name, value in (("w_min", w_min), ("w_max", w_max)):
-        if value <= 0 or value == math.inf:  # a NaN is left to LadderParams' disorder_w check
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+        if value <= 0 or 2 * value == math.inf:  # a NaN is left to LadderParams' disorder_w check
+            raise ValueError(f"{name} must be positive with 2*{name} finite, got {value}")
     if w_points == 1:
         return np.array([float(w_min)])
     if w_min == w_max:

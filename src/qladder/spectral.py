@@ -181,10 +181,10 @@ def certify(entries, eigenvalues, eigenvectors, psi0, times) -> tuple:
     and ``times`` the 1-d grid the caller reads out. Returns a boolean array
     over the stack, True where both drift bounds are within ``NORM_TOL`` and
     ``ENERGY_TOL``, so no evolved state needs checking, and the arrays of e
-    and r below, which :func:`eigen_error_bound` reads. False marks a matrix
-    whose bound is over its tolerance although its eigensystem is accurate
-    to rounding (backward stable: e <= max(D, 16) D u and r <= max(D, 16) D
-    u h, the order of the worst-case backward error of a Householder-based
+    and r below and of max |L|, which :func:`eigen_error_bound` reads. False
+    marks a matrix whose bound is over its tolerance although its
+    eigensystem is accurate to rounding (backward stable: e <= max(D, 16) D
+    u and r <= max(D, 16) D u h, the order of the worst-case backward error of a Householder-based
     symmetric eigensolver, with a floor for D < 16, where the e of
     ``dsbevd`` and of ``eigh`` alike exceeds D^2 u at D <= 4). Its bound is
     then loose by the rounding of a large H or D, so its whole states at
@@ -218,8 +218,8 @@ def certify(entries, eigenvalues, eigenvectors, psi0, times) -> tuple:
 
     At t = 0 :func:`propagate` returns psi0 itself, with no drift.
     """
-    norm_bounds, energy_bounds, stable, e, r = _drift_bounds(entries, eigenvalues, eigenvectors,
-                                                             psi0)
+    norm_bounds, energy_bounds, stable, e, r, spreads = _drift_bounds(entries, eigenvalues,
+                                                                      eigenvectors, psi0)
     bounded = (norm_bounds <= NORM_TOL) & (energy_bounds <= ENERGY_TOL)  # NaN fails too
     failed = np.flatnonzero(~bounded & ~stable)
     if failed.size:
@@ -231,36 +231,37 @@ def certify(entries, eigenvalues, eigenvectors, psi0, times) -> tuple:
         unsure = ~bounded
         states = propagate(eigenvalues[unsure], eigenvectors[unsure], psi0[unsure], times)
         _measure_drift(entries[unsure], psi0[unsure], *states)
-    return bounded, e, r
+    return bounded, e, r, spreads
 
 
 def _drift_bounds(entries, eigenvalues, eigenvectors, psi0):
     """Per matrix of the stack: the norm and energy drift bounds of
-    :func:`certify`, whether the eigensystem is backward stable, e and r."""
+    :func:`certify`, whether the eigensystem is backward stable, e, r and max |L|."""
     dim = entries.shape[-1]
-    with np.errstate(over="ignore"):  # a norm past the float range is inf, and its bound fails
-        lam_as = np.linalg.norm(eigenvalues * (psi0[:, None, :] @ eigenvectors)[:, 0], axis=-1)
-        h_psi0s = np.linalg.norm((entries @ psi0[..., None])[..., 0], axis=-1)
     spreads = np.max(np.abs(eigenvalues), axis=-1)
     gamma = _gamma(2 * dim)
     stable_tol = max(dim, 16) * dim * _UNIT_ROUNDOFF
     bounds = []
-    # one matrix at a time: (D, D) temporaries stay in cache, where (R, D, D)
-    # ones slowed the whole fig1 loop by more than the products cost
-    for matrix, vecs, vals, m, lam_a, h_psi0 in zip(
-        entries, eigenvectors, eigenvalues, spreads.tolist(), lam_as.tolist(), h_psi0s.tolist()
-    ):
-        e, r = _eigen_errors(matrix, vals, vecs)
-        p = 2 * gamma * math.sqrt(dim) * (1 + e)
-        h = (math.sqrt(1 + e) * m + r) / math.sqrt(1 - e) if e < 1 else math.inf
-        bounds.append((
-            e * (2 + e) + p * (2 * (1 + e) + p),
-            math.sqrt(1 + e) * (e * lam_a + (2 + e) * r + 2 * p * (lam_a + r))
-            + e * h_psi0
-            + h * p * p,
-            e <= stable_tol and r <= stable_tol * h, e, r,
-        ))
-    return tuple(np.array(column) for column in zip(*bounds))
+    # a product past the float range is inf or NaN, and its bound fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam_as = np.linalg.norm(eigenvalues * (psi0[:, None, :] @ eigenvectors)[:, 0], axis=-1)
+        h_psi0s = np.linalg.norm((entries @ psi0[..., None])[..., 0], axis=-1)
+        # one matrix at a time: (D, D) temporaries stay in cache, where (R, D, D)
+        # ones slowed the whole fig1 loop by more than the products cost
+        for matrix, vecs, vals, m, lam_a, h_psi0 in zip(
+            entries, eigenvectors, eigenvalues, spreads.tolist(), lam_as.tolist(), h_psi0s.tolist()
+        ):
+            e, r = _eigen_errors(matrix, vals, vecs)
+            p = 2 * gamma * math.sqrt(dim) * (1 + e)
+            h = (math.sqrt(1 + e) * m + r) / math.sqrt(1 - e) if e < 1 else math.inf
+            bounds.append((
+                e * (2 + e) + p * (2 * (1 + e) + p),
+                math.sqrt(1 + e) * (e * lam_a + (2 + e) * r + 2 * p * (lam_a + r))
+                + e * h_psi0
+                + h * p * p,
+                e <= stable_tol and r <= stable_tol * h, e, r,
+            ))
+    return (*(np.array(column) for column in zip(*bounds)), spreads)
 
 
 def _eigen_errors(matrix, eigenvalues, eigenvectors) -> tuple[float, float]:
@@ -271,18 +272,25 @@ def _eigen_errors(matrix, eigenvalues, eigenvectors) -> tuple[float, float]:
     return math.sqrt(np.vdot(gram, gram)), math.sqrt(np.vdot(residual, residual))
 
 
-def eigen_error_bound(e, r, dim: int, t) -> np.ndarray:
+def eigen_error_bound(e, r, spread, dim: int, t) -> np.ndarray:
     """A bound on the distance between the state :func:`propagate` computes
     at time t >= 0 from a unit start and the exact exp(-i H t) psi0, per
-    entry of the errors e and r that :func:`certify` returned for (D, D)
-    eigensystems, D = ``dim``.
+    entry of the errors e and r and the spreads max |L| that :func:`certify`
+    returned for (D, D) eigensystems, D = ``dim``.
 
     eps(t) = V exp(-i L t) V^T psi0 - exp(-i H t) psi0 starts at |(V V^T -
     I) psi0| <= e and obeys i eps' = H eps - R exp(-i L t) V^T psi0, so
-    |eps(t)| <= e + t r sqrt(1 + e); the rounding of the products adds p = 2
-    gamma_2D sqrt(D) (1 + e).
+    |eps(t)| <= e + t r sqrt(1 + e). The computed phase factors are off
+    exp(-i L_j t) by d_j: L_j t is rounded once, by at most max |L| t u,
+    which moves a factor by as much, and numpy's float64 cos and sin are
+    taken to be within one ulp, at most 2u on [-1, 1] (numpy's own accuracy
+    tests allow 1 ulp for both), which adds at most 2 sqrt(2) u. As |V| <=
+    sqrt(1 + e) and |V^T psi0| <= sqrt(1 + e), they move the state by |V
+    diag(d) V^T psi0| <= (1 + e) (max |L| t + 2 sqrt(2)) u. The rounding of
+    the products adds p = 2 gamma_2D sqrt(D) (1 + e).
     """
-    return e + t * r * np.sqrt(1 + e) + 2 * _gamma(2 * dim) * math.sqrt(dim) * (1 + e)
+    return (e + t * r * np.sqrt(1 + e) + (1 + e) * (spread * t + 2 * math.sqrt(2)) * _UNIT_ROUNDOFF
+            + 2 * _gamma(2 * dim) * math.sqrt(dim) * (1 + e))
 
 
 def _measure_drift(entries, psi0, re, im) -> None:

@@ -1,15 +1,21 @@
+import contextlib
 import errno
 import hashlib
+import io
 import json
 import os
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qladder
 import qladder.experiments
@@ -678,6 +684,71 @@ def test_an_overflowing_entry_is_one_error_line(tmp_path, argv):
     assert result.returncode == 1
     assert result.stderr == ("qladder: error: realization 0 (seed tag 42:0, W=8e+307, "
                              "delta=8e+307, N=30) failed: entries contain non-finite values\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["fig1", "--n-sites", "4", "--realizations", "3", "--w-points", "2",
+       "--w-max", "1.7976931348623157e308"],
+      "w_max must be positive with 2*w_max finite, got 1.7976931348623157e+308"),
+     (["oracle", "--n-sites", "30", "--t-points", "3", "--delta", "1.7976931348623157e308"],
+      "energy drift bound nan exceeds 1e-09")],
+    ids=["fig1-w-max-max-float", "oracle-delta-max-float"],
+)
+def test_an_overflowing_input_is_one_error_line(tmp_path, argv, message):
+    # geomspace's power overflows past w_max = max float / 2, and the drift
+    # bounds' products past the float range: refused by name, no numpy warning
+    out = ["--out-dir", str(tmp_path)] if argv[0] == "fig1" else []
+    result = _fresh_cli([*argv, *out])
+    assert result.returncode == 1
+    assert result.stderr == f"qladder: error: {message}\n"
+
+
+# the numeric flags of each command the contract property draws from, after
+# a base that keeps every run small
+_CONTRACT_FLAGS = {
+    "fig1": (["--realizations", "3", "--w-points", "2"],
+             ["--delta", "--w-min", "--w-max", "--w-points", "--realizations", "--seed"]),
+    "fig2": (["--realizations", "3", "--t-points", "3"],
+             ["--delta", "--w", "--t-max", "--t-points", "--realizations", "--seed"]),
+    "oracle": (["--t-points", "3"], ["--delta", "--gamma", "--t-max", "--t-points"]),
+    "dump-hamiltonian": ([], ["--w", "--delta", "--seed", "--index"]),
+}
+_CONTRACT_MAGNITUDES = [5e-324, 1e-300, 1.0, 1e300, 1e306, 8e307, 1.7976931348623157e308,
+                        float("inf"), float("nan"), -1.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(command_flag=st.sampled_from([(command, flag) for command, (_, flags)
+                                     in _CONTRACT_FLAGS.items() for flag in flags]),
+       magnitude=st.sampled_from(_CONTRACT_MAGNITUDES), n_sites=st.sampled_from([4, 30]))
+def test_every_extreme_number_keeps_the_input_contract(command_flag, magnitude, n_sites):
+    # exit 0 in silence, exit 1 with one error line (or oracle's result
+    # line), or argparse's exit 2, and never a numpy warning: under the
+    # suite's warnings-as-errors one would become the error line and hide it
+    command, flag = command_flag
+    base = _CONTRACT_FLAGS[command][0]
+    value = str(int(magnitude)) if magnitude in (1.0, -1.0) else repr(magnitude)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        argv = [command, "--n-sites", str(n_sites), *base, flag, value]
+        if command.startswith("fig"):
+            argv += ["--out-dir", tmp]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert not caught, [str(warning.message) for warning in caught]
+    if code == 0:
+        assert err.getvalue() == ""
+    elif code == 1 and not err.getvalue():
+        assert command == "oracle" and out.getvalue().startswith("max deviation ")
+    elif code == 1:
+        assert err.getvalue().startswith("qladder: error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert code == 2
 
 
 @pytest.mark.parametrize(

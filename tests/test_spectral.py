@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -257,7 +258,7 @@ def test_rounding_of_a_large_matrix_is_measured_not_refused(monkeypatch):
     entries, start = op.entries[None], psi0.amplitudes[None]
     eigenvalues, eigenvectors = diagonalize(entries)
     times = np.linspace(0.0, 100.0, 7)
-    bounded, _, _ = certify(entries, eigenvalues, eigenvectors, start, times)
+    bounded = certify(entries, eigenvalues, eigenvectors, start, times)[0]
     assert not bounded[0]
     measured = []
     original = spectral_mod._measure_drift
@@ -310,8 +311,30 @@ def test_certify_accepts_eigh_output_at_small_dimensions(dim):
     entries = np.stack(matrices)
     psi0 = rng.normal(size=entries.shape[:2]) + 1j * rng.normal(size=entries.shape[:2])
     psi0 /= np.linalg.norm(psi0, axis=1, keepdims=True)
-    certified, _, _ = certify(entries, *diagonalize(entries), psi0, times=())
+    certified = certify(entries, *diagonalize(entries), psi0, times=())[0]
     assert not certified.all()  # the gate is reached
+
+
+@pytest.mark.parametrize("t", [1e3, 123456.789, 1e6])
+def test_the_eigen_error_bound_covers_the_rounding_of_the_phases(t):
+    # a diagonal H has exact eigenvectors (e = r = 0), so the computed state
+    # is off the exact one only by the rounding of L t, of cos and sin, and
+    # of the products; at L t ~ 1e6 the first is ~1e-10, the last ~1e-15
+    eigenvalues = np.array([[-1.2345678901234567, 0.7071067811865476, 3.141592653589793]])
+    entries, eigenvectors = np.diag(eigenvalues[0])[None], np.eye(3)[None]
+    psi0 = np.full((1, 3), 1 / np.sqrt(3))
+    _, e, r, spread = certify(entries, eigenvalues, eigenvectors, psi0, [t])
+    assert e[0] == r[0] == 0.0 and spread[0] == np.pi
+    re, im = propagate(eigenvalues, eigenvectors, psi0, [t])
+    error = 0.0
+    for a, lam, x, y in zip(psi0[0], eigenvalues[0], re[0, :, 0], im[0, :, 0]):
+        # L t = high + low exactly, so exp(-i L t) = exp(-i high) (1 - i low) to ~1e-16
+        high = lam * t
+        low = float(Fraction(lam) * Fraction(t) - Fraction(high))
+        exact = a * complex(math.cos(high), -math.sin(high)) * complex(1.0, -low)
+        error += abs(complex(x, y) - exact) ** 2
+    assert math.sqrt(error) <= eigen_error_bound(e, r, spread, 3, t)[0]
+    assert math.sqrt(error) > 2 * spectral_mod._gamma(6) * math.sqrt(3)  # the products' alone
 
 
 def test_measured_drift_fails_above_the_tolerances():
@@ -492,36 +515,76 @@ def test_chebyshev_terms_stop_where_the_tail_falls_below_rounding(x):
     assert terms >= x
 
 
+def _factorial_tail(x, last):
+    """2 sum_{k>last} (x/2)^k / k!, a bound on 2 sum_{k>last} |J_k(x)|, for
+    last + 2 > x / 2 (inf where it is too large to be of use)."""
+    if x == 0.0:
+        return 0.0
+    log_first = (last + 1) * math.log(x / 2) - math.lgamma(last + 2)
+    if log_first > 700 or last + 2 <= x / 2:
+        return math.inf
+    return 2 * math.exp(log_first) / (1 - x / (2 * (last + 2)))
+
+
 def _stepped_series(x):
-    """The series as found by stepping L up one order at a time from ceil(x)."""
+    """The reference series: its Miller values run to the first order L,
+    stepped up one at a time from ceil(x), where the factorial bound's tail
+    is below u^2, and that bound takes the place of the tail past L."""
     last = math.ceil(x)
-    while chebyshev_mod._factorial_tail(x, last) > chebyshev_mod._UNIT_ROUNDOFF**2:
+    while _factorial_tail(x, last) > chebyshev_mod._UNIT_ROUNDOFF**2:
         last += 1
     bessel = bessel_j(x, last + 1)
-    tails = (np.append(2 * np.cumsum(np.abs(bessel[:0:-1]))[::-1], 0.0)
-             + chebyshev_mod._factorial_tail(x, last))
+    tails = np.append(2 * np.cumsum(np.abs(bessel[:0:-1]))[::-1], 0.0) + _factorial_tail(x, last)
     terms = int(np.argmax(tails <= chebyshev_mod._UNIT_ROUNDOFF))
     return terms, bessel[: terms + 1], float(tails[terms])
+
+
+def _assert_series_matches_the_reference(x):
+    # K and the coefficients are the reference's bitwise; the tail is a
+    # different valid bound: at most u, and at least the true tail 2
+    # sum_{k>K} |J_k| of a Miller run 300 orders longer, but for the rounding
+    # of its own sum of L - K + 1 nonnegative terms (a factor 1 - gamma_{L-K+1})
+    terms, coefficients, tail = chebyshev_mod._chebyshev_series(x)
+    expected = _stepped_series(x)
+    assert terms == expected[0]
+    assert np.array_equal(coefficients, expected[1])
+    last = math.ceil(x + 15 * x ** (1 / 3)) + 20
+    true_tail = 2 * math.fsum(np.abs(bessel_j(x, last + 301)[terms + 1:]))
+    assert true_tail * (1 - spectral_mod._gamma(last - terms + 1)) <= tail
+    assert tail <= chebyshev_mod._UNIT_ROUNDOFF
 
 
 @pytest.mark.parametrize("x", [0.0, 1e-300, 1e-3, 0.5, 1.0, 2.0, 7.3, 61.0, 101.25, 523.0,
                                612.0, 1500.0, 2400.0, 5000.0])
 def test_the_series_search_matches_stepping_bitwise(x):
     # past x ~ 2300 the factorial bound is inf at ceil(x) (the tail factor
-    # (x/2)^(L+1)/(L+1)! overflows), so the doubling starts inside that
-    # stretch; K, the coefficients and the tail must be the stepping's exactly
-    terms, coefficients, tail = chebyshev_mod._chebyshev_series(x)
-    expected = _stepped_series(x)
-    assert terms == expected[0] and tail == expected[2]
-    assert np.array_equal(coefficients, expected[1])
+    # (x/2)^(L+1)/(L+1)! overflows), so the reference steps through that stretch
+    _assert_series_matches_the_reference(x)
+
+
+def test_the_series_matches_stepping_on_the_kernels_range():
+    # x = a tau reaches about 30 N before the switch rule sends a point to
+    # the eigen path; N = 60 gives 1,800
+    for x in np.arange(0.0, 1800.0, 7.25):
+        _assert_series_matches_the_reference(float(x))
+
+
+def test_the_tail_past_the_last_miller_order_bounds_the_true_tail():
+    # 2 |J_L| q / (1 - q) against 2 sum_{k>L} |J_k| from a run 300 orders longer
+    for x in (0.5, 61.0, 612.0, 1800.0):
+        last = math.ceil(x + 15 * x ** (1 / 3)) + 20
+        longer = bessel_j(x, last + 301)
+        ratio = x / (2 * (last + 1) - x)
+        bound = 2 * longer[last] * ratio / (1 - ratio)
+        assert 0 < 2 * math.fsum(longer[last + 1:]) <= bound
 
 
 def test_the_factorial_bound_is_inf_where_it_is_of_no_use():
-    # last + 2 <= x / 2: the bound's terms still grow, so it is no bound
+    # the reference's bound: where last + 2 <= x / 2 its terms still grow, so it is no bound
     for x, last in ((10.0, 3), (100.0, 48), (5000.0, 100)):
-        assert last + 2 <= x / 2 and chebyshev_mod._factorial_tail(x, last) == math.inf
-    assert math.isinf(chebyshev_mod._factorial_tail(5000.0, 5000))  # too large to be of use
-    assert chebyshev_mod._factorial_tail(0.0, 0) == 0.0
+        assert last + 2 <= x / 2 and _factorial_tail(x, last) == math.inf
+    assert math.isinf(_factorial_tail(5000.0, 5000))  # too large to be of use
+    assert _factorial_tail(0.0, 0) == 0.0
 
 
 def _ladder_band(realization):
@@ -551,9 +614,9 @@ def test_chebyshev_states_match_evolve_series_within_the_derived_bound(
     system = eigendecompose(build_effective(realization))
     reference = evolve_series(system, psi0, [t])[0].amplitudes
     entries = system.operator.entries[None]
-    _, e, r = certify(entries, system.eigenvalues[None], system.eigenvectors[None],
-                      psi0.amplitudes[None], [t])
-    tolerance = bound + eigen_error_bound(e, r, entries.shape[-1], t)[0]
+    _, *errors = certify(entries, system.eigenvalues[None], system.eigenvectors[None],
+                         psi0.amplitudes[None], [t])
+    tolerance = bound + eigen_error_bound(*errors, entries.shape[-1], t)[0]
     assert np.linalg.norm(re[:, 0] + 1j * im[:, 0] - reference) <= tolerance
 
 
