@@ -252,9 +252,10 @@ def _fig2_rows(cfg: dict, threads: int):
     )
     rows, raw_rows = [], []
     for w in result.w_values:
-        minus, plus = result.minus[w], result.plus[w]
+        minus = result.minus[w]
         for k, t in enumerate(result.times):
-            means = (t / tau, w, minus.mean[k], plus.mean[k], minus.std_error[k])
+            # p_+ = 1 - p_-: one rounding after the mean
+            means = (t / tau, w, minus.mean[k], 1.0 - minus.mean[k], minus.std_error[k])
             rows.append([*map(_fmt, means), str(minus.n)])
         if cfg["keep_raw"]:
             for i, trace in enumerate(minus.per_realization):

@@ -12,7 +12,8 @@ drawn are kept, so the grid points of a sweep (same seed and ladder length)
 derive each stream once between them.
 
 Each config has one readout, chosen once by :func:`run_ensemble`: with
-``trace_times`` the branch occupations p_-/p_+ on that grid, by the eigen
+``trace_times`` the minus-branch occupation p_- on that grid (the plus
+branch holds the rest, p_+ = 1 - p_-, so it is not recorded), by the eigen
 path; else C(tau), at one time, by the path one rule of the parameters
 alone, :func:`_chebyshev_chosen`, picks: the Chebyshev kernel
 (:func:`~qladder.chebyshev.chebyshev_propagate`) on the band of the +/-
@@ -81,14 +82,7 @@ __all__ = [
     "EnsembleStats",
     "derive_stream",
     "run_ensemble",
-    "LABEL_CONCURRENCE",
-    "LABEL_P_MINUS",
-    "LABEL_P_PLUS",
 ]
-
-LABEL_CONCURRENCE = "concurrence_at_tau"
-LABEL_P_MINUS = "p_minus"
-LABEL_P_PLUS = "p_plus"
 
 # Realizations per stacked diagonalization.
 # Larger chunks add memory (fig2 at chunk 25: +23 MB peak) but no speed.
@@ -143,7 +137,7 @@ def _chunk_draws(master_seed: int, n_sites: int, start: int, stop: int) -> np.nd
 @dataclass(frozen=True, eq=False)
 class EnsembleConfig:
     """Physics and sampling definition of one ensemble run, which records
-    C(tau), or with ``trace_times`` the branch occupations on that grid."""
+    C(tau), or with ``trace_times`` the minus-branch occupation on that grid."""
 
     params: LadderParams
     n_realizations: int
@@ -278,14 +272,13 @@ def _ends(re, im) -> np.ndarray:
     return (re[:, :, 0] + 1j * im[:, :, 0]).T
 
 
-def _eigen_concurrence(segments) -> dict:
+def _eigen_concurrence(segments) -> np.ndarray:
     """C(tau) of the one segment ``segments`` by the eigen path."""
     tau = transfer_time(segments[0].config.params.n_sites)
-    ends = _eigen_readout(segments, [tau], slice(-2, None), _ends)[0]
-    return {LABEL_CONCURRENCE: _end_concurrence(*ends)}
+    return _end_concurrence(*_eigen_readout(segments, [tau], slice(-2, None), _ends)[0])
 
 
-def _chebyshev_concurrence(segments) -> dict:
+def _chebyshev_concurrence(segments) -> np.ndarray:
     """C(tau) of ``segments`` by the judged Chebyshev kernel, each
     segment's columns at its own grid point's half-width. The segments that
     start at realization 0 audit it, all in one eigen-path call: each
@@ -311,20 +304,14 @@ def _chebyshev_concurrence(segments) -> dict:
             bad = np.flatnonzero(~(deviation <= tolerance))[0]
             raise ArithmeticError(f"audit: Chebyshev amplitudes deviate from the eigen path's "
                                   f"by {deviation[bad]:.3e}, over {tolerance[bad]:.3e}")
-    return {LABEL_CONCURRENCE: _end_concurrence(*ends)}
+    return _end_concurrence(*ends)
 
 
-def _occupations(re, im) -> dict:
-    """p_- and p_+ of the (R, N, T) parts of the minus slots of every cell."""
-    p_minus = squared_norms(re, im)
-    return {LABEL_P_MINUS: p_minus, LABEL_P_PLUS: 1.0 - p_minus}
-
-
-def _branch_trace(segments) -> dict:
-    """p_- and p_+ of the one segment ``segments`` on its ``trace_times``
-    by the eigen path."""
+def _branch_trace(segments) -> np.ndarray:
+    """The (R, T) p_- of the one segment ``segments`` on its
+    ``trace_times`` by the eigen path: the squared norm of the minus slots."""
     minus_slots = slice(int(Branch.MINUS), None, 2)  # the minus slot of every cell
-    return _eigen_readout(segments, segments[0].config.trace_times, minus_slots, _occupations)[0]
+    return _eigen_readout(segments, segments[0].config.trace_times, minus_slots, squared_norms)[0]
 
 
 def _where(params: LadderParams) -> str:
@@ -336,18 +323,15 @@ def _span(segment: _Segment) -> str:
     return f"{segment.start}-{segment.stop - 1} (seed {seed}, {_where(segment.config.params)})"
 
 
-def _measure_chunk(segments, readout) -> list[dict]:
-    """``readout`` of ``segments``, as one dict per segment.
+def _measure_chunk(segments, readout) -> list[np.ndarray]:
+    """``readout`` of ``segments``, as one array per segment.
 
     A failure is raised as RuntimeError naming the first realization that
     fails alone, with its seed tag and its own grid point's parameters, or
     else the range of each segment.
     """
     try:
-        measured = readout(segments)
-        offsets = _offsets(segments)
-        return [{label: values[lo:hi] for label, values in measured.items()}
-                for lo, hi in zip(offsets, offsets[1:])]
+        return np.split(readout(segments), _offsets(segments)[1:-1])
     except Exception as exc:
         alone = [segment._replace(start=i, stop=i + 1)
                  for segment in segments for i in range(segment.start, segment.stop)]
@@ -405,17 +389,14 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_lock)
 
 
-def run_ensemble(
-    configs, threads: int = 1, keep_raw: bool = False
-) -> list[dict[str, EnsembleStats]]:
+def run_ensemble(configs, threads: int = 1, keep_raw: bool = False) -> list[EnsembleStats]:
     """Sample, evolve and measure the ``n_realizations`` ladders of each
     config of a grid; aggregate statistics per config.
 
-    Returns, per config in order, a map from observable label to
-    :class:`EnsembleStats`: C(tau), scalar, or with ``trace_times`` p_- and
-    p_+, per time point. A single config is a grid of one. Each result is
-    bitwise identical for a fixed config regardless of ``threads`` and of
-    the other configs of the grid. Per-realization raw values are retained
+    Returns one :class:`EnsembleStats` per config, in order: of C(tau),
+    scalar, or with ``trace_times`` of p_-, per time point. A single config
+    is a grid of one. Each result is bitwise identical for a fixed config
+    regardless of ``threads`` and of the other configs of the grid. Per-realization raw values are retained
     when ``keep_raw=True``.
 
     The configs the Chebyshev kernel reads are ordered by N and then by
@@ -460,8 +441,7 @@ def run_ensemble(
                 for segment, part in zip(segments, measured):
                     parts.setdefault(segment.point, []).append(part)
         for point, parts_of in parts.items():
-            results[point] = {label: _reduce(np.concatenate([part[label] for part in parts_of]),
-                                             keep_raw) for label in parts_of[0]}
+            results[point] = _reduce(np.concatenate(parts_of), keep_raw)
 
     # one thread leaves OpenBLAS alone: pinned, a warm fig2 took 0.49-0.62 s, not 0.43-0.52 s
     lib = _openblas() if threads > 1 else None

@@ -9,14 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dimer_oracle import uniform_leg_occupation
-from .ensemble import (
-    EnsembleConfig,
-    EnsembleStats,
-    LABEL_CONCURRENCE,
-    LABEL_P_MINUS,
-    LABEL_P_PLUS,
-    run_ensemble,
-)
+from .ensemble import EnsembleConfig, EnsembleStats, run_ensemble
 from .hamiltonian import Basis, Leg, bell_minus_state, build_effective, build_physical, unit_state
 from .model import LadderParams, uniform_ladder
 from .observables import TransferReport, concurrence, leg_occupation, transfer_time
@@ -64,13 +57,13 @@ class SweepResult:
 
 @dataclass(eq=False)
 class TraceResult:
-    """Mean branch occupations on a time grid, one series per disorder value."""
+    """Minus-branch occupation p_- on a time grid, one series per disorder
+    value; the plus branch holds the rest, p_+ = 1 - p_-."""
 
     times: np.ndarray
     tau: float
     w_values: tuple[float, ...]
     minus: dict[float, EnsembleStats]
-    plus: dict[float, EnsembleStats]
 
 
 def _distinct(key: str, values) -> None:
@@ -84,8 +77,8 @@ def _distinct(key: str, values) -> None:
 
 def _run_grid(points, trace_times, n_sites, n_realizations, master_seed, threads, keep_raw) -> list:
     """One :func:`run_ensemble` call for the ``(W, delta)`` points, one
-    result per point, in order: C(tau), or with ``trace_times`` the branch
-    occupations on that grid.
+    :class:`EnsembleStats` per point, in order: of C(tau), or with
+    ``trace_times`` of p_- on that grid.
 
     Every point's :class:`EnsembleConfig` is built first, which runs every
     parameter check, so a bad value at a later point fails before any
@@ -126,7 +119,7 @@ def transfer_sweep(
     _distinct("w", w_grid.tolist())
     points = [(float(w), delta) for delta in deltas for w in w_grid]
     results = iter(_run_grid(points, None, n_sites, n_realizations, master_seed, threads, keep_raw))
-    series = {delta: [next(results)[LABEL_CONCURRENCE] for _ in w_grid] for delta in deltas}
+    series = {delta: [next(results) for _ in w_grid] for delta in deltas}
     return SweepResult(w_values=w_grid, deltas=deltas, series=series)
 
 
@@ -140,16 +133,15 @@ def leakage_trace(
     threads: int = 1,
     keep_raw: bool = False,
 ) -> TraceResult:
-    """Disorder-averaged occupation of the +/- branches over time, per W."""
+    """Disorder-averaged occupation of the minus branch over time, per W."""
     tau = transfer_time(n_sites)
     times = np.asarray(times, dtype=np.float64)
     w_values = tuple(float(w) for w in w_values)
     _distinct("w", w_values)
     points = [(w, float(delta)) for w in w_values]
     results = _run_grid(points, times, n_sites, n_realizations, master_seed, threads, keep_raw)
-    minus = {w: result[LABEL_P_MINUS] for w, result in zip(w_values, results)}
-    plus = {w: result[LABEL_P_PLUS] for w, result in zip(w_values, results)}
-    return TraceResult(times=times, tau=tau, w_values=w_values, minus=minus, plus=plus)
+    minus = dict(zip(w_values, results))
+    return TraceResult(times=times, tau=tau, w_values=w_values, minus=minus)
 
 
 def ordered_baseline(n_sites: int, exact_revival: bool = False) -> TransferReport:
@@ -171,15 +163,19 @@ def oracle_check(delta: float, gamma: float, n_sites: int, times) -> float:
     Builds the constant-detuning ladder directly, evolves |site 1, leg 1>
     under the site-basis Hamiltonian and compares the leg-1 occupation
     against the analytic Rabi formula on the whole grid, which must hold at
-    least one time.
+    least one time. An ArithmeticError of the evolution is raised again
+    with the dimer's parameters.
     """
     times = np.asarray(times, dtype=np.float64)
     if times.size == 0:
         raise ValueError("oracle_check needs at least one time")
     realization = uniform_ladder(n_sites, delta, gamma)
-    system = eigendecompose(build_physical(realization))
     psi0 = unit_state(n_sites, 1, Leg.ONE, Basis.PHYSICAL)
-    trajectory = evolve_series(system, psi0, times)
+    try:
+        trajectory = evolve_series(eigendecompose(build_physical(realization)), psi0, times)
+    except ArithmeticError as exc:
+        where = f"delta={delta}, gamma={gamma}, N={n_sites}"
+        raise ArithmeticError(f"dimer oracle at {where}: {exc}") from exc
     numeric = np.array([leg_occupation(s, Leg.ONE) for s in trajectory])
     closed = uniform_leg_occupation(delta, gamma, times)
     return float(np.max(np.abs(numeric - closed)))

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import errno
 import hashlib
 import io
@@ -248,6 +249,14 @@ def test_fig2_row_count_and_probability_sum(tmp_path):
     for line in lines[1:]:
         fields = line.split(",")
         assert abs(float(fields[2]) + float(fields[3]) - 1.0) < 1e-12
+
+
+def test_fig2_writes_p_plus_as_the_complement_of_the_mean(tmp_path):
+    # p_+ = 1 - p_- is derived from the written mean, with one rounding
+    rows = list(csv.DictReader((run_fig2(tmp_path, "a") / "fig2.csv").read_text().splitlines()))
+    assert len(rows) == 2 * 20
+    for row in rows:
+        assert float(row["mean_p_plus"]) == 1.0 - float(row["mean_p_minus"])
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -658,7 +667,7 @@ def test_a_bad_t_max_is_blamed_on_its_key(tmp_path, argv):
       "realization 0 (seed tag 42:0, W=1e+307, delta=0.05, N=30) failed: "),
      (["fig2", "--w", "1", "--delta", "8e307", "--realizations", "5", "--t-points", "3"],
       "realization 0 (seed tag 42:0, W=1.0, delta=8e+307, N=30) failed: "),
-     (["oracle", "--delta", "1e307"], "")],
+     (["oracle", "--delta", "1e307"], "dimer oracle at delta=1e+307, gamma=1.0, N=5: ")],
     ids=["fig1-w-1e307", "fig2-delta-8e307", "oracle-delta-1e307"],
 )
 def test_an_overflowing_phase_is_one_error_line(tmp_path, argv, where):
@@ -692,12 +701,16 @@ def test_an_overflowing_entry_is_one_error_line(tmp_path, argv):
        "--w-max", "1.7976931348623157e308"],
       "w_max must be positive with 2*w_max finite, got 1.7976931348623157e+308"),
      (["oracle", "--n-sites", "30", "--t-points", "3", "--delta", "1.7976931348623157e308"],
-      "energy drift bound nan exceeds 1e-09")],
-    ids=["fig1-w-max-max-float", "oracle-delta-max-float"],
+      "dimer oracle at delta=1.7976931348623157e+308, gamma=1.0, N=30: "
+      "energy drift bound nan exceeds 1e-09"),
+     (["oracle", "--n-sites", "30", "--t-points", "3", "--gamma", "1e300"],
+      "dimer oracle at delta=0.0, gamma=1e+300, N=30: energy drift 1.963e+283 exceeds 1e-09")],
+    ids=["fig1-w-max-max-float", "oracle-delta-max-float", "oracle-gamma-1e300"],
 )
 def test_an_overflowing_input_is_one_error_line(tmp_path, argv, message):
     # geomspace's power overflows past w_max = max float / 2, and the drift
-    # bounds' products past the float range: refused by name, no numpy warning
+    # bounds' products past the float range: refused by name, no numpy
+    # warning; an oracle failure names the dimer's parameters
     out = ["--out-dir", str(tmp_path)] if argv[0] == "fig1" else []
     result = _fresh_cli([*argv, *out])
     assert result.returncode == 1
@@ -776,9 +789,12 @@ def test_large_scales_run_where_the_drift_is_measured_within_tolerance(tmp_path,
     [(["fig2", "--w", "1e7", "--realizations", "5"],
       "realization 0 (seed tag 42:0, W=10000000.0, delta=0.2, N=30) failed: "
       "energy drift 7.642e-09 exceeds 1e-09"),
-     (["oracle", "--gamma", "3e6"], "error: energy drift 1.210e-09 exceeds 1e-09"),
+     (["oracle", "--gamma", "3e6"],
+      "error: dimer oracle at delta=0.0, gamma=3000000.0, N=5: "
+      "energy drift 1.210e-09 exceeds 1e-09"),
      (["oracle", "--n-sites", "10", "--delta", "1e3", "--gamma", "5e6"],
-      "error: energy drift 7.916e-09 exceeds 1e-09")],
+      "error: dimer oracle at delta=1000.0, gamma=5000000.0, N=10: "
+      "energy drift 7.916e-09 exceeds 1e-09")],
     ids=["fig2-w-1e7", "oracle-gamma", "oracle-delta-gamma"],
 )
 def test_a_measured_drift_over_tolerance_fails(tmp_path, capsys, argv, message):

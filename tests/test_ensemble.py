@@ -18,14 +18,7 @@ import qladder.chebyshev as chebyshev_mod
 import qladder.ensemble as ensemble_mod
 import qladder.spectral as spectral_mod
 from qladder.cli import FIG1_DEFAULTS, FIG2_DEFAULTS
-from qladder.ensemble import (
-    LABEL_CONCURRENCE,
-    LABEL_P_MINUS,
-    LABEL_P_PLUS,
-    EnsembleConfig,
-    derive_stream,
-    run_ensemble,
-)
+from qladder.ensemble import EnsembleConfig, EnsembleStats, derive_stream, run_ensemble
 from qladder.experiments import default_trace_grid, default_w_grid, leakage_trace, transfer_sweep
 from qladder.hamiltonian import build_effective, build_physical
 from qladder.model import LadderParams, sample_realization
@@ -132,10 +125,35 @@ def test_config_requires_realizations():
 
 def test_single_clean_realization_transfers_perfectly():
     config = make_config(n_sites=30, w=0.0, delta=0.0, n_realizations=1)
-    stats = run_ensemble([config])[0][LABEL_CONCURRENCE]
+    stats = run_ensemble([config])[0]
     assert stats.n == 1
     assert float(stats.mean) >= 1.0 - 1e-6
     assert float(stats.std_error) == 0.0
+
+
+@settings(max_examples=15, deadline=None)
+@given(n_sites=st.integers(1, 15).map(lambda half: 2 * half), w=st.floats(0.0, 1e3),
+       seed=st.integers(0, 2**32 - 1))
+@example(n_sites=30, w=5.0, seed=42)  # the switch rule sends it to the Chebyshev kernel
+@example(n_sites=30, w=1e3, seed=42)  # past the switch rule: the eigen path
+def test_zero_detuning_transfers_every_realization(n_sites, w, seed):
+    # at delta = 0 gamma_tilde and the minus on-site energy are exactly 0,
+    # so the minus chain is the clean perfect-transfer chain whatever W draws
+    config = make_config(n_sites=n_sites, w=w, delta=0.0, n_realizations=3, seed=seed)
+    values = run_ensemble([config], keep_raw=True)[0].per_realization
+    assert values.shape == (3,)
+    assert np.all(values >= 1.0 - 1e-6)
+
+
+def test_each_config_gets_one_stats_of_its_readout():
+    # C(tau) by the kernel and by the eigen path, and the branch trace
+    configs = [make_config(n_realizations=3), *eigen_configs(n_realizations=3)]
+    results = run_ensemble(configs, keep_raw=True)
+    assert len(results) == len(configs)
+    assert all(isinstance(stats, EnsembleStats) and stats.n == 3 for stats in results)
+    points = configs[-1].trace_times.size
+    assert [stats.mean.shape for stats in results] == [(), (), (points,)]
+    assert [stats.per_realization.shape for stats in results] == [(3,), (3,), (3, points)]
 
 
 @settings(max_examples=15, deadline=None)
@@ -144,7 +162,7 @@ def test_concurrence_stays_in_the_unit_interval(n_sites, w, delta):
     # C = 2 |a| |b| <= |a|^2 + |b|^2 <= |psi|^2, whose drift is within
     # NORM_TOL; C is not clipped, so rounding may take it just past 1
     config = make_config(n_sites=n_sites, w=w, delta=delta, n_realizations=3)
-    values = run_ensemble([config], keep_raw=True)[0][LABEL_CONCURRENCE].per_realization
+    values = run_ensemble([config], keep_raw=True)[0].per_realization
     assert np.all((values >= 0.0) & (values <= 1.0 + NORM_TOL))
 
 
@@ -158,14 +176,13 @@ def test_zero_detuning_keeps_minus_branch_full(n_sites, w):
         trace_times=times,
     )
     result = run_ensemble([config])[0]
-    assert np.max(np.abs(result[LABEL_P_MINUS].mean - 1.0)) < 1e-10
-    assert np.max(np.abs(result[LABEL_P_MINUS].mean + result[LABEL_P_PLUS].mean - 1.0)) < 1e-12
+    assert np.max(np.abs(result.mean - 1.0)) < 1e-10
 
 
 def test_runs_are_bitwise_deterministic():
     config = make_config(n_realizations=5)
-    a = run_ensemble([config])[0][LABEL_CONCURRENCE]
-    b = run_ensemble([config])[0][LABEL_CONCURRENCE]
+    a = run_ensemble([config])[0]
+    b = run_ensemble([config])[0]
     assert np.array_equal(a.mean, b.mean)
     assert np.array_equal(a.std_error, b.std_error)
 
@@ -176,17 +193,14 @@ def test_thread_count_does_not_change_results():
         serial = run_ensemble([config], threads=1, keep_raw=True)[0]
         for threads in (2, 4):
             threaded = run_ensemble([config], threads=threads, keep_raw=True)[0]
-            assert serial.keys() == threaded.keys()
-            for label in serial:
-                assert np.array_equal(serial[label].mean, threaded[label].mean)
-                assert np.array_equal(serial[label].std_error, threaded[label].std_error)
-                assert np.array_equal(serial[label].per_realization,
-                                      threaded[label].per_realization)
+            assert np.array_equal(serial.mean, threaded.mean)
+            assert np.array_equal(serial.std_error, threaded.std_error)
+            assert np.array_equal(serial.per_realization, threaded.per_realization)
 
 
 def test_raw_values_bracket_the_mean():
     config = make_config(n_realizations=7)
-    stats = run_ensemble([config], keep_raw=True)[0][LABEL_CONCURRENCE]
+    stats = run_ensemble([config], keep_raw=True)[0]
     assert stats.per_realization.shape == (7,)
     assert stats.per_realization.min() <= float(stats.mean) <= stats.per_realization.max()
     assert np.all(stats.mean >= 0.0) and np.all(stats.mean <= 1.0)
@@ -194,7 +208,7 @@ def test_raw_values_bracket_the_mean():
 
 def test_raw_values_dropped_by_default():
     config = make_config(n_realizations=3)
-    stats = run_ensemble([config])[0][LABEL_CONCURRENCE]
+    stats = run_ensemble([config])[0]
     assert stats.per_realization is None
 
 
@@ -379,8 +393,7 @@ def test_worker_count_is_capped_at_the_chunk_count(monkeypatch):
             assert starts == sorted(starts)
         assert sorted(start for _, start in seen) == list(range(0, n_realizations, chunk))
         serial = run_ensemble([config], threads=1, keep_raw=True)[0]
-        assert np.array_equal(capped[LABEL_CONCURRENCE].per_realization,
-                              serial[LABEL_CONCURRENCE].per_realization)
+        assert np.array_equal(capped.per_realization, serial.per_realization)
 
 
 @contextmanager
@@ -492,9 +505,7 @@ def test_values_do_not_depend_on_openblas_pinning(monkeypatch):
         unpinned = [run_ensemble([config], threads=2, keep_raw=True)[0] for config in configs]
         assert seen == [get()] * 6  # every chunk ran at the unpinned count
     for expected, got in zip(pinned, unpinned):
-        assert expected.keys() == got.keys()
-        for label in expected:
-            assert np.array_equal(expected[label].per_realization, got[label].per_realization)
+        assert np.array_equal(expected.per_realization, got.per_realization)
 
 
 def test_concurrent_callers_get_the_values_of_serial_calls(monkeypatch):
@@ -540,10 +551,7 @@ def test_concurrent_callers_get_the_values_of_serial_calls(monkeypatch):
         assert len(got) == rounds
         for result in got:
             assert not isinstance(result, Exception), result
-            assert expected.keys() == result.keys()
-            for label in expected:
-                assert np.array_equal(expected[label].per_realization,
-                                      result[label].per_realization)
+            assert np.array_equal(expected.per_realization, result.per_realization)
     if lib:
         assert set(seen) == {1} and get() == found
 
@@ -593,10 +601,7 @@ def test_concurrent_calls_take_turns_on_the_pool(monkeypatch):
         assert len(got) == rounds
         for result in got:
             assert not isinstance(result, Exception), result
-            assert expected.keys() == result.keys()
-            for label in expected:
-                assert np.array_equal(expected[label].per_realization,
-                                      result[label].per_realization)
+            assert np.array_equal(expected.per_realization, result.per_realization)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -613,8 +618,7 @@ def test_a_forked_child_runs_on_a_pool_of_its_own():
         "if pid == 0:\n"
         "    signal.alarm(20)\n"
         "    child = run_ensemble([config], threads=2, keep_raw=True)[0]\n"
-        "    same = (child['concurrence_at_tau'].per_realization\n"
-        "            == parent['concurrence_at_tau'].per_realization).all()\n"
+        "    same = (child.per_realization == parent.per_realization).all()\n"
         "    os._exit(0 if same else 3)\n"
         "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
     )
@@ -652,8 +656,7 @@ def test_a_fork_taken_during_a_call_leaves_the_child_a_pool_of_its_own():
         "    signal.alarm(20)\n"
         "    ensemble._measure_chunk = original\n"
         "    child = run_ensemble([config], threads=2, keep_raw=True)[0]\n"
-        "    same = (child['concurrence_at_tau'].per_realization\n"
-        "            == parent['concurrence_at_tau'].per_realization).all()\n"
+        "    same = (child.per_realization == parent.per_realization).all()\n"
         "    os._exit(0 if same else 3)\n"
         "status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])\n"
         "release.set()\n"
@@ -740,8 +743,7 @@ def test_production_scales_are_certified_without_measurement(monkeypatch, w, pla
     grids = {"fig1": [transfer_time(n_sites)], "fig2": PRODUCTION_TRACE_GRID}
     config = make_config(n_sites=n_sites, w=w, delta=0.2, n_realizations=100,
                          trace_times=grids[plan])
-    stats = run_ensemble([config])[0]
-    assert all(result.n == 100 for result in stats.values())
+    assert run_ensemble([config])[0].n == 100
 
 
 def test_a_fault_only_inside_a_stack_names_the_range(monkeypatch):
@@ -782,9 +784,7 @@ def test_chunk_size_does_not_change_values(monkeypatch):
     monkeypatch.setattr(ensemble_mod, "_CHUNK", 1)
     for config, default in zip(configs, defaults):
         single = run_ensemble([config], keep_raw=True)[0]
-        assert default.keys() == single.keys()
-        for label in default:
-            assert np.array_equal(default[label].per_realization, single[label].per_realization)
+        assert np.array_equal(default.per_realization, single.per_realization)
 
 
 def test_ensemble_size_does_not_change_shared_values():
@@ -793,11 +793,10 @@ def test_ensemble_size_does_not_change_shared_values():
     chunk = ensemble_mod._CHUNK
     sizes = (1, chunk + 1, 2 * chunk)
     for runs in zip(*(eigen_configs(n_realizations=n) for n in sizes)):
-        results = [run_ensemble([config], keep_raw=True)[0] for config in runs]
-        for label in results[0]:
-            alone, remainder, full = (result[label].per_realization for result in results)
-            assert np.array_equal(alone, remainder[:1])
-            assert np.array_equal(remainder, full[: chunk + 1])
+        alone, remainder, full = (run_ensemble([config], keep_raw=True)[0].per_realization
+                                  for config in runs)
+        assert np.array_equal(alone, remainder[:1])
+        assert np.array_equal(remainder, full[: chunk + 1])
 
 
 def test_leakage_traces_match_site_basis_expm():
@@ -829,7 +828,7 @@ def test_leakage_traces_match_site_basis_expm():
 
 def test_stats_reduction_matches_numpy():
     config = make_config(n_realizations=9)
-    stats = run_ensemble([config], keep_raw=True)[0][LABEL_CONCURRENCE]
+    stats = run_ensemble([config], keep_raw=True)[0]
     raw = stats.per_realization
     assert float(stats.mean) == raw.mean()
     assert float(stats.std_error) == pytest.approx(raw.std(ddof=1) / 3.0, rel=1e-12)
@@ -880,31 +879,31 @@ def _chebyshev_config(n_realizations=100, **kwargs):
 def test_chebyshev_values_do_not_depend_on_stack_threads_or_chunk(monkeypatch):
     # the values must not follow the stack size, the thread count or the
     # chunk size: 100 realizations are one stack, 3 stacks and 7 more are four
-    full = run_ensemble([_chebyshev_config()], keep_raw=True)[0][LABEL_CONCURRENCE].per_realization
+    full = run_ensemble([_chebyshev_config()], keep_raw=True)[0].per_realization
     for n in (1, 7):
-        part = run_ensemble([_chebyshev_config(n)], keep_raw=True)[0][LABEL_CONCURRENCE]
+        part = run_ensemble([_chebyshev_config(n)], keep_raw=True)[0]
         assert np.array_equal(part.per_realization, full[:n])
     threads2 = run_ensemble([_chebyshev_config()], threads=2, keep_raw=True)[0]
-    assert np.array_equal(threads2[LABEL_CONCURRENCE].per_realization, full)
+    assert np.array_equal(threads2.per_realization, full)
     width = 2 * ensemble_mod._CHUNK
     monkeypatch.setattr(ensemble_mod, "_STACK", width)
     n = 3 * width + 7
     stacks = run_ensemble([_chebyshev_config(n)], threads=2, keep_raw=True)[0]
-    assert np.array_equal(stacks[LABEL_CONCURRENCE].per_realization, full[:n])
+    assert np.array_equal(stacks.per_realization, full[:n])
     monkeypatch.setattr(ensemble_mod, "_CHUNK", 1)
     for stack in (1, width):  # stacks of 1, then chunks of 1
         monkeypatch.setattr(ensemble_mod, "_STACK", stack)
         single = run_ensemble([_chebyshev_config(n)], threads=2, keep_raw=True)[0]
-        assert np.array_equal(single[LABEL_CONCURRENCE].per_realization, full[:n])
+        assert np.array_equal(single.per_realization, full[:n])
     single = run_ensemble([_chebyshev_config()], keep_raw=True)[0]
-    assert np.array_equal(single[LABEL_CONCURRENCE].per_realization, full)
+    assert np.array_equal(single.per_realization, full)
 
 
 def test_chebyshev_values_match_the_eigen_path(monkeypatch):
     config = _chebyshev_config(20)
-    chebyshev = run_ensemble([config], keep_raw=True)[0][LABEL_CONCURRENCE].per_realization
+    chebyshev = run_ensemble([config], keep_raw=True)[0].per_realization
     monkeypatch.setattr(ensemble_mod, "_chebyshev_chosen", lambda params: False)
-    eigen = run_ensemble([config], keep_raw=True)[0][LABEL_CONCURRENCE].per_realization
+    eigen = run_ensemble([config], keep_raw=True)[0].per_realization
     assert np.max(np.abs(chebyshev - eigen)) < 1e-13
 
 
@@ -1030,16 +1029,15 @@ def test_a_grid_point_gives_bitwise_the_same_values_alone_and_in_packed_stacks(m
     assert [segment.point for segment in stacks[1][-2:]] == [len(packed), len(packed) + 1]
     assert max(sum(s.stop - s.start for s in stack) for stack in stacks) <= ensemble_mod._STACK
     for point, config in enumerate(configs):
-        alone = run_ensemble([config], keep_raw=True)[0][LABEL_CONCURRENCE].per_realization
+        alone = run_ensemble([config], keep_raw=True)[0].per_realization
         assert alone.shape == (PACKED_N,)
         for result in swept.values():
-            assert np.array_equal(result[point][LABEL_CONCURRENCE].per_realization, alone)
+            assert np.array_equal(result[point].per_realization, alone)
     # the sweep driver hands its whole grid to one call: the same values again
     sweep = transfer_sweep(10, PACKED_DELTAS, (*PACKED_W, EIGEN_W), PACKED_N, 42, keep_raw=True)
     for point, config in enumerate(packed):
         stats = sweep.series[config.params.detuning_delta][point % (len(PACKED_W) + 1)]
-        assert np.array_equal(stats.per_realization,
-                              swept[1][point][LABEL_CONCURRENCE].per_realization)
+        assert np.array_equal(stats.per_realization, swept[1][point].per_realization)
 
 
 def test_grid_points_of_different_lengths_never_share_a_stack(monkeypatch):
@@ -1053,8 +1051,7 @@ def test_grid_points_of_different_lengths_never_share_a_stack(monkeypatch):
     assert [{segment.config.params.n_sites for segment in stack} for stack in stacks] == [{8}, {10}]
     for config, result in zip(configs, results):
         alone = run_ensemble([config], keep_raw=True)[0]
-        assert np.array_equal(result[LABEL_CONCURRENCE].per_realization,
-                              alone[LABEL_CONCURRENCE].per_realization)
+        assert np.array_equal(result.per_realization, alone.per_realization)
 
 
 @pytest.mark.parametrize("fault", ["raise", "non-finite"])
