@@ -39,14 +39,23 @@ def _chebyshev_series(x: float) -> tuple[int, np.ndarray, float]:
     0 and 0 <= r_k^(s) <= q_k; so by induction down from s, and in the
     limit, 0 <= J_k / J_{k-1} <= q_k for k > L >= x. Then |J_{L+j}| <= |J_L|
     q^j with q = q_{L+1}, and the tail past L sums to at most |J_L| q / (1 -
-    q); at x = 0 it is 0. The bound is taken at the Miller value of J_L.
+    q) = |J_L| x / (2 (L + 1 - x)); at x = 0 it is 0. The bound is taken at
+    the Miller value of J_L.
+
+    Each computed tail is at least the exact one. It sums at most L + 1
+    nonnegative terms in at most L additions, one term within a factor 1 -
+    gamma_3 of its own 3 operations, so it is at least 1 - gamma_{L+3} of
+    the exact sum (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., Lemma 3.3 and Sec. 4.2); times 1 + gamma_{L+6}, with that
+    factor and the product each rounded, (1 - gamma_{L+3}) (1 + gamma_{L+6})
+    (1 - u)^2 >= (1 - gamma_{L+3}) (1 + gamma_{L+4}) >= 1.
     """
     last = math.ceil(x + 15 * x ** (1 / 3)) + 20
     bessel = bessel_j(x, last + 1)
-    ratio = x / (2 * (last + 1) - x)
     # tails[k] = 2 sum_{k<j<=L} |J_j| plus the bound beyond L, for k = 0 .. L
-    tails = (np.append(2 * np.cumsum(np.abs(bessel[:0:-1]))[::-1], 0.0)
-             + 2 * abs(bessel[last]) * ratio / (1 - ratio))
+    tails = ((np.append(2 * np.cumsum(np.abs(bessel[:0:-1]))[::-1], 0.0)
+              + abs(bessel[last]) * x / (last + 1 - x))
+             * (1 + _gamma(last + 6)))
     terms = int(np.argmax(tails <= _UNIT_ROUNDOFF))
     return terms, bessel[: terms + 1], float(tails[terms])
 

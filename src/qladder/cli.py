@@ -9,13 +9,9 @@ byte-identical CSVs for any thread count.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import os
 import stat
 import sys
-from datetime import datetime, timezone
-from pathlib import Path
 
 from . import __version__
 
@@ -61,7 +57,7 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _write_output(path: Path, chunks) -> None:
+def _write_output(path: str | Path, chunks) -> None:
     """Write the text ``chunks`` to ``path``, replacing any old contents.
 
     An old regular file is unlinked first rather than truncated or renamed
@@ -117,7 +113,10 @@ def _resolve(args: argparse.Namespace, command: str, defaults: dict) -> dict:
     file, and explicit flags. A file without that section sets no keys."""
     resolved = dict(defaults)
     if args.config:
-        loaded = json.loads(Path(args.config).read_text())
+        import json
+
+        with open(args.config) as fh:
+            loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ValueError("config file must be a JSON object of command sections")
         unknown = set(loaded) - set(CONFIG_SECTIONS)
@@ -171,6 +170,11 @@ def _figure(args: argparse.Namespace, command: str, defaults: dict, run, headers
     and its per-realization rows, which go to ``<command>.csv`` and, with
     ``keep_raw``, ``<command>_raw.csv`` under the two ``headers``.
     """
+    import hashlib
+    import json
+    from datetime import datetime, timezone
+    from pathlib import Path
+
     cfg = _resolve(args, command, defaults)
     if cfg["realizations"] < 1:
         raise ValueError(f"{command} realizations must be at least 1, got {cfg['realizations']}")
@@ -311,7 +315,7 @@ def cmd_dump_hamiltonian(args: argparse.Namespace) -> int:
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        _write_output(Path(args.out), [text])
+        _write_output(args.out, [text])
         print(f"wrote {args.out} ({len(lines) - 1} entries)")
     return 0
 

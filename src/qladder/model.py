@@ -31,6 +31,11 @@ def _frozen_array(values) -> np.ndarray:
     return arr
 
 
+# the largest N whose (2N)^2 dense matrix entries numpy can index (np.intp);
+# a larger one is refused before any array is built
+_MAX_SITES = math.isqrt(np.iinfo(np.intp).max) // 2
+
+
 def build_pst_couplings(n_sites: int) -> np.ndarray:
     """Perfect-state-transfer hopping profile sqrt(n*(N-n)) for n = 1..N-1.
 
@@ -61,6 +66,8 @@ class LadderParams:
     def __post_init__(self):
         if self.n_sites < 2:
             raise ValueError(f"n_sites must be at least 2 (sites per leg), got {self.n_sites}")
+        if self.n_sites > _MAX_SITES:
+            raise ValueError(f"n_sites must be at most {_MAX_SITES}, got {self.n_sites}")
         for name in ("disorder_w", "detuning_delta"):
             value = getattr(self, name)
             if not 0 <= value - -value < math.inf:  # NaN fails too
@@ -178,6 +185,8 @@ def uniform_ladder(n_sites: int, delta: float, gamma: float) -> DisorderRealizat
     """
     if n_sites < 1:
         raise ValueError("n_sites must be positive")
+    if n_sites > _MAX_SITES:
+        raise ValueError(f"n_sites must be at most {_MAX_SITES}, got {n_sites}")
     for name, value in (("delta", delta), ("gamma", gamma)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")

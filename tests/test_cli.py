@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import errno
@@ -454,6 +455,42 @@ def test_cli_starts_without_numpy_scipy_or_the_compute_modules(tmp_path):
         assert (status, loaded) == (expected, []), argv
 
 
+def test_cli_start_up_leaves_the_manifest_and_config_modules_unloaded(tmp_path):
+    # hashlib, json, datetime and pathlib are imported by the figure commands,
+    # which write the manifest and read --config. -S keeps site's .pth imports
+    # out, and the child imports only sys before it checks
+    deferred = ("hashlib", "_hashlib", "json", "_json", "datetime", "_datetime", "pathlib",
+                "numpy", "scipy")
+    code = (
+        "import sys\n"
+        "from qladder.cli import build_parser, main\n"
+        "build_parser()\n"
+        "try:\n"
+        "    status = main(sys.argv[1:])\n"
+        "except SystemExit as exc:\n"
+        "    status = exc.code\n"
+        f"loaded = [name for name in sys.modules if name.split('.')[0] in {deferred!r}\n"
+        "          or name.startswith('qladder.') and name != 'qladder.cli']\n"
+        "print(repr((status, sorted(loaded))))\n"
+    )
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"fig1": {"bogus": 1}}))
+    starts = [([], 2), (["--version"], 0), (["fig1", "--bogus"], 2),
+              (["fig1", "--config", str(config)], 1)]
+    src = str(Path(qladder.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv, expected in starts:
+        result = subprocess.run([sys.executable, "-S", "-c", code, *argv], env=env,
+                                capture_output=True, text=True, timeout=60, check=True)
+        status, loaded = ast.literal_eval(result.stdout.strip().splitlines()[-1])
+        assert status == expected, argv
+        if "--config" in argv:  # a figure command imports its output modules before it resolves
+            assert "json" in loaded and not any(name.startswith(("numpy", "scipy", "qladder."))
+                                                for name in loaded)
+        else:
+            assert loaded == [], argv
+
+
 def test_fig1_and_fig2_leave_scipy_linalg_unloaded(tmp_path):
     # importing scipy.linalg adds about 28 MB of peak memory and 0.14 s to a run
     code = (
@@ -625,6 +662,29 @@ def test_default_figures_match_the_stored_reference(tmp_path, command):
 def test_oracle_and_dump_numbers_are_blamed_on_their_field(capsys, argv, field):
     assert main(argv) == 1
     assert f"error: {field} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, source",
+    [(command, "flag") for command in ("fig1", "fig2", "oracle", "baseline", "dump-hamiltonian")]
+    + [("fig1", "config"), ("fig2", "config")],
+)
+def test_a_huge_n_sites_is_blamed_on_its_key(tmp_path, capsys, command, source):
+    # past the bound where (2N)^2 overflows np.intp, so if the check ever went
+    # numpy would refuse the sizes at once; a value under it could allocate gigabytes
+    huge = 99999999999999999999
+    if source == "config":
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({command: {"n_sites": huge}}))
+        argv = [command, "--config", str(config)]
+    else:
+        argv = [command, "--n-sites", str(huge)]
+    if command in ("fig1", "fig2"):
+        argv += ["--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qladder: error: ") and "n_sites" in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def _fresh_cli(argv):

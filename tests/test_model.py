@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from qladder.ensemble import derive_stream
 from qladder.model import (
+    _MAX_SITES,
     DisorderRealization,
     LadderParams,
     build_pst_couplings,
@@ -68,6 +69,17 @@ def test_params_reject_bad_sizes():
         LadderParams(n_sites=1, disorder_w=1.0, detuning_delta=0.0)
     with pytest.raises(ValueError):
         LadderParams(n_sites=4, disorder_w=-1.0, detuning_delta=0.0)
+
+
+def test_n_sites_is_refused_where_its_dense_matrix_overflows_the_index_range():
+    # checked on the parameters alone: neither call below builds an array
+    assert (2 * _MAX_SITES) ** 2 <= np.iinfo(np.intp).max < (2 * _MAX_SITES + 2) ** 2
+    LadderParams(n_sites=_MAX_SITES, disorder_w=1.0, detuning_delta=0.0)
+    with pytest.raises(ValueError, match=f"n_sites must be at most {_MAX_SITES}, got"):
+        LadderParams(n_sites=_MAX_SITES + 1, disorder_w=1.0, detuning_delta=0.0)
+    # far past the bound, where numpy itself refuses the sizes if the check ever goes
+    with pytest.raises(ValueError, match=f"n_sites must be at most {_MAX_SITES}, got"):
+        uniform_ladder(10**20, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -541,16 +541,15 @@ def _stepped_series(x):
 
 def _assert_series_matches_the_reference(x):
     # K and the coefficients are the reference's bitwise; the tail is a
-    # different valid bound: at most u, and at least the true tail 2
-    # sum_{k>K} |J_k| of a Miller run 300 orders longer, but for the rounding
-    # of its own sum of L - K + 1 nonnegative terms (a factor 1 - gamma_{L-K+1})
+    # different valid bound: at most u, and at least the exact tail 2
+    # sum_{k>K} |J_k| of a Miller run 300 orders longer, summed without rounding
     terms, coefficients, tail = chebyshev_mod._chebyshev_series(x)
     expected = _stepped_series(x)
     assert terms == expected[0]
     assert np.array_equal(coefficients, expected[1])
     last = math.ceil(x + 15 * x ** (1 / 3)) + 20
-    true_tail = 2 * math.fsum(np.abs(bessel_j(x, last + 301)[terms + 1:]))
-    assert true_tail * (1 - spectral_mod._gamma(last - terms + 1)) <= tail
+    true_tail = 2 * sum(map(Fraction, np.abs(bessel_j(x, last + 301)[terms + 1:]).tolist()))
+    assert true_tail <= Fraction(tail)
     assert tail <= chebyshev_mod._UNIT_ROUNDOFF
 
 
