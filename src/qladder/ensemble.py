@@ -40,9 +40,9 @@ grid point's chunks on ``min(threads, chunks)`` workers, each running
 one contiguous block in order. A worker's heap is not trimmed back to the
 operating system between chunks, as the main thread's can be, so the chunk
 arrays are not faulted in afresh each time. Calls take turns, under one
-module lock. A call at more than one thread holds numpy's bundled OpenBLAS
-at one thread for its whole length and restores the old count afterwards,
-also when it raises; with another BLAS nothing is pinned.
+module lock. Every call pins numpy's bundled OpenBLAS to one thread, for
+every thread of the process, until it returns or raises, and then restores
+the old count; with another BLAS nothing is pinned.
 
 Conservation on the eigen path is checked once per stacked eigensystem by
 :func:`~qladder.spectral.certify`, for the Bell start state every
@@ -405,9 +405,9 @@ def run_ensemble(configs, threads: int = 1, keep_raw: bool = False) -> list[Ense
     Then each other config in turn runs its chunks on ``min(threads,
     chunks)`` workers, each taking one contiguous block, so the first
     failure in that order is the one raised. The workers are the call's
-    own, and none outlives it; at ``threads > 1`` numpy's OpenBLAS is held
-    at one thread for the length of the call. Calls from several threads
-    take turns.
+    own, and none outlives it; numpy's OpenBLAS is held at one thread for
+    the length of every call, so ``threads`` sets only the worker count.
+    Calls from several threads take turns.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -443,16 +443,15 @@ def run_ensemble(configs, threads: int = 1, keep_raw: bool = False) -> list[Ense
         for point, parts_of in parts.items():
             results[point] = _reduce(np.concatenate(parts_of), keep_raw)
 
-    # one thread leaves OpenBLAS alone: pinned, a warm fig2 took 0.49-0.62 s, not 0.43-0.52 s
-    lib = _openblas() if threads > 1 else None
+    lib = _openblas()
     # one pool per call, not per grid point: per point, a warm fig2 took 0.49-0.63 s, not 0.43-0.46 s
     with _LOCK, ThreadPoolExecutor(threads, thread_name_prefix="qladder-ensemble") as pool:
         if lib is not None:
             found = lib.scipy_openblas_get_num_threads64_()
             lib.scipy_openblas_set_num_threads64_(1)
         try:
-            # the kernel's stacks run on one worker: its small operations hold the GIL
-            # between them, so on two workers the default fig1 took 2.6-3.1 s, not 0.9 s
+            # the kernel's stacks run on one worker: on two, a warm fig1 took as long but used
+            # 0.65-0.83 s of CPU, not 0.49-0.63 s; on four it took 0.54-0.62 s, not 0.47-0.58 s
             if chosen:
                 run([(stack, _chebyshev_concurrence) for stack in _pack(chosen, _STACK)], 1)
             # one grid point at a time, reduced at once: fig2's parts all held took +1.5 MB peak RSS

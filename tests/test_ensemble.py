@@ -422,7 +422,17 @@ def openblas():
         yield get
 
 
-def test_workers_run_with_one_openblas_thread_while_more_than_one_runs(monkeypatch, openblas):
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("path", ["eigen", "kernel"])
+def test_every_call_runs_its_chunks_with_one_openblas_thread(monkeypatch, openblas, path,
+                                                              threads):
+    # the pin holds for the whole call, at one worker too and on the kernel's shared stacks
+    if path == "eigen":  # four chunks
+        configs, chunks = [make_config(n_realizations=4 * ensemble_mod._CHUNK, w=EIGEN_W)], 4
+    else:  # two grid points sharing one stack
+        configs = [make_config(n_realizations=4 * ensemble_mod._CHUNK, w=w) for w in (0.5, 2.0)]
+        assert all(ensemble_mod._chebyshev_chosen(config.params) for config in configs)
+        chunks = 1
     seen = []
     original = ensemble_mod._measure_chunk
 
@@ -431,12 +441,8 @@ def test_workers_run_with_one_openblas_thread_while_more_than_one_runs(monkeypat
         return original(segments, readout)
 
     monkeypatch.setattr(ensemble_mod, "_measure_chunk", recording)
-    config = make_config(n_realizations=4 * ensemble_mod._CHUNK, w=EIGEN_W)
-    run_ensemble([config], threads=2)
-    assert seen == [1] * 4 and openblas() == 3
-    seen.clear()
-    run_ensemble([config], threads=1)  # one worker leaves the count alone
-    assert seen == [3] * 4 and openblas() == 3
+    run_ensemble(configs, threads=threads)
+    assert seen == [1] * chunks and openblas() == 3
 
 
 def test_the_openblas_count_is_restored_when_a_chunk_raises(monkeypatch, openblas):
@@ -450,25 +456,10 @@ def test_the_openblas_count_is_restored_when_a_chunk_raises(monkeypatch, openbla
         return original(params, unit)
 
     monkeypatch.setattr(ensemble_mod, "scale_disorder", flaky)
-    with pytest.raises(RuntimeError, match="realization 8"):
-        run_ensemble([config], threads=2)
-    assert openblas() == 3
-
-
-def test_a_kernel_call_at_two_threads_runs_its_stacks_pinned(monkeypatch, openblas):
-    # the pin holds for the whole call, also on the one worker the kernel's stacks take
-    seen = []
-    original = ensemble_mod._measure_chunk
-
-    def recording(segments, readout):
-        seen.append(openblas())
-        return original(segments, readout)
-
-    monkeypatch.setattr(ensemble_mod, "_measure_chunk", recording)
-    configs = [make_config(n_realizations=4 * ensemble_mod._CHUNK, w=w) for w in (0.5, 2.0)]
-    assert all(ensemble_mod._chebyshev_chosen(config.params) for config in configs)
-    run_ensemble(configs, threads=2)
-    assert seen == [1] and openblas() == 3
+    for threads in (1, 2):
+        with pytest.raises(RuntimeError, match="realization 8"):
+            run_ensemble([config], threads=threads)
+        assert openblas() == 3
 
 
 def _ensemble_threads():

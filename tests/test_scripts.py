@@ -1,11 +1,13 @@
-"""The kept public surface: the validation script, the README's library snippet
-and the package namespace, which holds only its version."""
+"""The kept public surface: the validation and figure scripts, the README's
+library snippet and the package namespace, which holds only its version."""
 
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import qladder
 
@@ -19,6 +21,24 @@ def test_run_validation_script_passes():
                             env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stdout + result.stderr
     assert result.stdout.strip().splitlines()[-1] == "all checks passed"
+
+
+@pytest.mark.parametrize("figure, size, rows", [("fig1", ["--w-points", "2"], 6),
+                                                 ("fig2", ["--t-points", "3"], 15)],
+                         ids=["fig1", "fig2"])
+def test_figure_scripts_write_where_out_dir_says(tmp_path, figure, size, rows):
+    # a forwarded --out-dir wins over the script's own results/<figure>
+    src = str(Path(qladder.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "out"
+    script = ROOT / "scripts" / f"run_{figure}.py"
+    result = subprocess.run([sys.executable, str(script), "--realizations", "2", *size,
+                             "--out-dir", str(out)],
+                            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stdout + result.stderr
+    # the header and one row per grid point
+    assert len((out / f"{figure}.csv").read_text().splitlines()) == 1 + rows
+    assert not (tmp_path / "results").exists()
 
 
 def test_package_import_leaves_numpy_unloaded():
