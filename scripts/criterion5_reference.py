@@ -73,7 +73,7 @@ def run_seed(master_seed: int, n_realizations: int):
         master_seed=master_seed,
         keep_raw=True,
     )
-    engine = np.stack([stats.per_realization for stats in sweep.series[DELTA]])
+    engine = np.stack([stats.per_realization for stats in sweep[DELTA]])
     direct = np.array(
         [
             [expm_concurrence(w, master_seed, i) for i in range(n_realizations)]

@@ -204,18 +204,19 @@ def _figure(args: argparse.Namespace, command: str, defaults: dict, run, headers
 def _fig1_rows(cfg: dict, threads: int):
     from .experiments import default_w_grid, transfer_sweep
 
+    w_grid = default_w_grid(cfg["w_min"], cfg["w_max"], cfg["w_points"])
     result = transfer_sweep(
         n_sites=cfg["n_sites"],
         deltas=cfg["delta"],
-        w_grid=default_w_grid(cfg["w_min"], cfg["w_max"], cfg["w_points"]),
+        w_grid=w_grid,
         n_realizations=cfg["realizations"],
         master_seed=cfg["seed"],
         threads=threads,
         keep_raw=cfg["keep_raw"],
     )
     rows, raw_rows = [], []
-    for delta in result.deltas:
-        for w, stats in zip(result.w_values, result.series[delta]):
+    for delta, series in result.items():
+        for w, stats in zip(w_grid, series):
             rows.append([*map(_fmt, (w, delta, stats.mean, stats.std_error)), str(stats.n)])
             if cfg["keep_raw"]:
                 for i, value in enumerate(stats.per_realization):
@@ -244,26 +245,26 @@ def _fig2_rows(cfg: dict, threads: int):
     tau = transfer_time(cfg["n_sites"])
     if not cfg["t_max"] * tau < float("inf"):  # t_max is in units of tau
         raise ValueError(f"fig2 t_max * tau must be finite, got {cfg['t_max']} at tau = {tau}")
+    times = default_trace_grid(cfg["n_sites"], cfg["t_max"], cfg["t_points"])
     result = leakage_trace(
         n_sites=cfg["n_sites"],
         delta=cfg["delta"],
         w_values=cfg["w"],
-        times=default_trace_grid(cfg["n_sites"], cfg["t_max"], cfg["t_points"]),
+        times=times,
         n_realizations=cfg["realizations"],
         master_seed=cfg["seed"],
         threads=threads,
         keep_raw=cfg["keep_raw"],
     )
     rows, raw_rows = [], []
-    for w in result.w_values:
-        minus = result.minus[w]
-        for k, t in enumerate(result.times):
+    for w, minus in result.items():
+        for k, t in enumerate(times):
             # p_+ = 1 - p_-: one rounding after the mean
             means = (t / tau, w, minus.mean[k], 1.0 - minus.mean[k], minus.std_error[k])
             rows.append([*map(_fmt, means), str(minus.n)])
         if cfg["keep_raw"]:
             for i, trace in enumerate(minus.per_realization):
-                for t, value in zip(result.times, trace):
+                for t, value in zip(times, trace):
                     raw_rows.append([_fmt(t / tau), _fmt(w), str(i), _fmt(value)])
     return rows, raw_rows
 

@@ -4,7 +4,6 @@ leakage traces, the ordered baseline, and the closed-form dimer validation."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,8 +15,6 @@ from .observables import TransferReport, concurrence, leg_occupation, transfer_t
 from .spectral import eigendecompose, evolve, evolve_series
 
 __all__ = [
-    "SweepResult",
-    "TraceResult",
     "default_w_grid",
     "default_trace_grid",
     "transfer_sweep",
@@ -44,26 +41,6 @@ def default_w_grid(w_min: float, w_max: float, w_points: int) -> np.ndarray:
 def default_trace_grid(n_sites: int, span_in_tau: float, n_points: int) -> np.ndarray:
     """Uniform time grid over [0, span_in_tau * tau]."""
     return np.linspace(0.0, span_in_tau * transfer_time(n_sites), n_points)
-
-
-@dataclass(eq=False)
-class SweepResult:
-    """Mean end-cell concurrence per (detuning, disorder) grid point."""
-
-    w_values: np.ndarray
-    deltas: tuple[float, ...]
-    series: dict[float, list[EnsembleStats]]
-
-
-@dataclass(eq=False)
-class TraceResult:
-    """Minus-branch occupation p_- on a time grid, one series per disorder
-    value; the plus branch holds the rest, p_+ = 1 - p_-."""
-
-    times: np.ndarray
-    tau: float
-    w_values: tuple[float, ...]
-    minus: dict[float, EnsembleStats]
 
 
 def _distinct(key: str, values) -> None:
@@ -104,8 +81,10 @@ def transfer_sweep(
     master_seed: int,
     threads: int = 1,
     keep_raw: bool = False,
-) -> SweepResult:
-    """Disorder-averaged C(tau) against W for several detuning amplitudes.
+) -> dict[float, list[EnsembleStats]]:
+    """Disorder-averaged C(tau) against W for several detuning amplitudes:
+    one :class:`EnsembleStats` list per detuning, in input order, each in
+    ``w_grid`` order.
 
     The initial state is the dual-rail Bell state on cell 1, evolved under
     the +/- basis Hamiltonian with the engineered coupling profile and read
@@ -119,8 +98,7 @@ def transfer_sweep(
     _distinct("w", w_grid.tolist())
     points = [(float(w), delta) for delta in deltas for w in w_grid]
     results = iter(_run_grid(points, None, n_sites, n_realizations, master_seed, threads, keep_raw))
-    series = {delta: [next(results) for _ in w_grid] for delta in deltas}
-    return SweepResult(w_values=w_grid, deltas=deltas, series=series)
+    return {delta: [next(results) for _ in w_grid] for delta in deltas}
 
 
 def leakage_trace(
@@ -132,16 +110,15 @@ def leakage_trace(
     master_seed: int,
     threads: int = 1,
     keep_raw: bool = False,
-) -> TraceResult:
-    """Disorder-averaged occupation of the minus branch over time, per W."""
-    tau = transfer_time(n_sites)
-    times = np.asarray(times, dtype=np.float64)
+) -> dict[float, EnsembleStats]:
+    """Disorder-averaged occupation p_- of the minus branch on ``times``, one
+    :class:`EnsembleStats` per W, in input order; the plus branch holds the
+    rest, p_+ = 1 - p_-."""
     w_values = tuple(float(w) for w in w_values)
     _distinct("w", w_values)
     points = [(w, float(delta)) for w in w_values]
     results = _run_grid(points, times, n_sites, n_realizations, master_seed, threads, keep_raw)
-    minus = dict(zip(w_values, results))
-    return TraceResult(times=times, tau=tau, w_values=w_values, minus=minus)
+    return dict(zip(w_values, results))
 
 
 def ordered_baseline(n_sites: int, exact_revival: bool = False) -> TransferReport:

@@ -142,7 +142,7 @@ def criterion_5_sweep(n_realizations):
         master_seed=SEED,
         keep_raw=True,
     )
-    return result.series[0.2]
+    return result[0.2]
 
 
 def test_criterion_5_transfer_improves_with_disorder():
@@ -204,7 +204,7 @@ def test_criterion_6_saturation_ordered_by_detuning():
         master_seed=SEED,
         keep_raw=True,
     )
-    sat = {d: result.series[d][0] for d in (0.05, 0.1, 0.2)}
+    sat = {d: result[d][0] for d in (0.05, 0.1, 0.2)}
     p_05_10 = welch_greater(sat[0.05].per_realization, sat[0.1].per_realization)
     p_10_20 = welch_greater(sat[0.1].per_realization, sat[0.2].per_realization)
     elapsed = time.perf_counter() - start
@@ -233,8 +233,8 @@ def test_criterion_7_disorder_suppresses_leakage():
         keep_raw=True,
     )
     window = times >= 5.0 * tau
-    low = result.minus[0.2].per_realization[:, window].mean(axis=1)
-    high = result.minus[10.0].per_realization[:, window].mean(axis=1)
+    low = result[0.2].per_realization[:, window].mean(axis=1)
+    high = result[10.0].per_realization[:, window].mean(axis=1)
     p_value = welch_greater(high, low)
     elapsed = time.perf_counter() - start
     assert high.mean() > low.mean()

@@ -111,7 +111,7 @@ def test_a_config_freezes_a_copy_of_the_caller_times():
     assert t.flags.writeable and t[0] == 5.0
     assert not config.trace_times.flags.writeable
     assert np.array_equal(config.trace_times, [0.0, 0.5, 1.0])
-    assert trace.minus[1.0].mean.shape == (3,)
+    assert trace[1.0].mean.shape == (3,)
 
 
 def test_config_requires_realizations():
@@ -282,13 +282,12 @@ def test_a_grid_point_gives_the_same_values_alone_and_after_another():
                   keep_raw=True)
     alone = leakage_trace(w_values=(2.0,), **kwargs)
     after = leakage_trace(w_values=(0.5, 2.0), **kwargs)
-    assert np.array_equal(alone.minus[2.0].per_realization, after.minus[2.0].per_realization)
+    assert np.array_equal(alone[2.0].per_realization, after[2.0].per_realization)
     # draws kept from a direct run of 7 realizations are not reused for 11;
     # the larger ensemble's first realizations are the smaller one's
     run_ensemble([make_config(n_realizations=7, seed=42)])
     larger = leakage_trace(w_values=(2.0,), **{**kwargs, "n_realizations": 11})
-    assert np.array_equal(alone.minus[2.0].per_realization,
-                          larger.minus[2.0].per_realization[:7])
+    assert np.array_equal(alone[2.0].per_realization, larger[2.0].per_realization[:7])
 
 
 def test_each_sweep_derives_its_streams_once(monkeypatch):
@@ -804,7 +803,7 @@ def test_leakage_traces_match_site_basis_expm():
     worst = 0.0
     for w in (0.2, 10.0):
         params = LadderParams(n_sites=n_sites, disorder_w=w, detuning_delta=delta)
-        engine = result.minus[w].per_realization
+        engine = result[w].per_realization
         for i in range(n_realizations):
             h = build_physical(sample_realization(params, derive_stream(42, i))).entries
             step = expm(-1j * dt * h)
@@ -1027,7 +1026,7 @@ def test_a_grid_point_gives_bitwise_the_same_values_alone_and_in_packed_stacks(m
     # the sweep driver hands its whole grid to one call: the same values again
     sweep = transfer_sweep(10, PACKED_DELTAS, (*PACKED_W, EIGEN_W), PACKED_N, 42, keep_raw=True)
     for point, config in enumerate(packed):
-        stats = sweep.series[config.params.detuning_delta][point % (len(PACKED_W) + 1)]
+        stats = sweep[config.params.detuning_delta][point % (len(PACKED_W) + 1)]
         assert np.array_equal(stats.per_realization, swept[1][point].per_realization)
 
 

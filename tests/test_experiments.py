@@ -43,7 +43,8 @@ def test_a_sweep_runs_its_whole_grid_through_one_run_ensemble_call(monkeypatch):
     result = transfer_sweep(n_sites=4, deltas=(0.1, 0.2), w_grid=[0.5, 2.0],
                             n_realizations=2, master_seed=1)
     assert calls == [[(0.5, 0.1), (2.0, 0.1), (0.5, 0.2), (2.0, 0.2)]]
-    assert all(stats.n == 2 for series in result.series.values() for stats in series)
+    assert list(result) == [0.1, 0.2]
+    assert all(stats.n == 2 for series in result.values() for stats in series)
 
 
 def test_sweep_zero_detuning_control_row():
@@ -55,7 +56,7 @@ def test_sweep_zero_detuning_control_row():
         n_realizations=3,
         master_seed=7,
     )
-    for stats in result.series[0.0]:
+    for stats in result[0.0]:
         assert float(stats.mean) >= 1.0 - 1e-6
 
 
@@ -69,7 +70,7 @@ def test_sweep_trend_improves_with_disorder():
         master_seed=5,
         keep_raw=True,
     )
-    low, high = result.series[0.2]
+    low, high = result[0.2]
     assert float(high.mean) > float(low.mean)
     assert welch_greater(high.per_realization, low.per_realization) < 0.01
 
@@ -84,9 +85,8 @@ def test_leakage_trace_shapes_and_completeness():
         n_sites=6, delta=0.2, w_values=(0.2, 10.0), times=times,
         n_realizations=4, master_seed=3,
     )
-    assert result.tau == transfer_time(6)
-    for w in result.w_values:
-        minus = result.minus[w]
+    assert list(result) == [0.2, 10.0]
+    for minus in result.values():
         assert minus.mean.shape == times.shape
         assert minus.mean[0] == 1.0  # the initial state lives in the minus branch
 
@@ -97,9 +97,9 @@ def test_leakage_is_suppressed_by_disorder():
         n_sites=10, delta=0.2, w_values=(0.2, 10.0), times=times,
         n_realizations=30, master_seed=9, keep_raw=True,
     )
-    window = times >= 3.0 * result.tau
-    low = result.minus[0.2].per_realization[:, window].mean(axis=1)
-    high = result.minus[10.0].per_realization[:, window].mean(axis=1)
+    window = times >= 3.0 * transfer_time(10)
+    low = result[0.2].per_realization[:, window].mean(axis=1)
+    high = result[10.0].per_realization[:, window].mean(axis=1)
     assert high.mean() > low.mean()
     assert welch_greater(high, low) < 0.01
 

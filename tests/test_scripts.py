@@ -23,6 +23,25 @@ def test_run_validation_script_passes():
     assert result.stdout.strip().splitlines()[-1] == "all checks passed"
 
 
+def test_criterion5_reference_script_engine_matches_expm():
+    # in a subprocess: the script sets the BLAS thread variables at import
+    code = (
+        "import runpy, sys\n"
+        "import numpy as np\n"
+        "script = runpy.run_path(sys.argv[1])\n"
+        "engine, direct = script['run_seed'](1, 3)\n"
+        "assert engine.shape == direct.shape == (2, 3), (engine.shape, direct.shape)\n"
+        "deviation = float(np.max(np.abs(engine - direct)))\n"
+        "assert deviation <= script['PATH_TOL'], deviation\n"
+    )
+    src = str(Path(qladder.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script = ROOT / "scripts" / "criterion5_reference.py"
+    result = subprocess.run([sys.executable, "-c", code, str(script)],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stdout + result.stderr
+
+
 @pytest.mark.parametrize("figure, size, rows", [("fig1", ["--w-points", "2"], 6),
                                                  ("fig2", ["--t-points", "3"], 15)],
                          ids=["fig1", "fig2"])

@@ -185,7 +185,7 @@ def test_diagonalize_falls_back_to_eigh_without_the_library(monkeypatch):
 
     def means():
         sweep = transfer_sweep(30, [0.0, 0.2], [0.2, 10.0], 20, 42)
-        return np.array([[stats.mean for stats in series] for series in sweep.series.values()])
+        return np.array([[stats.mean for stats in series] for series in sweep.values()])
 
     banded = means()
     monkeypatch.setattr(spectral_mod, "_openblas", lambda: None)
