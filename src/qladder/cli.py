@@ -88,7 +88,10 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A float, or an int that converts to a finite float."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, float)
 
 
 def _check_config_value(command: str, key: str, value, default) -> None:

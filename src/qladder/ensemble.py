@@ -2,14 +2,15 @@
 
 Each realization index owns an independent random stream derived from the
 master seed, so ensembles are reproducible bit-for-bit regardless of worker
-count or execution order. A chunk of consecutive realizations is carried
-end-to-end as plain stacked arrays (draw or reuse the chunk's unit
-uniforms, scale them by W and Delta, build the stack, diagonalize it in
-one call, certify it, evolve the entries each readout reads at all
-times at once, measure); results are reduced in realization order so
-floating-point summation is fixed. The unit uniforms of the last chunks
-drawn are kept, so the grid points of a sweep (same seed and ladder length)
-derive each stream once between them.
+count or execution order. Each call derives its grid's unit uniforms
+once, before its workers start: one read-only array per master seed and
+ladder length, as long as the largest ensemble that reads it, so the grid
+points of a sweep scale the same draws, and nothing is kept between calls.
+A chunk of consecutive realizations is carried end-to-end as plain stacked
+arrays (scale its rows of those uniforms by W and Delta, build the stack,
+diagonalize it in one call, certify it, evolve the entries each readout
+reads at all times at once, measure); results are reduced in realization
+order so floating-point summation is fixed.
 
 Each config has one readout, chosen once by :func:`run_ensemble`: with
 ``trace_times`` the minus-branch occupation p_- on that grid (the plus
@@ -66,7 +67,6 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -97,11 +97,6 @@ _STACK = 400
 # Break-even K / D measured 15-35 from N = 5 to 60 (stacks of 100, W = 0.2 and 2).
 _TERMS_PER_SLOT = 15
 
-# Chunks of unit draws kept between run_ensemble calls: 1,280 realizations,
-# 0.6 MB at N = 30. A sweep over more realizations derives its streams per
-# grid point, as if nothing were kept.
-_KEPT_CHUNKS = 256
-
 # Calls take turns under _LOCK, which guards the OpenBLAS pin.
 _LOCK = threading.Lock()
 
@@ -122,13 +117,12 @@ def derive_stream(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-@lru_cache(maxsize=_KEPT_CHUNKS)
-def _chunk_draws(master_seed: int, n_sites: int, start: int, stop: int) -> np.ndarray:
-    """Read-only (stop - start, 2N) unit uniforms: row k is the 2N draws that
+def _unit_uniforms(master_seed: int, n_sites: int, n: int) -> np.ndarray:
+    """Read-only (n, 2N) unit uniforms: row i is the 2N draws that
     :func:`~qladder.model.sample_realization` takes from
-    ``derive_stream(master_seed, start + k)``."""
-    units = np.empty((stop - start, 2 * n_sites))
-    for i, row in enumerate(units, start):
+    ``derive_stream(master_seed, i)``."""
+    units = np.empty((n, 2 * n_sites))
+    for i, row in enumerate(units):
         derive_stream(master_seed, i).random(out=row)
     units.setflags(write=False)
     return units
@@ -200,11 +194,12 @@ def _chebyshev_chosen(params: LadderParams) -> tuple | None:
 class _Segment(NamedTuple):
     """Realizations ``start .. stop - 1`` of grid point ``point``, whose
     config is ``config``; ``kernel`` is its (a, series) where the Chebyshev
-    kernel reads it."""
+    kernel reads it, and row i of ``units`` is realization i's unit draws."""
 
     point: int
     config: EnsembleConfig
     kernel: tuple | None
+    units: np.ndarray
     start: int
     stop: int
 
@@ -223,23 +218,12 @@ def _end_concurrence(plus, minus) -> np.ndarray:
     return 2.0 * np.abs(leg1) * np.abs(leg2)
 
 
-def _draws(segment: _Segment) -> np.ndarray:
-    """The unit draws of ``segment``'s realizations, cut from the kept draws
-    of their chunks; one chunk's are not copied."""
-    # drawn as each stack runs: all drawn first, a warm fig2 took 1,400-3,900 faults, not <1,000
-    # a copy of a lone chunk's draws raised fig2's peak RSS by 0.2-0.3 MB
-    config, start, stop = segment.config, segment.start, segment.stop
-    draws = [_chunk_draws(config.master_seed, config.params.n_sites, lo,
-                          min(lo + _CHUNK, config.n_realizations))[max(start - lo, 0):stop - lo]
-             for lo in range(start - start % _CHUNK, stop, _CHUNK)]
-    return draws[0] if len(draws) == 1 else np.concatenate(draws)
-
-
 def _cells(segments) -> tuple:
     """The (R, N) per-cell parameters (eps_leg1, eps_leg2, gamma_n) of the
     realizations of ``segments``, stacked in order, each segment's draws
     scaled by its own W and Delta."""
-    scaled = [scale_disorder(segment.config.params, _draws(segment)) for segment in segments]
+    scaled = [scale_disorder(segment.config.params, segment.units[segment.start:segment.stop])
+              for segment in segments]
     eps_leg1, delta_n = scaled[0] if len(scaled) == 1 else map(np.concatenate, zip(*scaled))
     for name, values in (("eps_leg1", eps_leg1), ("delta_n", delta_n)):
         if not np.all(np.isfinite(values)):
@@ -248,7 +232,7 @@ def _cells(segments) -> tuple:
 
 
 # A readout measures the realizations of its segments, stacked on axis 0 in
-# order; it draws them itself, so their arrays go as soon as it is done with them.
+# order; it scales their draws itself, so their arrays go as soon as it is done with them.
 
 def _eigen_readout(segments, times, rows, measure):
     """``measure(re, im)`` of the realizations of ``segments`` by the eigen
@@ -407,15 +391,23 @@ def run_ensemble(configs, threads: int = 1, keep_raw: bool = False) -> list[Ense
     failure in that order is the one raised. The workers are the call's
     own, and none outlives it; numpy's OpenBLAS is held at one thread for
     the length of every call, so ``threads`` sets only the worker count.
-    Calls from several threads take turns.
+    Calls from several threads take turns. Before the workers start, the
+    calling thread derives each realization's stream once for the call: the
+    configs of one master seed and N all scale the draws of the longest.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     configs = list(configs)
+    lengths = {}
+    for config in configs:
+        key = (config.master_seed, config.params.n_sites)
+        lengths[key] = max(lengths.get(key, 0), config.n_realizations)
+    units = {key: _unit_uniforms(*key, n) for key, n in lengths.items()}
     chosen, eigen = [], []
     for point, config in enumerate(configs):
         kernel = _chebyshev_chosen(config.params) if config.trace_times is None else None
-        whole = _Segment(point, config, kernel, 0, config.n_realizations)
+        whole = _Segment(point, config, kernel, units[config.master_seed, config.params.n_sites],
+                         0, config.n_realizations)
         if kernel:
             chosen.append(whole)
             continue

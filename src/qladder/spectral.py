@@ -32,7 +32,7 @@ import glob
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -87,7 +87,7 @@ class EigenSystem:
         return self.eigenvalues.size
 
 
-@lru_cache(maxsize=1)
+@cache
 def _openblas():
     """The OpenBLAS that numpy bundles, as a ctypes library whose LAPACK
     ``scipy_dsbevd_64_`` and thread-count functions

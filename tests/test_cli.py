@@ -150,15 +150,25 @@ def test_a_config_key_outside_any_command_section_fails(tmp_path, capsys):
     assert not (tmp_path / "x").exists()  # rejected before any work
 
 
+PAST_FLOAT = 10**400  # a JSON integer that no float holds
+
+
 @pytest.mark.parametrize(
     "section, key, expected",
     [({"delta": 0.2}, "fig1.delta", "a list of numbers"),
-     ({"realizations": "3"}, "fig1.realizations", "an integer")],
+     ({"realizations": "3"}, "fig1.realizations", "an integer"),
+     ({"w_min": PAST_FLOAT}, "fig1.w_min", "a number"),
+     ({"w_max": PAST_FLOAT}, "fig1.w_max", "a number"),
+     ({"delta": [0.2, PAST_FLOAT]}, "fig1.delta", "a list of numbers"),
+     ({"t_max": PAST_FLOAT}, "fig2.t_max", "a number"),
+     ({"w": [PAST_FLOAT]}, "fig2.w", "a list of numbers"),
+     ({"delta": -PAST_FLOAT}, "fig2.delta", "a number")],
 )
 def test_fig1_rejects_mistyped_config_values(tmp_path, capsys, section, key, expected):
+    command = key.split(".")[0]
     cfg = tmp_path / "typed.json"
-    cfg.write_text(json.dumps({"fig1": section}))
-    code = main(["fig1", "--config", str(cfg), "--out-dir", str(tmp_path / "x")])
+    cfg.write_text(json.dumps({command: section}))
+    code = main([command, "--config", str(cfg), "--out-dir", str(tmp_path / "x")])
     assert code == 1
     err = capsys.readouterr().err
     assert key in err and expected in err

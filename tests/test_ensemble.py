@@ -256,8 +256,7 @@ def test_grid_draws_keep_the_stream_contract(seed):
     # own stream, Generator(Philox(SeedSequence(seed, spawn_key=(i,)))), under
     # sample_realization and under the two Generator.uniform calls that define it
     n_sites, n_realizations = 12, 9
-    units = np.concatenate([ensemble_mod._chunk_draws(seed, n_sites, 0, 4),
-                            ensemble_mod._chunk_draws(seed, n_sites, 4, n_realizations)])
+    units = ensemble_mod._unit_uniforms(seed, n_sites, n_realizations)
     for w in (0.0, *default_w_grid(0.2, 10.0, 5), 1e5):
         for delta in (0.0, 0.05, 0.2):
             params = LadderParams(n_sites=n_sites, disorder_w=w, detuning_delta=delta)
@@ -283,15 +282,17 @@ def test_a_grid_point_gives_the_same_values_alone_and_after_another():
     alone = leakage_trace(w_values=(2.0,), **kwargs)
     after = leakage_trace(w_values=(0.5, 2.0), **kwargs)
     assert np.array_equal(alone[2.0].per_realization, after[2.0].per_realization)
-    # draws kept from a direct run of 7 realizations are not reused for 11;
-    # the larger ensemble's first realizations are the smaller one's
+    # a run of 7 realizations before one of 11 changes nothing; the larger
+    # ensemble's first realizations are the smaller one's
     run_ensemble([make_config(n_realizations=7, seed=42)])
     larger = leakage_trace(w_values=(2.0,), **{**kwargs, "n_realizations": 11})
     assert np.array_equal(alone[2.0].per_realization, larger[2.0].per_realization[:7])
 
 
-def test_each_sweep_derives_its_streams_once(monkeypatch):
-    # three grid points, seven realizations: seven streams
+@pytest.mark.parametrize("n_realizations", [7, 1_300])
+def test_each_sweep_derives_its_streams_once(monkeypatch, n_realizations):
+    # three grid points, n realizations: n streams, for every sweep of a
+    # process, whatever ran before it and however many realizations it has
     calls = []
     original = ensemble_mod.derive_stream
 
@@ -300,32 +301,11 @@ def test_each_sweep_derives_its_streams_once(monkeypatch):
         return original(seed, index)
 
     monkeypatch.setattr(ensemble_mod, "derive_stream", counted)
-    ensemble_mod._chunk_draws.cache_clear()  # whatever an earlier run kept
-    leakage_trace(n_sites=8, delta=0.2, w_values=(0.5, 1.0, 2.0), times=[0.0, 1.0],
-                  n_realizations=7, master_seed=42)
-    assert calls == list(range(7))
-
-
-def test_the_draws_kept_after_a_run_are_bounded(monkeypatch):
-    # draws are made one chunk at a time, and a run over more realizations
-    # than are kept holds only the last chunks' draws afterwards
-    monkeypatch.setattr(ensemble_mod, "_CHUNK", 2)
-    ensemble_mod._chunk_draws.cache_clear()
-    n_realizations = 2 * ensemble_mod._KEPT_CHUNKS + 6
-    shapes = []
-    original = ensemble_mod._draws
-
-    def recording(segment):
-        units = original(segment)
-        shapes.append(units.shape)
-        return units
-
-    monkeypatch.setattr(ensemble_mod, "_draws", recording)
-    run_ensemble([make_config(n_sites=2, n_realizations=n_realizations, trace_times=EIGEN_TIMES)])
-    assert set(shapes) == {(2, 4)}
-    info = ensemble_mod._chunk_draws.cache_info()
-    assert info.currsize == info.maxsize == ensemble_mod._KEPT_CHUNKS
-    ensemble_mod._chunk_draws.cache_clear()
+    for _ in range(2):
+        calls.clear()
+        leakage_trace(n_sites=2, delta=0.2, w_values=(0.5, 1.0, 2.0), times=[0.0, 1.0],
+                      n_realizations=n_realizations, master_seed=42)
+        assert calls == list(range(n_realizations))
 
 
 def test_engine_matrices_match_the_public_path(monkeypatch):
@@ -828,25 +808,32 @@ def test_plans_share_realization_streams(monkeypatch):
     # same (params, seed, index) -> same realizations, whatever is measured,
     # so results are consistent per realization across different drivers:
     # a C(tau) run and a trace run hand the readouts the same unit draws
-    draws, readouts = {}, []
-    original_chunk, original_draws = ensemble_mod._measure_chunk, ensemble_mod._draws
+    draws, readouts, scaled = {}, [], []
+    original_chunk, original_cells = ensemble_mod._measure_chunk, ensemble_mod._cells
+    original_scale = ensemble_mod.scale_disorder
 
     def measuring(segments, readout):
         readouts.append(readout.__name__)
         return original_chunk(segments, readout)
 
-    def drawing(segment):
-        units = original_draws(segment)
+    def scaling(params, unit):
+        scaled.append(unit.copy())
+        return original_scale(params, unit)
+
+    def cells(segments):  # each segment's draws, as they are scaled
+        scaled.clear()
+        result = original_cells(segments)
         rows = draws.setdefault(readouts[-1], {})
-        for i, row in enumerate(units, segment.start):
-            rows.setdefault(i, []).append(row.copy())
-        return units
+        for segment, units in zip(segments, scaled, strict=True):
+            assert units.shape[0] == segment.stop - segment.start
+            for i, row in enumerate(units, segment.start):
+                rows.setdefault(i, []).append(row)
+        return result
 
     monkeypatch.setattr(ensemble_mod, "_measure_chunk", measuring)
-    monkeypatch.setattr(ensemble_mod, "_draws", drawing)
-    ensemble_mod._chunk_draws.cache_clear()
+    monkeypatch.setattr(ensemble_mod, "scale_disorder", scaling)
+    monkeypatch.setattr(ensemble_mod, "_cells", cells)
     run_ensemble([make_config(n_realizations=13)])
-    ensemble_mod._chunk_draws.cache_clear()  # drawn afresh, not kept from the first run
     run_ensemble([make_config(n_realizations=13, trace_times=np.linspace(0.0, 20.0, 15))])
     assert draws.keys() == {"_chebyshev_concurrence", "_branch_trace"}
     kernel, trace = draws["_chebyshev_concurrence"], draws["_branch_trace"]
