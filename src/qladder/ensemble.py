@@ -7,10 +7,10 @@ once, before its workers start: one read-only array per master seed and
 ladder length, as long as the largest ensemble that reads it, so the grid
 points of a sweep scale the same draws, and nothing is kept between calls.
 A chunk of consecutive realizations is carried end-to-end as plain stacked
-arrays (scale its rows of those uniforms by W and Delta, build the stack,
-diagonalize it in one call, certify it, evolve the entries each readout
-reads at all times at once, measure); results are reduced in realization
-order so floating-point summation is fixed.
+arrays (scale its rows of those uniforms by W and Delta, build the stack's
+band, diagonalize it in one call, certify it, evolve the entries each
+readout reads at all times at once, measure); results are reduced in
+realization order so floating-point summation is fixed.
 
 Each config has one readout, chosen once by :func:`run_ensemble`: with
 ``trace_times`` the minus-branch occupation p_- on that grid (the plus
@@ -26,14 +26,15 @@ bound) once, and the kernel takes them with the point's column count; it
 works elementwise over the stack, each column at its own point's a, so a
 realization's value is bitwise the same in any stack. The grid points of
 one call that the kernel reads share its stacks: ordered by N and then by
-K, they are cut into chunks and packed into stacks of at most 400 columns
-(``_STACK``), which run on one worker; the same cutter cuts each eigen-path
-point into its chunks. Every eigen-path readout is one function: it
-assembles, diagonalizes and certifies a stack, and measures the entries it
-propagates while the stack is held. Realization 0 of each grid point is
-audited: the eigen path recomputes those of a stack in one call, and each
-one's complex last-cell amplitudes must agree with the kernel's within the
-sum of the two paths' error bounds for its own grid point.
+K, they are cut and packed into stacks of at most 400 columns (``_STACK``),
+which run on one worker; the same cutter cuts each eigen-path point into
+its chunks. Every eigen-path readout is one function: it builds
+a stack's band, hands it to :func:`~qladder.spectral.diagonalize` as is,
+certifies the eigensystems against the dense matrices, and measures the
+entries it propagates while the stack is held. Realization 0 of each grid
+point is audited: the eigen path recomputes those of a stack in one call,
+and each one's complex last-cell amplitudes must agree with the kernel's
+within the sum of the two paths' error bounds for its own grid point.
 
 Each call runs on a thread pool of its own, also at one thread, and closes
 it before it returns: the kernel's stacks on one worker, then each other
@@ -72,7 +73,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .chebyshev import _chebyshev_series, chebyshev_propagate
-from .hamiltonian import _SQRT1_2, Branch, assemble_effective, effective_band, flat_index
+from .hamiltonian import _SQRT1_2, Branch, _dense, effective_band, flat_index
 from .model import LadderParams, correlated_channel, scale_disorder
 from .observables import transfer_time
 from .spectral import _openblas, certify, diagonalize, eigen_error_bound, propagate, squared_norms
@@ -88,9 +89,9 @@ __all__ = [
 # Larger chunks add memory (fig2 at chunk 25: +23 MB peak) but no speed.
 _CHUNK = 5
 
-# Columns per Chebyshev stack, shared by the kernel's grid points, a multiple of _CHUNK
-# and of 8: at W = 10, N = 30 the kernel took 183-195 us per realization at 400,
-# 208-259 at 100, 238-260 at 1,000.
+# Columns per Chebyshev stack, shared by the kernel's grid points, a multiple of 8:
+# at W = 10, N = 30 the kernel took 183-195 us per realization at 400, 208-259 at
+# 100, 238-260 at 1,000.
 _STACK = 400
 
 # Chebyshev terms per slot (of D = 2N) that cost as much as the eigen path.
@@ -236,14 +237,18 @@ def _cells(segments) -> tuple:
 
 def _eigen_readout(segments, times, rows, measure):
     """``measure(re, im)`` of the realizations of ``segments`` by the eigen
-    path, and certify's e, r and max |L|: their stack is assembled,
-    diagonalized and certified for the Bell start at ``times``, and ``re``
-    and ``im`` are the (R, K, T) parts of its entries ``rows`` at ``times``.
+    path, and certify's e, r and max |L|: their stack's band is checked
+    finite and diagonalized, its dense matrices are certified for the Bell
+    start at ``times``, and ``re`` and ``im`` are the (R, K, T) parts of its
+    entries ``rows`` at ``times``.
     ``measure`` runs while the stack's arrays are held: with them freed
     first, a warm fig2 took ~6,000 minor faults, not ~20."""
     params = segments[0].config.params
-    entries = assemble_effective(*_cells(segments), params.couplings())
-    eigenvalues, eigenvectors = diagonalize(entries)
+    band = effective_band(*_cells(segments), params.couplings())
+    if not all(np.all(np.isfinite(diagonal)) for diagonal in band):
+        raise ValueError("entries contain non-finite values")
+    eigenvalues, eigenvectors = diagonalize(band)
+    entries = _dense(band)  # certify's products stay dense: a banded H V took 52 us a chunk, not 20
     # the Bell pair on cell 1 is the unit vector |1,->, so psi0 is real
     psi0 = np.zeros(entries.shape[:2])
     psi0[:, flat_index(1, Branch.MINUS, params.n_sites)] = 1.0
@@ -333,20 +338,17 @@ def _measure_chunk(segments, readout) -> list[np.ndarray]:
 
 
 def _pack(wholes, width: int) -> list[list[_Segment]]:
-    """The whole-run segments ``wholes``, in order, cut into segments of
-    whole chunks (and a point's last, short one) and packed into stacks of
-    at most ``width`` columns and one N each: at ``_CHUNK``, each stack is
-    one chunk."""
+    """The whole-run segments ``wholes``, in order, cut into segments and
+    packed into stacks of at most ``width`` columns and one N each: at
+    ``_CHUNK``, each stack is one chunk."""
     stacks, room, stack_sites = [], 0, None
     for whole in wholes:
         start, n_sites = 0, whole.config.params.n_sites
         while start < whole.stop:
-            left = whole.stop - start
-            take = left if left <= room else room - room % _CHUNK
+            take = min(whole.stop - start, room)
             if not take or stack_sites != n_sites:
                 stacks.append([])
-                # a stack holds at least one chunk
-                room, stack_sites = max(width, _CHUNK), n_sites
+                room, stack_sites = width, n_sites
                 continue
             stacks[-1].append(whole._replace(start=start, stop=start + take))
             start, room = start + take, room - take

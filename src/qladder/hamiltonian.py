@@ -4,6 +4,13 @@ Flat index convention (shared by both bases): cell n (1-based) occupies the
 two adjacent slots 2*(n-1) and 2*(n-1)+1. Slot order is (leg 1, leg 2) in the
 site basis and (+, -) in the per-cell symmetric/antisymmetric basis, where
 |n,+-> = (|n, leg1> +- |n, leg2>) / sqrt(2).
+
+Both bases' Hamiltonians are built as their band, realizations last
+(:func:`_ladder_band`): the ensemble engine hands the +/- basis band of a
+stack (:func:`effective_band`) to :func:`~qladder.spectral.diagonalize` as
+is, and :func:`build_physical` and :func:`build_effective` expand one
+realization's band into a dense :class:`HermitianOperator`, which checks
+that it is exactly symmetric and finite.
 """
 
 from __future__ import annotations
@@ -28,7 +35,6 @@ __all__ = [
     "bell_minus_state",
     "build_physical",
     "build_effective",
-    "assemble_effective",
     "effective_band",
     "to_plus_minus",
     "to_physical",
@@ -60,15 +66,6 @@ class BasisMismatchError(ValueError):
     """A state or operator carries a different basis tag than required."""
 
 
-def _check_entries(entries: np.ndarray) -> None:
-    """Raise ValueError unless one matrix, or every matrix of a stack, is
-    exactly symmetric and finite."""
-    if not np.array_equal(entries, np.swapaxes(entries, -1, -2)):  # NaN fails too
-        raise ValueError("entries must be exactly symmetric")
-    if not np.all(np.isfinite(entries)):
-        raise ValueError("entries contain non-finite values")
-
-
 def flat_index(cell: int, slot: int, n_sites: int) -> int:
     """Flat index of (cell, slot) with 1-based cells and slot in {0, 1}."""
     if not 1 <= cell <= n_sites:
@@ -91,7 +88,10 @@ class HermitianOperator:
             raise ValueError(f"entries must be square, got shape {entries.shape}")
         if entries.shape[0] % 2 or entries.shape[0] < 2:
             raise ValueError(f"dimension must be even and >= 2, got {entries.shape[0]}")
-        _check_entries(entries)
+        if not np.array_equal(entries, entries.T):  # NaN fails too
+            raise ValueError("entries must be exactly symmetric")
+        if not np.all(np.isfinite(entries)):
+            raise ValueError("entries contain non-finite values")
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
 
@@ -188,20 +188,8 @@ def build_effective(realization: DisorderRealization) -> HermitianOperator:
     (eps1 - eps2)/2 on each cell.
     """
     cells = (realization.eps_leg1, realization.eps_leg2, realization.gamma_n)
-    stack = assemble_effective(*(c[None] for c in cells), realization.couplings)
-    return HermitianOperator(stack[0], Basis.PLUS_MINUS)
-
-
-def assemble_effective(eps_leg1, eps_leg2, gamma_n, couplings) -> np.ndarray:
-    """Stack of +/- basis Hamiltonians from (R, N) per-cell parameters.
-
-    ``couplings`` is (N-1,), shared by the whole stack, or (R, N-1). Every
-    matrix passes the exact-symmetry and finiteness checks of
-    :class:`HermitianOperator`.
-    """
-    h = _dense(effective_band(eps_leg1, eps_leg2, gamma_n, couplings))
-    _check_entries(h)
-    return h
+    band = effective_band(*(c[None] for c in cells), realization.couplings)
+    return HermitianOperator(_dense(band)[0], Basis.PLUS_MINUS)
 
 
 def effective_band(eps_leg1, eps_leg2, gamma_n, couplings) -> list[np.ndarray]:

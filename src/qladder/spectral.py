@@ -3,13 +3,14 @@
 Evolution here goes through the full eigendecomposition: the matrices are
 small (2N <= a few hundred) and a trace reads many times per realization,
 so U(t) = V exp(-i L t) V^T is both exact and fastest. The ladder couples
-only neighbouring slots, so :func:`diagonalize` hands each matrix to
-LAPACK's band eigensolver ``dsbevd``, called through ``ctypes`` in the
-OpenBLAS that numpy bundles (dense ``np.linalg.eigh`` without it). One
-kernel, :func:`propagate`, evolves a stack of eigensystems over a grid of
-times at once, for only the state entries a readout reads;
-:func:`evolve_series` is a stack of one, and :func:`evolve` is
-:func:`evolve_series` at a single time. A readout at one time needs no
+only neighbouring slots, so :func:`diagonalize` takes a stack as the band
+it is built as and hands each matrix to LAPACK's band eigensolver
+``dsbevd``, called through ``ctypes`` in the OpenBLAS that numpy bundles
+(dense ``np.linalg.eigh`` without it); :func:`eigendecompose` gives it one
+matrix's band. One kernel, :func:`propagate`, evolves a stack of
+eigensystems over a grid of times at once, for only the state entries a
+readout reads; :func:`evolve_series` is a stack of one, and :func:`evolve`
+is :func:`evolve_series` at a single time. A readout at one time needs no
 eigenvectors: :mod:`qladder.chebyshev` evolves such a state by a Chebyshev
 expansion instead, which :func:`eigen_error_bound` lets this path audit.
 
@@ -36,7 +37,7 @@ from functools import cache
 
 import numpy as np
 
-from .hamiltonian import BasisMismatchError, HermitianOperator, StateVector
+from .hamiltonian import BasisMismatchError, HermitianOperator, StateVector, _dense
 
 __all__ = [
     "EigenSystem",
@@ -113,41 +114,29 @@ def _openblas():
     return None
 
 
-def _half_bandwidths(stack: np.ndarray) -> list[int]:
-    """Per matrix of an (R, D, D) stack, the largest i - j of any nonzero
-    entry (i, j) on or below the diagonal: the lower half-bandwidth."""
-    dim = stack.shape[-1]
-    # row i's first nonzero column, the diagonal counted as nonzero
-    first = np.argmax((stack != 0) | np.eye(dim, dtype=bool), axis=-1)
-    return (np.arange(dim) - first).max(axis=-1).tolist()
+def diagonalize(band) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and orthonormal eigenvector columns of each
+    real symmetric matrix of a stack, given by its lower band as
+    :func:`~qladder.hamiltonian._ladder_band` lays it out: ``band[k]`` is
+    the (D - k, R) k-th subdiagonal, holding H_r[j + k, j] at [j, r], or
+    (D - k, 1), shared by the stack. Returns (R, D) and (R, D, D) arrays.
 
-
-def diagonalize(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and orthonormal eigenvector columns of one real
-    symmetric matrix, or of each matrix of an (R, D, D) stack.
-
-    The ladder couples only neighbouring slots, so its matrices are banded:
-    the half-bandwidth kd, the largest |i - j| of any nonzero entry, is 2.
-    Each matrix goes to LAPACK's band solver ``dsbevd`` in numpy's bundled
-    OpenBLAS with its own kd (a dense matrix has kd = D - 1), which reads
-    only its lower kd + 1 diagonals; so a matrix gives bitwise the same
-    eigensystem in any stack. Without that library, ``np.linalg.eigh``
-    diagonalizes the stack instead.
+    The ladder couples only neighbouring slots, so its band has three
+    diagonals: half-bandwidth kd = 2. Each matrix goes to LAPACK's band
+    solver ``dsbevd`` in numpy's bundled OpenBLAS with kd = len(band) - 1,
+    which reads only the band, so a matrix gives bitwise the same
+    eigensystem in any stack with as many diagonals. Without that library,
+    ``np.linalg.eigh`` diagonalizes the dense stack instead.
     """
     lib = _openblas()
     if lib is None:
-        return np.linalg.eigh(entries)
-    entries = np.asarray(entries, dtype=np.float64)
-    if entries.ndim < 2 or entries.shape[-1] != entries.shape[-2]:
-        raise np.linalg.LinAlgError(f"expected square matrices, got shape {entries.shape}")
-    stack = entries.reshape((-1,) + entries.shape[-2:])
-    count, dim = stack.shape[:2]
-    kds = _half_bandwidths(stack)
-    width = max(kds, default=0) + 1
-    # lower band storage, Fortran (width, D) per matrix: band[r, j, k] = H[r, j + k, j]
-    band = np.zeros((count, dim, width))
-    for k in range(width):
-        band[:, : dim - k, k] = np.diagonal(stack, -k, 1, 2)
+        return np.linalg.eigh(_dense(band))
+    dim, count = band[0].shape
+    width = len(band)
+    # lower band storage, Fortran (width, D) per matrix: ab[r, j, k] = H[r, j + k, j]
+    ab = np.zeros((count, dim, width))
+    for k, diagonal in enumerate(band):
+        ab[:, : dim - k, k] = diagonal.T
     eigenvalues = np.empty((count, dim))
     # Fortran's column-major eigenvector matrix Z is row-major Z^T
     vectors_t = np.empty((count, dim, dim))
@@ -155,21 +144,20 @@ def diagonalize(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     work = np.empty(1 + 5 * dim + 2 * dim * dim)
     iwork = np.empty(3 + 5 * dim, dtype=np.int64)
     info = ctypes.c_int64()
-    n, ldab, lwork, liwork = (
-        ctypes.byref(ctypes.c_int64(v)) for v in (dim, width, work.size, iwork.size)
+    n, kd, ldab, lwork, liwork = (
+        ctypes.byref(ctypes.c_int64(v)) for v in (dim, width - 1, width, work.size, iwork.size)
     )
-    ab, w, z, work_p, iwork_p = (
-        array.ctypes.data for array in (band, eigenvalues, vectors_t, work, iwork)
+    ab_p, w, z, work_p, iwork_p = (
+        array.ctypes.data for array in (ab, eigenvalues, vectors_t, work, iwork)
     )
     dsbevd = lib.scipy_dsbevd_64_
-    for r, kd in enumerate(kds):
-        dsbevd(b"V", b"L", n, ctypes.byref(ctypes.c_int64(kd)), ab + r * band.strides[0], ldab,
-               w + r * eigenvalues.strides[0], z + r * vectors_t.strides[0], n, work_p, lwork,
-               iwork_p, liwork, ctypes.byref(info), 1, 1)
+    for r in range(count):
+        dsbevd(b"V", b"L", n, kd, ab_p + r * ab.strides[0], ldab, w + r * eigenvalues.strides[0],
+               z + r * vectors_t.strides[0], n, work_p, lwork, iwork_p, liwork,
+               ctypes.byref(info), 1, 1)
         if info.value:
             raise np.linalg.LinAlgError(f"dsbevd failed with info {info.value}")
-    eigenvectors = vectors_t.transpose(0, 2, 1)
-    return eigenvalues.reshape(entries.shape[:-1]), eigenvectors.reshape(entries.shape)
+    return eigenvalues, vectors_t.transpose(0, 2, 1)
 
 
 def certify(entries, eigenvalues, eigenvectors, psi0, times) -> tuple:
@@ -177,7 +165,7 @@ def certify(entries, eigenvalues, eigenvectors, psi0, times) -> tuple:
 
     ``entries`` is an (R, D, D) stack of real symmetric matrices H, with the
     ``eigenvalues`` L and ``eigenvectors`` V that :func:`diagonalize` returned
-    for it, ``psi0`` the (R, D) stack of unit start states, real or complex,
+    for its band, ``psi0`` the (R, D) stack of unit start states, real or complex,
     and ``times`` the 1-d grid the caller reads out. Returns a boolean array
     over the stack, True where both drift bounds are within ``NORM_TOL`` and
     ``ENERGY_TOL``, so no evolved state needs checking, and the arrays of e
@@ -319,9 +307,18 @@ def _energies(entries, re, im) -> np.ndarray:
     return np.einsum("rdt,rdt->rt", re, entries @ re) + np.einsum("rdt,rdt->rt", im, entries @ im)
 
 
+def _band(matrix) -> list[np.ndarray]:
+    """The band of one symmetric matrix as a stack of one, as
+    :func:`diagonalize` takes it, up to its last nonzero subdiagonal."""
+    rows, cols = np.nonzero(matrix)
+    kd = int(np.max(rows - cols, initial=0))
+    return [np.diagonal(matrix, -k)[:, None] for k in range(kd + 1)]
+
+
 def eigendecompose(operator: HermitianOperator) -> EigenSystem:
     """Full symmetric eigendecomposition, eigenvalues sorted ascending."""
-    return EigenSystem(*diagonalize(operator.entries), operator)
+    eigenvalues, eigenvectors = diagonalize(_band(operator.entries))
+    return EigenSystem(eigenvalues[0], eigenvectors[0], operator)
 
 
 def squared_norms(re: np.ndarray, im: np.ndarray) -> np.ndarray:

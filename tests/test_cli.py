@@ -887,7 +887,7 @@ def test_fig1_takes_the_path_its_switch_rule_chooses(tmp_path, monkeypatch, argv
     monkeypatch.setattr(ensemble, "_chebyshev_concurrence",
                         lambda *args: readouts.append(args) or chebyshev(*args))
     monkeypatch.setattr(ensemble, "diagonalize",
-                        lambda entries: matrices.append(entries.shape[0]) or diagonalize(entries))
+                        lambda band: matrices.append(band[0].shape[1]) or diagonalize(band))
     assert main([*argv, "--out-dir", str(tmp_path)]) == 0
     if path == "chebyshev":  # the three points share one stack, audited in one eigen call
         assert len(readouts) == 1 and matrices == [3]

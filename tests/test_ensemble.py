@@ -20,7 +20,7 @@ import qladder.spectral as spectral_mod
 from qladder.cli import FIG1_DEFAULTS, FIG2_DEFAULTS
 from qladder.ensemble import EnsembleConfig, EnsembleStats, derive_stream, run_ensemble
 from qladder.experiments import default_trace_grid, default_w_grid, leakage_trace, transfer_sweep
-from qladder.hamiltonian import build_effective, build_physical
+from qladder.hamiltonian import _dense, build_effective, build_physical
 from qladder.model import LadderParams, sample_realization
 from qladder.observables import transfer_time
 from qladder.spectral import NORM_TOL
@@ -316,9 +316,9 @@ def test_engine_matrices_match_the_public_path(monkeypatch):
     seen = []
     original = ensemble_mod.diagonalize
 
-    def recording(entries):
-        seen.extend(entries.copy())
-        return original(entries)
+    def recording(band):
+        seen.extend(_dense(band))
+        return original(band)
 
     monkeypatch.setattr(ensemble_mod, "diagonalize", recording)
     run_ensemble([config])
@@ -666,9 +666,9 @@ def test_guard_failures_name_the_realization_inside_a_chunk(monkeypatch, corrupt
     for config in eigen_configs(n_realizations=7):
         target = _matrix_of(config, 3)
 
-        def corrupted(entries):
-            eigenvalues, eigenvectors = original(entries)
-            for row, matrix in enumerate(entries):
+        def corrupted(band):
+            eigenvalues, eigenvectors = original(band)
+            for row, matrix in enumerate(_dense(band)):
                 if np.array_equal(matrix, target):
                     _corrupt(eigenvectors[row], corruption)
             return eigenvalues, eigenvectors
@@ -686,9 +686,9 @@ def test_the_certificate_catches_a_shifted_eigenvalue(monkeypatch):
     target = _matrix_of(config, 3)
     original = ensemble_mod.diagonalize
 
-    def shifted(entries):
-        eigenvalues, eigenvectors = original(entries)
-        for row, matrix in enumerate(entries):
+    def shifted(band):
+        eigenvalues, eigenvectors = original(band)
+        for row, matrix in enumerate(_dense(band)):
             if np.array_equal(matrix, target):
                 eigenvalues[row, 30] += 0.1
         return eigenvalues, eigenvectors
@@ -720,9 +720,9 @@ def test_a_fault_only_inside_a_stack_names_the_range(monkeypatch):
     # position 3 of any stack longer than 3: no realization fails alone
     original = ensemble_mod.diagonalize
 
-    def corrupted(entries):
-        eigenvalues, eigenvectors = original(entries)
-        if len(entries) > 3:
+    def corrupted(band):
+        eigenvalues, eigenvectors = original(band)
+        if len(eigenvalues) > 3:
             _corrupt(eigenvectors[3], "norm")
         return eigenvalues, eigenvectors
 
@@ -738,10 +738,10 @@ def test_other_errors_name_the_realization_inside_a_chunk(monkeypatch):
     target = _matrix_of(config, 3)
     original = ensemble_mod.diagonalize
 
-    def failing(entries):
-        if any(np.array_equal(matrix, target) for matrix in entries):
+    def failing(band):
+        if any(np.array_equal(matrix, target) for matrix in _dense(band)):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return original(entries)
+        return original(band)
 
     monkeypatch.setattr(ensemble_mod, "diagonalize", failing)
     with pytest.raises(RuntimeError, match=r"realization 3 \(seed tag 42:3, .*did not converge"):
@@ -897,9 +897,9 @@ def test_a_chebyshev_run_runs_in_stacks_on_one_worker_and_audits_realization_0(m
         workers.add(threading.get_ident())
         return original_chunk(segments, readout)
 
-    def diagonalizing(entries):
-        matrices.append(entries.shape[0])
-        return original_diagonalize(entries)
+    def diagonalizing(band):
+        matrices.append(band[0].shape[1])
+        return original_diagonalize(band)
 
     def counting(*args):
         errors.append(1)
@@ -942,11 +942,10 @@ def test_a_half_width_below_the_spectral_radius_names_the_realization(monkeypatc
         run_ensemble([config])
 
 
-def _shift_hop_slots(band_of):
-    def shifted(*args):
-        band = band_of(*args)
-        band[2] = np.roll(band[2], 1, axis=0)  # each hopping one slot off its own
-        return band
+def _shift_hop_slots(propagate):
+    def shifted(band, *args):
+        band = [*band[:2], np.roll(band[2], 1, axis=0)]  # each hopping one slot off its own
+        return propagate(band, *args)
     return shifted
 
 
@@ -960,11 +959,13 @@ def _flip_odd_bessel_signs(bessel_j):
 
 @pytest.mark.parametrize("fault", ["hop-slot shift", "flipped Bessel sign"])
 def test_a_broken_kernel_fails_the_audit(monkeypatch, fault):
-    # both faults keep every matrix symmetric and its states' norm and
-    # energy, so only the eigen path's audit of realization 0 sees them
+    # both faults keep every matrix the kernel reads symmetric and its
+    # states' norm and energy, so only the eigen path's audit of realization
+    # 0 sees them; the eigen path builds the same band, so the shift is made
+    # in the kernel's copy alone
     if fault == "hop-slot shift":
-        monkeypatch.setattr(ensemble_mod, "effective_band",
-                            _shift_hop_slots(ensemble_mod.effective_band))
+        monkeypatch.setattr(ensemble_mod, "chebyshev_propagate",
+                            _shift_hop_slots(ensemble_mod.chebyshev_propagate))
     else:
         monkeypatch.setattr(chebyshev_mod, "bessel_j", _flip_odd_bessel_signs(chebyshev_mod.bessel_j))
     with pytest.raises(RuntimeError, match=r"realization 0 \(seed tag 42:0, .*audit: "

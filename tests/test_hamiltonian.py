@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qladder.ensemble import derive_stream
+from qladder.ensemble import EnsembleConfig, derive_stream, run_ensemble
 from qladder.hamiltonian import (
     Basis,
     BasisMismatchError,
@@ -11,10 +11,10 @@ from qladder.hamiltonian import (
     HermitianOperator,
     Leg,
     StateVector,
-    assemble_effective,
     bell_minus_state,
     build_effective,
     build_physical,
+    effective_band,
     flat_index,
     to_physical,
     to_plus_minus,
@@ -23,7 +23,7 @@ from qladder.hamiltonian import (
     _ladder_band,
 )
 from qladder.model import DisorderRealization, LadderParams, sample_realization, uniform_ladder
-from qladder.spectral import _half_bandwidths
+from qladder.spectral import _band
 
 SQRT1_2 = 1.0 / np.sqrt(2.0)
 
@@ -101,7 +101,7 @@ def test_the_site_basis_band_holds_the_realization_fields(n_sites):
     assert np.array_equal(rung, [g for gamma in real.gamma_n for g in (gamma, 0.0)][:-1])
     assert np.array_equal(hop, [j for coupling in real.couplings for j in (coupling, coupling)])
     # the dimer's 2 x 2 matrix has half-bandwidth 1, every longer ladder 2
-    assert _half_bandwidths(_dense(band)) == [min(2, 2 * n_sites - 1)]
+    assert len(_band(_dense(band)[0])) == min(3, 2 * n_sites)
 
 
 def test_effective_single_cell_example():
@@ -166,14 +166,21 @@ def test_effective_stack_checks_each_matrix():
     reals = [random_realization(4, index=k) for k in range(4)]
     fields = ("eps_leg1", "eps_leg2", "gamma_n", "couplings")
     arrays = [np.stack([getattr(r, f) for r in reals]) for f in fields]
-    stack = assemble_effective(*arrays)
+    stack = _dense(effective_band(*arrays))
     assert stack.shape == (4, 8, 8)
     for k, real in enumerate(reals):
         assert np.array_equal(stack[k], build_effective(real).entries)
-    # DisorderRealization rejects non-finite values, so bypass it
-    arrays[1][2, 1] = np.inf
+    # at W = Delta = 8e307 the drawn fields are finite, but a plus-branch
+    # energy 2 eps_1 + delta/2 can pass the float range, as it does for
+    # realization 0 on the checked single-realization path; the engine
+    # refuses its band before diagonalizing it
+    params = LadderParams(n_sites=8, disorder_w=8e307, detuning_delta=8e307)
     with pytest.raises(ValueError, match="non-finite"):
-        assemble_effective(*arrays)
+        build_effective(sample_realization(params, derive_stream(1234, 0)))
+    config = EnsembleConfig(params=params, n_realizations=7, master_seed=1234,
+                            trace_times=[0.0, 1.0])
+    with pytest.raises(RuntimeError, match=r"realization 0 \(seed tag 1234:0, .*non-finite"):
+        run_ensemble([config])
 
 
 def test_operator_rejects_odd_dimension():

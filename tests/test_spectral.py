@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qladder.chebyshev as chebyshev_mod
+import qladder.hamiltonian as hamiltonian_mod
 import qladder.spectral as spectral_mod
 from qladder.chebyshev import bessel_j, chebyshev_propagate
 from qladder.ensemble import _half_width, derive_stream
@@ -127,32 +128,53 @@ def banded_stack(rng, count, dim, kd):
     return stack
 
 
+def lower_band(stack):
+    """The band of an (R, D, D) stack of symmetric matrices, as diagonalize
+    takes it, up to the last subdiagonal on which any of them is nonzero."""
+    rows, cols = np.nonzero(np.any(stack != 0, axis=0))
+    kd = int(np.max(rows - cols, initial=0))
+    return [np.diagonal(stack, -k, 1, 2).T for k in range(kd + 1)]
+
+
 @pytest.mark.parametrize("kd", [0, 1, 2, 59])
 def test_diagonalize_matches_eigh_at_every_bandwidth(kd):
-    # dim 60 as in fig1 and fig2; a stack mixes norms from 1 to 1e7, and a
-    # diagonal matrix in it keeps its own bandwidth
+    # dim 60 as in fig1 and fig2; a stack mixes norms from 1 to 1e7
     rng = np.random.default_rng(kd)
-    stack = np.concatenate([
-        banded_stack(rng, 4, 60, kd) * np.array([1.0, 10.0, 1e3, 1e7])[:, None, None],
-        banded_stack(rng, 1, 60, 0),
-    ])
-    assert spectral_mod._half_bandwidths(stack) == [kd] * 4 + [0]
-    eigenvalues, eigenvectors = diagonalize(stack)
+    stack = banded_stack(rng, 4, 60, kd) * np.array([1.0, 10.0, 1e3, 1e7])[:, None, None]
+    band = lower_band(stack)
+    assert len(band) == kd + 1
+    eigenvalues, eigenvectors = diagonalize(band)
     for matrix, vals, vecs in zip(stack, eigenvalues, eigenvectors):
         scale = max(1.0, np.linalg.norm(matrix, 2))
-        single_vals, single_vecs = diagonalize(matrix)
-        assert np.array_equal(single_vals, vals) and np.array_equal(single_vecs, vecs)
+        single_vals, single_vecs = diagonalize(lower_band(matrix[None]))
+        assert np.array_equal(single_vals[0], vals) and np.array_equal(single_vecs[0], vecs)
         assert np.max(np.abs(vals - np.linalg.eigh(matrix)[0])) <= 1e-13 * scale
         assert np.max(np.abs(vecs.T @ vecs - np.eye(60))) <= 1e-13
         assert np.max(np.abs(matrix @ vecs - vecs * vals)) <= 1e-13 * scale
 
 
-def test_ladder_stacks_have_half_bandwidth_two_in_both_bases():
+def test_the_wrapper_path_and_the_engine_hand_dsbevd_the_same_band():
+    # eigendecompose's band of one checked matrix has the three diagonals of
+    # the engine's stack band, in both bases, so it gets the engine's
+    # eigensystem bitwise
     params = LadderParams(n_sites=30, disorder_w=10.0, detuning_delta=0.2)
     realizations = [sample_realization(params, derive_stream(42, i)) for i in range(3)]
-    for build in (build_effective, build_physical):
-        stack = np.stack([build(real).entries for real in realizations])
-        assert spectral_mod._half_bandwidths(stack) == [2, 2, 2]
+    cells = [np.stack([getattr(real, field) for real in realizations])
+             for field in ("eps_leg1", "eps_leg2", "gamma_n")]
+    bands = {build_effective: effective_band(*cells, params.couplings()),
+             build_physical: hamiltonian_mod._ladder_band(*cells, params.couplings())}
+    for build, band in bands.items():
+        for r, real in enumerate(realizations):
+            own = spectral_mod._band(build(real).entries)
+            assert len(own) == 3
+            for diagonal, engine in zip(own, band):
+                engine = np.broadcast_to(engine, (engine.shape[0], len(realizations)))
+                assert np.array_equal(diagonal[:, 0], engine[:, r])
+    eigenvalues, eigenvectors = diagonalize(bands[build_effective])
+    for r, real in enumerate(realizations):
+        system = eigendecompose(build_effective(real))
+        assert np.array_equal(system.eigenvalues, eigenvalues[r])
+        assert np.array_equal(system.eigenvectors, eigenvectors[r])
 
 
 @pytest.mark.parametrize("disorder_w", [0.2, 10.0, 1e3, 1e5, 1e7])
@@ -160,7 +182,7 @@ def test_ladder_eigensystems_are_backward_stable(disorder_w):
     # the stability gate certify leaves measurement to must pass the band
     # solver's output at every disorder strength
     stack = np.stack([ladder_system(30, disorder_w, 0.2, i)[0].entries for i in range(10)])
-    eigenvalues, eigenvectors = diagonalize(stack)
+    eigenvalues, eigenvectors = diagonalize(lower_band(stack))
     psi0 = np.broadcast_to(np.eye(60)[1], stack.shape[:2])
     assert spectral_mod._drift_bounds(stack, eigenvalues, eigenvectors, psi0)[2].all()
 
@@ -171,13 +193,7 @@ def test_diagonalize_raises_when_lapack_reports_a_failure(monkeypatch):
 
     monkeypatch.setattr(spectral_mod, "_openblas", lambda: SimpleNamespace(scipy_dsbevd_64_=failing))
     with pytest.raises(np.linalg.LinAlgError, match="dsbevd failed with info 7"):
-        diagonalize(np.eye(4))
-
-
-@pytest.mark.parametrize("shape", [(4,), (3, 4), (2, 4, 3)])
-def test_diagonalize_refuses_non_square_input(shape):
-    with pytest.raises(np.linalg.LinAlgError, match="square"):
-        diagonalize(np.ones(shape))
+        diagonalize(lower_band(np.eye(4)[None]))
 
 
 def test_diagonalize_falls_back_to_eigh_without_the_library(monkeypatch):
@@ -192,7 +208,7 @@ def test_diagonalize_falls_back_to_eigh_without_the_library(monkeypatch):
     dense = means()
     assert np.max(np.abs(dense - banded)) <= 1e-13
     stack = np.stack([ladder_system(index=i)[0].entries for i in range(3)])
-    for ours, eighs in zip(diagonalize(stack), np.linalg.eigh(stack)):
+    for ours, eighs in zip(diagonalize(lower_band(stack)), np.linalg.eigh(stack)):
         assert np.array_equal(ours, eighs)
 
 
@@ -203,7 +219,7 @@ def test_certified_bounds_hold_along_evolved_trajectories(disorder_w):
     # random one
     n_sites, start = 30, 1
     stack = np.stack([ladder_system(n_sites, disorder_w, 0.2, i)[0].entries for i in range(4)])
-    eigenvalues, eigenvectors = diagonalize(stack)
+    eigenvalues, eigenvectors = diagonalize(lower_band(stack))
     times = np.linspace(0.0, 10 * np.pi * n_sites / 4, 200)
     starts = [np.eye(stack.shape[-1])[start], np.random.default_rng(3).normal(size=stack.shape[-1])]
     for psi0 in starts:
@@ -232,14 +248,14 @@ def test_eigendecompose_certifies_its_eigensystem(monkeypatch, corruption, messa
     op, _ = ladder_system()
     original = spectral_mod.diagonalize
 
-    def corrupted(entries):
-        eigenvalues, eigenvectors = original(entries)
+    def corrupted(band):
+        eigenvalues, eigenvectors = original(band)
         if corruption == "scaled":
             eigenvectors *= 1.001
         elif corruption == "grossly scaled":
             eigenvectors *= 1.5
         else:
-            eigenvalues[3] += 1e-6
+            eigenvalues[0, 3] += 1e-6
         return eigenvalues, eigenvectors
 
     monkeypatch.setattr(spectral_mod, "diagonalize", corrupted)
@@ -256,7 +272,7 @@ def test_rounding_of_a_large_matrix_is_measured_not_refused(monkeypatch):
     op, system = ladder_system(n_sites=30, disorder_w=1e5)
     psi0 = random_state(system.dim, 5, op.basis)
     entries, start = op.entries[None], psi0.amplitudes[None]
-    eigenvalues, eigenvectors = diagonalize(entries)
+    eigenvalues, eigenvectors = diagonalize(lower_band(entries))
     times = np.linspace(0.0, 100.0, 7)
     bounded = certify(entries, eigenvalues, eigenvectors, start, times)[0]
     assert not bounded[0]
@@ -285,7 +301,7 @@ def test_evolve_series_certifies_the_state_it_evolves(monkeypatch):
     psi0 = bell_minus_state(30)
     entries, start = op.entries[None], psi0.amplitudes.real[None]
     times = np.linspace(0.0, 100.0, 7)
-    assert certify(entries, *diagonalize(entries), start, times)[0].all()
+    assert certify(entries, *diagonalize(lower_band(entries)), start, times)[0].all()
 
     def unexpected(*args):
         raise AssertionError("a certified evolution was measured")
@@ -305,13 +321,16 @@ def test_certify_accepts_eigh_output_at_small_dimensions(dim):
     rng = np.random.default_rng(dim)
     scales = 10.0 ** rng.uniform(0.0, 9.0, size=300)
     noise = rng.normal(size=(300, dim, dim))
-    matrices = [scale * (a + a.T) for scale, a in zip(scales, noise)]
-    for delta, gamma in 10.0 ** rng.uniform(-1.0, 6.0, size=(50, 2)):
-        matrices.append(build_physical(uniform_ladder(dim // 2, delta, gamma)).entries)
-    entries = np.stack(matrices)
+    dense = np.stack([scale * (a + a.T) for scale, a in zip(scales, noise)])
+    ladders = np.stack([build_physical(uniform_ladder(dim // 2, delta, gamma)).entries
+                        for delta, gamma in 10.0 ** rng.uniform(-1.0, 6.0, size=(50, 2))])
+    # each group at its own half-bandwidth: D - 1, and the ladders' min(2, D - 1)
+    systems = [diagonalize(lower_band(group)) for group in (dense, ladders)]
+    eigenvalues, eigenvectors = (np.concatenate(parts) for parts in zip(*systems))
+    entries = np.concatenate([dense, ladders])
     psi0 = rng.normal(size=entries.shape[:2]) + 1j * rng.normal(size=entries.shape[:2])
     psi0 /= np.linalg.norm(psi0, axis=1, keepdims=True)
-    certified = certify(entries, *diagonalize(entries), psi0, times=())[0]
+    certified = certify(entries, eigenvalues, eigenvectors, psi0, times=())[0]
     assert not certified.all()  # the gate is reached
 
 
@@ -451,7 +470,7 @@ def test_real_start_state_takes_the_complex_path_values():
     # a real psi0 skips the products with its zero imaginary part; the
     # states must equal those of the same psi0 passed as complex128
     stack = np.stack([ladder_system(index=i)[0].entries for i in range(3)])
-    eigenvalues, eigenvectors = diagonalize(stack)
+    eigenvalues, eigenvectors = diagonalize(lower_band(stack))
     psi0 = np.random.default_rng(5).normal(size=stack.shape[:2])
     psi0 /= np.linalg.norm(psi0, axis=1, keepdims=True)
     times = np.linspace(0.0, 40.0, 30)
@@ -466,7 +485,7 @@ def test_propagated_rows_match_the_full_state():
     # evolving only some entries folds a into those eigenvector rows; the
     # entries must match the full evolution's to rounding, and psi0's own at t = 0
     stack = np.stack([ladder_system(index=i)[0].entries for i in range(3)])
-    eigenvalues, eigenvectors = diagonalize(stack)
+    eigenvalues, eigenvectors = diagonalize(lower_band(stack))
     psi0 = np.random.default_rng(6).normal(size=stack.shape[:2]) * (1 + 0.5j)
     psi0 /= np.linalg.norm(psi0, axis=1, keepdims=True)
     times = np.linspace(0.0, 40.0, 30)
