@@ -1,8 +1,9 @@
-"""Chebyshev time evolution of a stack of band matrices, numpy only.
+"""Chebyshev time evolution of a stack of ladder matrices, numpy only.
 
 A readout at one time needs no eigenvectors: :func:`chebyshev_propagate`
 expands exp(-i H t) psi0 in Chebyshev polynomials of H (Tal-Ezer & Kosloff,
-J. Chem. Phys. 81, 3967 (1984)) on the band of H, with coefficients from
+J. Chem. Phys. 81, 3967 (1984)) with its rows in branch-major order, plus
+slots first, where a row of H x sums 4 products, and with coefficients from
 Miller's recurrence (:func:`bessel_j`), so it loads no scipy. The series is
 cut where its tail falls below the unit roundoff, and the recurrence's own
 ratios bound that tail past its last order (:func:`_chebyshev_series`). It
@@ -85,46 +86,55 @@ def _aligned_zeros(*shape) -> np.ndarray:
     return raw[start:start + size].view(np.float64).reshape(shape)
 
 
-def _gershgorin_radii(diagonals, shape) -> np.ndarray:
-    """Per matrix, the largest row sum of |H|: |H| applied to ones."""
-    absolute = [np.abs(diagonal) for diagonal in diagonals]
-    ones = np.ones(shape)
-    return _band_apply(absolute, ones, np.empty(shape), np.empty(shape)).max(axis=0)
-
-
-def _band_apply(diagonals, state, out, scratch) -> np.ndarray:
-    """H x into ``out`` for (D, R) states x and the symmetric band whose
-    k-th subdiagonal is ``diagonals[k]``; ``scratch`` is (D, R)."""
-    np.multiply(diagonals[0], state, out=out)
-    for k, off in enumerate(diagonals[1:], 1):
-        product = scratch[:-k]
-        np.multiply(off, state[:-k], out=product)
-        out[k:] += product
-        np.multiply(off, state[k:], out=product)
-        out[:-k] += product
+def _ladder_apply(ladder, state, out, scratch) -> np.ndarray:
+    """H x into ``out`` for (D, W) states x in branch-major order, where the
+    ``ladder`` of H is its diagonal and its only subdiagonals, the hoppings at
+    offset 1 and the rungs at offset N; ``scratch`` is (D, W)."""
+    np.multiply(ladder[0], state, out=out)
+    for coupling in ladder[1:]:
+        offset = len(state) - len(coupling)
+        product = scratch[:-offset]
+        np.multiply(coupling, state[:-offset], out=product)
+        out[offset:] += product
+        np.multiply(coupling, state[offset:], out=product)
+        out[:-offset] += product
     return out
 
 
-def chebyshev_propagate(diagonals, psi0, t: float, points, counts):
-    """The whole states exp(-i H_r t) psi0_r of a stack of real symmetric
-    band matrices by their Chebyshev expansion (Tal-Ezer & Kosloff, J. Chem.
-    Phys. 81, 3967 (1984)), judged, with a bound on their error per state.
+def _to_ladder(fill, band, ladder, count) -> None:
+    """``fill(source, out=rows)`` from the ``band`` of H into the first
+    ``count`` columns of :func:`_ladder_apply`'s ``ladder``: the plus slots,
+    then the minus slots, with a zero hopping at the junction between them."""
+    half = len(ladder[2])
+    sources = (band[0][0::2], band[0][1::2], band[2][0::2], band[2][1::2], band[1][0::2])
+    targets = (ladder[0][:half], ladder[0][half:], ladder[1][: half - 1], ladder[1][half:], ladder[2])
+    for source, target in zip(sources, targets):
+        fill(source, out=target[:, :count])
 
-    ``diagonals[k]`` is the (D - k, R) k-th subdiagonal, H_r[j + k, j] at
-    [j, r] (an axis of length 1 is shared by the stack), ``psi0`` the (D, R)
-    real unit start states and ``t`` >= 0. The columns are the grid points'
-    in turn: ``counts[p]`` columns take ``points[p]`` = (a, series), a
-    bound a on the spectral radius of each of their H_r and the series of
-    x = a t, :func:`_chebyshev_series` (x). With y = H / a, exp(-i x y) =
-    J_0(x) + 2 sum_{k>=1} (-i)^k J_k(x) T_k(y) on [-1, 1], cut after that
-    series' K terms. phi_k = T_k(y) psi0 is real, phi_{k+1} = 2 y phi_k -
-    phi_{k-1}, so even terms add to the real part and odd ones to the
-    imaginary part. The recurrence runs to the largest K of the stack, and
-    a column gets zero weight past its own K: adding the +-0 products leaves
-    its sums bitwise unchanged. Every operation is elementwise over the
-    stack, so a realization gives bitwise the same state in any stack.
+
+def chebyshev_propagate(band, psi0, t: float, points, counts):
+    """The whole states exp(-i H_r t) psi0_r of a stack of ladder matrices
+    by their Chebyshev expansion (Tal-Ezer & Kosloff, J. Chem. Phys. 81,
+    3967 (1984)), judged, with a bound on their error per state.
+
+    ``band`` is the stack's band as :func:`~qladder.hamiltonian._ladder_band`
+    lays it out, ``band[k]`` the (D - k, R) k-th subdiagonal, H_r[j + k, j] at
+    [j, r] (an axis of length 1 is shared by the stack); another band is
+    refused with ValueError. ``psi0`` holds the (D, R) real unit start states
+    and ``t`` >= 0. The columns are the grid points' in turn: ``counts[p]``
+    columns take ``points[p]`` = (a, series), a bound a on the spectral radius
+    of each of their H_r and the series of x = a t, :func:`_chebyshev_series`
+    (x). With y = H / a, exp(-i x y) = J_0(x) + 2 sum_{k>=1} (-i)^k J_k(x)
+    T_k(y) on [-1, 1], cut after that series' K terms. phi_k = T_k(y) psi0 is
+    real, phi_{k+1} = 2 y phi_k - phi_{k-1}, so even terms add to the real part
+    and odd ones to the imaginary part. The recurrence runs to the largest K of
+    the stack, and a column gets zero weight past its own K: adding the +-0
+    products leaves its sums bitwise unchanged. Every operation is elementwise
+    over the stack, so a realization gives bitwise the same state in any stack.
     Returns the real and imaginary parts, each (D, R), and the (R,) error
-    bounds, one per column, the same for the columns of a point.
+    bounds, one per column, the same for the columns of a point. The rows
+    run in branch-major order (:func:`_to_ladder`), where H x takes 7 (D, R)
+    operations, not the band's 9 with its zero rows.
 
     The judge raises ArithmeticError when a matrix's Gershgorin radius, a
     bound on its spectral radius, exceeds its a ("Gershgorin radius ...
@@ -133,20 +143,35 @@ def chebyshev_propagate(diagonals, psi0, t: float, points, counts):
     ``NORM_TOL`` or its energy is off psi0's by more than ``ENERGY_TOL``.
 
     The bound on |computed - exact| per state, with c_k the coefficients and
-    g = gamma_{m+1} for the m = 2 kd + 1 products of a band row: a step
-    rounds by at most g (2 |y| |phi_k| + |phi_{k-1}|) <= 3 g max |phi|, which
-    is 6 g while |phi| <= 2; local errors propagate through U_{k-j-1}(y), of
-    norm at most k - j, so |phi_k - T_k(y) psi0| <= 3 g k (k + 1), and these
-    add sum_k |c_k| 3 g k (k + 1). Summing the terms adds gamma_{K+1} sum_k
-    |c_k| (1 + 3 g k (k + 1)), the Miller coefficients (K + 1) u sum_k
-    |c_k|, rounding 2 H / a (H perturbed by at most u a) adds x u, and the
-    truncation its tail bound.
+    g = gamma_6, which covers a row's 4 products and a step's subtraction
+    (gamma_5): a step rounds by at most g (2 |y| |phi_k| + |phi_{k-1}|) <=
+    3 g max |phi|, which is 6 g while |phi| <= 2; local errors propagate
+    through U_{k-j-1}(y), of norm at most k - j, so |phi_k - T_k(y) psi0|
+    <= 3 g k (k + 1), and these add sum_k |c_k| 3 g k (k + 1). Summing the
+    terms adds gamma_{K+1} sum_k |c_k| (1 + 3 g k (k + 1)), the Miller
+    coefficients (K + 1) u sum_k |c_k|, rounding 2 H / a (H perturbed by at
+    most u a) adds x u, and the truncation its tail bound.
     """
+    if len(band) != 3 or np.any(band[1][1::2]):
+        raise ValueError("not a ladder's band: three diagonals, zeros between cells on the first")
     dim, count = psi0.shape
+    half = dim // 2  # branch-major: the plus slots are rows :half, the minus ones half:
     point = np.repeat(np.arange(len(points)), counts)
     half_width = np.repeat([a for a, _ in points], counts)
     table = [series for _, series in points]
-    radius = _gershgorin_radii(diagonals, psi0.shape)
+    # The buffers are one block, on which every row starts on a 64-byte cache
+    # line (the stack axis padded with zero columns to a multiple of 8): an
+    # aligned (60, 100) product took 3 us, a misaligned one 6 us, and malloc
+    # aligns to 16 bytes only. As a dozen separate arrays, a warm default fig1
+    # took about 7,600 minor faults, the worker's heap trimmed after every
+    # grid point; as one block, about 10.
+    width = -(-count // 8) * 8
+    block = _aligned_zeros(8 * dim + half - 1, width)
+    *ladder, re, im, prev, cur, nxt, scratch = np.split(
+        block, np.cumsum([dim, dim - 1, half] + [dim] * 5))
+    _to_ladder(np.abs, band, ladder, count)
+    prev[:, :count] = 1.0
+    radius = _ladder_apply(ladder, prev, cur, scratch)[:, :count].max(axis=0)  # |H| applied to ones
     if not np.all(radius <= half_width):  # NaN fails too
         bad = np.flatnonzero(~(radius <= half_width))[0]
         raise ArithmeticError(f"Gershgorin radius {radius[bad]:.3e} exceeds "
@@ -162,50 +187,43 @@ def chebyshev_propagate(diagonals, psi0, t: float, points, counts):
     for column, (k, bessel, _) in zip(weights.T, table):
         column[: k + 1] = 2 * bessel * signs[: k + 1]
         column[0] = bessel[0]
-    # The buffers are one block, on which every row starts on a 64-byte cache
-    # line (the stack axis padded with zero columns to a multiple of 8): an
-    # aligned (60, 100) product took 3 us, a misaligned one 6 us, and malloc
-    # aligns to 16 bytes only. As a dozen separate arrays, a warm default fig1
-    # took about 7,600 minor faults, the worker's heap trimmed after every
-    # grid point; as one block, about 10.
-    width = -(-count // 8) * 8
-    block = _aligned_zeros(len(diagonals) + 6, dim, width)
-    scaled = [rows[: dim - k] for k, rows in enumerate(block[: len(diagonals)])]
-    for diagonal, rows in zip(diagonals, scaled):  # the diagonals of 2 y
-        np.multiply(diagonal, 2.0 / half_width, out=rows[:, :count])
-    re, im, prev, cur, nxt, scratch = block[len(diagonals):]
+    _to_ladder(lambda source, out: np.multiply(source, 2.0 / half_width, out=out),  # 2 y
+               band, ladder, count)
     # each step's weight per column, from its point's column of the table; a
     # padding column takes the first point's, and its zeros stay zero
     row = np.empty(width)
     columns = np.zeros(width, dtype=np.intp)
     columns[:count] = point
-    prev[:, :count] = psi0
+    prev[:half, :count], prev[half:, :count] = psi0[0::2], psi0[1::2]
     np.take(weights[0], columns, out=row)
     np.multiply(prev, row, out=re)
-    _band_apply(scaled, prev, cur, scratch)
+    _ladder_apply(ladder, prev, cur, scratch)
     cur *= 0.5  # phi_1 = y psi0, exactly half of 2 y psi0
     for k in range(1, terms + 1):
         if k > 1:
-            _band_apply(scaled, cur, nxt, scratch)
+            _ladder_apply(ladder, cur, nxt, scratch)
             np.subtract(nxt, prev, out=nxt)
             prev, cur, nxt = cur, nxt, prev
         np.take(weights[k], columns, out=row)
         np.multiply(cur, row, out=scratch)
         part = im if k % 2 else re
         np.add(part, scratch, out=part)
-    # the judge works in the recurrence's buffers: two of its own are 0.38 MB at 400 columns
-    re, im, applied, scratch = (part[:, :count] for part in (re, im, nxt, scratch))
-    _band_apply(diagonals, re, applied, scratch)
-    energies = np.einsum("dr,dr->r", re, applied)
-    energies += np.einsum("dr,dr->r", im, _band_apply(diagonals, im, applied, scratch))
-    energy0 = np.einsum("dr,dr->r", psi0, _band_apply(diagonals, psi0, applied, scratch))
-    _judge_drift(np.einsum("dr,dr->r", re, re) + np.einsum("dr,dr->r", im, im), energies, energy0)
+    # the judge, on H's own entries, and the states back in band order, all
+    # in the recurrence's buffers: two of its own are 0.38 MB at 400 columns
+    _to_ladder(np.positive, band, ladder, count)  # a copy
+    prev[:half, :count], prev[half:, :count] = psi0[0::2], psi0[1::2]
+    energies = [np.einsum("dr,dr->r", state, _ladder_apply(ladder, state, nxt, scratch))[:count]
+                for state in (re, im, prev)]
+    norms = np.einsum("dr,dr->r", re, re) + np.einsum("dr,dr->r", im, im)
+    _judge_drift(norms[:count], energies[0] + energies[1], energies[2])
+    for state, out in ((re, prev), (im, cur)):
+        out[0::2], out[1::2] = state[:half], state[half:]
 
     bounds = np.empty(len(points))
     for p, (a, (k, _, tail)) in enumerate(points):
         magnitudes = np.abs(weights[: k + 1, p])
         steps = np.arange(k + 1.0)
-        recurrence = 3 * _gamma(2 * len(diagonals)) * steps * (steps + 1)  # m + 1 = 2 kd + 2
+        recurrence = 3 * _gamma(6) * steps * (steps + 1)
         bounds[p] = (
             math.fsum(magnitudes * recurrence)
             + _gamma(k + 1) * math.fsum(magnitudes * (1 + recurrence))
@@ -213,4 +231,4 @@ def chebyshev_propagate(diagonals, psi0, t: float, points, counts):
             + a * t * _UNIT_ROUNDOFF
             + tail
         )
-    return re, im, bounds[point]
+    return prev[:, :count], cur[:, :count], bounds[point]

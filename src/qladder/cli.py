@@ -249,6 +249,8 @@ def _fig2_rows(cfg: dict, threads: int):
     if not cfg["t_max"] * tau < float("inf"):  # t_max is in units of tau
         raise ValueError(f"fig2 t_max * tau must be finite, got {cfg['t_max']} at tau = {tau}")
     times = default_trace_grid(cfg["n_sites"], cfg["t_max"], cfg["t_points"])
+    if (times[1:] <= times[:-1]).any():  # each would write its rows again
+        raise ValueError(f"fig2 t_max must set the trace times apart, got {cfg['t_max']}")
     result = leakage_trace(
         n_sites=cfg["n_sites"],
         delta=cfg["delta"],

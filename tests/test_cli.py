@@ -284,6 +284,21 @@ def test_fig2_rejects_an_empty_time_grid(tmp_path, capsys, source):
     assert not (tmp_path / "x").exists()  # rejected before any work
 
 
+def test_fig2_rejects_trace_times_that_coincide(tmp_path, capsys):
+    # t_max 0 puts all three times at t = 0, which would write each row three times
+    code = main(["fig2", "--t-max", "0", "--t-points", "3", "--out-dir", str(tmp_path / "x")])
+    assert code == 1
+    assert capsys.readouterr().err == "qladder: error: fig2 t_max must set the trace times apart, got 0.0\n"
+    assert not (tmp_path / "x").exists()  # rejected before any work
+
+
+def test_fig2_takes_one_trace_time_at_t_max_zero(tmp_path):
+    out = run_fig2(tmp_path, "a", extra=("--t-max", "0", "--t-points", "1"))
+    rows = list(csv.DictReader((out / "fig2.csv").read_text().splitlines()))
+    assert [(float(row["t_over_tau"]), float(row["w"])) for row in rows] == [(0.0, 0.5), (0.0, 5.0)]
+    assert all(float(row["mean_p_minus"]) == 1.0 for row in rows)  # the Bell start is all minus
+
+
 @pytest.mark.parametrize("command, key", [("fig1", "delta"), ("fig2", "w")])
 def test_figures_reject_an_empty_list_from_a_config_file(tmp_path, capsys, command, key):
     cfg = tmp_path / "empty.json"

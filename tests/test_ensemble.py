@@ -949,6 +949,14 @@ def _shift_hop_slots(propagate):
     return shifted
 
 
+def _swap_branch_energies(propagate):
+    def swapped(band, *args):
+        diagonal = np.empty_like(band[0])
+        diagonal[0::2], diagonal[1::2] = band[0][1::2], band[0][0::2]  # each cell's (+, -) swapped
+        return propagate([diagonal, *band[1:]], *args)
+    return swapped
+
+
 def _flip_odd_bessel_signs(bessel_j):
     def flipped(x, count):
         values = bessel_j(x, count)
@@ -957,15 +965,18 @@ def _flip_odd_bessel_signs(bessel_j):
     return flipped
 
 
-@pytest.mark.parametrize("fault", ["hop-slot shift", "flipped Bessel sign"])
+@pytest.mark.parametrize("fault", ["hop-slot shift", "flipped Bessel sign", "swapped branch"])
 def test_a_broken_kernel_fails_the_audit(monkeypatch, fault):
-    # both faults keep every matrix the kernel reads symmetric and its
+    # every fault keeps every matrix the kernel reads symmetric and its
     # states' norm and energy, so only the eigen path's audit of realization
-    # 0 sees them; the eigen path builds the same band, so the shift is made
-    # in the kernel's copy alone
+    # 0 sees them; the eigen path builds the same band, so the shift and the
+    # swap are made in the kernel's copy alone
     if fault == "hop-slot shift":
         monkeypatch.setattr(ensemble_mod, "chebyshev_propagate",
                             _shift_hop_slots(ensemble_mod.chebyshev_propagate))
+    elif fault == "swapped branch":
+        monkeypatch.setattr(ensemble_mod, "chebyshev_propagate",
+                            _swap_branch_energies(ensemble_mod.chebyshev_propagate))
     else:
         monkeypatch.setattr(chebyshev_mod, "bessel_j", _flip_odd_bessel_signs(chebyshev_mod.bessel_j))
     with pytest.raises(RuntimeError, match=r"realization 0 \(seed tag 42:0, .*audit: "

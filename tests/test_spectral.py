@@ -648,6 +648,45 @@ def test_the_band_holds_the_dense_matrix_entries():
     assert np.count_nonzero(np.triu(dense, 3)) == 0
 
 
+@pytest.mark.parametrize("n_sites", [2, 3, 30])
+@pytest.mark.parametrize("shared", [True, False], ids=["shared-hoppings", "per-column-hoppings"])
+def test_the_ladder_product_matches_the_dense_matrices(n_sites, shared):
+    # an entry of either product sums at most 4 nonzero products, so each is
+    # within gamma_4 of |H| |x| of the exact one; 2 gamma_5 also covers the
+    # rounding of the tolerance itself; the two chains' hoppings differ, as
+    # they do in no sampled ladder, so that each is read from its own rows
+    rng = np.random.default_rng(n_sites)
+    count, dim = 7, 2 * n_sites
+    band = [rng.uniform(-3.0, 3.0, (dim, count)), np.zeros((dim - 1, count)),
+            rng.uniform(-1.0, 1.0, (dim - 2, 1 if shared else count))]
+    band[1][0::2] = rng.uniform(-1.0, 1.0, (n_sites, count))  # the rungs
+    ladder = [np.zeros((dim, count)), np.zeros((dim - 1, count)), np.zeros((n_sites, count))]
+    chebyshev_mod._to_ladder(np.positive, band, ladder, count)
+    x = rng.standard_normal((dim, count))
+    product = chebyshev_mod._ladder_apply(ladder, np.concatenate([x[0::2], x[1::2]]),
+                                          np.empty_like(x), np.empty_like(x))
+    applied = np.empty_like(x)
+    applied[0::2], applied[1::2] = product[:n_sites], product[n_sites:]
+    dense = hamiltonian_mod._dense(band)
+    expected = (dense @ x.T[:, :, None])[:, :, 0].T
+    tolerance = 2 * spectral_mod._gamma(5) * (np.abs(dense) @ np.abs(x).T[:, :, None])[:, :, 0].T
+    assert np.all(np.abs(applied - expected) <= tolerance)
+
+
+@pytest.mark.parametrize("fault", ["kd 3", "odd-row rung"])
+def test_the_chebyshev_kernel_refuses_a_band_that_is_not_a_ladders(fault):
+    params = LadderParams(n_sites=4, disorder_w=1.0, detuning_delta=0.2)
+    band = _ladder_band(sample_realization(params, derive_stream(3, 0)))
+    if fault == "kd 3":
+        band.append(np.zeros((band[0].shape[0] - 3, 1)))
+    else:
+        band[1][1, 0] = 0.5  # slot 1 (cell 1's minus) to slot 2 (cell 2's plus)
+    psi0 = bell_minus_state(4).amplitudes.real[:, None]
+    with pytest.raises(ValueError, match="not a ladder's band: three diagonals, zeros between "
+                                         "cells on the first"):
+        chebyshev_propagate(band, psi0, 1.0, [_kernel_point(_half_width(params), 1.0)], [1])
+
+
 @pytest.mark.parametrize("corruption, message", [
     ("half-width", "Gershgorin radius"),
     ("non-finite", "Gershgorin radius"),
