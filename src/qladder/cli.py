@@ -220,7 +220,7 @@ def _fig1_rows(cfg: dict, threads: int):
     rows, raw_rows = [], []
     for delta, series in result.items():
         for w, stats in zip(w_grid, series):
-            rows.append([*map(_fmt, (w, delta, stats.mean, stats.std_error)), str(stats.n)])
+            rows.append([*map(_fmt, (w, delta, stats.mean, stats.std_error)), str(cfg["realizations"])])
             if cfg["keep_raw"]:
                 for i, value in enumerate(stats.per_realization):
                     raw_rows.append([_fmt(w), _fmt(delta), str(i), _fmt(value)])
@@ -266,7 +266,7 @@ def _fig2_rows(cfg: dict, threads: int):
         for k, t in enumerate(times):
             # p_+ = 1 - p_-: one rounding after the mean
             means = (t / tau, w, minus.mean[k], 1.0 - minus.mean[k], minus.std_error[k])
-            rows.append([*map(_fmt, means), str(minus.n)])
+            rows.append([*map(_fmt, means), str(cfg["realizations"])])
         if cfg["keep_raw"]:
             for i, trace in enumerate(minus.per_realization):
                 for t, value in zip(times, trace):

@@ -2,17 +2,18 @@
 
 Each realization index owns an independent random stream derived from the
 master seed, so ensembles are reproducible bit-for-bit regardless of worker
-count or execution order. Each call derives its grid's unit uniforms
-once, before its workers start: one read-only array per master seed and
-ladder length, as long as the largest ensemble that reads it, so the grid
-points of a sweep scale the same draws, and nothing is kept between calls.
+count or execution order. A call runs one :class:`EnsembleConfig`: one
+ladder length, master seed, realization count and readout over a grid of
+(W, Delta) points. It derives its unit uniforms once, before its workers
+start, as one read-only array, so the grid points scale the same draws,
+and nothing is kept between calls.
 A chunk of consecutive realizations is carried end-to-end as plain stacked
 arrays (scale its rows of those uniforms by W and Delta, build the stack's
 band, diagonalize it in one call, certify it, evolve the entries each
 readout reads at all times at once, measure); results are reduced in
 realization order so floating-point summation is fixed.
 
-Each config has one readout, chosen once by :func:`run_ensemble`: with
+Each call has one readout, chosen once by :func:`run_ensemble`: with
 ``trace_times`` the minus-branch occupation p_- on that grid (the plus
 branch holds the rest, p_+ = 1 - p_-, so it is not recorded), by the eigen
 path; else C(tau), at one time, by the path one rule of the parameters
@@ -25,8 +26,8 @@ switch rule computes a point's a and series (K, Bessel coefficients, tail
 bound) once, and the kernel takes them with the point's column count; it
 works elementwise over the stack, each column at its own point's a, so a
 realization's value is bitwise the same in any stack. The grid points of
-one call that the kernel reads share its stacks: ordered by N and then by
-K, they are cut and packed into stacks of at most 400 columns (``_STACK``),
+one call that the kernel reads share its stacks: ordered by K, they are
+cut and packed into stacks of at most 400 columns (``_STACK``),
 which run on one worker; the same cutter cuts each eigen-path point into
 its chunks. Every eigen-path readout is one function: it builds
 a stack's band, hands it to :func:`~qladder.spectral.diagonalize` as is,
@@ -68,6 +69,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -131,15 +133,23 @@ def _unit_uniforms(master_seed: int, n_sites: int, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EnsembleConfig:
-    """Physics and sampling definition of one ensemble run, which records
-    C(tau), or with ``trace_times`` the minus-branch occupation on that grid."""
+    """One ensemble family: ``n_realizations`` ladders of ``n_sites`` cells
+    from ``master_seed`` at each (W, Delta) of ``grid``, which is kept as one
+    checked :class:`~qladder.model.LadderParams` per point. It records C(tau),
+    or with ``trace_times`` the minus-branch occupation at those times."""
 
-    params: LadderParams
+    n_sites: int
+    grid: tuple
     n_realizations: int
     master_seed: int
     trace_times: np.ndarray | None = None
 
     def __post_init__(self):
+        grid = tuple(LadderParams(n_sites=self.n_sites, disorder_w=w, detuning_delta=delta)
+                     for w, delta in self.grid)
+        if not grid:
+            raise ValueError("grid must hold at least one (W, delta) point")
+        object.__setattr__(self, "grid", grid)
         if self.n_realizations < 1:
             raise ValueError("n_realizations must be at least 1")
         if self.master_seed < 0:
@@ -150,19 +160,18 @@ class EnsembleConfig:
                 raise ValueError("trace_times must be a 1-d sequence")
             if not np.all(np.isfinite(times)):
                 raise ValueError("trace_times must be finite")
-            if times.size and (np.any(np.diff(times) < 0) or times[0] < 0):
-                raise ValueError("trace_times must be ascending and nonnegative")
+            if times.size and (np.any(np.diff(times) <= 0) or times[0] < 0):
+                raise ValueError("trace_times must be strictly ascending and nonnegative")
             times.setflags(write=False)
             object.__setattr__(self, "trace_times", times)
 
 
 @dataclass(frozen=True, eq=False)
 class EnsembleStats:
-    """Mean, standard error and count for one observable (scalar or per-time-point)."""
+    """Mean and standard error of one observable (scalar or per-time-point)."""
 
     mean: np.ndarray
     std_error: np.ndarray
-    n: int
     per_realization: np.ndarray | None = None
 
 
@@ -194,11 +203,11 @@ def _chebyshev_chosen(params: LadderParams) -> tuple | None:
 
 class _Segment(NamedTuple):
     """Realizations ``start .. stop - 1`` of grid point ``point``, whose
-    config is ``config``; ``kernel`` is its (a, series) where the Chebyshev
+    parameters are ``params``; ``kernel`` is its (a, series) where the Chebyshev
     kernel reads it, and row i of ``units`` is realization i's unit draws."""
 
     point: int
-    config: EnsembleConfig
+    params: LadderParams
     kernel: tuple | None
     units: np.ndarray
     start: int
@@ -223,7 +232,7 @@ def _cells(segments) -> tuple:
     """The (R, N) per-cell parameters (eps_leg1, eps_leg2, gamma_n) of the
     realizations of ``segments``, stacked in order, each segment's draws
     scaled by its own W and Delta."""
-    scaled = [scale_disorder(segment.config.params, segment.units[segment.start:segment.stop])
+    scaled = [scale_disorder(segment.params, segment.units[segment.start:segment.stop])
               for segment in segments]
     eps_leg1, delta_n = scaled[0] if len(scaled) == 1 else map(np.concatenate, zip(*scaled))
     for name, values in (("eps_leg1", eps_leg1), ("delta_n", delta_n)):
@@ -243,7 +252,7 @@ def _eigen_readout(segments, times, rows, measure):
     entries ``rows`` at ``times``.
     ``measure`` runs while the stack's arrays are held: with them freed
     first, a warm fig2 took ~6,000 minor faults, not ~20."""
-    params = segments[0].config.params
+    params = segments[0].params
     band = effective_band(*_cells(segments), params.couplings())
     if not all(np.all(np.isfinite(diagonal)) for diagonal in band):
         raise ValueError("entries contain non-finite values")
@@ -263,7 +272,7 @@ def _ends(re, im) -> np.ndarray:
 
 def _eigen_concurrence(segments) -> np.ndarray:
     """C(tau) of the one segment ``segments`` by the eigen path."""
-    tau = transfer_time(segments[0].config.params.n_sites)
+    tau = transfer_time(segments[0].params.n_sites)
     return _end_concurrence(*_eigen_readout(segments, [tau], slice(-2, None), _ends)[0])
 
 
@@ -274,7 +283,7 @@ def _chebyshev_concurrence(segments) -> np.ndarray:
     realization 0's complex last-cell amplitudes must agree with the eigen
     path's within the sum of the two paths' error bounds for its own grid
     point, or ArithmeticError is raised."""
-    params = segments[0].config.params  # one N per stack: the couplings and tau of all
+    params = segments[0].params  # one N per call: the couplings and tau of all
     n_sites, tau = params.n_sites, transfer_time(params.n_sites)
     band = effective_band(*_cells(segments), params.couplings())
     psi0 = np.zeros((2 * n_sites, 1))  # every column's: a (D, R) copy is 0.19 MB at 400 columns
@@ -296,28 +305,27 @@ def _chebyshev_concurrence(segments) -> np.ndarray:
     return _end_concurrence(*ends)
 
 
-def _branch_trace(segments) -> np.ndarray:
-    """The (R, T) p_- of the one segment ``segments`` on its
-    ``trace_times`` by the eigen path: the squared norm of the minus slots."""
+def _branch_trace(times, segments) -> np.ndarray:
+    """The (R, T) p_- of the one segment ``segments`` on ``times`` by the
+    eigen path: the squared norm of the minus slots."""
     minus_slots = slice(int(Branch.MINUS), None, 2)  # the minus slot of every cell
-    return _eigen_readout(segments, segments[0].config.trace_times, minus_slots, squared_norms)[0]
+    return _eigen_readout(segments, times, minus_slots, squared_norms)[0]
 
 
 def _where(params: LadderParams) -> str:
     return f"W={params.disorder_w}, delta={params.detuning_delta}, N={params.n_sites}"
 
 
-def _span(segment: _Segment) -> str:
-    seed = segment.config.master_seed
-    return f"{segment.start}-{segment.stop - 1} (seed {seed}, {_where(segment.config.params)})"
+def _span(segment: _Segment, seed: int) -> str:
+    return f"{segment.start}-{segment.stop - 1} (seed {seed}, {_where(segment.params)})"
 
 
-def _measure_chunk(segments, readout) -> list[np.ndarray]:
+def _measure_chunk(segments, readout, seed: int) -> list[np.ndarray]:
     """``readout`` of ``segments``, as one array per segment.
 
     A failure is raised as RuntimeError naming the first realization that
-    fails alone, with its seed tag and its own grid point's parameters, or
-    else the range of each segment.
+    fails alone, with its seed tag ``seed:index`` and its own grid point's
+    parameters, or else the range of each segment.
     """
     try:
         return np.split(readout(segments), _offsets(segments)[1:-1])
@@ -326,29 +334,26 @@ def _measure_chunk(segments, readout) -> list[np.ndarray]:
                  for segment in segments for i in range(segment.start, segment.stop)]
         if len(alone) == 1:
             (segment,) = alone
-            seed, where = segment.config.master_seed, _where(segment.config.params)
-            raise RuntimeError(
-                f"realization {segment.start} (seed tag {seed}:{segment.start}, {where}) "
-                f"failed: {exc}"
-            ) from exc
+            raise RuntimeError(f"realization {segment.start} (seed tag {seed}:{segment.start}, "
+                               f"{_where(segment.params)}) failed: {exc}") from exc
         for single in alone:  # raises if that realization fails alone
-            _measure_chunk([single], readout)
-        spans = ", ".join(_span(segment) for segment in segments)
+            _measure_chunk([single], readout, seed)
+        spans = ", ".join(_span(segment, seed) for segment in segments)
         raise RuntimeError(f"realizations {spans} failed: {exc}") from exc
 
 
 def _pack(wholes, width: int) -> list[list[_Segment]]:
     """The whole-run segments ``wholes``, in order, cut into segments and
-    packed into stacks of at most ``width`` columns and one N each: at
-    ``_CHUNK``, each stack is one chunk."""
-    stacks, room, stack_sites = [], 0, None
+    packed into stacks of at most ``width`` columns: at ``_CHUNK``, each
+    stack is one chunk."""
+    stacks, room = [], 0
     for whole in wholes:
-        start, n_sites = 0, whole.config.params.n_sites
+        start = 0
         while start < whole.stop:
             take = min(whole.stop - start, room)
-            if not take or stack_sites != n_sites:
+            if not take:
                 stacks.append([])
-                room, stack_sites = width, n_sites
+                room = width
                 continue
             stacks[-1].append(whole._replace(start=start, stop=start + take))
             start, room = start + take, room - take
@@ -362,7 +367,7 @@ def _reduce(values: np.ndarray, keep_raw: bool) -> EnsembleStats:
         std_error = values.std(axis=0, ddof=1) / np.sqrt(n)
     else:
         std_error = np.zeros_like(mean)
-    return EnsembleStats(mean, std_error, n, values if keep_raw else None)
+    return EnsembleStats(mean, std_error, values if keep_raw else None)
 
 
 def _new_lock():
@@ -375,63 +380,52 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_lock)
 
 
-def run_ensemble(configs, threads: int = 1, keep_raw: bool = False) -> list[EnsembleStats]:
+def run_ensemble(config, threads: int = 1, keep_raw: bool = False) -> list[EnsembleStats]:
     """Sample, evolve and measure the ``n_realizations`` ladders of each
-    config of a grid; aggregate statistics per config.
+    point of ``config.grid``; aggregate statistics per point.
 
-    Returns one :class:`EnsembleStats` per config, in order: of C(tau),
-    scalar, or with ``trace_times`` of p_-, per time point. A single config
-    is a grid of one. Each result is bitwise identical for a fixed config
-    regardless of ``threads`` and of the other configs of the grid. Per-realization raw values are retained
-    when ``keep_raw=True``.
+    Returns one :class:`EnsembleStats` per grid point, in order: of C(tau),
+    scalar, or with ``trace_times`` of p_-, per time point. A point's values
+    are bitwise the same whatever ``threads`` and the other points of the
+    grid. Per-realization raw values are retained when ``keep_raw=True``.
 
-    The configs the Chebyshev kernel reads are ordered by N and then by
-    their term count K, and their chunks are packed into shared stacks of
-    at most ``_STACK`` columns, which run first, in order, on one worker.
-    Then each other config in turn runs its chunks on ``min(threads,
-    chunks)`` workers, each taking one contiguous block, so the first
-    failure in that order is the one raised. The workers are the call's
-    own, and none outlives it; numpy's OpenBLAS is held at one thread for
-    the length of every call, so ``threads`` sets only the worker count.
-    Calls from several threads take turns. Before the workers start, the
-    calling thread derives each realization's stream once for the call: the
-    configs of one master seed and N all scale the draws of the longest.
+    The points the Chebyshev kernel reads are ordered by their term count
+    K, and their chunks are packed into shared stacks of at most ``_STACK``
+    columns, which run first, in order, on one worker. Then each other
+    point in turn runs its chunks on ``min(threads, chunks)`` workers, each
+    taking one contiguous block, so the first failure in that order is the
+    one raised. The workers are the call's own, and none outlives it;
+    numpy's OpenBLAS is held at one thread for the length of every call, so
+    ``threads`` sets only the worker count. Calls from several threads take
+    turns. The calling thread derives the call's unit draws once, before
+    the workers start, and every point scales them.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    configs = list(configs)
-    lengths = {}
-    for config in configs:
-        key = (config.master_seed, config.params.n_sites)
-        lengths[key] = max(lengths.get(key, 0), config.n_realizations)
-    units = {key: _unit_uniforms(*key, n) for key, n in lengths.items()}
+    units = _unit_uniforms(config.master_seed, config.n_sites, config.n_realizations)
+    readout = (_eigen_concurrence if config.trace_times is None
+               else partial(_branch_trace, config.trace_times))
     chosen, eigen = [], []
-    for point, config in enumerate(configs):
-        kernel = _chebyshev_chosen(config.params) if config.trace_times is None else None
-        whole = _Segment(point, config, kernel, units[config.master_seed, config.params.n_sites],
-                         0, config.n_realizations)
-        if kernel:
-            chosen.append(whole)
-            continue
-        readout = _eigen_concurrence if config.trace_times is None else _branch_trace
-        eigen.append([(chunk, readout) for chunk in _pack([whole], _CHUNK)])
-    chosen.sort(key=lambda whole: (whole.config.params.n_sites, whole.kernel[1][0]))
+    for point, params in enumerate(config.grid):
+        kernel = _chebyshev_chosen(params) if config.trace_times is None else None
+        whole = _Segment(point, params, kernel, units, 0, config.n_realizations)
+        (chosen if kernel else eigen).append(whole)
+    chosen.sort(key=lambda whole: whole.kernel[1][0])
+    results = [None] * len(config.grid)
 
-    def run_block(block):
-        return [_measure_chunk(segments, readout) for segments, readout in block]
+    def run(stacks, readout, workers):
+        """Run ``stacks`` through ``readout`` on ``workers`` of the call's
+        pool, each taking one contiguous block, and reduce each grid point's parts."""
+        def run_block(block):
+            return [_measure_chunk(segments, readout, config.master_seed) for segments in block]
 
-    results = [None] * len(configs)
-
-    def run(tasks, workers):
-        """Run ``tasks`` on ``workers`` of the call's pool, each taking one
-        contiguous block, and reduce each grid point's parts."""
-        blocks = [tasks[k * len(tasks) // workers:(k + 1) * len(tasks) // workers]
+        blocks = [stacks[k * len(stacks) // workers:(k + 1) * len(stacks) // workers]
                   for k in range(workers)]
         futures = [pool.submit(run_block, block) for block in blocks]
         wait(futures)
         parts = {}
         for block, future in zip(blocks, futures):
-            for (segments, _), measured in zip(block, future.result()):
+            for segments, measured in zip(block, future.result()):
                 for segment, part in zip(segments, measured):
                     parts.setdefault(segment.point, []).append(part)
         for point, parts_of in parts.items():
@@ -447,10 +441,11 @@ def run_ensemble(configs, threads: int = 1, keep_raw: bool = False) -> list[Ense
             # the kernel's stacks run on one worker: on two, a warm fig1 took as long but used
             # 0.65-0.83 s of CPU, not 0.49-0.63 s; on four it took 0.54-0.62 s, not 0.47-0.58 s
             if chosen:
-                run([(stack, _chebyshev_concurrence) for stack in _pack(chosen, _STACK)], 1)
+                run(_pack(chosen, _STACK), _chebyshev_concurrence, 1)
             # one grid point at a time, reduced at once: fig2's parts all held took +1.5 MB peak RSS
-            for tasks in eigen:
-                run(tasks, min(threads, len(tasks)))  # a worker beyond the task count has no work
+            for whole in eigen:
+                chunks = _pack([whole], _CHUNK)
+                run(chunks, readout, min(threads, len(chunks)))  # a worker beyond them has no work
         finally:
             if lib is not None:
                 lib.scipy_openblas_set_num_threads64_(found)

@@ -10,7 +10,7 @@ import numpy as np
 from .dimer_oracle import uniform_leg_occupation
 from .ensemble import EnsembleConfig, EnsembleStats, run_ensemble
 from .hamiltonian import Basis, Leg, bell_minus_state, build_effective, build_physical, unit_state
-from .model import LadderParams, uniform_ladder
+from .model import uniform_ladder
 from .observables import TransferReport, concurrence, leg_occupation, transfer_time
 from .spectral import eigendecompose, evolve, evolve_series
 
@@ -52,27 +52,6 @@ def _distinct(key: str, values) -> None:
         seen.add(value)
 
 
-def _run_grid(points, trace_times, n_sites, n_realizations, master_seed, threads, keep_raw) -> list:
-    """One :func:`run_ensemble` call for the ``(W, delta)`` points, one
-    :class:`EnsembleStats` per point, in order: of C(tau), or with
-    ``trace_times`` of p_- on that grid.
-
-    Every point's :class:`EnsembleConfig` is built first, which runs every
-    parameter check, so a bad value at a later point fails before any
-    ensemble runs.
-    """
-    configs = [
-        EnsembleConfig(
-            params=LadderParams(n_sites=n_sites, disorder_w=w, detuning_delta=delta),
-            n_realizations=n_realizations,
-            master_seed=master_seed,
-            trace_times=trace_times,
-        )
-        for w, delta in points
-    ]
-    return run_ensemble(configs, threads=threads, keep_raw=keep_raw)
-
-
 def transfer_sweep(
     n_sites: int,
     deltas,
@@ -96,8 +75,9 @@ def transfer_sweep(
     deltas = tuple(float(d) for d in deltas)
     _distinct("delta", deltas)
     _distinct("w", w_grid.tolist())
-    points = [(float(w), delta) for delta in deltas for w in w_grid]
-    results = iter(_run_grid(points, None, n_sites, n_realizations, master_seed, threads, keep_raw))
+    config = EnsembleConfig(n_sites, [(float(w), delta) for delta in deltas for w in w_grid],
+                            n_realizations, master_seed)
+    results = iter(run_ensemble(config, threads=threads, keep_raw=keep_raw))
     return {delta: [next(results) for _ in w_grid] for delta in deltas}
 
 
@@ -116,9 +96,9 @@ def leakage_trace(
     rest, p_+ = 1 - p_-."""
     w_values = tuple(float(w) for w in w_values)
     _distinct("w", w_values)
-    points = [(w, float(delta)) for w in w_values]
-    results = _run_grid(points, times, n_sites, n_realizations, master_seed, threads, keep_raw)
-    return dict(zip(w_values, results))
+    config = EnsembleConfig(n_sites, [(w, float(delta)) for w in w_values], n_realizations,
+                            master_seed, trace_times=times)
+    return dict(zip(w_values, run_ensemble(config, threads=threads, keep_raw=keep_raw)))
 
 
 def ordered_baseline(n_sites: int, exact_revival: bool = False) -> TransferReport:

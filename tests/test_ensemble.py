@@ -39,10 +39,12 @@ EIGEN_TIMES = [1.0]
 EIGEN_W = 100.0
 
 
-def make_config(n_sites=10, w=2.0, delta=0.3, n_realizations=6, seed=42, trace_times=None):
-    params = LadderParams(n_sites=n_sites, disorder_w=w, detuning_delta=delta)
+def make_config(n_sites=10, w=2.0, delta=0.3, n_realizations=6, seed=42, trace_times=None,
+                grid=None):
+    """A config of the one point (w, delta), or of the (W, delta) points of ``grid``."""
     return EnsembleConfig(
-        params=params,
+        n_sites=n_sites,
+        grid=[(w, delta)] if grid is None else grid,
         n_realizations=n_realizations,
         master_seed=seed,
         trace_times=trace_times,
@@ -53,7 +55,7 @@ def eigen_configs(**kwargs):
     """A C(tau) config past the switch rule and a branch-trace config: both
     run in chunks on the eigen path."""
     concurrence = make_config(**{"w": EIGEN_W, **kwargs})
-    assert not ensemble_mod._chebyshev_chosen(concurrence.params)
+    assert not ensemble_mod._chebyshev_chosen(concurrence.grid[0])
     return [concurrence, make_config(trace_times=np.linspace(0.0, 30.0, 25), **kwargs)]
 
 
@@ -91,7 +93,8 @@ def test_pooled_streams_look_uniform():
 # ---------------------------------------------------------------------------
 
 def test_plan_validates_times():
-    for times, message in (([3.0, 1.0], "ascending"), ([-1.0, 1.0], "nonnegative"),
+    for times, message in (([3.0, 1.0], "ascending"), ([0.0, 1.0, 1.0], "strictly ascending"),
+                           ([-1.0, 1.0], "nonnegative"),
                            ([0.0, np.nan], "finite"), ([0.0, np.inf], "finite"),
                            ([[0.0, 1.0]], "1-d")):
         with pytest.raises(ValueError, match=f"trace_times must be .*{message}"):
@@ -119,14 +122,28 @@ def test_config_requires_realizations():
         make_config(n_realizations=0)
 
 
+def test_a_config_checks_every_grid_point_when_built():
+    # a bad value at the last point, or a length no point can have, fails
+    # here, before any ensemble runs, naming its field
+    grid = [(0.5, 0.2), (2.0, 0.2), (np.nan, 0.2)]
+    with pytest.raises(ValueError, match="disorder_w must be nonnegative"):
+        make_config(grid=grid)
+    with pytest.raises(ValueError, match="n_sites must be at least 2"):
+        make_config(n_sites=1, grid=grid[:2])
+    with pytest.raises(ValueError, match="grid must hold at least one"):
+        make_config(grid=[])
+    config = make_config(grid=grid[:2])
+    assert config.grid == tuple(LadderParams(10, w, delta) for w, delta in grid[:2])
+
+
 # ---------------------------------------------------------------------------
 # ensemble runs
 # ---------------------------------------------------------------------------
 
 def test_single_clean_realization_transfers_perfectly():
     config = make_config(n_sites=30, w=0.0, delta=0.0, n_realizations=1)
-    stats = run_ensemble([config])[0]
-    assert stats.n == 1
+    stats = run_ensemble(config, keep_raw=True)[0]
+    assert stats.per_realization.shape == (1,)
     assert float(stats.mean) >= 1.0 - 1e-6
     assert float(stats.std_error) == 0.0
 
@@ -140,18 +157,20 @@ def test_zero_detuning_transfers_every_realization(n_sites, w, seed):
     # at delta = 0 gamma_tilde and the minus on-site energy are exactly 0,
     # so the minus chain is the clean perfect-transfer chain whatever W draws
     config = make_config(n_sites=n_sites, w=w, delta=0.0, n_realizations=3, seed=seed)
-    values = run_ensemble([config], keep_raw=True)[0].per_realization
+    values = run_ensemble(config, keep_raw=True)[0].per_realization
     assert values.shape == (3,)
     assert np.all(values >= 1.0 - 1e-6)
 
 
 def test_each_config_gets_one_stats_of_its_readout():
-    # C(tau) by the kernel and by the eigen path, and the branch trace
-    configs = [make_config(n_realizations=3), *eigen_configs(n_realizations=3)]
-    results = run_ensemble(configs, keep_raw=True)
-    assert len(results) == len(configs)
-    assert all(isinstance(stats, EnsembleStats) and stats.n == 3 for stats in results)
-    points = configs[-1].trace_times.size
+    # C(tau) by the kernel and by the eigen path, one grid point each of one
+    # call, and the branch trace
+    concurrence = make_config(grid=[(2.0, 0.3), (EIGEN_W, 0.3)], n_realizations=3)
+    trace = eigen_configs(n_realizations=3)[1]
+    results = run_ensemble(concurrence, keep_raw=True) + run_ensemble(trace, keep_raw=True)
+    assert len(results) == 3
+    assert all(isinstance(stats, EnsembleStats) for stats in results)
+    points = trace.trace_times.size
     assert [stats.mean.shape for stats in results] == [(), (), (points,)]
     assert [stats.per_realization.shape for stats in results] == [(3,), (3,), (3, points)]
 
@@ -162,7 +181,7 @@ def test_concurrence_stays_in_the_unit_interval(n_sites, w, delta):
     # C = 2 |a| |b| <= |a|^2 + |b|^2 <= |psi|^2, whose drift is within
     # NORM_TOL; C is not clipped, so rounding may take it just past 1
     config = make_config(n_sites=n_sites, w=w, delta=delta, n_realizations=3)
-    values = run_ensemble([config], keep_raw=True)[0].per_realization
+    values = run_ensemble(config, keep_raw=True)[0].per_realization
     assert np.all((values >= 0.0) & (values <= 1.0 + NORM_TOL))
 
 
@@ -175,14 +194,14 @@ def test_zero_detuning_keeps_minus_branch_full(n_sites, w):
         n_sites=n_sites, w=w, delta=0.0, n_realizations=4,
         trace_times=times,
     )
-    result = run_ensemble([config])[0]
+    result = run_ensemble(config)[0]
     assert np.max(np.abs(result.mean - 1.0)) < 1e-10
 
 
 def test_runs_are_bitwise_deterministic():
     config = make_config(n_realizations=5)
-    a = run_ensemble([config])[0]
-    b = run_ensemble([config])[0]
+    a = run_ensemble(config)[0]
+    b = run_ensemble(config)[0]
     assert np.array_equal(a.mean, b.mean)
     assert np.array_equal(a.std_error, b.std_error)
 
@@ -190,9 +209,9 @@ def test_runs_are_bitwise_deterministic():
 def test_thread_count_does_not_change_results():
     # C(tau) by the kernel and by the eigen path, and the branch trace
     for config in (make_config(n_realizations=13), *eigen_configs(n_realizations=13)):
-        serial = run_ensemble([config], threads=1, keep_raw=True)[0]
+        serial = run_ensemble(config, threads=1, keep_raw=True)[0]
         for threads in (2, 4):
-            threaded = run_ensemble([config], threads=threads, keep_raw=True)[0]
+            threaded = run_ensemble(config, threads=threads, keep_raw=True)[0]
             assert np.array_equal(serial.mean, threaded.mean)
             assert np.array_equal(serial.std_error, threaded.std_error)
             assert np.array_equal(serial.per_realization, threaded.per_realization)
@@ -200,7 +219,7 @@ def test_thread_count_does_not_change_results():
 
 def test_raw_values_bracket_the_mean():
     config = make_config(n_realizations=7)
-    stats = run_ensemble([config], keep_raw=True)[0]
+    stats = run_ensemble(config, keep_raw=True)[0]
     assert stats.per_realization.shape == (7,)
     assert stats.per_realization.min() <= float(stats.mean) <= stats.per_realization.max()
     assert np.all(stats.mean >= 0.0) and np.all(stats.mean <= 1.0)
@@ -208,13 +227,13 @@ def test_raw_values_bracket_the_mean():
 
 def test_raw_values_dropped_by_default():
     config = make_config(n_realizations=3)
-    stats = run_ensemble([config])[0]
+    stats = run_ensemble(config)[0]
     assert stats.per_realization is None
 
 
 def _unit_row(config, index):
     """The 2N unit draws of realization ``index``, as its own stream gives them."""
-    return derive_stream(config.master_seed, index).random(2 * config.params.n_sites)
+    return derive_stream(config.master_seed, index).random(2 * config.n_sites)
 
 
 def test_failures_report_the_realization_index(monkeypatch):
@@ -229,7 +248,7 @@ def test_failures_report_the_realization_index(monkeypatch):
 
     monkeypatch.setattr(ensemble_mod, "scale_disorder", flaky)
     with pytest.raises(RuntimeError, match="realization 3"):
-        run_ensemble([config])
+        run_ensemble(config)
 
 
 @pytest.mark.parametrize("name", ["eps_leg1", "delta_n"])
@@ -247,7 +266,7 @@ def test_non_finite_draws_name_the_realization(monkeypatch, name):
 
     monkeypatch.setattr(ensemble_mod, "scale_disorder", poisoned)
     with pytest.raises(RuntimeError, match=f"realization 3 .*42:3.*{name} contains non-finite"):
-        run_ensemble([config])
+        run_ensemble(config)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 42, 1234])
@@ -284,7 +303,7 @@ def test_a_grid_point_gives_the_same_values_alone_and_after_another():
     assert np.array_equal(alone[2.0].per_realization, after[2.0].per_realization)
     # a run of 7 realizations before one of 11 changes nothing; the larger
     # ensemble's first realizations are the smaller one's
-    run_ensemble([make_config(n_realizations=7, seed=42)])
+    run_ensemble(make_config(n_realizations=7, seed=42))
     larger = leakage_trace(w_values=(2.0,), **{**kwargs, "n_realizations": 11})
     assert np.array_equal(alone[2.0].per_realization, larger[2.0].per_realization[:7])
 
@@ -321,17 +340,17 @@ def test_engine_matrices_match_the_public_path(monkeypatch):
         return original(band)
 
     monkeypatch.setattr(ensemble_mod, "diagonalize", recording)
-    run_ensemble([config])
+    run_ensemble(config)
     assert len(seen) == 7
     for i, entries in enumerate(seen):
-        public = build_effective(sample_realization(config.params, derive_stream(42, i)))
+        public = build_effective(sample_realization(config.grid[0], derive_stream(42, i)))
         assert np.array_equal(entries, public.entries)
 
 
 @pytest.mark.parametrize("threads", [0, -5])
 def test_a_thread_count_below_one_is_refused(threads):
     with pytest.raises(ValueError, match="threads must be at least 1"):
-        run_ensemble([make_config()], threads=threads)
+        run_ensemble(make_config(), threads=threads)
 
 
 def test_worker_count_is_capped_at_the_chunk_count(monkeypatch):
@@ -341,7 +360,7 @@ def test_worker_count_is_capped_at_the_chunk_count(monkeypatch):
     running, peak, seen = 0, [], []
     original = ensemble_mod._measure_chunk
 
-    def recording(segments, readout):
+    def recording(segments, readout, seed):
         nonlocal running
         with lock:
             running += 1
@@ -349,21 +368,21 @@ def test_worker_count_is_capped_at_the_chunk_count(monkeypatch):
             seen.append((threading.current_thread(), segments[0].start))
         try:
             time.sleep(0.002)  # long enough for the other workers to overlap it
-            return original(segments, readout)
+            return original(segments, readout, seed)
         finally:
             with lock:
                 running -= 1
 
     monkeypatch.setattr(ensemble_mod, "_measure_chunk", recording)
     chunk = ensemble_mod._CHUNK
-    run_ensemble([make_config(n_realizations=4 * chunk, w=EIGEN_W)], threads=4)  # four workers
+    run_ensemble(make_config(n_realizations=4 * chunk, w=EIGEN_W), threads=4)  # four workers
     # (realizations, threads, workers): capped by the chunks, by threads, one chunk
     for n_realizations, threads, cap in ((2 * chunk + 2, 8, 3), (4 * chunk, 2, 2),
                                          (chunk - 2, 8, 1)):
         peak.clear()
         seen.clear()
         config = make_config(n_realizations=n_realizations, w=EIGEN_W)
-        capped = run_ensemble([config], threads=threads, keep_raw=True)[0]
+        capped = run_ensemble(config, threads=threads, keep_raw=True)[0]
         assert 1 <= max(peak) <= cap
         workers = {thread for thread, _ in seen}
         assert len(workers) <= cap and threading.main_thread() not in workers
@@ -371,7 +390,7 @@ def test_worker_count_is_capped_at_the_chunk_count(monkeypatch):
             starts = [start for thread, start in seen if thread is worker]
             assert starts == sorted(starts)
         assert sorted(start for _, start in seen) == list(range(0, n_realizations, chunk))
-        serial = run_ensemble([config], threads=1, keep_raw=True)[0]
+        serial = run_ensemble(config, threads=1, keep_raw=True)[0]
         assert np.array_equal(capped.per_realization, serial.per_realization)
 
 
@@ -407,20 +426,20 @@ def test_every_call_runs_its_chunks_with_one_openblas_thread(monkeypatch, openbl
                                                               threads):
     # the pin holds for the whole call, at one worker too and on the kernel's shared stacks
     if path == "eigen":  # four chunks
-        configs, chunks = [make_config(n_realizations=4 * ensemble_mod._CHUNK, w=EIGEN_W)], 4
+        config, chunks = make_config(n_realizations=4 * ensemble_mod._CHUNK, w=EIGEN_W), 4
     else:  # two grid points sharing one stack
-        configs = [make_config(n_realizations=4 * ensemble_mod._CHUNK, w=w) for w in (0.5, 2.0)]
-        assert all(ensemble_mod._chebyshev_chosen(config.params) for config in configs)
+        config = make_config(n_realizations=4 * ensemble_mod._CHUNK, grid=[(0.5, 0.3), (2.0, 0.3)])
+        assert all(ensemble_mod._chebyshev_chosen(params) for params in config.grid)
         chunks = 1
     seen = []
     original = ensemble_mod._measure_chunk
 
-    def recording(segments, readout):
+    def recording(segments, readout, seed):
         seen.append(openblas())
-        return original(segments, readout)
+        return original(segments, readout, seed)
 
     monkeypatch.setattr(ensemble_mod, "_measure_chunk", recording)
-    run_ensemble(configs, threads=threads)
+    run_ensemble(config, threads=threads)
     assert seen == [1] * chunks and openblas() == 3
 
 
@@ -437,7 +456,7 @@ def test_the_openblas_count_is_restored_when_a_chunk_raises(monkeypatch, openbla
     monkeypatch.setattr(ensemble_mod, "scale_disorder", flaky)
     for threads in (1, 2):
         with pytest.raises(RuntimeError, match="realization 8"):
-            run_ensemble([config], threads=threads)
+            run_ensemble(config, threads=threads)
         assert openblas() == 3
 
 
@@ -448,7 +467,7 @@ def _ensemble_threads():
 
 def test_no_worker_outlives_its_call(monkeypatch):
     for config in eigen_configs(n_realizations=4 * ensemble_mod._CHUNK):
-        run_ensemble([config], threads=2)
+        run_ensemble(config, threads=2)
         assert not _ensemble_threads()
 
     def failing(params, unit):
@@ -456,23 +475,23 @@ def test_no_worker_outlives_its_call(monkeypatch):
 
     monkeypatch.setattr(ensemble_mod, "scale_disorder", failing)
     with pytest.raises(RuntimeError, match="realization 0"):
-        run_ensemble([make_config(n_realizations=12)], threads=2)
+        run_ensemble(make_config(n_realizations=12), threads=2)
     assert not _ensemble_threads()
 
 
 def test_values_do_not_depend_on_openblas_pinning(monkeypatch):
     configs = eigen_configs(n_realizations=13)
-    pinned = [run_ensemble([config], threads=2, keep_raw=True)[0] for config in configs]
+    pinned = [run_ensemble(config, threads=2, keep_raw=True)[0] for config in configs]
     monkeypatch.setattr(ensemble_mod, "_openblas", lambda: None)  # the solver keeps its library
     seen = []
     original = ensemble_mod._measure_chunk
     with _openblas_count(3) as get:
-        def recording(segments, readout):
+        def recording(segments, readout, seed):
             seen.append(get())
-            return original(segments, readout)
+            return original(segments, readout, seed)
 
         monkeypatch.setattr(ensemble_mod, "_measure_chunk", recording)
-        unpinned = [run_ensemble([config], threads=2, keep_raw=True)[0] for config in configs]
+        unpinned = [run_ensemble(config, threads=2, keep_raw=True)[0] for config in configs]
         assert seen == [get()] * 6  # every chunk ran at the unpinned count
     for expected, got in zip(pinned, unpinned):
         assert np.array_equal(expected.per_realization, got.per_realization)
@@ -483,16 +502,16 @@ def test_concurrent_callers_get_the_values_of_serial_calls(monkeypatch):
     # the branch trace; the calls take turns, so every chunk runs pinned and
     # each caller restores the count it found
     configs = eigen_configs(n_realizations=4 * ensemble_mod._CHUNK)
-    serial = [run_ensemble([config], keep_raw=True)[0] for config in configs]
+    serial = [run_ensemble(config, keep_raw=True)[0] for config in configs]
     lib = spectral_mod._openblas()
     get = lib.scipy_openblas_get_num_threads64_ if lib else lambda: None
     found, seen = get(), []
     original = ensemble_mod._measure_chunk
 
-    def recording(segments, readout):
+    def recording(segments, readout, seed):
         seen.append(get())
         time.sleep(0.002)  # a pinned region long enough for the other caller to meet it
-        return original(segments, readout)
+        return original(segments, readout, seed)
 
     monkeypatch.setattr(ensemble_mod, "_measure_chunk", recording)
     rounds, results = 10, [[], []]
@@ -502,7 +521,7 @@ def test_concurrent_callers_get_the_values_of_serial_calls(monkeypatch):
         barrier.wait(timeout=30)
         for _ in range(rounds):
             try:
-                results[k].append(run_ensemble([configs[k]], threads=2, keep_raw=True)[0])
+                results[k].append(run_ensemble(configs[k], threads=2, keep_raw=True)[0])
             except Exception as exc:  # reported by the assertions below
                 results[k].append(exc)
 
@@ -531,19 +550,19 @@ def test_concurrent_calls_take_turns_on_the_pool(monkeypatch):
     # at once, here one reading C(tau) and one the branch trace; their chunks
     # must never overlap, and each caller gets serial values
     configs = eigen_configs(n_realizations=3 * ensemble_mod._CHUNK)
-    serial = [run_ensemble([config], keep_raw=True)[0] for config in configs]
+    serial = [run_ensemble(config, keep_raw=True)[0] for config in configs]
     lock = threading.Lock()
     in_flight, overlaps = [0, 0], []
     original = ensemble_mod._measure_chunk
 
-    def recording(segments, readout):
-        k = configs.index(segments[0].config)
+    def recording(segments, readout, seed):
+        k = [config.grid[0] for config in configs].index(segments[0].params)
         with lock:
             in_flight[k] += 1
             overlaps.append(in_flight[1 - k] > 0)
         try:
             time.sleep(0.002)  # long enough for the other caller's chunk to meet it
-            return original(segments, readout)
+            return original(segments, readout, seed)
         finally:
             with lock:
                 in_flight[k] -= 1
@@ -556,7 +575,7 @@ def test_concurrent_calls_take_turns_on_the_pool(monkeypatch):
         barrier.wait(timeout=30)
         for _ in range(rounds):
             try:
-                results[k].append(run_ensemble([configs[k]], threads=1, keep_raw=True)[0])
+                results[k].append(run_ensemble(configs[k], threads=1, keep_raw=True)[0])
             except Exception as exc:  # reported by the assertions below
                 results[k].append(exc)
 
@@ -580,14 +599,12 @@ def test_a_forked_child_runs_on_a_pool_of_its_own():
     code = (
         "import os, signal\n"
         "from qladder.ensemble import EnsembleConfig, run_ensemble\n"
-        "from qladder.model import LadderParams\n"
-        "config = EnsembleConfig(LadderParams(n_sites=6, disorder_w=1.0, detuning_delta=0.1),\n"
-        "                        n_realizations=12, master_seed=42)\n"
-        "parent = run_ensemble([config], threads=2, keep_raw=True)[0]\n"
+        "config = EnsembleConfig(n_sites=6, grid=[(1.0, 0.1)], n_realizations=12, master_seed=42)\n"
+        "parent = run_ensemble(config, threads=2, keep_raw=True)[0]\n"
         "pid = os.fork()\n"
         "if pid == 0:\n"
         "    signal.alarm(20)\n"
-        "    child = run_ensemble([config], threads=2, keep_raw=True)[0]\n"
+        "    child = run_ensemble(config, threads=2, keep_raw=True)[0]\n"
         "    same = (child.per_realization == parent.per_realization).all()\n"
         "    os._exit(0 if same else 3)\n"
         "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
@@ -607,10 +624,8 @@ def test_a_fork_taken_during_a_call_leaves_the_child_a_pool_of_its_own():
         "import os, signal, threading\n"
         "import qladder.ensemble as ensemble\n"
         "from qladder.ensemble import EnsembleConfig, run_ensemble\n"
-        "from qladder.model import LadderParams\n"
-        "config = EnsembleConfig(LadderParams(n_sites=6, disorder_w=1.0, detuning_delta=0.1),\n"
-        "                        n_realizations=12, master_seed=42)\n"
-        "parent = run_ensemble([config], threads=2, keep_raw=True)[0]\n"
+        "config = EnsembleConfig(n_sites=6, grid=[(1.0, 0.1)], n_realizations=12, master_seed=42)\n"
+        "parent = run_ensemble(config, threads=2, keep_raw=True)[0]\n"
         "entered, release = threading.Event(), threading.Event()\n"
         "original = ensemble._measure_chunk\n"
         "def held(*args):\n"
@@ -618,14 +633,14 @@ def test_a_fork_taken_during_a_call_leaves_the_child_a_pool_of_its_own():
         "    release.wait()\n"
         "    return original(*args)\n"
         "ensemble._measure_chunk = held\n"
-        "caller = threading.Thread(target=run_ensemble, args=([config], 2))\n"
+        "caller = threading.Thread(target=run_ensemble, args=(config, 2))\n"
         "caller.start()\n"
         "entered.wait()\n"
         "pid = os.fork()\n"
         "if pid == 0:\n"
         "    signal.alarm(20)\n"
         "    ensemble._measure_chunk = original\n"
-        "    child = run_ensemble([config], threads=2, keep_raw=True)[0]\n"
+        "    child = run_ensemble(config, threads=2, keep_raw=True)[0]\n"
         "    same = (child.per_realization == parent.per_realization).all()\n"
         "    os._exit(0 if same else 3)\n"
         "status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])\n"
@@ -653,7 +668,7 @@ def _corrupt(eigenvectors, corruption):
 
 
 def _matrix_of(config, index):
-    return build_effective(sample_realization(config.params, derive_stream(42, index))).entries
+    return build_effective(sample_realization(config.grid[0], derive_stream(42, index))).entries
 
 
 @pytest.mark.parametrize("corruption", ["norm", "energy"])
@@ -675,7 +690,7 @@ def test_guard_failures_name_the_realization_inside_a_chunk(monkeypatch, corrupt
 
         monkeypatch.setattr(ensemble_mod, "diagonalize", corrupted)
         with pytest.raises(RuntimeError, match=f"realization 3 .*42:3.*{corruption} drift"):
-            run_ensemble([config])
+            run_ensemble(config)
 
 
 def test_the_certificate_catches_a_shifted_eigenvalue(monkeypatch):
@@ -695,7 +710,7 @@ def test_the_certificate_catches_a_shifted_eigenvalue(monkeypatch):
 
     monkeypatch.setattr(ensemble_mod, "diagonalize", shifted)
     with pytest.raises(RuntimeError, match="realization 3 .*42:3.*energy drift bound"):
-        run_ensemble([config])
+        run_ensemble(config)
 
 
 @pytest.mark.parametrize("w", [0.2, 10.0])
@@ -713,7 +728,7 @@ def test_production_scales_are_certified_without_measurement(monkeypatch, w, pla
     grids = {"fig1": [transfer_time(n_sites)], "fig2": PRODUCTION_TRACE_GRID}
     config = make_config(n_sites=n_sites, w=w, delta=0.2, n_realizations=100,
                          trace_times=grids[plan])
-    assert run_ensemble([config])[0].n == 100
+    assert run_ensemble(config, keep_raw=True)[0].per_realization.shape[0] == 100
 
 
 def test_a_fault_only_inside_a_stack_names_the_range(monkeypatch):
@@ -730,7 +745,7 @@ def test_a_fault_only_inside_a_stack_names_the_range(monkeypatch):
     for config in eigen_configs(n_realizations=7):
         with pytest.raises(RuntimeError,
                            match=r"realizations 0-4 \(seed 42, .*\) failed: norm drift"):
-            run_ensemble([config])
+            run_ensemble(config)
 
 
 def test_other_errors_name_the_realization_inside_a_chunk(monkeypatch):
@@ -745,15 +760,15 @@ def test_other_errors_name_the_realization_inside_a_chunk(monkeypatch):
 
     monkeypatch.setattr(ensemble_mod, "diagonalize", failing)
     with pytest.raises(RuntimeError, match=r"realization 3 \(seed tag 42:3, .*did not converge"):
-        run_ensemble([config])
+        run_ensemble(config)
 
 
 def test_chunk_size_does_not_change_values(monkeypatch):
     configs = eigen_configs(n_realizations=2 * ensemble_mod._CHUNK + 2)
-    defaults = [run_ensemble([config], keep_raw=True)[0] for config in configs]
+    defaults = [run_ensemble(config, keep_raw=True)[0] for config in configs]
     monkeypatch.setattr(ensemble_mod, "_CHUNK", 1)
     for config, default in zip(configs, defaults):
-        single = run_ensemble([config], keep_raw=True)[0]
+        single = run_ensemble(config, keep_raw=True)[0]
         assert np.array_equal(default.per_realization, single.per_realization)
 
 
@@ -763,7 +778,7 @@ def test_ensemble_size_does_not_change_shared_values():
     chunk = ensemble_mod._CHUNK
     sizes = (1, chunk + 1, 2 * chunk)
     for runs in zip(*(eigen_configs(n_realizations=n) for n in sizes)):
-        alone, remainder, full = (run_ensemble([config], keep_raw=True)[0].per_realization
+        alone, remainder, full = (run_ensemble(config, keep_raw=True)[0].per_realization
                                   for config in runs)
         assert np.array_equal(alone, remainder[:1])
         assert np.array_equal(remainder, full[: chunk + 1])
@@ -798,7 +813,7 @@ def test_leakage_traces_match_site_basis_expm():
 
 def test_stats_reduction_matches_numpy():
     config = make_config(n_realizations=9)
-    stats = run_ensemble([config], keep_raw=True)[0]
+    stats = run_ensemble(config, keep_raw=True)[0]
     raw = stats.per_realization
     assert float(stats.mean) == raw.mean()
     assert float(stats.std_error) == pytest.approx(raw.std(ddof=1) / 3.0, rel=1e-12)
@@ -812,9 +827,9 @@ def test_plans_share_realization_streams(monkeypatch):
     original_chunk, original_cells = ensemble_mod._measure_chunk, ensemble_mod._cells
     original_scale = ensemble_mod.scale_disorder
 
-    def measuring(segments, readout):
-        readouts.append(readout.__name__)
-        return original_chunk(segments, readout)
+    def measuring(segments, readout, seed):
+        readouts.append(getattr(readout, "func", readout).__name__)  # the trace's is a partial
+        return original_chunk(segments, readout, seed)
 
     def scaling(params, unit):
         scaled.append(unit.copy())
@@ -833,8 +848,8 @@ def test_plans_share_realization_streams(monkeypatch):
     monkeypatch.setattr(ensemble_mod, "_measure_chunk", measuring)
     monkeypatch.setattr(ensemble_mod, "scale_disorder", scaling)
     monkeypatch.setattr(ensemble_mod, "_cells", cells)
-    run_ensemble([make_config(n_realizations=13)])
-    run_ensemble([make_config(n_realizations=13, trace_times=np.linspace(0.0, 20.0, 15))])
+    run_ensemble(make_config(n_realizations=13))
+    run_ensemble(make_config(n_realizations=13, trace_times=np.linspace(0.0, 20.0, 15)))
     assert draws.keys() == {"_chebyshev_concurrence", "_branch_trace"}
     kernel, trace = draws["_chebyshev_concurrence"], draws["_branch_trace"]
     assert sorted(kernel) == sorted(trace) == list(range(13))
@@ -849,38 +864,38 @@ def test_plans_share_realization_streams(monkeypatch):
 
 def _chebyshev_config(n_realizations=100, **kwargs):
     config = make_config(n_sites=30, w=0.5, delta=0.2, n_realizations=n_realizations, **kwargs)
-    assert ensemble_mod._chebyshev_chosen(config.params)
+    assert ensemble_mod._chebyshev_chosen(config.grid[0])
     return config
 
 
 def test_chebyshev_values_do_not_depend_on_stack_threads_or_chunk(monkeypatch):
     # the values must not follow the stack size, the thread count or the
     # chunk size: 100 realizations are one stack, 3 stacks and 7 more are four
-    full = run_ensemble([_chebyshev_config()], keep_raw=True)[0].per_realization
+    full = run_ensemble(_chebyshev_config(), keep_raw=True)[0].per_realization
     for n in (1, 7):
-        part = run_ensemble([_chebyshev_config(n)], keep_raw=True)[0]
+        part = run_ensemble(_chebyshev_config(n), keep_raw=True)[0]
         assert np.array_equal(part.per_realization, full[:n])
-    threads2 = run_ensemble([_chebyshev_config()], threads=2, keep_raw=True)[0]
+    threads2 = run_ensemble(_chebyshev_config(), threads=2, keep_raw=True)[0]
     assert np.array_equal(threads2.per_realization, full)
     width = 2 * ensemble_mod._CHUNK
     monkeypatch.setattr(ensemble_mod, "_STACK", width)
     n = 3 * width + 7
-    stacks = run_ensemble([_chebyshev_config(n)], threads=2, keep_raw=True)[0]
+    stacks = run_ensemble(_chebyshev_config(n), threads=2, keep_raw=True)[0]
     assert np.array_equal(stacks.per_realization, full[:n])
     monkeypatch.setattr(ensemble_mod, "_CHUNK", 1)
     for stack in (1, width):  # stacks of 1, then chunks of 1
         monkeypatch.setattr(ensemble_mod, "_STACK", stack)
-        single = run_ensemble([_chebyshev_config(n)], threads=2, keep_raw=True)[0]
+        single = run_ensemble(_chebyshev_config(n), threads=2, keep_raw=True)[0]
         assert np.array_equal(single.per_realization, full[:n])
-    single = run_ensemble([_chebyshev_config()], keep_raw=True)[0]
+    single = run_ensemble(_chebyshev_config(), keep_raw=True)[0]
     assert np.array_equal(single.per_realization, full)
 
 
 def test_chebyshev_values_match_the_eigen_path(monkeypatch):
     config = _chebyshev_config(20)
-    chebyshev = run_ensemble([config], keep_raw=True)[0].per_realization
+    chebyshev = run_ensemble(config, keep_raw=True)[0].per_realization
     monkeypatch.setattr(ensemble_mod, "_chebyshev_chosen", lambda params: False)
-    eigen = run_ensemble([config], keep_raw=True)[0].per_realization
+    eigen = run_ensemble(config, keep_raw=True)[0].per_realization
     assert np.max(np.abs(chebyshev - eigen)) < 1e-13
 
 
@@ -892,10 +907,10 @@ def test_a_chebyshev_run_runs_in_stacks_on_one_worker_and_audits_realization_0(m
     original_chunk, original_diagonalize = ensemble_mod._measure_chunk, ensemble_mod.diagonalize
     original_errors = spectral_mod._eigen_errors
 
-    def recording(segments, readout):
+    def recording(segments, readout, seed):
         calls.append([(segment.start, segment.stop) for segment in segments])
         workers.add(threading.get_ident())
-        return original_chunk(segments, readout)
+        return original_chunk(segments, readout, seed)
 
     def diagonalizing(band):
         matrices.append(band[0].shape[1])
@@ -908,7 +923,7 @@ def test_a_chebyshev_run_runs_in_stacks_on_one_worker_and_audits_realization_0(m
     monkeypatch.setattr(ensemble_mod, "_measure_chunk", recording)
     monkeypatch.setattr(ensemble_mod, "diagonalize", diagonalizing)
     monkeypatch.setattr(spectral_mod, "_eigen_errors", counting)
-    run_ensemble([_chebyshev_config()], threads=2)
+    run_ensemble(_chebyshev_config(), threads=2)
     assert calls == [[(0, 100)]]
     assert matrices == [1]  # the audit's realization 0, the only eigensystem
     assert len(errors) == 1  # its e and r, computed once for certify and the audit
@@ -917,7 +932,7 @@ def test_a_chebyshev_run_runs_in_stacks_on_one_worker_and_audits_realization_0(m
     monkeypatch.setattr(ensemble_mod, "_STACK", width)
     for record in (calls, workers, matrices, errors):
         record.clear()
-    run_ensemble([_chebyshev_config(3 * width + 7)], threads=2)
+    run_ensemble(_chebyshev_config(3 * width + 7), threads=2)
     assert calls == [[(k * width, (k + 1) * width)] for k in range(3)] + [
         [(3 * width, 3 * width + 7)]]
     assert max(stop - start for (start, stop), in calls) <= width
@@ -939,7 +954,7 @@ def test_a_half_width_below_the_spectral_radius_names_the_realization(monkeypatc
     monkeypatch.setattr(ensemble_mod, "_half_width", lambda params: radii[:target].max() * margin)
     with pytest.raises(RuntimeError, match=rf"realization {target} \(seed tag 42:{target}, "
                                            r".*Gershgorin radius .* exceeds the half-width"):
-        run_ensemble([config])
+        run_ensemble(config)
 
 
 def _shift_hop_slots(propagate):
@@ -981,7 +996,7 @@ def test_a_broken_kernel_fails_the_audit(monkeypatch, fault):
         monkeypatch.setattr(chebyshev_mod, "bessel_j", _flip_odd_bessel_signs(chebyshev_mod.bessel_j))
     with pytest.raises(RuntimeError, match=r"realization 0 \(seed tag 42:0, .*audit: "
                                            r"Chebyshev amplitudes deviate"):
-        run_ensemble([_chebyshev_config(10)])
+        run_ensemble(_chebyshev_config(10))
 
 
 # a sweep whose kernel points share stacks: 2 x 3 kernel points of 137
@@ -990,26 +1005,25 @@ def test_a_broken_kernel_fails_the_audit(monkeypatch, fault):
 PACKED_DELTAS, PACKED_W, PACKED_N = (0.05, 0.2), (0.3, 1.0, 3.0), 137
 
 
-def _packed_configs():
-    configs = [make_config(w=w, delta=delta, n_realizations=PACKED_N)
-               for delta in PACKED_DELTAS for w in (*PACKED_W, EIGEN_W)]
-    chosen = [config for config in configs if ensemble_mod._chebyshev_chosen(config.params)]
+def _packed_grid():
+    grid = [(w, delta) for delta in PACKED_DELTAS for w in (*PACKED_W, EIGEN_W)]
+    chosen = [params for params in make_config(grid=grid).grid
+              if ensemble_mod._chebyshev_chosen(params)]
     assert len(chosen) == len(PACKED_DELTAS) * len(PACKED_W)
-    return configs
+    return grid
 
 
 def test_a_grid_point_gives_bitwise_the_same_values_alone_and_in_packed_stacks(monkeypatch):
     # and two points of one half-width, 2W + Delta = 2.5, each its own point of a stack
-    packed = _packed_configs()
-    equal = [make_config(w=w, delta=delta, n_realizations=PACKED_N)
-             for w, delta in ((1.0, 0.5), (0.75, 1.0))]
-    assert len({ensemble_mod._half_width(config.params) for config in equal}) == 1
-    configs = packed + equal
+    packed = _packed_grid()
+    equal = [(1.0, 0.5), (0.75, 1.0)]
+    config = make_config(grid=packed + equal, n_realizations=PACKED_N)
+    assert len({ensemble_mod._half_width(params) for params in config.grid[-2:]}) == 1
     stacks = []
     original = ensemble_mod._chebyshev_concurrence
     monkeypatch.setattr(ensemble_mod, "_chebyshev_concurrence",
                         lambda segments: stacks.append(segments) or original(segments))
-    swept = {threads: run_ensemble(configs, threads=threads, keep_raw=True)
+    swept = {threads: run_ensemble(config, threads=threads, keep_raw=True)
              for threads in (1, 2)}
     # 1,096 kernel columns make three stacks per call, two points split between them
     assert [len(stack) for stack in stacks] == [3, 4, 3] * 2
@@ -1017,38 +1031,25 @@ def test_a_grid_point_gives_bitwise_the_same_values_alone_and_in_packed_stacks(m
         assert first[-1].point == second[0].point and second[0].start == first[-1].stop
     assert [segment.point for segment in stacks[1][-2:]] == [len(packed), len(packed) + 1]
     assert max(sum(s.stop - s.start for s in stack) for stack in stacks) <= ensemble_mod._STACK
-    for point, config in enumerate(configs):
-        alone = run_ensemble([config], keep_raw=True)[0].per_realization
+    for point, (w, delta) in enumerate(packed + equal):
+        alone = run_ensemble(make_config(w=w, delta=delta, n_realizations=PACKED_N),
+                             keep_raw=True)[0].per_realization
         assert alone.shape == (PACKED_N,)
         for result in swept.values():
             assert np.array_equal(result[point].per_realization, alone)
     # the sweep driver hands its whole grid to one call: the same values again
     sweep = transfer_sweep(10, PACKED_DELTAS, (*PACKED_W, EIGEN_W), PACKED_N, 42, keep_raw=True)
-    for point, config in enumerate(packed):
-        stats = sweep[config.params.detuning_delta][point % (len(PACKED_W) + 1)]
+    for point, (_, delta) in enumerate(packed):
+        stats = sweep[delta][point % (len(PACKED_W) + 1)]
         assert np.array_equal(stats.per_realization, swept[1][point].per_realization)
-
-
-def test_grid_points_of_different_lengths_never_share_a_stack(monkeypatch):
-    configs = [make_config(n_sites=n_sites, w=w, n_realizations=9)
-               for n_sites in (10, 8) for w in (0.3, 1.0)]
-    stacks = []
-    original = ensemble_mod._chebyshev_concurrence
-    monkeypatch.setattr(ensemble_mod, "_chebyshev_concurrence",
-                        lambda segments: stacks.append(segments) or original(segments))
-    results = run_ensemble(configs, keep_raw=True)
-    assert [{segment.config.params.n_sites for segment in stack} for stack in stacks] == [{8}, {10}]
-    for config, result in zip(configs, results):
-        alone = run_ensemble([config], keep_raw=True)[0]
-        assert np.array_equal(result.per_realization, alone.per_realization)
 
 
 @pytest.mark.parametrize("fault", ["raise", "non-finite"])
 def test_a_failure_in_a_packed_stack_names_its_own_grid_point(monkeypatch, fault):
     # realization 3 of the (W = 1, delta = 0.2) point fails; every point draws
     # the same rows, so the fault is keyed to that point's own parameters
-    configs = _packed_configs()
-    target = _unit_row(configs[0], 3)
+    config = make_config(grid=_packed_grid(), n_realizations=PACKED_N)
+    target = _unit_row(config, 3)
     original = ensemble_mod.scale_disorder
 
     def faulty(params, unit):
@@ -1064,7 +1065,7 @@ def test_a_failure_in_a_packed_stack_names_its_own_grid_point(monkeypatch, fault
     monkeypatch.setattr(ensemble_mod, "scale_disorder", faulty)
     with pytest.raises(RuntimeError, match=r"^realization 3 \(seed tag 42:3, "
                                            r"W=1\.0, delta=0\.2, N=10\) failed"):
-        run_ensemble(configs, threads=2)
+        run_ensemble(config, threads=2)
 
 
 def test_the_switch_rule_sends_low_w_to_the_kernel_and_large_w_to_the_eigen_path():
@@ -1095,7 +1096,7 @@ def test_the_switch_rule_is_read_once_per_run(monkeypatch):
     monkeypatch.setattr(ensemble_mod, "_chebyshev_chosen", counted)
     for config, expected in ((kernel, [0.5]), (eigen, [EIGEN_W]), (trace, [])):
         calls.clear()
-        run_ensemble([config], threads=2)
+        run_ensemble(config, threads=2)
         assert calls == expected
 
 
@@ -1104,4 +1105,6 @@ def test_a_config_records_one_readout():
     for name in ("ObservablePlan", "_measure_stack", "_last_cell"):
         assert not hasattr(ensemble_mod, name)
     assert [field.name for field in dataclasses.fields(EnsembleConfig)] == [
-        "params", "n_realizations", "master_seed", "trace_times"]
+        "n_sites", "grid", "n_realizations", "master_seed", "trace_times"]
+    assert [field.name for field in dataclasses.fields(EnsembleStats)] == [
+        "mean", "std_error", "per_realization"]

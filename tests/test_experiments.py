@@ -34,17 +34,16 @@ def test_a_sweep_runs_its_whole_grid_through_one_run_ensemble_call(monkeypatch):
     calls = []
     genuine = qladder.experiments.run_ensemble
 
-    def counted(configs, *args, **kwargs):
-        calls.append([(config.params.disorder_w, config.params.detuning_delta)
-                      for config in configs])
-        return genuine(configs, *args, **kwargs)
+    def counted(config, *args, **kwargs):
+        calls.append([(params.disorder_w, params.detuning_delta) for params in config.grid])
+        return genuine(config, *args, **kwargs)
 
     monkeypatch.setattr(qladder.experiments, "run_ensemble", counted)
     result = transfer_sweep(n_sites=4, deltas=(0.1, 0.2), w_grid=[0.5, 2.0],
-                            n_realizations=2, master_seed=1)
+                            n_realizations=2, master_seed=1, keep_raw=True)
     assert calls == [[(0.5, 0.1), (2.0, 0.1), (0.5, 0.2), (2.0, 0.2)]]
     assert list(result) == [0.1, 0.2]
-    assert all(stats.n == 2 for series in result.values() for stats in series)
+    assert all(stats.per_realization.shape == (2,) for series in result.values() for stats in series)
 
 
 def test_sweep_zero_detuning_control_row():
@@ -89,6 +88,16 @@ def test_leakage_trace_shapes_and_completeness():
     for minus in result.values():
         assert minus.mean.shape == times.shape
         assert minus.mean[0] == 1.0  # the initial state lives in the minus branch
+
+
+def test_a_trace_refuses_a_time_that_does_not_follow_the_one_before(monkeypatch):
+    # a repeated time would run and return its row twice
+    calls = []
+    monkeypatch.setattr(qladder.experiments, "run_ensemble", lambda *a, **k: calls.append(a))
+    for times in ([0.0, 1.0, 1.0], [0.0, 2.0, 1.0]):
+        with pytest.raises(ValueError, match="trace_times must be strictly ascending"):
+            leakage_trace(4, 0.2, [1.0], times, 2, 1)
+    assert calls == []
 
 
 def test_leakage_is_suppressed_by_disorder():

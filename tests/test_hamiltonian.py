@@ -177,10 +177,10 @@ def test_effective_stack_checks_each_matrix():
     params = LadderParams(n_sites=8, disorder_w=8e307, detuning_delta=8e307)
     with pytest.raises(ValueError, match="non-finite"):
         build_effective(sample_realization(params, derive_stream(1234, 0)))
-    config = EnsembleConfig(params=params, n_realizations=7, master_seed=1234,
-                            trace_times=[0.0, 1.0])
+    config = EnsembleConfig(n_sites=8, grid=[(8e307, 8e307)], n_realizations=7,
+                            master_seed=1234, trace_times=[0.0, 1.0])
     with pytest.raises(RuntimeError, match=r"realization 0 \(seed tag 1234:0, .*non-finite"):
-        run_ensemble([config])
+        run_ensemble(config)
 
 
 def test_operator_rejects_odd_dimension():
