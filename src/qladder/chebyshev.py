@@ -2,13 +2,14 @@
 
 A readout at one time needs no eigenvectors: :func:`chebyshev_propagate`
 expands exp(-i H t) psi0 in Chebyshev polynomials of H (Tal-Ezer & Kosloff,
-J. Chem. Phys. 81, 3967 (1984)) with its rows in branch-major order, plus
-slots first, where a row of H x sums 4 products, and with coefficients from
-Miller's recurrence (:func:`bessel_j`), so it loads no scipy. The series is
-cut where its tail falls below the unit roundoff, and the recurrence's own
-ratios bound that tail past its last order (:func:`_chebyshev_series`). It
-judges the whole states it returns against the tolerances of
-:func:`~qladder.spectral.certify` and returns a bound on the error of each.
+J. Chem. Phys. 81, 3967 (1984)) in branch-major row order, plus slots first,
+where a row of H x sums 4 products and one product holds both halves' rungs,
+each step on views made once per call at a 16-element ufunc buffer, with
+coefficients from Miller's recurrence (:func:`bessel_j`), so it loads no scipy.
+The series is cut where its tail falls below the unit roundoff, and the
+recurrence's own ratios bound that tail past its last order
+(:func:`_chebyshev_series`). It judges the whole states it returns against the
+tolerances of :func:`~qladder.spectral.certify` and bounds the error of each.
 """
 
 from __future__ import annotations
@@ -86,28 +87,35 @@ def _aligned_zeros(*shape) -> np.ndarray:
     return raw[start:start + size].view(np.float64).reshape(shape)
 
 
+def _views(buffer, half: int) -> tuple:
+    """The views of a (D, W) state that :func:`_ladder_apply` reads, made once."""
+    halves = buffer.reshape(2, half, -1)
+    return buffer, buffer[:-1], buffer[1:], halves, halves[::-1]
+
+
 def _ladder_apply(ladder, state, out, scratch) -> np.ndarray:
     """H x into ``out`` for (D, W) states x in branch-major order, where the
     ``ladder`` of H is its diagonal and its only subdiagonals, the hoppings at
-    offset 1 and the rungs at offset N; ``scratch`` is (D, W)."""
-    np.multiply(ladder[0], state, out=out)
-    for coupling in ladder[1:]:
-        offset = len(state) - len(coupling)
-        product = scratch[:-offset]
-        np.multiply(coupling, state[:-offset], out=product)
-        out[offset:] += product
-        np.multiply(coupling, state[offset:], out=product)
-        out[:-offset] += product
-    return out
+    offset 1 and the (1, N, W) rungs at offset N, one product for both halves
+    of H x; ``state``, ``out`` and ``scratch`` are :func:`_views` of states."""
+    diagonal, hoppings, rungs = ladder
+    np.multiply(diagonal, state[0], out=out[0])
+    np.multiply(hoppings, state[1], out=scratch[1])
+    np.add(out[2], scratch[1], out=out[2])
+    np.multiply(hoppings, state[2], out=scratch[1])
+    np.add(out[1], scratch[1], out=out[1])
+    np.multiply(rungs, state[4], out=scratch[3])
+    np.add(out[3], scratch[3], out=out[3])
+    return out[0]
 
 
 def _to_ladder(fill, band, ladder, count) -> None:
     """``fill(source, out=rows)`` from the ``band`` of H into the first
     ``count`` columns of :func:`_ladder_apply`'s ``ladder``: the plus slots,
     then the minus slots, with a zero hopping at the junction between them."""
-    half = len(ladder[2])
+    half = ladder[2].shape[1]
     sources = (band[0][0::2], band[0][1::2], band[2][0::2], band[2][1::2], band[1][0::2])
-    targets = (ladder[0][:half], ladder[0][half:], ladder[1][: half - 1], ladder[1][half:], ladder[2])
+    targets = (ladder[0][:half], ladder[0][half:], ladder[1][: half - 1], ladder[1][half:], ladder[2][0])
     for source, target in zip(sources, targets):
         fill(source, out=target[:, :count])
 
@@ -133,8 +141,9 @@ def chebyshev_propagate(band, psi0, t: float, points, counts):
     over the stack, so a realization gives bitwise the same state in any stack.
     Returns the real and imaginary parts, each (D, R), and the (R,) error
     bounds, one per column, the same for the columns of a point. The rows
-    run in branch-major order (:func:`_to_ladder`), where H x takes 7 (D, R)
-    operations, not the band's 9 with its zero rows.
+    run in branch-major order (:func:`_to_ladder`). A step is 11 array
+    operations on views made once per call (:func:`_views`), H x 7 of them,
+    at a 16-element ufunc buffer that the call restores as it returns or raises.
 
     The judge raises ArithmeticError when a matrix's Gershgorin radius, a
     bound on its spectral radius, exceeds its a ("Gershgorin radius ...
@@ -167,57 +176,69 @@ def chebyshev_propagate(band, psi0, t: float, points, counts):
     # grid point; as one block, about 10.
     width = -(-count // 8) * 8
     block = _aligned_zeros(8 * dim + half - 1, width)
-    *ladder, re, im, prev, cur, nxt, scratch = np.split(
+    diagonal, hoppings, rungs, re, im, prev, cur, nxt, scratch = np.split(
         block, np.cumsum([dim, dim - 1, half] + [dim] * 5))
-    _to_ladder(np.abs, band, ladder, count)
-    prev[:, :count] = 1.0
-    radius = _ladder_apply(ladder, prev, cur, scratch)[:, :count].max(axis=0)  # |H| applied to ones
-    if not np.all(radius <= half_width):  # NaN fails too
-        bad = np.flatnonzero(~(radius <= half_width))[0]
-        raise ArithmeticError(f"Gershgorin radius {radius[bad]:.3e} exceeds "
-                              f"the half-width {half_width[bad]:.3e}")
-    for _, _, tail in table:
-        if not tail <= _UNIT_ROUNDOFF:
-            raise ArithmeticError(f"Chebyshev tail {tail:.3e} exceeds {_UNIT_ROUNDOFF:.3e}")
-    terms = max(k for k, _, _ in table)
-    # real weights of phi_k per point, zero past its K: 2 J_k (-i)^k is 2 J_k,
-    # -2i J_k, -2 J_k, 2i J_k for k = 0, 1, 2, 3 mod 4
-    signs = np.array([1.0, -1.0, -1.0, 1.0])[np.arange(terms + 1) % 4]
-    weights = np.zeros((terms + 1, len(points)))
-    for column, (k, bessel, _) in zip(weights.T, table):
-        column[: k + 1] = 2 * bessel * signs[: k + 1]
-        column[0] = bessel[0]
-    _to_ladder(lambda source, out: np.multiply(source, 2.0 / half_width, out=out),  # 2 y
-               band, ladder, count)
-    # each step's weight per column, from its point's column of the table; a
-    # padding column takes the first point's, and its zeros stay zero
-    row = np.empty(width)
-    columns = np.zeros(width, dtype=np.intp)
-    columns[:count] = point
-    prev[:half, :count], prev[half:, :count] = psi0[0::2], psi0[1::2]
-    np.take(weights[0], columns, out=row)
-    np.multiply(prev, row, out=re)
-    _ladder_apply(ladder, prev, cur, scratch)
-    cur *= 0.5  # phi_1 = y psi0, exactly half of 2 y psi0
-    for k in range(1, terms + 1):
-        if k > 1:
-            _ladder_apply(ladder, cur, nxt, scratch)
-            np.subtract(nxt, prev, out=nxt)
-            prev, cur, nxt = cur, nxt, prev
-        np.take(weights[k], columns, out=row)
-        np.multiply(cur, row, out=scratch)
-        part = im if k % 2 else re
-        np.add(part, scratch, out=part)
-    # the judge, on H's own entries, and the states back in band order, all
-    # in the recurrence's buffers: two of its own are 0.38 MB at 400 columns
-    _to_ladder(np.positive, band, ladder, count)  # a copy
-    prev[:half, :count], prev[half:, :count] = psi0[0::2], psi0[1::2]
-    energies = [np.einsum("dr,dr->r", state, _ladder_apply(ladder, state, nxt, scratch))[:count]
-                for state in (re, im, prev)]
-    norms = np.einsum("dr,dr->r", re, re) + np.einsum("dr,dr->r", im, im)
-    _judge_drift(norms[:count], energies[0] + energies[1], energies[2])
-    for state, out in ((re, prev), (im, cur)):
-        out[0::2], out[1::2] = state[:half], state[half:]
+    ladder = (diagonal, hoppings, rungs[None])
+    states, spare = [_views(buffer, half) for buffer in (prev, cur, nxt)], _views(scratch, half)
+    # numpy sends a (W,) row broadcast over a (D, W) state, and the (1, N, W)
+    # rungs over the halves, through its buffered iterator, 8,192 elements at a
+    # time by default: at (60, 400) the weight product took 11.7 us, 6.8 us at
+    # a 16-element buffer, 6.2 us with a same-shape operand. numpy 2 keeps the
+    # size in a context variable, 1.24-1.26 per thread: no other thread sees it.
+    bufsize = np.setbufsize(16)
+    try:
+        _to_ladder(np.abs, band, ladder, count)
+        prev[:, :count] = 1.0
+        radius = _ladder_apply(ladder, states[0], states[1], spare)[:, :count].max(axis=0)  # |H| 1s
+        if not np.all(radius <= half_width):  # NaN fails too
+            bad = np.flatnonzero(~(radius <= half_width))[0]
+            raise ArithmeticError(f"Gershgorin radius {radius[bad]:.3e} exceeds "
+                                  f"the half-width {half_width[bad]:.3e}")
+        for _, _, tail in table:
+            if not tail <= _UNIT_ROUNDOFF:
+                raise ArithmeticError(f"Chebyshev tail {tail:.3e} exceeds {_UNIT_ROUNDOFF:.3e}")
+        terms = max(k for k, _, _ in table)
+        # real weights of phi_k per point, zero past its K: 2 J_k (-i)^k is 2 J_k,
+        # -2i J_k, -2 J_k, 2i J_k for k = 0, 1, 2, 3 mod 4
+        signs = np.array([1.0, -1.0, -1.0, 1.0])[np.arange(terms + 1) % 4]
+        weights = np.zeros((terms + 1, len(points)))
+        for column, (k, bessel, _) in zip(weights.T, table):
+            column[: k + 1] = 2 * bessel * signs[: k + 1]
+            column[0] = bessel[0]
+        _to_ladder(lambda source, out: np.multiply(source, 2.0 / half_width, out=out),  # 2 y
+                   band, ladder, count)
+        # each step's weight per column, from its point's column of the table; a
+        # padding column takes the first point's, and its zeros stay zero
+        row, columns = np.empty(width), np.zeros(width, dtype=np.intp)
+        columns[:count] = point
+        prev[:half, :count], prev[half:, :count] = psi0[0::2], psi0[1::2]
+        weights[0].take(columns, out=row)  # the method: 1.0 us, np.take 1.9 us
+        np.multiply(prev, row, out=re)
+        _ladder_apply(ladder, states[0], states[1], spare)
+        cur *= 0.5  # phi_1 = y psi0, exactly half of 2 y psi0
+        p, c, n = 0, 1, 2  # phi_{k-1}, phi_k, phi_{k+1} are states[p], [c], [n]
+        for k in range(1, terms + 1):
+            if k > 1:
+                _ladder_apply(ladder, states[c], states[n], spare)
+                np.subtract(states[n][0], states[p][0], out=states[n][0])
+                p, c, n = c, n, p
+            weights[k].take(columns, out=row)
+            np.multiply(states[c][0], row, out=scratch)
+            part = (re, im)[k & 1]
+            np.add(part, scratch, out=part)
+        # the judge, on H's own entries, and the states back in band order, all
+        # in the recurrence's buffers: two of its own are 0.38 MB at 400 columns
+        _to_ladder(np.positive, band, ladder, count)  # a copy
+        prev[:half, :count], prev[half:, :count] = psi0[0::2], psi0[1::2]
+        energies = [np.einsum("dr,dr->r", state,
+                              _ladder_apply(ladder, _views(state, half), states[2], spare))[:count]
+                    for state in (re, im, prev)]
+        norms = np.einsum("dr,dr->r", re, re) + np.einsum("dr,dr->r", im, im)
+        _judge_drift(norms[:count], energies[0] + energies[1], energies[2])
+        for state, out in ((re, prev), (im, cur)):
+            out[0::2], out[1::2] = state[:half], state[half:]
+    finally:
+        np.setbufsize(bufsize)
 
     bounds = np.empty(len(points))
     for p, (a, (k, _, tail)) in enumerate(points):

@@ -113,7 +113,9 @@ def _check_config_value(command: str, key: str, value, default) -> None:
 
 def _resolve(args: argparse.Namespace, command: str, defaults: dict) -> dict:
     """Merge built-in defaults, the command's section of an optional config
-    file, and explicit flags. A file without that section sets no keys."""
+    file, and explicit flags. A file without that section sets no keys. A
+    manifest (``command`` and ``config``) is read as that command's section,
+    less ``threads`` and ``out_dir``, which do not affect the data."""
     resolved = dict(defaults)
     if args.config:
         import json
@@ -122,6 +124,13 @@ def _resolve(args: argparse.Namespace, command: str, defaults: dict) -> dict:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ValueError("config file must be a JSON object of command sections")
+        if "command" in loaded and "config" in loaded:
+            if loaded["command"] != command:
+                raise ValueError(f"config file is a manifest of {loaded['command']!r}, not {command}")
+            section = loaded["config"]
+            if isinstance(section, dict):
+                section = {k: v for k, v in section.items() if k not in ("threads", "out_dir")}
+            loaded = {command: section}
         unknown = set(loaded) - set(CONFIG_SECTIONS)
         if unknown:
             raise ValueError(

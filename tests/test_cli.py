@@ -150,6 +150,44 @@ def test_a_config_key_outside_any_command_section_fails(tmp_path, capsys):
     assert not (tmp_path / "x").exists()  # rejected before any work
 
 
+@pytest.mark.parametrize("command, argv", [
+    ("fig1", ["--n-sites", "6", "--delta", "0.2", "--w-points", "3", "--realizations", "5",
+              "--seed", "9", "--keep-raw"]),
+    ("fig2", ["--n-sites", "6", "--w", "0.5", "--w", "4", "--t-points", "4",
+              "--realizations", "5", "--seed", "9", "--keep-raw"]),
+])
+def test_a_manifest_reruns_its_own_run(tmp_path, command, argv):
+    # its threads and out_dir are the run's record, not its data: the rerun,
+    # at the other thread count and into a fresh directory, writes every
+    # output with the digest the manifest holds
+    first = tmp_path / "first"
+    assert main([command, *argv, "--threads", "1", "--out-dir", str(first)]) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    assert sorted(manifest["outputs"]) == [f"{command}.csv", f"{command}_raw.csv"]
+    again = tmp_path / "again"
+    argv = [command, "--config", str(first / "manifest.json"), "--threads", "2"]
+    assert main([*argv, "--out-dir", str(again)]) == 0
+    for name, digest in manifest["outputs"].items():
+        assert hashlib.sha256(read(again / name)).hexdigest() == digest
+    rerun = json.loads((again / "manifest.json").read_text())
+    assert rerun["config"] == {**manifest["config"], "threads": 2, "out_dir": str(again)}
+
+
+def test_a_manifest_keeps_flags_first_and_refuses_another_commands_run(tmp_path, capsys):
+    first = tmp_path / "first"
+    argv = ["--n-sites", "4", "--w-points", "2", "--realizations", "3"]
+    assert main(["fig1", *argv, "--out-dir", str(first)]) == 0
+    manifest = str(first / "manifest.json")
+    again = tmp_path / "again"
+    assert main(["fig1", "--config", manifest, "--seed", "5", "--out-dir", str(again)]) == 0
+    config = json.loads((again / "manifest.json").read_text())["config"]
+    assert (config["seed"], config["n_sites"], config["realizations"]) == (5, 4, 3)
+    code = main(["fig2", "--config", manifest, "--out-dir", str(tmp_path / "x")])
+    assert code == 1
+    assert "config file is a manifest of 'fig1', not fig2" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()  # rejected before any work
+
+
 PAST_FLOAT = 10**400  # a JSON integer that no float holds
 
 

@@ -217,6 +217,29 @@ def test_thread_count_does_not_change_results():
             assert np.array_equal(serial.per_realization, threaded.per_realization)
 
 
+def test_a_callers_ufunc_buffer_size_does_not_change_the_kernels_values():
+    # a small fig1: the kernel reads every point, at a 16-element buffer of its
+    # own, whatever the buffer size of the thread that calls run_ensemble
+    config = make_config(n_sites=8, n_realizations=9,
+                         grid=[(w, delta) for delta in (0.1, 0.2) for w in (0.2, 1.5, 10.0)])
+    assert all(ensemble_mod._chebyshev_chosen(params) for params in config.grid)
+    expected = run_ensemble(config, keep_raw=True)
+    seen = {}
+
+    def call():
+        np.setbufsize(32768)
+        seen["stats"] = run_ensemble(config, keep_raw=True)
+        seen["bufsize"] = np.getbufsize()
+
+    thread = threading.Thread(target=call)
+    thread.start()
+    thread.join()
+    assert seen["bufsize"] == 32768
+    for a, b in zip(expected, seen["stats"], strict=True):
+        assert np.array_equal(a.mean, b.mean) and np.array_equal(a.std_error, b.std_error)
+        assert np.array_equal(a.per_realization, b.per_realization)
+
+
 def test_raw_values_bracket_the_mean():
     config = make_config(n_realizations=7)
     stats = run_ensemble(config, keep_raw=True)[0]

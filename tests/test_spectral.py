@@ -660,11 +660,12 @@ def test_the_ladder_product_matches_the_dense_matrices(n_sites, shared):
     band = [rng.uniform(-3.0, 3.0, (dim, count)), np.zeros((dim - 1, count)),
             rng.uniform(-1.0, 1.0, (dim - 2, 1 if shared else count))]
     band[1][0::2] = rng.uniform(-1.0, 1.0, (n_sites, count))  # the rungs
-    ladder = [np.zeros((dim, count)), np.zeros((dim - 1, count)), np.zeros((n_sites, count))]
+    ladder = (np.zeros((dim, count)), np.zeros((dim - 1, count)), np.zeros((1, n_sites, count)))
     chebyshev_mod._to_ladder(np.positive, band, ladder, count)
     x = rng.standard_normal((dim, count))
-    product = chebyshev_mod._ladder_apply(ladder, np.concatenate([x[0::2], x[1::2]]),
-                                          np.empty_like(x), np.empty_like(x))
+    state, out, scratch = (chebyshev_mod._views(buffer, n_sites) for buffer in
+                           (np.concatenate([x[0::2], x[1::2]]), np.empty_like(x), np.empty_like(x)))
+    product = chebyshev_mod._ladder_apply(ladder, state, out, scratch)
     applied = np.empty_like(x)
     applied[0::2], applied[1::2] = product[:n_sites], product[n_sites:]
     dense = hamiltonian_mod._dense(band)
@@ -705,6 +706,32 @@ def test_the_chebyshev_judge_refuses(corruption, message):
         band[0][3, 0] = np.nan
     else:
         psi0 = psi0 * (1 + 1e-9)
+    bufsize = np.getbufsize()
     with pytest.raises(ArithmeticError, match=message):
         chebyshev_propagate(band, psi0, transfer_time(8),
                             [_kernel_point(half_width, transfer_time(8))], [1])
+    assert np.getbufsize() == bufsize  # the kernel's own buffer size ends with it
+
+
+def test_the_chebyshev_kernel_runs_at_its_own_buffer_size_and_restores_the_callers():
+    # the states and bounds do not depend on the caller's ufunc buffer size,
+    # and the call leaves it as it found it; N = 7 gives the halves view an
+    # odd N and the 5 columns a padded stack of 8
+    params = LadderParams(n_sites=7, disorder_w=3.0, detuning_delta=0.2)
+    realizations = [sample_realization(params, derive_stream(4, index)) for index in range(5)]
+    cells = [np.stack([getattr(realization, name) for realization in realizations])
+             for name in ("eps_leg1", "eps_leg2", "gamma_n")]
+    band = effective_band(*cells, realizations[0].couplings)
+    psi0 = np.broadcast_to(bell_minus_state(7).amplitudes.real[:, None], band[0].shape)
+    t = transfer_time(7)
+    results = []
+    for size in (np.getbufsize(), 32768, 16):
+        outer = np.setbufsize(size)
+        try:
+            results.append(chebyshev_propagate(band, psi0, t,
+                                               [_kernel_point(_half_width(params), t)], [5]))
+            assert np.getbufsize() == size
+        finally:
+            np.setbufsize(outer)
+    for result in results[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(results[0], result))
