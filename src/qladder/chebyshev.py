@@ -8,8 +8,8 @@ each step on views made once per call at a 16-element ufunc buffer, with
 coefficients from Miller's recurrence (:func:`bessel_j`), so it loads no scipy.
 The series is cut where its tail falls below the unit roundoff, and the
 recurrence's own ratios bound that tail past its last order
-(:func:`_chebyshev_series`). It judges the whole states it returns against the
-tolerances of :func:`~qladder.spectral.certify` and bounds the error of each.
+(:func:`_chebyshev_series`, with the error bound of each state). It judges the
+whole states it returns against the tolerances of :func:`~qladder.spectral.certify`.
 """
 
 from __future__ import annotations
@@ -23,11 +23,12 @@ from .spectral import _UNIT_ROUNDOFF, _gamma, _judge_drift
 __all__ = ["bessel_j", "chebyshev_propagate"]
 
 
-def _chebyshev_series(x: float) -> tuple[int, np.ndarray, float]:
+def _chebyshev_series(x: float) -> tuple[int, np.ndarray, float, float]:
     """The series of exp(-i x y) for |y| <= 1 and x >= 0: its term count K,
-    J_0(x) .. J_K(x) and the tail bound. K is the smallest order whose tail
-    bound, on 2 sum_{k>K} |J_k(x)|, is at most the unit roundoff u; it is at
-    least x, and computing the series takes O(x) steps.
+    J_0(x) .. J_K(x), the tail bound and the a-priori bound on the error of
+    each state :func:`chebyshev_propagate` evolves by it. K is the smallest
+    order whose tail bound, on 2 sum_{k>K} |J_k(x)|, is at most the unit
+    roundoff u; it is at least x, and computing the series takes O(x) steps.
 
     The Miller values run to L = ceil(x + 15 x^(1/3)) + 20, where
     :func:`bessel_j` already takes J as negligible, and the tail bound of
@@ -51,6 +52,16 @@ def _chebyshev_series(x: float) -> tuple[int, np.ndarray, float]:
     2nd ed., Lemma 3.3 and Sec. 4.2); times 1 + gamma_{L+6}, with that
     factor and the product each rounded, (1 - gamma_{L+3}) (1 + gamma_{L+6})
     (1 - u)^2 >= (1 - gamma_{L+3}) (1 + gamma_{L+4}) >= 1.
+
+    The bound on |computed - exact| per state, with c_k = 2 (-i)^k J_k (c_0 =
+    J_0) the coefficients and g = gamma_6, which covers a row's 4 products
+    and a step's subtraction (gamma_5): a step rounds by at most g (2 |y|
+    |phi_k| + |phi_{k-1}|) <= 3 g max |phi|, which is 6 g while |phi| <= 2;
+    local errors propagate through U_{k-j-1}(y), of norm at most k - j, so
+    |phi_k - T_k(y) psi0| <= 3 g k (k + 1), and these add sum_k |c_k| 3 g k
+    (k + 1). Summing the terms adds gamma_{K+1} sum_k |c_k| (1 + 3 g k (k +
+    1)), the Miller coefficients (K + 1) u sum_k |c_k|, rounding 2 H / a (H
+    perturbed by at most u a) adds x u, and the truncation its tail bound.
     """
     last = math.ceil(x + 15 * x ** (1 / 3)) + 20
     bessel = bessel_j(x, last + 1)
@@ -59,7 +70,13 @@ def _chebyshev_series(x: float) -> tuple[int, np.ndarray, float]:
               + abs(bessel[last]) * x / (last + 1 - x))
              * (1 + _gamma(last + 6)))
     terms = int(np.argmax(tails <= _UNIT_ROUNDOFF))
-    return terms, bessel[: terms + 1], float(tails[terms])
+    tail, magnitudes = float(tails[terms]), 2 * np.abs(bessel[: terms + 1])  # |c_k|
+    magnitudes[0] = abs(bessel[0])
+    recurrence = 3 * _gamma(6) * np.arange(terms + 1.0) * np.arange(1.0, terms + 2.0)  # k (k + 1)
+    bound = (math.fsum(magnitudes * recurrence)
+             + _gamma(terms + 1) * math.fsum(magnitudes * (1 + recurrence))
+             + (terms + 1) * _UNIT_ROUNDOFF * math.fsum(magnitudes) + x * _UNIT_ROUNDOFF + tail)
+    return terms, bessel[: terms + 1], tail, bound
 
 
 def bessel_j(x: float, count: int) -> np.ndarray:
@@ -120,50 +137,42 @@ def _to_ladder(fill, band, ladder, count) -> None:
         fill(source, out=target[:, :count])
 
 
-def chebyshev_propagate(band, psi0, t: float, points, counts):
-    """The whole states exp(-i H_r t) psi0_r of a stack of ladder matrices
-    by their Chebyshev expansion (Tal-Ezer & Kosloff, J. Chem. Phys. 81,
-    3967 (1984)), judged, with a bound on their error per state.
+def chebyshev_propagate(band, psi0, points, counts):
+    """The judged whole states exp(-i H_r t) psi0 of a stack of ladder matrices
+    by their Chebyshev expansion (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).
 
     ``band`` is the stack's band as :func:`~qladder.hamiltonian._ladder_band`
     lays it out, ``band[k]`` the (D - k, R) k-th subdiagonal, H_r[j + k, j] at
     [j, r] (an axis of length 1 is shared by the stack); another band is
-    refused with ValueError. ``psi0`` holds the (D, R) real unit start states
-    and ``t`` >= 0. The columns are the grid points' in turn: ``counts[p]``
+    refused with ValueError. ``psi0`` holds the real unit start states, (D, R)
+    or one (D, 1) column that every matrix evolves; another shape is refused
+    with ValueError. The columns are the grid points' in turn: ``counts[p]``
     columns take ``points[p]`` = (a, series), a bound a on the spectral radius
     of each of their H_r and the series of x = a t, :func:`_chebyshev_series`
-    (x). With y = H / a, exp(-i x y) = J_0(x) + 2 sum_{k>=1} (-i)^k J_k(x)
-    T_k(y) on [-1, 1], cut after that series' K terms. phi_k = T_k(y) psi0 is
-    real, phi_{k+1} = 2 y phi_k - phi_{k-1}, so even terms add to the real part
-    and odd ones to the imaginary part. The recurrence runs to the largest K of
-    the stack, and a column gets zero weight past its own K: adding the +-0
-    products leaves its sums bitwise unchanged. Every operation is elementwise
-    over the stack, so a realization gives bitwise the same state in any stack.
-    Returns the real and imaginary parts, each (D, R), and the (R,) error
-    bounds, one per column, the same for the columns of a point. The rows
-    run in branch-major order (:func:`_to_ladder`). A step is 11 array
-    operations on views made once per call (:func:`_views`), H x 7 of them,
-    at a 16-element ufunc buffer that the call restores as it returns or raises.
+    (x), whose last entry bounds the error of each of their states. With y =
+    H / a, exp(-i x y) = J_0(x) + 2 sum_{k>=1} (-i)^k J_k(x) T_k(y) on [-1,
+    1], cut after that series' K terms. phi_k = T_k(y) psi0 is real, phi_{k+1}
+    = 2 y phi_k - phi_{k-1}, so even terms add to the real part and odd ones
+    to the imaginary part. The recurrence runs to the largest K of the stack,
+    and a column gets zero weight past its own K: adding the +-0 products
+    leaves its sums bitwise unchanged. Every operation is elementwise over the
+    stack, so a realization gives bitwise the same state in any stack.
+    Returns the real and imaginary parts, each (D, R). The rows run in
+    branch-major order (:func:`_to_ladder`). A step is 11 array operations on
+    views made once per call (:func:`_views`), H x 7 of them, at a 16-element
+    ufunc buffer that the call restores as it returns or raises.
 
     The judge raises ArithmeticError when a matrix's Gershgorin radius, a
     bound on its spectral radius, exceeds its a ("Gershgorin radius ...
     exceeds ..."), when a tail bound exceeds u, and, as :func:`certify`
     measures, when a state's squared norm is off 1 by more than
     ``NORM_TOL`` or its energy is off psi0's by more than ``ENERGY_TOL``.
-
-    The bound on |computed - exact| per state, with c_k the coefficients and
-    g = gamma_6, which covers a row's 4 products and a step's subtraction
-    (gamma_5): a step rounds by at most g (2 |y| |phi_k| + |phi_{k-1}|) <=
-    3 g max |phi|, which is 6 g while |phi| <= 2; local errors propagate
-    through U_{k-j-1}(y), of norm at most k - j, so |phi_k - T_k(y) psi0|
-    <= 3 g k (k + 1), and these add sum_k |c_k| 3 g k (k + 1). Summing the
-    terms adds gamma_{K+1} sum_k |c_k| (1 + 3 g k (k + 1)), the Miller
-    coefficients (K + 1) u sum_k |c_k|, rounding 2 H / a (H perturbed by at
-    most u a) adds x u, and the truncation its tail bound.
     """
     if len(band) != 3 or np.any(band[1][1::2]):
         raise ValueError("not a ladder's band: three diagonals, zeros between cells on the first")
-    dim, count = psi0.shape
+    dim, count = band[0].shape
+    if psi0.shape not in ((dim, 1), (dim, count)):
+        raise ValueError(f"start states {psi0.shape} do not fit the band's ({dim}, {count})")
     half = dim // 2  # branch-major: the plus slots are rows :half, the minus ones half:
     point = np.repeat(np.arange(len(points)), counts)
     half_width = np.repeat([a for a, _ in points], counts)
@@ -194,15 +203,15 @@ def chebyshev_propagate(band, psi0, t: float, points, counts):
             bad = np.flatnonzero(~(radius <= half_width))[0]
             raise ArithmeticError(f"Gershgorin radius {radius[bad]:.3e} exceeds "
                                   f"the half-width {half_width[bad]:.3e}")
-        for _, _, tail in table:
+        for _, _, tail, _ in table:
             if not tail <= _UNIT_ROUNDOFF:
                 raise ArithmeticError(f"Chebyshev tail {tail:.3e} exceeds {_UNIT_ROUNDOFF:.3e}")
-        terms = max(k for k, _, _ in table)
+        terms = max(k for k, *_ in table)
         # real weights of phi_k per point, zero past its K: 2 J_k (-i)^k is 2 J_k,
         # -2i J_k, -2 J_k, 2i J_k for k = 0, 1, 2, 3 mod 4
         signs = np.array([1.0, -1.0, -1.0, 1.0])[np.arange(terms + 1) % 4]
         weights = np.zeros((terms + 1, len(points)))
-        for column, (k, bessel, _) in zip(weights.T, table):
+        for column, (k, bessel, *_) in zip(weights.T, table):
             column[: k + 1] = 2 * bessel * signs[: k + 1]
             column[0] = bessel[0]
         _to_ladder(lambda source, out: np.multiply(source, 2.0 / half_width, out=out),  # 2 y
@@ -239,17 +248,4 @@ def chebyshev_propagate(band, psi0, t: float, points, counts):
             out[0::2], out[1::2] = state[:half], state[half:]
     finally:
         np.setbufsize(bufsize)
-
-    bounds = np.empty(len(points))
-    for p, (a, (k, _, tail)) in enumerate(points):
-        magnitudes = np.abs(weights[: k + 1, p])
-        steps = np.arange(k + 1.0)
-        recurrence = 3 * _gamma(6) * steps * (steps + 1)
-        bounds[p] = (
-            math.fsum(magnitudes * recurrence)
-            + _gamma(k + 1) * math.fsum(magnitudes * (1 + recurrence))
-            + (k + 1) * _UNIT_ROUNDOFF * math.fsum(magnitudes)
-            + a * t * _UNIT_ROUNDOFF
-            + tail
-        )
-    return prev[:, :count], cur[:, :count], bounds[point]
+    return prev[:, :count], cur[:, :count]

@@ -23,19 +23,20 @@ basis Hamiltonian where its term count K costs less than the eigen path,
 else the eigen path. The kernel's half-width a comes from W, Delta and the
 couplings, so K is the same for every realization of a grid point. The
 switch rule computes a point's a and series (K, Bessel coefficients, tail
-bound) once, and the kernel takes them with the point's column count; it
-works elementwise over the stack, each column at its own point's a, so a
-realization's value is bitwise the same in any stack. The grid points of
-one call that the kernel reads share its stacks: ordered by K, they are
-cut and packed into stacks of at most 400 columns (``_STACK``),
+bound, error bound) once, and the kernel takes them with the point's column
+count; it works elementwise over the stack, each column at its own point's
+a, so a realization's value is bitwise the same in any stack. The grid
+points of one call that the kernel reads share its stacks: ordered by K,
+they are cut and packed into stacks of at most 400 columns (``_STACK``),
 which run on one worker; the same cutter cuts each eigen-path point into
-its chunks. Every eigen-path readout is one function: it builds
-a stack's band, hands it to :func:`~qladder.spectral.diagonalize` as is,
-certifies the eigensystems against the dense matrices, and measures the
-entries it propagates while the stack is held. Realization 0 of each grid
-point is audited: the eigen path recomputes those of a stack in one call,
-and each one's complex last-cell amplitudes must agree with the kernel's
-within the sum of the two paths' error bounds for its own grid point.
+its chunks. One builder gives both paths a stack's band and the Bell start
+its realizations share. The one eigen-path readout hands that band to
+:func:`~qladder.spectral.diagonalize` as is, certifies the eigensystems
+for that start, and measures the entries it propagates while the stack is
+held. Realization 0 of each grid point is audited: the eigen path
+recomputes those of a stack in one call, and each one's complex last-cell
+amplitudes must agree with the kernel's within the sum of the two paths'
+error bounds for its own grid point.
 
 Each call runs on a thread pool of its own, also at one thread, and closes
 it before it returns: the kernel's stacks on one worker, then each other
@@ -242,27 +243,33 @@ def _cells(segments) -> tuple:
 
 
 # A readout measures the realizations of its segments, stacked on axis 0 in
-# order; it scales their draws itself, so their arrays go as soon as it is done with them.
+# order; it builds their band itself, so their arrays go as soon as it is done with them.
 
-def _eigen_readout(segments, times, rows, measure):
-    """``measure(re, im)`` of the realizations of ``segments`` by the eigen
-    path, and certify's e, r and max |L|: their stack's band is checked
-    finite and diagonalized, its dense matrices are certified for the Bell
-    start at ``times``, and ``re`` and ``im`` are the (R, K, T) parts of its
-    entries ``rows`` at ``times``.
+def _band_and_start(segments) -> tuple:
+    """The +/- band of the stack of ``segments``, realizations last, and the Bell
+    pair on cell 1, the unit vector |1,->, as one real (D, 1) column for all."""
+    params = segments[0].params  # one N per call: the couplings of all
+    band = effective_band(*_cells(segments), params.couplings())
+    psi0 = np.zeros((2 * params.n_sites, 1))  # a (D, R) copy is 0.19 MB at 400 columns
+    psi0[flat_index(1, Branch.MINUS, params.n_sites)] = 1.0
+    return band, psi0
+
+
+def _eigen_readout(band, psi0, times, rows, measure):
+    """``measure(re, im)`` of the stack of ``band`` evolved from the (D, 1)
+    start ``psi0`` by the eigen path, and certify's e, r and max |L|: the
+    band is checked finite and diagonalized, its dense matrices are
+    certified for the start at ``times``, and ``re`` and ``im`` are the (R,
+    K, T) parts of its entries ``rows`` at ``times``.
     ``measure`` runs while the stack's arrays are held: with them freed
     first, a warm fig2 took ~6,000 minor faults, not ~20."""
-    params = segments[0].params
-    band = effective_band(*_cells(segments), params.couplings())
     if not all(np.all(np.isfinite(diagonal)) for diagonal in band):
         raise ValueError("entries contain non-finite values")
     eigenvalues, eigenvectors = diagonalize(band)
     entries = _dense(band)  # certify's products stay dense: a banded H V took 52 us a chunk, not 20
-    # the Bell pair on cell 1 is the unit vector |1,->, so psi0 is real
-    psi0 = np.zeros(entries.shape[:2])
-    psi0[:, flat_index(1, Branch.MINUS, params.n_sites)] = 1.0
-    _, *errors = certify(entries, eigenvalues, eigenvectors, psi0, times)
-    return measure(*propagate(eigenvalues, eigenvectors, psi0, times, rows)), errors
+    starts = np.broadcast_to(psi0.T, entries.shape[:2])  # the (R, D) view of one start
+    _, *errors = certify(entries, eigenvalues, eigenvectors, starts, times)
+    return measure(*propagate(eigenvalues, eigenvectors, starts, times, rows)), errors
 
 
 def _ends(re, im) -> np.ndarray:
@@ -273,7 +280,8 @@ def _ends(re, im) -> np.ndarray:
 def _eigen_concurrence(segments) -> np.ndarray:
     """C(tau) of the one segment ``segments`` by the eigen path."""
     tau = transfer_time(segments[0].params.n_sites)
-    return _end_concurrence(*_eigen_readout(segments, [tau], slice(-2, None), _ends)[0])
+    ends, _ = _eigen_readout(*_band_and_start(segments), [tau], slice(-2, None), _ends)
+    return _end_concurrence(*ends)
 
 
 def _chebyshev_concurrence(segments) -> np.ndarray:
@@ -282,22 +290,17 @@ def _chebyshev_concurrence(segments) -> np.ndarray:
     start at realization 0 audit it, all in one eigen-path call: each
     realization 0's complex last-cell amplitudes must agree with the eigen
     path's within the sum of the two paths' error bounds for its own grid
-    point, or ArithmeticError is raised."""
-    params = segments[0].params  # one N per call: the couplings and tau of all
-    n_sites, tau = params.n_sites, transfer_time(params.n_sites)
-    band = effective_band(*_cells(segments), params.couplings())
-    psi0 = np.zeros((2 * n_sites, 1))  # every column's: a (D, R) copy is 0.19 MB at 400 columns
-    psi0[flat_index(1, Branch.MINUS, n_sites)] = 1.0
-    re, im, bound = chebyshev_propagate(band, np.broadcast_to(psi0, band[0].shape), tau,
-                                        [segment.kernel for segment in segments],
-                                        [segment.stop - segment.start for segment in segments])
+    point, the kernel's from its series, or ArithmeticError is raised."""
+    tau = transfer_time(segments[0].params.n_sites)  # one N per call
+    re, im = chebyshev_propagate(*_band_and_start(segments), [segment.kernel for segment in segments],
+                                 [segment.stop - segment.start for segment in segments])
     ends = re[-2:] + 1j * im[-2:]  # slots (+, -) of cell N
     audited = [segment._replace(stop=1) for segment in segments if segment.start == 0]
     if audited:
-        eigen, errors = _eigen_readout(audited, [tau], slice(-2, None), _ends)
+        eigen, errors = _eigen_readout(*_band_and_start(audited), [tau], slice(-2, None), _ends)
         rows = [row for row, segment in zip(_offsets(segments), segments) if segment.start == 0]
         deviation = np.max(np.abs(eigen - ends[:, rows]), axis=0)
-        tolerance = bound[rows] + eigen_error_bound(*errors, 2 * n_sites, tau)
+        tolerance = eigen_error_bound(*errors, len(re), tau) + [s.kernel[1][-1] for s in audited]
         if not np.all(deviation <= tolerance):
             bad = np.flatnonzero(~(deviation <= tolerance))[0]
             raise ArithmeticError(f"audit: Chebyshev amplitudes deviate from the eigen path's "
@@ -309,7 +312,7 @@ def _branch_trace(times, segments) -> np.ndarray:
     """The (R, T) p_- of the one segment ``segments`` on ``times`` by the
     eigen path: the squared norm of the minus slots."""
     minus_slots = slice(int(Branch.MINUS), None, 2)  # the minus slot of every cell
-    return _eigen_readout(segments, times, minus_slots, squared_norms)[0]
+    return _eigen_readout(*_band_and_start(segments), times, minus_slots, squared_norms)[0]
 
 
 def _where(params: LadderParams) -> str:

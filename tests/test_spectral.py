@@ -526,7 +526,7 @@ def test_miller_bessel_values_match_scipy(x):
 
 @pytest.mark.parametrize("x", [0.0, 0.5, 61.0, 523.0])
 def test_chebyshev_terms_stop_where_the_tail_falls_below_rounding(x):
-    terms, coefficients, tail = chebyshev_mod._chebyshev_series(x)
+    terms, coefficients, tail, _ = chebyshev_mod._chebyshev_series(x)
     assert coefficients.size == terms + 1
     assert tail <= chebyshev_mod._UNIT_ROUNDOFF
     if terms:  # one term fewer leaves J_K in the tail
@@ -562,7 +562,7 @@ def _assert_series_matches_the_reference(x):
     # K and the coefficients are the reference's bitwise; the tail is a
     # different valid bound: at most u, and at least the exact tail 2
     # sum_{k>K} |J_k| of a Miller run 300 orders longer, summed without rounding
-    terms, coefficients, tail = chebyshev_mod._chebyshev_series(x)
+    terms, coefficients, tail, _ = chebyshev_mod._chebyshev_series(x)
     expected = _stepped_series(x)
     assert terms == expected[0]
     assert np.array_equal(coefficients, expected[1])
@@ -627,14 +627,14 @@ def test_chebyshev_states_match_evolve_series_within_the_derived_bound(
     band = _ladder_band(realization)
     t = span * transfer_time(n_sites)
     psi0 = bell_minus_state(n_sites)
-    re, im, bound = chebyshev_propagate(band, psi0.amplitudes.real[:, None], t,
-                                        [_kernel_point(_half_width(params), t)], [1])
+    point = _kernel_point(_half_width(params), t)
+    re, im = chebyshev_propagate(band, psi0.amplitudes.real[:, None], [point], [1])
     system = eigendecompose(build_effective(realization))
     reference = evolve_series(system, psi0, [t])[0].amplitudes
     entries = system.operator.entries[None]
     _, *errors = certify(entries, system.eigenvalues[None], system.eigenvectors[None],
                          psi0.amplitudes[None], [t])
-    tolerance = bound + eigen_error_bound(*errors, entries.shape[-1], t)[0]
+    tolerance = point[1][-1] + eigen_error_bound(*errors, entries.shape[-1], t)[0]  # the kernel's
     assert np.linalg.norm(re[:, 0] + 1j * im[:, 0] - reference) <= tolerance
 
 
@@ -685,7 +685,7 @@ def test_the_chebyshev_kernel_refuses_a_band_that_is_not_a_ladders(fault):
     psi0 = bell_minus_state(4).amplitudes.real[:, None]
     with pytest.raises(ValueError, match="not a ladder's band: three diagonals, zeros between "
                                          "cells on the first"):
-        chebyshev_propagate(band, psi0, 1.0, [_kernel_point(_half_width(params), 1.0)], [1])
+        chebyshev_propagate(band, psi0, [_kernel_point(_half_width(params), 1.0)], [1])
 
 
 @pytest.mark.parametrize("corruption, message", [
@@ -708,30 +708,57 @@ def test_the_chebyshev_judge_refuses(corruption, message):
         psi0 = psi0 * (1 + 1e-9)
     bufsize = np.getbufsize()
     with pytest.raises(ArithmeticError, match=message):
-        chebyshev_propagate(band, psi0, transfer_time(8),
-                            [_kernel_point(half_width, transfer_time(8))], [1])
+        chebyshev_propagate(band, psi0, [_kernel_point(half_width, transfer_time(8))], [1])
     assert np.getbufsize() == bufsize  # the kernel's own buffer size ends with it
 
 
-def test_the_chebyshev_kernel_runs_at_its_own_buffer_size_and_restores_the_callers():
-    # the states and bounds do not depend on the caller's ufunc buffer size,
-    # and the call leaves it as it found it; N = 7 gives the halves view an
-    # odd N and the 5 columns a padded stack of 8
+def _seven_site_stack():
+    """The +/- band of 5 realizations at N = 7, its Bell start as one (D, 1)
+    column and its kernel point at tau: 5 columns pad to a stack of 8."""
     params = LadderParams(n_sites=7, disorder_w=3.0, detuning_delta=0.2)
     realizations = [sample_realization(params, derive_stream(4, index)) for index in range(5)]
     cells = [np.stack([getattr(realization, name) for realization in realizations])
              for name in ("eps_leg1", "eps_leg2", "gamma_n")]
     band = effective_band(*cells, realizations[0].couplings)
-    psi0 = np.broadcast_to(bell_minus_state(7).amplitudes.real[:, None], band[0].shape)
-    t = transfer_time(7)
+    return band, bell_minus_state(7).amplitudes.real[:, None], _kernel_point(
+        _half_width(params), transfer_time(7))
+
+
+def test_the_chebyshev_kernel_runs_at_its_own_buffer_size_and_restores_the_callers():
+    # the states do not depend on the caller's ufunc buffer size, and the
+    # call leaves it as it found it; N = 7 gives the halves view an odd N
+    band, column, point = _seven_site_stack()
+    psi0 = np.broadcast_to(column, band[0].shape)
     results = []
     for size in (np.getbufsize(), 32768, 16):
         outer = np.setbufsize(size)
         try:
-            results.append(chebyshev_propagate(band, psi0, t,
-                                               [_kernel_point(_half_width(params), t)], [5]))
+            results.append(chebyshev_propagate(band, psi0, [point], [5]))
             assert np.getbufsize() == size
         finally:
             np.setbufsize(outer)
     for result in results[1:]:
         assert all(np.array_equal(a, b) for a, b in zip(results[0], result))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1 + 1e-9], ids=["unit", "non-unit"])
+def test_one_start_column_gives_what_the_start_broadcast_to_the_stack_gives(scale):
+    # the same states bitwise, or the same refusal: the judge's verdict too
+    band, column, point = _seven_site_stack()
+    outcomes = []
+    for psi0 in (column * scale, np.broadcast_to(column * scale, band[0].shape)):
+        try:
+            outcomes.append(chebyshev_propagate(band, psi0, [point], [5]))
+        except ArithmeticError as exc:
+            outcomes.append(str(exc))
+    if scale == 1.0:
+        (re, im), (re_broadcast, im_broadcast) = outcomes
+        assert np.array_equal(re, re_broadcast) and np.array_equal(im, im_broadcast)
+    else:
+        assert outcomes[0] == outcomes[1] and outcomes[0].startswith("norm drift")
+
+
+def test_a_start_that_fits_neither_one_column_nor_the_stack_is_refused():
+    band, column, point = _seven_site_stack()
+    with pytest.raises(ValueError, match=r"start states \(14, 3\) do not fit the band's \(14, 5\)"):
+        chebyshev_propagate(band, np.repeat(column, 3, axis=1), [point], [5])
