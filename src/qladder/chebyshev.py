@@ -8,8 +8,12 @@ each step on views made once per call at a 16-element ufunc buffer, with
 coefficients from Miller's recurrence (:func:`bessel_j`), so it loads no scipy.
 The series is cut where its tail falls below the unit roundoff, and the
 recurrence's own ratios bound that tail past its last order
-(:func:`_chebyshev_series`, with the error bound of each state). It judges the
-whole states it returns against the tolerances of :func:`~qladder.spectral.certify`.
+(:func:`_chebyshev_series`, with the error bound of each state; a series whose
+tail never falls that low is refused there). The recurrence's ladder is filled
+once, with 2 H / a; the Gershgorin bound and the judge read the band the call
+was given, through their own band-order product (:func:`_band_apply`), so a
+fault in the ladder does not pass the judge. It judges the whole states it
+returns against the tolerances of :func:`~qladder.spectral.certify`.
 """
 
 from __future__ import annotations
@@ -62,6 +66,8 @@ def _chebyshev_series(x: float) -> tuple[int, np.ndarray, float, float]:
     (k + 1). Summing the terms adds gamma_{K+1} sum_k |c_k| (1 + 3 g k (k +
     1)), the Miller coefficients (K + 1) u sum_k |c_k|, rounding 2 H / a (H
     perturbed by at most u a) adds x u, and the truncation its tail bound.
+    When no K's tail bound is at most u, it raises ArithmeticError
+    ("Chebyshev tail ... exceeds ..."), so no caller checks the tail again.
     """
     last = math.ceil(x + 15 * x ** (1 / 3)) + 20
     bessel = bessel_j(x, last + 1)
@@ -71,6 +77,8 @@ def _chebyshev_series(x: float) -> tuple[int, np.ndarray, float, float]:
              * (1 + _gamma(last + 6)))
     terms = int(np.argmax(tails <= _UNIT_ROUNDOFF))
     tail, magnitudes = float(tails[terms]), 2 * np.abs(bessel[: terms + 1])  # |c_k|
+    if not tail <= _UNIT_ROUNDOFF:  # no K reaches u
+        raise ArithmeticError(f"Chebyshev tail {tail:.3e} exceeds {_UNIT_ROUNDOFF:.3e}")
     magnitudes[0] = abs(bessel[0])
     recurrence = 3 * _gamma(6) * np.arange(terms + 1.0) * np.arange(1.0, terms + 2.0)  # k (k + 1)
     bound = (math.fsum(magnitudes * recurrence)
@@ -126,15 +134,26 @@ def _ladder_apply(ladder, state, out, scratch) -> np.ndarray:
     return out[0]
 
 
-def _to_ladder(fill, band, ladder, count) -> None:
-    """``fill(source, out=rows)`` from the ``band`` of H into the first
-    ``count`` columns of :func:`_ladder_apply`'s ``ladder``: the plus slots,
-    then the minus slots, with a zero hopping at the junction between them."""
+def _to_ladder(band, scale, ladder, count) -> None:
+    """The ``band`` of H times ``scale`` (a scalar or one per column) into the
+    first ``count`` columns of :func:`_ladder_apply`'s ``ladder``: the plus
+    slots, then the minus slots, with a zero hopping at the junction between them."""
     half = ladder[2].shape[1]
     sources = (band[0][0::2], band[0][1::2], band[2][0::2], band[2][1::2], band[1][0::2])
     targets = (ladder[0][:half], ladder[0][half:], ladder[1][: half - 1], ladder[1][half:], ladder[2][0])
     for source, target in zip(sources, targets):
-        fill(source, out=target[:, :count])
+        np.multiply(source, scale, out=target[:, :count])
+
+
+def _band_apply(band, state, out, scratch) -> np.ndarray:
+    """H x into ``out`` for (D, R) states x in band order, read from H's
+    ``band`` as :func:`~qladder.hamiltonian._ladder_band` lays it out, with
+    ``scratch`` a state: the product of the Gershgorin radius and the judge."""
+    np.multiply(band[0], state, out=out)
+    for k in (1, 2):
+        out[k:] += np.multiply(band[k], state[:-k], out=scratch[k:])
+        out[:-k] += np.multiply(band[k], state[k:], out=scratch[k:])
+    return out
 
 
 def chebyshev_propagate(band, psi0, points, counts):
@@ -157,16 +176,19 @@ def chebyshev_propagate(band, psi0, points, counts):
     and a column gets zero weight past its own K: adding the +-0 products
     leaves its sums bitwise unchanged. Every operation is elementwise over the
     stack, so a realization gives bitwise the same state in any stack.
-    Returns the real and imaginary parts, each (D, R). The rows run in
-    branch-major order (:func:`_to_ladder`). A step is 11 array operations on
-    views made once per call (:func:`_views`), H x 7 of them, at a 16-element
-    ufunc buffer that the call restores as it returns or raises.
+    Returns the real and imaginary parts, each (D, R). The recurrence runs
+    its rows in branch-major order, on the one ladder of 2 H / a that
+    :func:`_to_ladder` fills. A step is 11 array operations on views made
+    once per call (:func:`_views`), H x 7 of them, at a 16-element ufunc
+    buffer that the call restores as it returns or raises.
 
-    The judge raises ArithmeticError when a matrix's Gershgorin radius, a
-    bound on its spectral radius, exceeds its a ("Gershgorin radius ...
-    exceeds ..."), when a tail bound exceeds u, and, as :func:`certify`
-    measures, when a state's squared norm is off 1 by more than
-    ``NORM_TOL`` or its energy is off psi0's by more than ``ENERGY_TOL``.
+    The judge reads ``band`` itself, not the ladder, through
+    :func:`_band_apply`. It raises ArithmeticError when a matrix's
+    Gershgorin radius, |H| applied to ones and a bound on its spectral
+    radius, exceeds its a ("Gershgorin radius ... exceeds ..."), and, as
+    :func:`certify` measures, when a state's squared norm is off 1 by more
+    than ``NORM_TOL`` or its energy, psi^* H psi from the band, is off
+    psi0's by more than ``ENERGY_TOL``.
     """
     if len(band) != 3 or np.any(band[1][1::2]):
         raise ValueError("not a ladder's band: three diagonals, zeros between cells on the first")
@@ -196,16 +218,13 @@ def chebyshev_propagate(band, psi0, points, counts):
     # size in a context variable, 1.24-1.26 per thread: no other thread sees it.
     bufsize = np.setbufsize(16)
     try:
-        _to_ladder(np.abs, band, ladder, count)
-        prev[:, :count] = 1.0
-        radius = _ladder_apply(ladder, states[0], states[1], spare)[:, :count].max(axis=0)  # |H| 1s
+        outs = nxt[:, :count], scratch[:, :count]  # the product's, free until the recurrence
+        radius = _band_apply([np.abs(entries) for entries in band], np.ones((dim, 1)),  # |H| 1
+                             *outs).max(axis=0)
         if not np.all(radius <= half_width):  # NaN fails too
             bad = np.flatnonzero(~(radius <= half_width))[0]
             raise ArithmeticError(f"Gershgorin radius {radius[bad]:.3e} exceeds "
                                   f"the half-width {half_width[bad]:.3e}")
-        for _, _, tail, _ in table:
-            if not tail <= _UNIT_ROUNDOFF:
-                raise ArithmeticError(f"Chebyshev tail {tail:.3e} exceeds {_UNIT_ROUNDOFF:.3e}")
         terms = max(k for k, *_ in table)
         # real weights of phi_k per point, zero past its K: 2 J_k (-i)^k is 2 J_k,
         # -2i J_k, -2 J_k, 2i J_k for k = 0, 1, 2, 3 mod 4
@@ -214,8 +233,7 @@ def chebyshev_propagate(band, psi0, points, counts):
         for column, (k, bessel, *_) in zip(weights.T, table):
             column[: k + 1] = 2 * bessel * signs[: k + 1]
             column[0] = bessel[0]
-        _to_ladder(lambda source, out: np.multiply(source, 2.0 / half_width, out=out),  # 2 y
-                   band, ladder, count)
+        _to_ladder(band, 2.0 / half_width, ladder, count)  # 2 y
         # each step's weight per column, from its point's column of the table; a
         # padding column takes the first point's, and its zeros stay zero
         row, columns = np.empty(width), np.zeros(width, dtype=np.intp)
@@ -235,17 +253,14 @@ def chebyshev_propagate(band, psi0, points, counts):
             np.multiply(states[c][0], row, out=scratch)
             part = (re, im)[k & 1]
             np.add(part, scratch, out=part)
-        # the judge, on H's own entries, and the states back in band order, all
+        # the states back in band order, and the judge on the band itself, all
         # in the recurrence's buffers: two of its own are 0.38 MB at 400 columns
-        _to_ladder(np.positive, band, ladder, count)  # a copy
-        prev[:half, :count], prev[half:, :count] = psi0[0::2], psi0[1::2]
-        energies = [np.einsum("dr,dr->r", state,
-                              _ladder_apply(ladder, _views(state, half), states[2], spare))[:count]
-                    for state in (re, im, prev)]
-        norms = np.einsum("dr,dr->r", re, re) + np.einsum("dr,dr->r", im, im)
-        _judge_drift(norms[:count], energies[0] + energies[1], energies[2])
         for state, out in ((re, prev), (im, cur)):
             out[0::2], out[1::2] = state[:half], state[half:]
+        energies = [np.einsum("dr,dr->r", state, _band_apply(band, state, *outs))
+                    for state in (prev[:, :count], cur[:, :count], psi0)]
+        norms = np.einsum("dr,dr->r", re, re) + np.einsum("dr,dr->r", im, im)
+        _judge_drift(norms[:count], energies[0] + energies[1], energies[2])
     finally:
         np.setbufsize(bufsize)
     return prev[:, :count], cur[:, :count]

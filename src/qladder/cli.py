@@ -320,12 +320,8 @@ def cmd_dump_hamiltonian(args: argparse.Namespace) -> int:
         operator = build_physical(realization)
     else:
         operator = build_effective(realization)
-    lines = ["row,col,value"]
-    entries = operator.entries
-    for i in range(operator.dim):
-        for j in range(operator.dim):
-            if entries[i, j] != 0.0:
-                lines.append(f"{i},{j},{_fmt(entries[i, j])}")
+    entries = operator.entries  # its nonzero entries in row-major order
+    lines = ["row,col,value"] + [f"{i},{j},{_fmt(entries[i, j])}" for i, j in zip(*entries.nonzero())]
     text = "\n".join(lines) + "\n"
     if args.out == "-":
         sys.stdout.write(text)

@@ -33,8 +33,9 @@ its chunks. One builder gives both paths a stack's band and the Bell start
 its realizations share. The one eigen-path readout hands that band to
 :func:`~qladder.spectral.diagonalize` as is, certifies the eigensystems
 for that start, and measures the entries it propagates while the stack is
-held. Realization 0 of each grid point is audited: the eigen path
-recomputes those of a stack in one call, and each one's complex last-cell
+held. Realization 0 of each grid point is audited: the eigen path evolves
+those of a stack in one call, on their columns of the band the kernel was
+given, which is built once per stack, and each one's complex last-cell
 amplitudes must agree with the kernel's within the sum of the two paths'
 error bounds for its own grid point.
 
@@ -287,20 +288,23 @@ def _eigen_concurrence(segments) -> np.ndarray:
 def _chebyshev_concurrence(segments) -> np.ndarray:
     """C(tau) of ``segments`` by the judged Chebyshev kernel, each
     segment's columns at its own grid point's half-width. The segments that
-    start at realization 0 audit it, all in one eigen-path call: each
-    realization 0's complex last-cell amplitudes must agree with the eigen
-    path's within the sum of the two paths' error bounds for its own grid
-    point, the kernel's from its series, or ArithmeticError is raised."""
+    start at realization 0 audit it, all in one eigen-path call on their
+    columns of the band the kernel was given: each realization 0's complex
+    last-cell amplitudes must agree with the eigen path's within the sum of
+    the two paths' error bounds for its own grid point, the kernel's from its
+    series, or ArithmeticError is raised."""
     tau = transfer_time(segments[0].params.n_sites)  # one N per call
-    re, im = chebyshev_propagate(*_band_and_start(segments), [segment.kernel for segment in segments],
+    band, psi0 = _band_and_start(segments)
+    re, im = chebyshev_propagate(band, psi0, [segment.kernel for segment in segments],
                                  [segment.stop - segment.start for segment in segments])
     ends = re[-2:] + 1j * im[-2:]  # slots (+, -) of cell N
-    audited = [segment._replace(stop=1) for segment in segments if segment.start == 0]
-    if audited:
-        eigen, errors = _eigen_readout(*_band_and_start(audited), [tau], slice(-2, None), _ends)
-        rows = [row for row, segment in zip(_offsets(segments), segments) if segment.start == 0]
+    rows = [row for row, segment in zip(_offsets(segments), segments) if segment.start == 0]
+    if rows:  # the band's realization-0 columns; a shared diagonal is one column for all
+        columns = [diagonal if diagonal.shape[1] == 1 else diagonal[:, rows] for diagonal in band]
+        eigen, errors = _eigen_readout(columns, psi0, [tau], slice(-2, None), _ends)
         deviation = np.max(np.abs(eigen - ends[:, rows]), axis=0)
-        tolerance = eigen_error_bound(*errors, len(re), tau) + [s.kernel[1][-1] for s in audited]
+        tolerance = eigen_error_bound(*errors, len(re), tau) + [
+            segment.kernel[1][-1] for segment in segments if segment.start == 0]
         if not np.all(deviation <= tolerance):
             bad = np.flatnonzero(~(deviation <= tolerance))[0]
             raise ArithmeticError(f"audit: Chebyshev amplitudes deviate from the eigen path's "

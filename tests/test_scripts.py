@@ -42,6 +42,27 @@ def test_criterion5_reference_script_engine_matches_expm():
     assert result.returncode == 0, result.stdout + result.stderr
 
 
+def test_criteria6_7_reference_script_engine_matches_expm():
+    # in a subprocess: the script sets the BLAS thread variables at import
+    code = (
+        "import runpy, sys\n"
+        "import numpy as np\n"
+        "script = runpy.run_path(sys.argv[1])\n"
+        "(saturation, direct_saturation), (leak, direct_leak) = script['run_seed'](1, 3)\n"
+        "assert saturation.shape == direct_saturation.shape == (3, 3), saturation.shape\n"
+        "assert leak.shape == direct_leak.shape == (2, 3), leak.shape\n"
+        "deviation = max(float(np.max(np.abs(saturation - direct_saturation))),\n"
+        "                float(np.max(np.abs(leak - direct_leak))))\n"
+        "assert deviation <= script['PATH_TOL'], deviation\n"
+    )
+    src = str(Path(qladder.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script = ROOT / "scripts" / "criteria6_7_reference.py"
+    result = subprocess.run([sys.executable, "-c", code, str(script)],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stdout + result.stderr
+
+
 @pytest.mark.parametrize("figure, size, rows", [("fig1", ["--w-points", "2"], 6),
                                                  ("fig2", ["--t-points", "3"], 15)],
                          ids=["fig1", "fig2"])

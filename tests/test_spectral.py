@@ -661,7 +661,7 @@ def test_the_ladder_product_matches_the_dense_matrices(n_sites, shared):
             rng.uniform(-1.0, 1.0, (dim - 2, 1 if shared else count))]
     band[1][0::2] = rng.uniform(-1.0, 1.0, (n_sites, count))  # the rungs
     ladder = (np.zeros((dim, count)), np.zeros((dim - 1, count)), np.zeros((1, n_sites, count)))
-    chebyshev_mod._to_ladder(np.positive, band, ladder, count)
+    chebyshev_mod._to_ladder(band, 1.0, ladder, count)
     x = rng.standard_normal((dim, count))
     state, out, scratch = (chebyshev_mod._views(buffer, n_sites) for buffer in
                            (np.concatenate([x[0::2], x[1::2]]), np.empty_like(x), np.empty_like(x)))
@@ -710,6 +710,31 @@ def test_the_chebyshev_judge_refuses(corruption, message):
     with pytest.raises(ArithmeticError, match=message):
         chebyshev_propagate(band, psi0, [_kernel_point(half_width, transfer_time(8))], [1])
     assert np.getbufsize() == bufsize  # the kernel's own buffer size ends with it
+
+
+def test_the_chebyshev_judge_does_not_share_the_recurrences_ladder(monkeypatch):
+    # the ladder the recurrence runs on has its two branches' diagonals
+    # swapped: every matrix stays symmetric, so the norms hold, but the
+    # states are evolved by another H than the band's, whose energies the
+    # judge reads from the band itself
+    n_sites = 30
+    params = LadderParams(n_sites=n_sites, disorder_w=5.0, detuning_delta=0.2)
+    realizations = [sample_realization(params, derive_stream(42, index)) for index in range(8)]
+    cells = [np.stack([getattr(realization, name) for realization in realizations])
+             for name in ("eps_leg1", "eps_leg2", "gamma_n")]
+    band = effective_band(*cells, realizations[0].couplings)
+    psi0 = bell_minus_state(n_sites).amplitudes.real[:, None]
+    original = chebyshev_mod._to_ladder
+
+    def swapped(*args):  # the ladder is the third argument
+        original(*args)
+        diagonal = args[2][0]
+        diagonal[:n_sites], diagonal[n_sites:] = diagonal[n_sites:].copy(), diagonal[:n_sites].copy()
+
+    monkeypatch.setattr(chebyshev_mod, "_to_ladder", swapped)
+    with pytest.raises(ArithmeticError, match="energy drift"):
+        chebyshev_propagate(band, psi0, [_kernel_point(_half_width(params), transfer_time(n_sites))],
+                            [len(realizations)])
 
 
 def _seven_site_stack():
