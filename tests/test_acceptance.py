@@ -38,30 +38,42 @@ from qladder.spectral import eigendecompose, evolve, evolve_series, expectation
 
 SEED = FIG1_DEFAULTS["seed"]  # every criterion below runs at this fixed seed
 
-# Criterion 5 reference gain C(W=10) - C(W=0.2) at N = 30, delta = 0.2,
-# t = tau, pooled over 10,000 paired realizations at seeds other than SEED,
-# with the engine and a site-basis expm path agreeing to 2.2e-14:
-#   $ python scripts/criterion5_reference.py
-#   pooled gain 0.09418 +- 0.00061 over 10000 paired realizations
-#   (seeds 1 2 3 7 1234; max |engine - expm| 2.2e-14; 15 s)
+# References of criteria 5-7 and of the 1/W leakage check, all at N = 30 and
+# pooled over 10,000 realizations at seeds 1, 2, 3, 7 and 1234, other than
+# SEED, from one program whose engine and site-basis expm paths agree to
+# 1.1e-12 (296 s on one core of a 2-vCPU VM):
+#   $ python scripts/criteria_reference.py
+# Criterion 5, the paired gain C(W=10) - C(W=0.2) at delta = 0.2, t = tau:
+#   criterion 5: gain C(W=10) - C(W=0.2) at delta=0.2: 0.094179 +- 0.000607
 C5_GAIN_REF = 0.09418
 C5_GAIN_REF_SE = 0.00061
 C5_REALIZATIONS = 1000  # realizations 0-99 are the ones fig1 draws at these points
 C5_Z99 = 2.576  # two-sided 99% normal quantile
 
-# Criteria 6 and 7 reference sizes at N = 30, pooled over 10,000 realizations
-# at seeds other than SEED (engine and site-basis expm agree to 1.3e-13):
-#   $ python scripts/criteria6_7_reference.py
+# Criteria 6 and 7, from the same run:
 #   mean C(tau) at W=10: 0.995001, 0.980177, 0.923406 at delta 0.05, 0.1, 0.2
-#   gap C(0.05) - C(0.1): 0.014824 +- 0.000061
-#   gap C(0.1) - C(0.2): 0.056771 +- 0.000225
+#   criterion 6: gap C(0.05) - C(0.1): 0.014824 +- 0.000061
+#   criterion 6: gap C(0.1) - C(0.2): 0.056771 +- 0.000225
 #   late-window p_- at delta 0.2: 0.780856 @ W=0.2, 0.980316 @ W=10
-#   difference p_-(W=10) - p_-(W=0.2): 0.199461 +- 0.000874
-#   (seeds 1 2 3 7 1234; 125 s)
+#   criterion 7: difference p_-(W=10) - p_-(W=0.2): 0.199461 +- 0.000874
 # Each size half is a two-sided 99% check, as criterion 5's: the paired gap
 # at SEED must lie within C5_Z99 * sqrt(se^2 + se_ref^2) of its reference.
 C6_GAP_REFS = ((0.014824, 0.000061), (0.056771, 0.000225))  # (0.05, 0.1), (0.1, 0.2)
 C7_DIFF_REF, C7_DIFF_REF_SE = 0.199461, 0.000874
+
+# The 1/W leakage check, from the same run: the late-window leak 1 - p_- at
+# delta = 0.2 and W = 10, 20, 40, 80 (0.019684, 0.009675, 0.004866, 0.002402),
+# the least-squares slope of log mean leak against log W (its standard error
+# by the delta method over the 4 x 4 covariance of the paired mean leaks),
+# and the level W * leak at W = 10:
+#   1/W leak: log-log slope over W in (10.0, 20.0, 40.0, 80.0): -1.0096 +- 0.0191
+#   1/W leak: W * leak at W=10: 0.196838 +- 0.002820
+# Both are two-sided 99% checks, as criteria 5-7's size halves, fixed before
+# SEED was run.
+LEAK_W = (10.0, 20.0, 40.0, 80.0)
+LEAK_SLOPE_REF, LEAK_SLOPE_REF_SE = -1.0096, 0.0191
+LEAK_LEVEL_REF, LEAK_LEVEL_REF_SE = 0.196838, 0.002820
+LEAK_REALIZATIONS = 400
 
 
 def drifts_along(operator, psi0, times):
@@ -273,6 +285,49 @@ def test_criterion_7_disorder_suppresses_leakage():
     assert p_value < 0.01, summary
     assert abs(diff_mean - C7_DIFF_REF) <= tolerance, summary
     print(f"ACCEPTANCE 7: PASS - {summary} ({elapsed:.2f} s)")
+
+
+def test_leakage_falls_as_one_over_w():
+    # The mechanism behind criterion 7: a plus site leaks only when it lies
+    # within a fixed window of the minus band, a fraction of sites that goes
+    # as 1/W, so the late-window leak at fixed delta should too. Size only:
+    # the slope and the level W * leak at W = 10 must each agree with its
+    # reference within two-sided 99% bounds from both standard errors.
+    start = time.perf_counter()
+    tau = transfer_time(30)
+    times = np.linspace(0.0, 10.0 * tau, 200)
+    result = leakage_trace(
+        n_sites=30,
+        delta=0.2,
+        w_values=LEAK_W,
+        times=times[times >= 5.0 * tau],  # criterion 7's late window alone
+        n_realizations=LEAK_REALIZATIONS,
+        master_seed=SEED,
+        keep_raw=True,
+    )
+    # the W values share realization streams, so the leaks are paired
+    leak = 1.0 - np.stack([result[w].per_realization.mean(axis=1) for w in LEAK_W])
+    x = np.log(LEAK_W)
+    weights = (x - x.mean()) / np.sum((x - x.mean()) ** 2)
+    means = leak.mean(axis=1)
+    slope = float(weights @ np.log(means))
+    gradient = weights / means
+    slope_se = math.sqrt(float(gradient @ np.cov(leak) @ gradient) / leak.shape[1])
+    level = LEAK_W[0] * leak[0]
+    level_mean, level_se = float(level.mean()), float(level.std(ddof=1)) / math.sqrt(level.size)
+    slope_tol = C5_Z99 * math.hypot(slope_se, LEAK_SLOPE_REF_SE)
+    level_tol = C5_Z99 * math.hypot(level_se, LEAK_LEVEL_REF_SE)
+    elapsed = time.perf_counter() - start
+    summary = (
+        f"late-window leak {', '.join(f'{m:.5f}' for m in means)} at W = "
+        f"{', '.join(f'{w:g}' for w in LEAK_W)}, log-log slope {slope:.4f} +- {slope_se:.4f} "
+        f"against {LEAK_SLOPE_REF:.4f} +- {LEAK_SLOPE_REF_SE:.4f} (tolerance {slope_tol:.4f}), "
+        f"W * leak at W = 10 {level_mean:.5f} +- {level_se:.5f} against "
+        f"{LEAK_LEVEL_REF:.5f} +- {LEAK_LEVEL_REF_SE:.5f} (tolerance {level_tol:.5f})"
+    )
+    assert abs(slope - LEAK_SLOPE_REF) <= slope_tol, summary
+    assert abs(level_mean - LEAK_LEVEL_REF) <= level_tol, summary
+    print(f"LEAKAGE 1/W: PASS - {summary} ({elapsed:.2f} s)")
 
 
 def test_criterion_8_unitarity_and_conservation():

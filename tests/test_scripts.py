@@ -23,44 +23,58 @@ def test_run_validation_script_passes():
     assert result.stdout.strip().splitlines()[-1] == "all checks passed"
 
 
-def test_criterion5_reference_script_engine_matches_expm():
+def test_criteria_reference_script_engine_matches_expm():
     # in a subprocess: the script sets the BLAS thread variables at import
     code = (
         "import runpy, sys\n"
         "import numpy as np\n"
         "script = runpy.run_path(sys.argv[1])\n"
-        "engine, direct = script['run_seed'](1, 3)\n"
-        "assert engine.shape == direct.shape == (2, 3), (engine.shape, direct.shape)\n"
-        "deviation = float(np.max(np.abs(engine - direct)))\n"
+        "(conc, direct_conc), (p_minus, direct_p_minus) = script['run_seed'](1, 3)\n"
+        "assert conc.shape == direct_conc.shape == (4, 3), (conc.shape, direct_conc.shape)\n"
+        "assert p_minus.shape == direct_p_minus.shape == (5, 3), p_minus.shape\n"
+        "deviation = max(float(np.max(np.abs(conc - direct_conc))),\n"
+        "                float(np.max(np.abs(p_minus - direct_p_minus))))\n"
         "assert deviation <= script['PATH_TOL'], deviation\n"
     )
     src = str(Path(qladder.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    script = ROOT / "scripts" / "criterion5_reference.py"
+    script = ROOT / "scripts" / "criteria_reference.py"
     result = subprocess.run([sys.executable, "-c", code, str(script)],
                             env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stdout + result.stderr
 
 
-def test_criteria6_7_reference_script_engine_matches_expm():
-    # in a subprocess: the script sets the BLAS thread variables at import
-    code = (
-        "import runpy, sys\n"
-        "import numpy as np\n"
-        "script = runpy.run_path(sys.argv[1])\n"
-        "(saturation, direct_saturation), (leak, direct_leak) = script['run_seed'](1, 3)\n"
-        "assert saturation.shape == direct_saturation.shape == (3, 3), saturation.shape\n"
-        "assert leak.shape == direct_leak.shape == (2, 3), leak.shape\n"
-        "deviation = max(float(np.max(np.abs(saturation - direct_saturation))),\n"
-        "                float(np.max(np.abs(leak - direct_leak))))\n"
-        "assert deviation <= script['PATH_TOL'], deviation\n"
-    )
-    src = str(Path(qladder.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    script = ROOT / "scripts" / "criteria6_7_reference.py"
-    result = subprocess.run([sys.executable, "-c", code, str(script)],
-                            env=env, capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stdout + result.stderr
+# 19 lines, 8 of them code: import, def, the string's three lines, return,
+# class and y = 1
+KNOWN_MODULE = '''\
+"""Module docstring
+over two lines."""
+
+import os  # a trailing comment leaves a code line
+
+
+# a comment-only line
+def f(x):
+    """One-line docstring."""
+    text = """a string, not a docstring
+# so this line is code
+"""
+    return x
+
+
+class C:
+    """Docstring."""
+
+    y = 1
+'''
+
+
+def test_code_lines_script_counts_a_known_module(tmp_path):
+    module = tmp_path / "known.py"
+    module.write_text(KNOWN_MODULE)
+    result = subprocess.run([sys.executable, str(ROOT / "scripts" / "code_lines.py"), str(module)],
+                            capture_output=True, text=True, timeout=60, check=True)
+    assert result.stdout.splitlines()[-1].split() == ["19", "8", "total"]
 
 
 @pytest.mark.parametrize("figure, size, rows", [("fig1", ["--w-points", "2"], 6),
