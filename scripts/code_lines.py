@@ -15,7 +15,7 @@ import sys
 import tokenize
 
 _LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
-           tokenize.ENCODING, tokenize.ENDMARKER}
+           tokenize.ENDMARKER}
 
 
 def code_lines(source: str) -> int:

@@ -74,6 +74,11 @@ REALIZATIONS_PER_SEED = 2000
 PATH_TOL = 1e-10
 
 
+def _site_hamiltonian(w: float, delta: float, master_seed: int, index: int) -> np.ndarray:
+    params = LadderParams(n_sites=N_SITES, disorder_w=w, detuning_delta=delta)
+    return build_physical(sample_realization(params, derive_stream(master_seed, index))).entries
+
+
 def _site_bell() -> np.ndarray:
     psi0 = np.zeros(2 * N_SITES, dtype=np.complex128)
     psi0[0], psi0[1] = 1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0)
@@ -100,18 +105,12 @@ def expm_late_p_minus(h: np.ndarray) -> float:
 
 
 def expm_realization(master_seed: int, index: int) -> tuple[list[float], list[float]]:
-    """C(tau) at C_POINTS and the late-window p_- at TRACE_W of one realization."""
-    cache = {}
-
-    def h(w: float, delta: float) -> np.ndarray:
-        if (w, delta) not in cache:
-            params = LadderParams(n_sites=N_SITES, disorder_w=w, detuning_delta=delta)
-            realization = sample_realization(params, derive_stream(master_seed, index))
-            cache[w, delta] = build_physical(realization).entries
-        return cache[w, delta]
-
-    return ([expm_concurrence(h(w, delta)) for w, delta in C_POINTS],
-            [expm_late_p_minus(h(w, 0.2)) for w in TRACE_W])
+    """C(tau) at C_POINTS and the late-window p_- at TRACE_W of one realization,
+    each (W, Delta) Hamiltonian built once."""
+    points = {*C_POINTS, *((w, 0.2) for w in TRACE_W)}
+    h = {point: _site_hamiltonian(*point, master_seed, index) for point in points}
+    return ([expm_concurrence(h[point]) for point in C_POINTS],
+            [expm_late_p_minus(h[w, 0.2]) for w in TRACE_W])
 
 
 def run_seed(master_seed: int, n_realizations: int):

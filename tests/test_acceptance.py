@@ -3,8 +3,9 @@
 Criteria 5-7 are statistical trend criteria decided on per-realization
 samples: criterion 5 by a paired one-sided t-test, criteria 6 and 7 by
 one-sided Welch tests, each plus a two-sided 99% check of its paired gains,
-gaps or difference against references measured at other seeds. Runtime
-bounds are asserted where a number is stated.
+gaps or difference against references measured at other seeds. Beside
+criterion 7, the 1/W leakage check has two such size checks and no
+direction test. Runtime bounds are asserted where a number is stated.
 """
 
 import math
