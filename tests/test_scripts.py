@@ -23,8 +23,10 @@ def test_run_validation_script_passes():
     assert result.stdout.strip().splitlines()[-1] == "all checks passed"
 
 
-def test_criteria_reference_script_engine_matches_expm():
-    # in a subprocess: the script sets the BLAS thread variables at import
+def _reference_seed_check(check: str) -> None:
+    # runs run_seed(1, 3) of the reference program, checks both blocks' shapes,
+    # then the given lines; in a subprocess: the script sets the BLAS thread
+    # variables at import
     code = (
         "import runpy, sys\n"
         "import numpy as np\n"
@@ -32,9 +34,7 @@ def test_criteria_reference_script_engine_matches_expm():
         "(conc, direct_conc), (p_minus, direct_p_minus) = script['run_seed'](1, 3)\n"
         "assert conc.shape == direct_conc.shape == (4, 3), (conc.shape, direct_conc.shape)\n"
         "assert p_minus.shape == direct_p_minus.shape == (5, 3), p_minus.shape\n"
-        "deviation = max(float(np.max(np.abs(conc - direct_conc))),\n"
-        "                float(np.max(np.abs(p_minus - direct_p_minus))))\n"
-        "assert deviation <= script['PATH_TOL'], deviation\n"
+        + check
     )
     src = str(Path(qladder.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -42,6 +42,26 @@ def test_criteria_reference_script_engine_matches_expm():
     result = subprocess.run([sys.executable, "-c", code, str(script)],
                             env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_criterion5_reference_script_engine_matches_expm():
+    # criterion 5's C(tau) points: the first and last of C_POINTS
+    _reference_seed_check(
+        "assert [script['C_POINTS'][i] for i in (0, 3)] == [(0.2, 0.2), (10.0, 0.2)]\n"
+        "deviation = float(np.max(np.abs(conc[[0, 3]] - direct_conc[[0, 3]])))\n"
+        "assert deviation <= script['PATH_TOL'], deviation\n"
+    )
+
+
+def test_criteria6_7_reference_script_engine_matches_expm():
+    # criterion 6's C(tau) points, the last three of C_POINTS, and the late-window
+    # p_- at every W of TRACE_W: criterion 7's two and the 1/W leak's four
+    _reference_seed_check(
+        "assert script['C_POINTS'][1:] == ((10.0, 0.05), (10.0, 0.1), (10.0, 0.2))\n"
+        "deviation = max(float(np.max(np.abs(conc[1:] - direct_conc[1:]))),\n"
+        "                float(np.max(np.abs(p_minus - direct_p_minus))))\n"
+        "assert deviation <= script['PATH_TOL'], deviation\n"
+    )
 
 
 # 19 lines, 8 of them code: import, def, the string's three lines, return,
